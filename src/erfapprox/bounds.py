@@ -9,6 +9,9 @@ Theorem ids:
 * T36/T37/T38/T41: complex-valued companions (componentwise ingredients
   added); T39: complex fractional companion.
 
+Each theorem is declared by one row of ``THEOREMS``: its corpus pool,
+operator families, bound function, swept parameter and default mode.
+
 The constant 1/chi(1) ~= 4.0188 enters every interval-operator bound; it
 is used at full precision and its rounded value is echoed in reports.
 """
@@ -16,7 +19,7 @@ is used at full precision and its rounded value is echoed in reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -34,12 +37,6 @@ from .modulus import ModulusQuery, evaluate_modulus
 from .operators import OperatorConfig, QuadratureWeights, apply_operator
 from .partition import _check_tail_hypothesis
 from .special_functions import INV_CHI_AT_ONE, SQRT_PI
-
-THEOREM_IDS = (
-    "T12", "T13", "T14", "T15", "T16",
-    "T30", "C31", "C33",
-    "T36", "T37", "T38", "T39", "T41",
-)
 
 #: rounded form echoed in reports next to the full-precision constant
 NORMALIZATION_ROUNDED = 4.019
@@ -84,17 +81,13 @@ def tail_core(n: int, exponent: float) -> float:
 # ------------------------------------------------------- first-order bounds
 
 
-def _sup_norm(f: FunctionSpec) -> float:
-    return f.grid_sup_norm()
-
-
 def mu2(f: FunctionSpec, n: int, alpha: float,
         interval: Optional[Tuple[float, float]] = None):
     """Line-operator bound omega_1(f, n^-alpha) + ||f|| tail; returns
     (value, terms, modulus quality)."""
     delta = float(n) ** (-alpha)
     mq = evaluate_modulus(ModulusQuery(f, delta, interval))
-    tail = _sup_norm(f) * tail_core(n, alpha)
+    tail = f.grid_sup_norm() * tail_core(n, alpha)
     terms = {"modulus_term": mq.value, "tail_term": tail}
     return mq.value + tail, terms, mq.quality
 
@@ -113,7 +106,7 @@ def mu3(f: FunctionSpec, n: int, alpha: float,
     """Kantorovich/quadrature bound: modulus step widened to 1/n + n^-alpha."""
     delta = 1.0 / n + float(n) ** (-alpha)
     mq = evaluate_modulus(ModulusQuery(f, delta, interval))
-    tail = _sup_norm(f) * tail_core(n, alpha)
+    tail = f.grid_sup_norm() * tail_core(n, alpha)
     terms = {"modulus_term": mq.value, "tail_term": tail}
     return mq.value + tail, terms, mq.quality
 
@@ -123,6 +116,13 @@ def mu3(f: FunctionSpec, n: int, alpha: float,
 
 def _derivative_values(f: FunctionSpec, N: int, x: float) -> List[float]:
     return [abs(float(f.derivative(j)(x))) for j in range(1, N + 1)]
+
+
+def _check_critical(f: FunctionSpec, N: int, x: float):
+    """Raise unless f^(j)(x) = 0 (to 1e-12) for j = 1..N."""
+    for j, dv in enumerate(_derivative_values(f, N, x), start=1):
+        if dv > 1e-12:
+            raise CriticalPointViolated(f"{f.name}: |f^({j})({x})| = {dv:.3e} > 1e-12")
 
 
 def highorder_bound(
@@ -150,25 +150,21 @@ def highorder_bound(
     n_fact = math.factorial(N)
     final_block = (
         mq.value / (float(n) ** (alpha * N) * n_fact)
-        + _sup_norm(fN) * width ** N / n_fact * tc
+        + fN.grid_sup_norm() * width ** N / n_fact * tc
     )
 
-    deriv_sum = 0.0
+    coeffs = []
     if mode == "critical":
-        for j, dv in enumerate(_derivative_values(f, N, x), start=1):
-            if dv > 1e-12:
-                raise CriticalPointViolated(
-                    f"{f.name}: |f^({j})({x})| = {dv:.3e} > 1e-12"
-                )
+        _check_critical(f, N, x)
+    elif mode == "pointwise":
+        coeffs = _derivative_values(f, N, x)
     else:
-        if mode == "pointwise":
-            coeffs = _derivative_values(f, N, x)
-        else:
-            coeffs = [_sup_norm(f.derivative(j)) for j in range(1, N + 1)]
-        for j, cj in enumerate(coeffs, start=1):
-            deriv_sum += (cj / math.factorial(j)) * (
-                float(n) ** (-alpha * j) + width ** j * tc / 2.0
-            )
+        coeffs = [f.derivative(j).grid_sup_norm() for j in range(1, N + 1)]
+    deriv_sum = 0.0
+    for j, cj in enumerate(coeffs, start=1):
+        deriv_sum += (cj / math.factorial(j)) * (
+            float(n) ** (-alpha * j) + width ** j * tc / 2.0
+        )
 
     value = INV_CHI_AT_ONE * (deriv_sum + final_block)
     terms = {
@@ -258,12 +254,16 @@ def fractional_bound(
         raise PreconditionViolated(f"mode {mode} needs 0 < alpha < 1, got {alpha_frac}")
     if mode == "half_sup" and abs(alpha_frac - 0.5) > 1e-12:
         raise PreconditionViolated("half_sup hard-wires alpha = 1/2")
+    pointwise = mode in ("taylor_pointwise", "critical", "pointwise")
+    if not pointwise and mode not in ("sup", "n1_sup", "half_sup"):
+        raise PreconditionViolated(f"unknown mode {mode!r}")
     delta = float(n) ** (-beta)
     htc = tail_core(n, beta) / 2.0
     gamma_factor = 1.0 / gamma_fn(alpha_frac + 1.0)
     tables = _anchor_tables(f, alpha_frac, a, b, anchors, table_points)
 
-    if mode in ("taylor_pointwise", "critical", "pointwise"):
+    coeffs = []
+    if pointwise:
         if x is None:
             raise PreconditionViolated(f"mode {mode} needs an evaluation point x")
         data = min(tables, key=lambda d: abs(d.x - x))
@@ -282,50 +282,30 @@ def fractional_bound(
             + htc * (sr * (x - a) ** alpha_frac + sl * (b - x) ** alpha_frac)
         )
         if mode == "critical":
-            for j in range(1, N):
-                dv = abs(float(f.derivative(j)(x)))
-                if dv > 1e-12:
-                    raise CriticalPointViolated(
-                        f"{f.name}: |f^({j})({x})| = {dv:.3e} > 1e-12"
-                    )
-        deriv_sum = 0.0
-        if mode == "pointwise":
-            for j in range(1, N):
-                dv = abs(float(f.derivative(j)(x)))
-                deriv_sum += (dv / math.factorial(j)) * (
-                    float(n) ** (-beta * j) + (b - a) ** j * htc
-                )
-        value = INV_CHI_AT_ONE * (deriv_sum + frac_block)
-        terms = {
-            "derivative_sum": INV_CHI_AT_ONE * deriv_sum,
-            "fractional_block": INV_CHI_AT_ONE * frac_block,
-        }
-        return value, terms, "estimated"
-
-    if mode in ("sup", "n1_sup", "half_sup"):
+            _check_critical(f, N - 1, x)
+        elif mode == "pointwise":
+            coeffs = _derivative_values(f, N - 1, x)
+    else:
         ing = [_anchor_ingredients(d, delta) for d in tables]
-        sup_wr = max(i[0] for i in ing)
-        sup_wl = max(i[1] for i in ing)
-        sup_sr = max(i[2] for i in ing)
-        sup_sl = max(i[3] for i in ing)
+        sup_wr, sup_wl, sup_sr, sup_sl = (max(i[k] for i in ing) for k in range(4))
         frac_block = gamma_factor * (
             (sup_wr + sup_wl) / float(n) ** (alpha_frac * beta)
             + htc * (b - a) ** alpha_frac * (sup_sr + sup_sl)
         )
-        deriv_sum = 0.0
         if mode == "sup":
-            for j in range(1, N):
-                deriv_sum += (_sup_norm(f.derivative(j)) / math.factorial(j)) * (
-                    float(n) ** (-beta * j) + (b - a) ** j * htc
-                )
-        value = INV_CHI_AT_ONE * (deriv_sum + frac_block)
-        terms = {
-            "derivative_sum": INV_CHI_AT_ONE * deriv_sum,
-            "fractional_block": INV_CHI_AT_ONE * frac_block,
-        }
-        return value, terms, "estimated"
+            coeffs = [f.derivative(j).grid_sup_norm() for j in range(1, N)]
 
-    raise PreconditionViolated(f"unknown mode {mode!r}")
+    deriv_sum = 0.0
+    for j, cj in enumerate(coeffs, start=1):
+        deriv_sum += (cj / math.factorial(j)) * (
+            float(n) ** (-beta * j) + (b - a) ** j * htc
+        )
+    value = INV_CHI_AT_ONE * (deriv_sum + frac_block)
+    terms = {
+        "derivative_sum": INV_CHI_AT_ONE * deriv_sum,
+        "fractional_block": INV_CHI_AT_ONE * frac_block,
+    }
+    return value, terms, "estimated"
 
 
 def remark34_check(
@@ -361,56 +341,17 @@ def remark34_check(
 # ------------------------------------------------------- complex bounds
 
 
-def complex_bound(
-    f: ComplexFunctionSpec,
-    n: int,
-    alpha: float,
-    family: str,
-    a: Optional[float] = None,
-    b: Optional[float] = None,
-    order: str = "basic",
-    N: int = 1,
-    alpha_frac: Optional[float] = None,
-    mode: str = "sup",
-    x: Optional[float] = None,
-):
-    """Complex-operator bound: ingredient sums of the two real parts.
+def complex_bound(f: ComplexFunctionSpec, real_bound, *args, **kw):
+    """Complex-operator bound: the real theorem's bound applied to the real
+    and imaginary parts with the same arguments, values and terms added.
 
-    order "basic": the first-order forms (family A scaled by 1/chi(1),
-    B plain, C/D with the widened modulus step).  order "highorder" and
-    "fractional": interval-operator forms with moduli and sup norms of
-    both parts added.
+    The modulus quality is exact only when both parts' is.
     """
-    interval = (a, b) if a is not None else None
-    if order == "basic":
-        if family == "A":
-            core1, t1, q1 = mu2(f.re, n, alpha, interval)
-            core2, t2, q2 = mu2(f.im, n, alpha, interval)
-            value = INV_CHI_AT_ONE * (core1 + core2)
-        elif family == "B":
-            core1, t1, q1 = mu2(f.re, n, alpha, interval)
-            core2, t2, q2 = mu2(f.im, n, alpha, interval)
-            value = core1 + core2
-        elif family in ("C", "D"):
-            core1, t1, q1 = mu3(f.re, n, alpha, interval)
-            core2, t2, q2 = mu3(f.im, n, alpha, interval)
-            value = core1 + core2
-        else:
-            raise PreconditionViolated(f"unknown family {family!r}")
-    elif order == "highorder":
-        v1, t1, q1 = highorder_bound(f.re, n, alpha, a, b, N, mode, x)
-        v2, t2, q2 = highorder_bound(f.im, n, alpha, a, b, N, mode, x)
-        value = v1 + v2
-    elif order == "fractional":
-        v1, t1, q1 = fractional_bound(f.re, n, alpha, alpha_frac, a, b, mode, x)
-        v2, t2, q2 = fractional_bound(f.im, n, alpha, alpha_frac, a, b, mode, x)
-        value = v1 + v2
-    else:
-        raise PreconditionViolated(f"unknown order {order!r}")
-
-    terms = {k: t1.get(k, 0.0) + t2.get(k, 0.0) for k in set(t1) | set(t2)}
+    v1, t1, q1 = real_bound(f.re, *args, **kw)
+    v2, t2, q2 = real_bound(f.im, *args, **kw)
+    terms = {k: t1[k] + t2[k] for k in t1}
     quality = "exact" if q1 == "exact" and q2 == "exact" else "estimated"
-    return value, terms, quality
+    return v1 + v2, terms, quality
 
 
 # ------------------------------------------------------- empirical errors
@@ -428,31 +369,36 @@ class GridPolicy:
     table_points: int = 513
 
 
-def _grid(f, window: Tuple[float, float], points: int) -> np.ndarray:
-    return np.linspace(window[0], window[1], points)
+def _taylor_image(f: FunctionSpec, x: float, cfg: OperatorConfig, order: int) -> float:
+    """Operator image at x of the Taylor terms of f about x of orders 1..order-1."""
+    corr = 0.0
+    for j in range(1, order):
+        mono = FunctionSpec(
+            "shifted_power", lambda t, _j=j: (np.asarray(t, float) - x) ** _j
+        )
+        corr += float(f.derivative(j)(x)) / math.factorial(j) * apply_operator(mono, x, cfg)
+    return corr
 
 
-def _sup_error(f: FunctionSpec, cfg: OperatorConfig,
-               window: Tuple[float, float], grid: GridPolicy) -> float:
-    xs = _grid(f, window, grid.x_points)
-    err = float(np.max(np.abs(apply_operator(f, xs, cfg) - f.eval(xs))))
+def _deviation(f, x, cfg: OperatorConfig, taylor_order: int = 0):
+    """|Op f - f| at x (a point or a grid); a complex f is measured through
+    the hypot of its parts.  A taylor_order N > 1 first subtracts the
+    operator image of f's Taylor terms of orders 1..N-1 at the point x."""
+    devs = [
+        apply_operator(p, x, cfg) - _taylor_image(p, x, cfg, taylor_order) - p.eval(x)
+        for p in f.parts
+    ]
+    return np.hypot(*devs) if len(devs) == 2 else np.abs(devs[0])
+
+
+def _sup_error(f, cfg: OperatorConfig, window: Tuple[float, float], grid: GridPolicy) -> float:
+    def on(points):
+        xs = np.linspace(window[0], window[1], points)
+        return float(np.max(_deviation(f, xs, cfg)))
+
+    err = on(grid.x_points)
     if grid.refinement:
-        xs2 = _grid(f, window, 2 * grid.x_points - 1)
-        err = max(err, float(np.max(np.abs(apply_operator(f, xs2, cfg) - f.eval(xs2)))))
-    return err
-
-
-def _sup_error_complex(f: ComplexFunctionSpec, cfg: OperatorConfig,
-                       window: Tuple[float, float], grid: GridPolicy) -> float:
-    def one(points):
-        xs = _grid(f, window, points)
-        re = apply_operator(f.re, xs, cfg) - f.re.eval(xs)
-        im = apply_operator(f.im, xs, cfg) - f.im.eval(xs)
-        return float(np.max(np.hypot(re, im)))
-
-    err = one(grid.x_points)
-    if grid.refinement:
-        err = max(err, one(2 * grid.x_points - 1))
+        err = max(err, on(2 * grid.x_points - 1))
     return err
 
 
@@ -475,7 +421,77 @@ def fit_rate(points: Sequence[Tuple[float, float]]) -> Tuple[float, float]:
     return float(slope), r2
 
 
-# ------------------------------------------------------- verify dispatch
+# ------------------------------------------------------- theorem table
+
+
+@dataclass(frozen=True)
+class Theorem:
+    """Everything the harness knows about one theorem.
+
+    ``pool`` names the corpus dict in ``erfapprox.corpus`` that builtin
+    functions are drawn from.  ``families`` are the operators measured, one
+    report row each, all against one bound: ``bound`` names a real bound
+    function of this module, applied through ``complex_bound`` when
+    ``complex``.  ``param`` ("N" or "alpha_frac") is swept over the
+    config's ``highorder_orders`` or ``fractional_orders``; only values
+    inside the open range ``orders`` are admissible.  ``mode`` is the
+    default bound mode, None for the first-order bounds.
+    """
+
+    pool: str
+    families: Tuple[str, ...]
+    bound: str
+    complex: bool = False
+    param: Optional[str] = None
+    orders: Tuple[float, float] = (-math.inf, math.inf)
+    mode: Optional[str] = None
+
+    def derivative_order(self, kw: dict) -> int:
+        """Highest derivative of f one cell with parameters kw consumes."""
+        args = _BOUND_ARGS[self.bound]
+        if "N" in args:
+            return int(kw.get("N", _PARAM_DEFAULTS["N"]))
+        if "alpha_frac" in args:
+            return math.ceil(kw.get("alpha_frac", _PARAM_DEFAULTS["alpha_frac"]))
+        return 0
+
+
+#: cell quantities each bound function takes after (f, n, exponent); the
+#: function itself is looked up by name at call time
+_BOUND_ARGS = {
+    "mu1": ("a", "b"),
+    "mu2": ("interval",),
+    "mu3": ("interval",),
+    "highorder_bound": ("a", "b", "N", "mode", "x"),
+    "fractional_bound": ("alpha_frac", "a", "b", "mode", "x", "anchors", "table_points"),
+}
+
+_PARAM_DEFAULTS = {"N": 1, "alpha_frac": 0.5}
+
+THEOREMS: Dict[str, Theorem] = {
+    "T12": Theorem("INTERVAL_CORPUS", ("A",), "mu1"),
+    "T13": Theorem("LINE_CORPUS", ("B",), "mu2"),
+    "T14": Theorem("LINE_CORPUS", ("C",), "mu3"),
+    "T15": Theorem("LINE_CORPUS", ("D",), "mu3"),
+    "T16": Theorem("INTERVAL_CORPUS", ("A",), "highorder_bound", param="N", mode="sup"),
+    "T30": Theorem("FRACTIONAL_CORPUS", ("A",), "fractional_bound",
+                   param="alpha_frac", mode="sup"),
+    "C31": Theorem("FRACTIONAL_CORPUS", ("A",), "fractional_bound",
+                   param="alpha_frac", orders=(0.0, 1.0), mode="n1_sup"),
+    "C33": Theorem("FRACTIONAL_CORPUS", ("A",), "fractional_bound", mode="half_sup"),
+    "T36": Theorem("COMPLEX_INTERVAL_CORPUS", ("A",), "mu1", complex=True),
+    "T37": Theorem("COMPLEX_LINE_CORPUS", ("B",), "mu2", complex=True),
+    "T38": Theorem("COMPLEX_INTERVAL_CORPUS", ("A",), "highorder_bound", complex=True,
+                   param="N", mode="sup"),
+    "T39": Theorem("COMPLEX_INTERVAL_CORPUS", ("A",), "fractional_bound", complex=True,
+                   param="alpha_frac", orders=(0.0, 2.0), mode="sup"),
+    "T41": Theorem("COMPLEX_LINE_CORPUS", ("C", "D"), "mu3", complex=True),
+}
+
+THEOREM_IDS = tuple(THEOREMS)
+
+
+# ------------------------------------------------------- verify
 
 
 _DEFAULT_THETA = 4
@@ -498,16 +514,26 @@ def verify(
     **kw,
 ) -> List[BoundReport]:
     """Measure empirical operator error against the theorem's bound for
-    every n in the sweep; one report row per n (two for the C/D pair).
+    every n in the sweep; one report row per n and operator family.
 
-    Extra keyword arguments: N and mode and x0 for T16/T38; alpha_frac,
-    mode and x0 for T30/C31/T39.
+    Extra keyword arguments: the theorem's parameter (N or alpha_frac),
+    mode, and x0, the point the "critical" mode evaluates at (default 0).
+    The "pointwise" and "taylor_pointwise" modes report the worst of
+    grid.pointwise_points points by error-to-bound ratio.
     """
-    if theorem_id not in THEOREM_IDS:
+    th = THEOREMS.get(theorem_id)
+    if th is None:
         raise PreconditionViolated(f"unknown theorem id {theorem_id!r}")
+    if th.param is not None:
+        lo, hi = th.orders
+        value = kw.get(th.param, _PARAM_DEFAULTS[th.param])
+        if not lo < value < hi:
+            raise PreconditionViolated(
+                f"{theorem_id} needs {lo:g} < {th.param} < {hi:g}, got {value}"
+            )
     rows: List[BoundReport] = []
     for n in sweep:
-        rows.extend(_verify_one(theorem_id, f, int(n), rate_exponent, grid, kw))
+        rows.extend(_verify_one(theorem_id, th, f, int(n), rate_exponent, grid, kw))
     return rows
 
 
@@ -527,145 +553,44 @@ def _report(theorem_id, f, family, n, ex, point_mode, emp, value, terms, quality
     )
 
 
-def _verify_one(tid, f, n, ex, grid, kw) -> List[BoundReport]:
-    if tid == "T12":
-        a, b = f.domain
-        cfg = _family_config("A", n, (a, b))
-        emp = _sup_error(f, cfg, (a, b), grid)
-        value, terms, quality = mu1(f, n, ex, a, b)
-        return [_report(tid, f, "A", n, ex, "sup over grid", emp, value, terms, quality)]
+def _verify_one(tid, th: Theorem, f, n, ex, grid, kw) -> List[BoundReport]:
+    mode = kw.get("mode", th.mode) if th.mode else None
+    a, b = f.domain or (None, None)
+    cell = {
+        "a": a, "b": b, "interval": f.domain, "mode": mode,
+        "anchors": grid.anchors, "table_points": grid.table_points,
+        **{k: kw.get(k, v) for k, v in _PARAM_DEFAULTS.items()},
+    }
+    if mode == "critical":
+        points, point_mode = [kw.get("x0", 0.0)], "pointwise x"
+    elif mode in ("pointwise", "taylor_pointwise"):
+        points = [float(x) for x in np.linspace(a, b, grid.pointwise_points)]
+        point_mode = "pointwise x"
+    else:
+        points, point_mode = [None], "sup over grid"
+    taylor = th.derivative_order(kw) if mode == "taylor_pointwise" else 0
+    window = f.parts[0].sample_window()
+    cfgs = [_family_config(family, n, f.domain) for family in th.families]
 
-    if tid in ("T13", "T14", "T15"):
-        family = {"T13": "B", "T14": "C", "T15": "D"}[tid]
-        cfg = _family_config(family, n)
-        window = f.sample_window()
-        emp = _sup_error(f, cfg, window, grid)
-        bound_fn = mu2 if tid == "T13" else mu3
-        value, terms, quality = bound_fn(f, n, ex, window if f.domain else None)
-        return [_report(tid, f, family, n, ex, "sup over grid", emp, value, terms, quality)]
-
-    if tid == "T16":
-        a, b = f.domain
-        N = kw.get("N", 1)
-        mode = kw.get("mode", "sup")
-        cfg = _family_config("A", n, (a, b))
-        if mode == "critical":
-            x0 = kw.get("x0", 0.0)
-            emp = abs(apply_operator(f, x0, cfg) - float(f(x0)))
-            value, terms, quality = highorder_bound(f, n, ex, a, b, N, "critical", x0)
-            return [_report(tid, f, "A", n, ex, "pointwise x", emp, value, terms, quality)]
-        if mode == "pointwise":
-            xs = np.linspace(a, b, grid.pointwise_points)
-            best = None
-            for x0 in xs:
-                emp = abs(apply_operator(f, float(x0), cfg) - float(f(float(x0))))
-                value, terms, quality = highorder_bound(f, n, ex, a, b, N, "pointwise", float(x0))
-                ratio = emp / value if value > 0 else math.inf
-                if best is None or ratio > best[0]:
-                    best = (ratio, emp, value, terms, quality)
-            _, emp, value, terms, quality = best
-            return [_report(tid, f, "A", n, ex, "pointwise x", emp, value, terms, quality)]
-        emp = _sup_error(f, cfg, (a, b), grid)
-        value, terms, quality = highorder_bound(f, n, ex, a, b, N, "sup")
-        return [_report(tid, f, "A", n, ex, "sup over grid", emp, value, terms, quality)]
-
-    if tid in ("T30", "C31", "C33"):
-        a, b = f.domain
-        alpha_frac = 0.5 if tid == "C33" else kw.get("alpha_frac", 0.5)
-        if tid == "C31" and not 0.0 < alpha_frac < 1.0:
-            raise PreconditionViolated("C31 needs 0 < alpha_frac < 1")
-        mode = kw.get("mode", "sup" if tid == "T30" else
-                      ("half_sup" if tid == "C33" else "n1_sup"))
-        cfg = _family_config("A", n, (a, b))
-        fkw = dict(anchors=grid.anchors, table_points=grid.table_points)
-        if mode in ("pointwise", "critical", "taylor_pointwise"):
-            xs = np.linspace(a, b, grid.pointwise_points)
-            best = None
-            for x0 in xs:
-                x0 = float(x0)
-                emp = abs(apply_operator(f, x0, cfg) - float(f(x0)))
-                if mode == "taylor_pointwise":
-                    # Taylor correction terms move to the left-hand side
-                    N = FractionalSpec(alpha_frac, x0 if x0 > a else b, "left").N
-                    corr = 0.0
-                    for j in range(1, N):
-                        mono = FunctionSpec(
-                            "shifted_power",
-                            lambda t, _j=j, _x=x0: (np.asarray(t, float) - _x) ** _j,
-                        )
-                        corr += (
-                            float(f.derivative(j)(x0)) / math.factorial(j)
-                            * apply_operator(mono, x0, cfg)
-                        )
-                    emp = abs(apply_operator(f, x0, cfg) - corr - float(f(x0)))
-                value, terms, quality = fractional_bound(
-                    f, n, ex, alpha_frac, a, b, mode, x0, **fkw
-                )
-                ratio = emp / value if value > 0 else math.inf
-                if best is None or ratio > best[0]:
-                    best = (ratio, emp, value, terms, quality)
-            _, emp, value, terms, quality = best
-            return [_report(tid, f, "A", n, ex, "pointwise x", emp, value, terms, quality)]
-        emp = _sup_error(f, cfg, (a, b), grid)
-        value, terms, quality = fractional_bound(
-            f, n, ex, alpha_frac, a, b, mode, **fkw
-        )
-        return [_report(tid, f, "A", n, ex, "sup over grid", emp, value, terms, quality)]
-
-    if tid in ("T36", "T37"):
-        family = "A" if tid == "T36" else "B"
-        if family == "A":
-            a, b = f.domain
-            window = (a, b)
-            cfg = _family_config("A", n, (a, b))
+    # looked up at call time so rebinding a module global reaches every row
+    real_bound = globals()[th.bound]
+    worst = [None] * len(cfgs)
+    for x in points:
+        cell["x"] = x
+        args = [cell[k] for k in _BOUND_ARGS[th.bound]]
+        if th.complex:
+            value, terms, quality = complex_bound(f, real_bound, n, ex, *args)
         else:
-            a = b = None
-            window = f.re.sample_window()
-            cfg = _family_config("B", n)
-        emp = _sup_error_complex(f, cfg, window, grid)
-        value, terms, quality = complex_bound(f, n, ex, family, a, b, "basic")
-        return [_report(tid, f, family, n, ex, "sup over grid", emp, value, terms, quality)]
-
-    if tid == "T38":
-        a, b = f.domain
-        N = kw.get("N", 1)
-        mode = kw.get("mode", "sup")
-        cfg = _family_config("A", n, (a, b))
-        if mode == "critical":
-            x0 = kw.get("x0", 0.0)
-            re = apply_operator(f.re, x0, cfg) - float(f.re(x0))
-            im = apply_operator(f.im, x0, cfg) - float(f.im(x0))
-            emp = math.hypot(re, im)
-            value, terms, quality = complex_bound(
-                f, n, ex, "A", a, b, "highorder", N=N, mode="critical", x=x0
-            )
-            return [_report(tid, f, "A", n, ex, "pointwise x", emp, value, terms, quality)]
-        emp = _sup_error_complex(f, cfg, (a, b), grid)
-        value, terms, quality = complex_bound(
-            f, n, ex, "A", a, b, "highorder", N=N, mode="sup"
-        )
-        return [_report(tid, f, "A", n, ex, "sup over grid", emp, value, terms, quality)]
-
-    if tid == "T39":
-        a, b = f.domain
-        alpha_frac = kw.get("alpha_frac", 0.5)
-        cfg = _family_config("A", n, (a, b))
-        emp = _sup_error_complex(f, cfg, (a, b), grid)
-        value, terms, quality = complex_bound(
-            f, n, ex, "A", a, b, "fractional", alpha_frac=alpha_frac, mode="sup"
-        )
-        return [_report(tid, f, "A", n, ex, "sup over grid", emp, value, terms, quality)]
-
-    if tid == "T41":
-        window = f.re.sample_window()
-        value, terms, quality = complex_bound(f, n, ex, "C", order="basic")
-        rows = []
-        for family in ("C", "D"):
-            cfg = _family_config(family, n)
-            emp = _sup_error_complex(f, cfg, window, grid)
-            rows.append(
-                _report(tid, f, family, n, ex, "sup over grid", emp, value, terms, quality)
-            )
-        return rows
-
-    raise PreconditionViolated(f"unknown theorem id {tid!r}")
+            value, terms, quality = real_bound(f, n, ex, *args)
+        for i, cfg in enumerate(cfgs):
+            if x is None:
+                emp = _sup_error(f, cfg, window, grid)
+            else:
+                emp = float(_deviation(f, x, cfg, taylor))
+            ratio = emp / value if value > 0 else math.inf
+            if worst[i] is None or ratio > worst[i][0]:
+                worst[i] = (ratio, emp, value, terms, quality)
+    return [
+        _report(tid, f, family, n, ex, point_mode, emp, value, terms, quality)
+        for family, (_, emp, value, terms, quality) in zip(th.families, worst)
+    ]

@@ -19,6 +19,7 @@ import sys
 from importlib import resources
 from typing import List, Optional
 
+from .bounds import THEOREMS
 from .errors import ConfigError
 from .harness import (
     ExperimentConfig,
@@ -46,8 +47,6 @@ def _load_config(args) -> ExperimentConfig:
         if args.jobs < 1:
             raise ConfigError("jobs", "must be >= 1")
         updates["jobs"] = args.jobs
-    if args.seed is not None:
-        updates["seed"] = args.seed
     if updates:
         cfg = ExperimentConfig(**{**cfg.__dict__, **updates})
     return cfg
@@ -89,7 +88,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--out-csv", help="write the report table here")
     p.add_argument("--out-json", help="write the JSON summary here")
     p.add_argument("--jobs", type=int, default=None, help="worker threads")
-    p.add_argument("--seed", type=int, default=None, help="run seed (recorded in output)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -126,7 +124,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         cfg = _load_config(args)
         if args.command == "fractional":
-            cfg = _restrict(cfg, ("T30", "C31", "C33", "T39"))
+            cfg = _restrict(cfg, [t for t, th in THEOREMS.items()
+                                  if th.bound == "fractional_bound"])
         result = run_verify(cfg)
 
         if args.command == "rates":

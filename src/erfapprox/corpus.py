@@ -137,36 +137,21 @@ def _const_spec(name, value, domain, depth=2):
 
 
 def _chain(name, evals, domain, moduli, sups, grid_window=None):
-    """Build a FunctionSpec whose derivatives are the tail of the chain."""
-    spec = None
+    """Build a FunctionSpec whose derivatives are the tail of the chain;
+    each level is built once and shared by every level above it."""
+    tail = ()
     for i in range(len(evals) - 1, -1, -1):
         spec = FunctionSpec(
             name if i == 0 else f"{name}^({i})",
             evals[i],
             domain=domain,
-            derivatives=_tail_chain(name, evals, domain, moduli, sups, grid_window, i),
+            derivatives=tail,
             exact_modulus=moduli[i],
             sup_norm=sups[i],
             grid_window=grid_window,
         )
+        tail = (spec,) + tail
     return spec
-
-
-def _tail_chain(name, evals, domain, moduli, sups, grid_window, i):
-    out = []
-    for j in range(i + 1, len(evals)):
-        out.append(
-            FunctionSpec(
-                f"{name}^({j})",
-                evals[j],
-                domain=domain,
-                derivatives=_tail_chain(name, evals, domain, moduli, sups, grid_window, j),
-                exact_modulus=moduli[j],
-                sup_norm=sups[j],
-                grid_window=grid_window,
-            )
-        )
-    return tuple(out)
 
 
 def _sin_chain(name, domain, grid_window, period_mod=True):
@@ -317,21 +302,9 @@ def function_from_expression(
     for _ in range(orders):
         asts.append(differentiate(asts[-1]))
 
-    def make(i: int) -> FunctionSpec:
-        ast = asts[i]
-        derivs = tuple(make(j) for j in range(i + 1, len(asts)))
-        mod = None
-        if i == 0 and exact_modulus is not None:
-            mod = modulus_from_registry(exact_modulus, domain)
-        spec = FunctionSpec(
-            name if i == 0 else f"{name}^({i})",
-            lambda t, _a=ast: evaluate(_a, t),
-            domain=domain,
-            derivatives=derivs,
-            exact_modulus=mod,
-            sup_norm=sup_norm if i == 0 else None,
-            grid_window=grid_window,
-        )
-        return spec
-
-    return make(0)
+    mod = None if exact_modulus is None else modulus_from_registry(exact_modulus, domain)
+    rest = [None] * (len(asts) - 1)
+    return _chain(
+        name, [lambda t, _a=a: evaluate(_a, t) for a in asts], domain,
+        [mod] + rest, [sup_norm] + rest, grid_window,
+    )

@@ -21,11 +21,11 @@ from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d, minimum_filter1d
 from scipy.special import roots_jacobi
 
 from .errors import PreconditionViolated
 from .funcs import FunctionSpec
+from .modulus import grid_modulus
 
 # Lanczos approximation, g = 7, 9 coefficients; relative error below 1e-13
 # on the positive half line.
@@ -183,16 +183,7 @@ def caputo_modulus(
     _check_side_interval(spec, sub)
     xs = np.linspace(sub[0], sub[1], samples)
     ys = caputo(f, spec, xs)
-    return _table_modulus(xs, ys, delta)
-
-
-def _table_modulus(xs: np.ndarray, ys: np.ndarray, delta: float) -> float:
-    h = (xs[-1] - xs[0]) / (len(xs) - 1)
-    size = int(math.floor(delta / h)) + 1
-    if size < 2:
-        size = 2
-    spread = maximum_filter1d(ys, size, mode="nearest") - minimum_filter1d(ys, size, mode="nearest")
-    return float(np.max(spread))
+    return grid_modulus(xs, ys, delta)
 
 
 def caputo_table(
@@ -212,7 +203,7 @@ def table_modulus(table: Tuple[np.ndarray, np.ndarray], delta: float) -> float:
     """omega_1 estimate from a precomputed caputo_table."""
     if not delta > 0:
         raise PreconditionViolated(f"delta must be > 0, got {delta}")
-    return _table_modulus(table[0], table[1], delta)
+    return grid_modulus(table[0], table[1], delta)
 
 
 def caputo_envelope(f: FunctionSpec, spec: FractionalSpec, x) -> float:

@@ -36,6 +36,11 @@ class FunctionSpec:
     def __call__(self, x):
         return self.eval(x)
 
+    @property
+    def parts(self) -> Tuple["FunctionSpec", ...]:
+        """Real components, measured one by one: just this function."""
+        return (self,)
+
     def derivative(self, order: int) -> "FunctionSpec":
         if order < 1 or order > len(self.derivatives):
             raise MissingDerivative(
@@ -78,3 +83,7 @@ class ComplexFunctionSpec:
     @property
     def domain(self) -> Domain:
         return self.re.domain
+
+    @property
+    def parts(self) -> Tuple[FunctionSpec, FunctionSpec]:
+        return (self.re, self.im)

@@ -14,15 +14,14 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 import yaml
 
 from . import bounds, corpus, partition
-from .bounds import BoundReport, GridPolicy, fit_rate, verify
+from .bounds import GridPolicy, fit_rate, verify
 from .errors import ConfigError, DegenerateFit, ErfApproxError
-from .funcs import ComplexFunctionSpec, FunctionSpec
 
 SCHEMA_VERSION = 1
 
@@ -31,15 +30,6 @@ CSV_COLUMNS = (
     "empirical_error", "bound", "slack", "modulus_quality", "verdict",
     "slope", "r2",
 )
-
-#: theorems that need an interval function, a whole-line function, a
-#: fractional-corpus function, or a complex pair
-_INTERVAL_THEOREMS = ("T12", "T16")
-_LINE_THEOREMS = ("T13", "T14", "T15")
-_FRACTIONAL_THEOREMS = ("T30", "C31", "C33")
-_COMPLEX_INTERVAL_THEOREMS = ("T36", "T38", "T39")
-_COMPLEX_LINE_THEOREMS = ("T37", "T41")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -54,7 +44,6 @@ class ExperimentConfig:
     csv_path: Optional[str] = None
     json_path: Optional[str] = None
     jobs: int = 1
-    seed: int = 0
 
     @staticmethod
     def from_file(path: str) -> "ExperimentConfig":
@@ -88,9 +77,9 @@ class ExperimentConfig:
             except (TypeError, ValueError) as exc:
                 raise ConfigError(name, str(exc))
 
-        theorems = _list("theorems", str, default=bounds.THEOREM_IDS)
+        theorems = _list("theorems", str, default=tuple(bounds.THEOREMS))
         for t in theorems:
-            if t not in bounds.THEOREM_IDS:
+            if t not in bounds.THEOREMS:
                 raise ConfigError("theorems", f"unknown theorem id {t!r}")
         sweep = _list("sweep", int, required=True)
         if any(n < 1 for n in sweep):
@@ -153,19 +142,20 @@ def _resolve(spec: dict, theorem: str):
 
     Returns (object, skip_reason); exactly one is None.
     """
+    th = bounds.THEOREMS[theorem]
     fid = spec["id"]
     if "expr" in spec:
         domain = tuple(spec["domain"]) if "domain" in spec else None
-        if theorem in _COMPLEX_INTERVAL_THEOREMS + _COMPLEX_LINE_THEOREMS:
+        if th.complex:
             return None, "expression functions are real-valued"
-        if theorem in _INTERVAL_THEOREMS + _FRACTIONAL_THEOREMS and domain is None:
-            return None, "interval theorem needs a domain"
-        if theorem in _LINE_THEOREMS:
-            if domain is not None:
-                return None, "whole-line theorem, function has a compact domain"
-            if spec.get("sup_norm") is None:
-                return None, "whole-line theorem needs a declared sup_norm"
-        orders = int(spec.get("orders", 2 if theorem in _FRACTIONAL_THEOREMS else 0))
+        if "A" in th.families:
+            if domain is None:
+                return None, "interval theorem needs a domain"
+        elif domain is not None:
+            return None, "whole-line theorem, function has a compact domain"
+        elif spec.get("sup_norm") is None:
+            return None, "whole-line theorem needs a declared sup_norm"
+        orders = int(spec.get("orders", 2 if th.bound == "fractional_bound" else 0))
         try:
             f = corpus.function_from_expression(
                 fid, spec["expr"], domain=domain, orders=orders,
@@ -178,36 +168,35 @@ def _resolve(spec: dict, theorem: str):
         return f, None
 
     name = spec["builtin"]
-    pools = {
-        **{t: corpus.INTERVAL_CORPUS for t in _INTERVAL_THEOREMS},
-        **{t: corpus.LINE_CORPUS for t in _LINE_THEOREMS},
-        **{t: corpus.FRACTIONAL_CORPUS for t in _FRACTIONAL_THEOREMS},
-        **{t: corpus.COMPLEX_INTERVAL_CORPUS for t in _COMPLEX_INTERVAL_THEOREMS},
-        **{t: corpus.COMPLEX_LINE_CORPUS for t in _COMPLEX_LINE_THEOREMS},
-    }
-    pool = pools[theorem]
+    pool = getattr(corpus, th.pool)
     if name not in pool:
         return None, f"no {theorem}-compatible variant of builtin {name!r}"
     return pool[name], None
 
 
-def _theorem_kwargs(cfg: ExperimentConfig, theorem: str, f) -> List[dict]:
-    """Expand a theorem into its parameter variants (orders etc.)."""
-    if theorem == "T16":
-        out = []
-        for N in cfg.highorder_orders:
-            if len(f.derivatives) >= N:
-                out.append({"N": N, "mode": "sup"})
-        return out or [{}]
-    if theorem == "T30":
-        return [{"alpha_frac": af, "mode": "sup"} for af in cfg.fractional_orders]
-    if theorem == "C31":
-        return [{"alpha_frac": af} for af in cfg.fractional_orders if 0.0 < af < 1.0]
-    if theorem == "T38":
-        return [{"N": N, "mode": "sup"} for N in cfg.highorder_orders]
-    if theorem == "T39":
-        return [{"alpha_frac": af} for af in cfg.fractional_orders if af < 2.0]
-    return [{}]
+def _derivatives(f) -> int:
+    return min(len(p.derivatives) for p in f.parts)
+
+
+def _variants(cfg: ExperimentConfig, theorem: str, f) -> Tuple[List[dict], Optional[str]]:
+    """Parameter variants of a theorem for f, or a reason to skip the pair.
+
+    Config values outside the theorem's admissible range are dropped.  Of
+    the values f lacks derivatives for, only the lowest is kept: the
+    precheck skips its cells with the reason, and higher ones fail alike.
+    """
+    th = bounds.THEOREMS[theorem]
+    if th.param is None:
+        return [{}], None
+    values = cfg.highorder_orders if th.param == "N" else cfg.fractional_orders
+    lo, hi = th.orders
+    kws = [{th.param: v} for v in values if lo < v < hi]
+    if not kws:
+        return [], f"no {th.param} in {list(values)} lies in ({lo:g}, {hi:g})"
+    have = _derivatives(f)
+    fits = [kw for kw in kws if th.derivative_order(kw) <= have]
+    short = [kw for kw in kws if th.derivative_order(kw) > have]
+    return fits + short[:1], None
 
 
 def _precheck(theorem: str, f, n: int, exponent: float, kw: dict) -> Optional[str]:
@@ -215,14 +204,9 @@ def _precheck(theorem: str, f, n: int, exponent: float, kw: dict) -> Optional[st
     t = float(n) ** (1.0 - exponent)
     if t < 3.0:
         return f"hypothesis n^(1-exponent) >= 3 fails: {n}^{1.0 - exponent:.2f} = {t:.3f}"
-    if theorem in _FRACTIONAL_THEOREMS:
-        N = math.ceil(kw.get("alpha_frac", 0.5))
-        if len(f.derivatives) < N:
-            return f"needs derivatives to order {N}, have {len(f.derivatives)}"
-    if theorem == "T16" and len(f.derivatives) < kw.get("N", 1):
-        return f"needs derivatives to order {kw.get('N', 1)}"
-    if theorem in _LINE_THEOREMS and f.sup_norm is None:
-        return "whole-line theorem needs a finite sup norm"
+    need, have = bounds.THEOREMS[theorem].derivative_order(kw), _derivatives(f)
+    if have < need:
+        return f"needs derivatives to order {need}, have {have}"
     return None
 
 
@@ -253,12 +237,15 @@ def run_verify(cfg: ExperimentConfig) -> RunResult:
     for theorem in cfg.theorems:
         for spec in cfg.functions:
             f, reason = _resolve(spec, theorem)
-            if f is None:
+            kws = []
+            if f is not None:
+                kws, reason = _variants(cfg, theorem, f)
+            if reason is not None:
                 skipped.append({"theorem": theorem, "function": spec["id"],
                                 "reason": reason})
                 continue
             for exponent in cfg.rate_exponents:
-                for kw in _theorem_kwargs(cfg, theorem, f):
+                for kw in kws:
                     ns = []
                     for n in cfg.sweep:
                         reason = _precheck(theorem, f, n, exponent, kw)

@@ -59,16 +59,13 @@ class ModulusResult:
     refinement_gap: Optional[float] = None
 
 
-def _grid_modulus(f: FunctionSpec, delta: float, lo: float, hi: float, points: int) -> float:
-    xs = np.linspace(lo, hi, points)
-    ys = np.asarray(f.eval(xs), dtype=float)
-    h = (hi - lo) / (points - 1)
+def grid_modulus(xs: np.ndarray, ys: np.ndarray, delta: float) -> float:
+    """Sliding-window omega_1 estimate from samples ys on the uniform grid xs."""
+    h = (xs[-1] - xs[0]) / (len(xs) - 1)
     # a window of size m spans (m-1)*h, so m = floor(delta/h) + 1 keeps
-    # every in-window pair within distance delta (never overshoots)
-    size = int(math.floor(delta / h)) + 1
-    if size < 2:
-        # delta below grid resolution: fall back to adjacent differences
-        size = 2
+    # every in-window pair within distance delta (never overshoots); delta
+    # below grid resolution falls back to adjacent differences
+    size = max(2, int(math.floor(delta / h)) + 1)
     spread = maximum_filter1d(ys, size, mode="nearest") - minimum_filter1d(ys, size, mode="nearest")
     return float(np.max(spread))
 
@@ -85,8 +82,12 @@ def evaluate_modulus(q: ModulusQuery) -> ModulusResult:
     if f.exact_modulus is not None and (f.domain is None or (lo, hi) == tuple(f.domain)):
         return ModulusResult(value=float(f.exact_modulus(q.delta)), quality="exact")
 
-    coarse = _grid_modulus(f, q.delta, lo, hi, q.grid_points)
-    fine = _grid_modulus(f, q.delta, lo, hi, 2 * q.grid_points - 1)
+    def on(points):
+        xs = np.linspace(lo, hi, points)
+        return grid_modulus(xs, np.asarray(f.eval(xs), dtype=float), q.delta)
+
+    coarse = on(q.grid_points)
+    fine = on(2 * q.grid_points - 1)
     return ModulusResult(
         value=max(coarse, fine),
         quality="estimated",

@@ -130,24 +130,26 @@ def _check_tail_hypothesis(n: int, alpha: float) -> float:
     return t
 
 
-def tail_sum(x: float, n: int, alpha: float, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
-    """Mass of chi(nx - k) over indices with |nx - k| >= n^(1-alpha)."""
+def _tail_indices(x: float, n: int, alpha: float, policy: TruncationPolicy):
+    """(nx, t, k): the indices k with |nx - k| >= t = n^(1-alpha), taken on
+    both sides out to the policy radius beyond t, where the envelope has
+    dropped below the policy tail."""
     t = _check_tail_hypothesis(n, alpha)
     u = float(x) * n
-    # indices on both sides from distance t outward, truncated once the
-    # envelope drops below the policy tail
     extra = policy.radius()
-    hi_start = math.ceil(u + t)
-    lo_start = math.floor(u - t)
     ks = np.concatenate(
         [
-            np.arange(hi_start, math.ceil(u + t + extra) + 1, dtype=float),
-            np.arange(math.floor(u - t - extra), lo_start + 1, dtype=float),
+            np.arange(math.ceil(u + t), math.ceil(u + t + extra) + 1, dtype=float),
+            np.arange(math.floor(u - t - extra), math.floor(u - t) + 1, dtype=float),
         ]
     )
-    ks = ks[np.abs(u - ks) >= t]
-    vals = np.sort(chi(u - ks))
-    return float(vals.sum())
+    return u, t, ks[np.abs(u - ks) >= t]
+
+
+def tail_sum(x: float, n: int, alpha: float, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
+    """Mass of chi(nx - k) over indices with |nx - k| >= n^(1-alpha)."""
+    u, _, ks = _tail_indices(x, n, alpha, policy)
+    return float(np.sort(chi(u - ks)).sum())
 
 
 def tail_bound(n: int, alpha: float) -> float:
@@ -167,19 +169,8 @@ def tail_comparison(
     Each chi term is expanded through erfcx, the scaled complementary
     error function, so no intermediate quantity over- or underflows.
     """
-    t = _check_tail_hypothesis(n, alpha)
-    u = float(x) * n
-    extra = policy.radius()
-    hi_start = math.ceil(u + t)
-    lo_start = math.floor(u - t)
-    ks = np.concatenate(
-        [
-            np.arange(hi_start, math.ceil(u + t + extra) + 1, dtype=float),
-            np.arange(math.floor(u - t - extra), lo_start + 1, dtype=float),
-        ]
-    )
-    v = np.abs(u - ks)
-    v = v[v >= t]                   # all >= t >= 3, so chi is on its outer flank
+    u, t, ks = _tail_indices(x, n, alpha, policy)
+    v = np.abs(u - ks)              # all >= t >= 3, so chi is on its outer flank
     s = (t - 2.0) ** 2
     # chi(v) = (erfc(v-1) - erfc(v+1)) / 4 for v >= 1; rescaling each erfc
     # through erfcx keeps the exponents (s - (v∓1)^2 <= s - (t-1)^2 < 0) tame

@@ -153,14 +153,14 @@ class TestComplexBound:
                             domain=f.domain, exact_modulus=lambda d: 0.0, sup_norm=0.0)
         pair = ComplexFunctionSpec("sin+0i", f, zero)
         a, b = f.domain
-        vc, _, _ = complex_bound(pair, 81, 0.5, "A", a, b, "basic")
+        vc, _, _ = complex_bound(pair, mu1, 81, 0.5, a, b)
         vr, _, _ = mu1(f, 81, 0.5, a, b)
         assert abs(vc - vr) <= 1e-15
 
     def test_ingredient_sum(self):
         f = COMPLEX_INTERVAL_CORPUS["circle"]
         a, b = f.domain
-        vc, _, _ = complex_bound(f, 81, 0.5, "A", a, b, "basic")
+        vc, _, _ = complex_bound(f, mu1, 81, 0.5, a, b)
         v_re, _, _ = mu2(f.re, 81, 0.5, (a, b))
         v_im, _, _ = mu2(f.im, 81, 0.5, (a, b))
         assert abs(vc - INV_CHI_AT_ONE * (v_re + v_im)) <= 1e-15
