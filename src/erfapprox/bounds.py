@@ -391,7 +391,20 @@ def _deviation(f, x, cfg: OperatorConfig, taylor_order: int = 0):
     return np.hypot(*devs) if len(devs) == 2 else np.abs(devs[0])
 
 
-def _sup_error(f, cfg: OperatorConfig, window: Tuple[float, float], grid: GridPolicy) -> float:
+def _sup_error(f, cfg: OperatorConfig, window: Tuple[float, float], grid: GridPolicy,
+               memo: Optional[dict] = None) -> float:
+    """Grid sup of |Op f - f| over window, refined once if grid says so.
+
+    With a memo dict, each distinct (f, cfg, window, grid resolution) is
+    measured once and later calls read the stored float.  Threads sharing
+    the dict may both measure a key; they store the same float.
+    """
+    if memo is not None:
+        key = (f, cfg, window, grid.x_points, grid.refinement)
+        if key not in memo:
+            memo[key] = _sup_error(f, cfg, window, grid)
+        return memo[key]
+
     def on(points):
         xs = np.linspace(window[0], window[1], points)
         return float(np.max(_deviation(f, xs, cfg)))
@@ -511,10 +524,16 @@ def verify(
     sweep: Sequence[int],
     rate_exponent: float,
     grid: GridPolicy = GridPolicy(),
+    *,
+    sup_errors: Optional[dict] = None,
     **kw,
 ) -> List[BoundReport]:
     """Measure empirical operator error against the theorem's bound for
     every n in the sweep; one report row per n and operator family.
+
+    ``sup_errors``, a dict shared by the calls of one run, stores each
+    distinct grid-sup error so that rows measuring the same operator image
+    reuse it.
 
     Extra keyword arguments: the theorem's parameter (N or alpha_frac),
     mode, and x0, the point the "critical" mode evaluates at (default 0).
@@ -533,7 +552,8 @@ def verify(
             )
     rows: List[BoundReport] = []
     for n in sweep:
-        rows.extend(_verify_one(theorem_id, th, f, int(n), rate_exponent, grid, kw))
+        rows.extend(_verify_one(theorem_id, th, f, int(n), rate_exponent, grid,
+                                sup_errors, kw))
     return rows
 
 
@@ -553,7 +573,7 @@ def _report(theorem_id, f, family, n, ex, point_mode, emp, value, terms, quality
     )
 
 
-def _verify_one(tid, th: Theorem, f, n, ex, grid, kw) -> List[BoundReport]:
+def _verify_one(tid, th: Theorem, f, n, ex, grid, sup_errors, kw) -> List[BoundReport]:
     mode = kw.get("mode", th.mode) if th.mode else None
     a, b = f.domain or (None, None)
     cell = {
@@ -584,7 +604,7 @@ def _verify_one(tid, th: Theorem, f, n, ex, grid, kw) -> List[BoundReport]:
             value, terms, quality = real_bound(f, n, ex, *args)
         for i, cfg in enumerate(cfgs):
             if x is None:
-                emp = _sup_error(f, cfg, window, grid)
+                emp = _sup_error(f, cfg, window, grid, sup_errors)
             else:
                 emp = float(_deviation(f, x, cfg, taylor))
             ratio = emp / value if value > 0 else math.inf

@@ -13,7 +13,7 @@ Grammar (EBNF):
 
 Exponents are numeric literals only, so every expression has closed-form
 derivatives of all orders except through ``abs``.  Evaluation is numpy
-aware; ``erf`` delegates to the in-repo implementation.
+aware; ``erf`` delegates to ``special_functions.erf``.
 """
 
 from __future__ import annotations

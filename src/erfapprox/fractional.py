@@ -27,35 +27,11 @@ from .errors import PreconditionViolated
 from .funcs import FunctionSpec
 from .modulus import grid_modulus
 
-# Lanczos approximation, g = 7, 9 coefficients; relative error below 1e-13
-# on the positive half line.
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
 def gamma_fn(nu: float) -> float:
-    """Gamma function for positive real arguments (Lanczos, g = 7)."""
+    """Gamma function for positive real arguments (``math.gamma``)."""
     if not nu > 0:
         raise PreconditionViolated(f"gamma_fn needs a positive argument, got {nu}")
-    if nu < 0.5:
-        # reflection keeps the Lanczos argument away from 0
-        return math.pi / (math.sin(math.pi * nu) * gamma_fn(1.0 - nu))
-    z = nu - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i in range(1, len(_LANCZOS_COEFFS)):
-        acc += _LANCZOS_COEFFS[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
+    return math.gamma(nu)
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,6 @@ class ExperimentConfig:
     fractional_orders: Tuple[float, ...] = (0.5, 1.5)
     highorder_orders: Tuple[int, ...] = (1,)
     grid: GridPolicy = field(default_factory=GridPolicy)
-    truncation_epsilon: float = 1e-14
     csv_path: Optional[str] = None
     json_path: Optional[str] = None
     jobs: int = 1
@@ -128,7 +127,6 @@ class ExperimentConfig:
             fractional_orders=_list("fractional_orders", float, default=(0.5, 1.5)),
             highorder_orders=_list("highorder_orders", int, default=(1,)),
             grid=grid,
-            truncation_epsilon=float(raw.get("truncation_epsilon", 1e-14)),
             csv_path=output.get("csv"),
             json_path=output.get("json"),
         )
@@ -259,10 +257,12 @@ def run_verify(cfg: ExperimentConfig) -> RunResult:
                     if ns:
                         tasks.append((theorem, spec["id"], f, tuple(ns), exponent, kw))
 
+    sup_errors = {}     # one run's grid-sup errors, shared by its groups
+
     def run_group(task):
         theorem, fid, f, ns, exponent, kw = task
         try:
-            return verify(theorem, f, ns, exponent, cfg.grid, **kw)
+            return verify(theorem, f, ns, exponent, cfg.grid, sup_errors=sup_errors, **kw)
         except ErfApproxError as exc:
             return [{"theorem": theorem, "function": fid, "exponent": exponent,
                      "reason": f"group failed: {exc}"}]
@@ -278,6 +278,16 @@ def run_verify(cfg: ExperimentConfig) -> RunResult:
         if reports and isinstance(reports[0], dict):
             skipped.extend(reports)
             continue
+        theorem, fid, _, _, exponent, _ = task
+        finite = []
+        for r in reports:
+            if math.isfinite(r.empirical_error) and math.isfinite(r.bound_value):
+                finite.append(r)
+            else:
+                skipped.append({"theorem": theorem, "function": fid, "family": r.family,
+                                "n": r.n, "exponent": exponent,
+                                "reason": "non-finite empirical error or bound"})
+        reports = finite
         slope = r2 = None
         try:
             slope, r2 = fit_rate([(r.n, r.empirical_error) for r in reports])

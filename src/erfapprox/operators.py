@@ -28,12 +28,6 @@ from .funcs import ComplexFunctionSpec, FunctionSpec
 from .partition import DEFAULT_POLICY, IndexWindow, TruncationPolicy, _window_offsets
 from .special_functions import chi
 
-# Window half-width for op_A's shared numerator/denominator pass; the
-# envelope tail beyond radius 9 is below 1e-27, negligible against the
-# denominator floor chi(1).
-_A_RADIUS = 9
-
-
 @dataclass(frozen=True)
 class QuadratureWeights:
     """Convex weights w_0..w_theta over sub-cell nodes k/n + r/(n*theta)."""
@@ -93,6 +87,20 @@ def _as_points(x):
     return xs, np.ndim(x) == 0
 
 
+def _at_nodes(functional, ks: np.ndarray) -> np.ndarray:
+    """functional(k) for every index in ks, evaluated once per distinct k
+    and gathered back into the shape of ks.  Contiguous indices take
+    arange(k_min, k_max + 1); scattered or nan ones take np.unique, so the
+    work stays bounded by ks.size."""
+    if ks.size == 0:
+        return np.zeros(ks.shape)
+    k_min = ks.min()
+    if ks.max() - k_min < ks.size:
+        return functional(np.arange(k_min, ks.max() + 1))[(ks - k_min).astype(np.intp)]
+    distinct, where = np.unique(ks, return_inverse=True)
+    return functional(distinct)[where].reshape(ks.shape)
+
+
 def op_A(f: FunctionSpec, x, cfg: OperatorConfig):
     """Normalized interval operator: sum f(k/n) chi(nx-k) / sum chi(nx-k)."""
     if cfg.family != "A":
@@ -106,75 +114,64 @@ def op_A(f: FunctionSpec, x, cfg: OperatorConfig):
     win = IndexWindow.for_interval(n, a, b)
     u = n * xs
     centers = np.round(u).astype(np.int64)
-    ks = centers[:, None] + np.arange(-_A_RADIUS, _A_RADIUS + 1)[None, :]
+    radius = cfg.truncation.radius()
+    ks = centers[:, None] + np.arange(-radius, radius + 1)[None, :]
     valid = (ks >= win.lo) & (ks <= win.hi)
     chiv = np.where(valid, chi(u[:, None] - ks), 0.0)
-    fk = f.eval(np.clip(ks, win.lo, win.hi) / n)
+    fk = _at_nodes(lambda kk: f.eval(kk / n), np.clip(ks, win.lo, win.hi))
     num = (fk * chiv).sum(axis=1)
     den = chiv.sum(axis=1)
     out = num / den
     return float(out[0]) if scalar else out
 
 
-def _line_nodes(n: int, xs: np.ndarray, policy: TruncationPolicy):
-    u = n * xs
-    offs = _window_offsets(policy.radius())
-    ks = np.round(u)[:, None] + offs[None, :]
-    chiv = chi(u[:, None] - ks)
-    return ks, chiv
-
-
-def _require_bounded(f: FunctionSpec, what: str):
+def _line_operator(f: FunctionSpec, x, cfg: OperatorConfig, offsets, weights):
+    """sum_k L_k(f) chi(nx-k) over the certified window around round(nx),
+    with the node functional L_k(f) = sum_j weights_j f(k/n + offsets_j)."""
     if f.sup_norm is None:
         raise UnboundedFunction(
-            f"{f.name}: {what} needs a finite sup_norm for its truncation certificate"
+            f"{f.name}: op_{cfg.family} needs a finite sup_norm for its truncation certificate"
         )
+    xs, scalar = _as_points(x)
+    n = cfg.n
+    u = n * xs
+    ks = np.round(u)[:, None] + _window_offsets(cfg.truncation.radius())[None, :]
+    chiv = chi(u[:, None] - ks)
+
+    def functional(kk):
+        tt = kk[:, None] / n + offsets[None, :]
+        return np.tensordot(f.eval(tt), weights, axes=([1], [0]))
+
+    out = (_at_nodes(functional, ks) * chiv).sum(axis=1)
+    return float(out[0]) if scalar else out
 
 
 def op_B(f: FunctionSpec, x, cfg: OperatorConfig):
     """Whole-line quasi-interpolation: sum f(k/n) chi(nx-k), truncated."""
     if cfg.family not in ("B", "D"):
         raise PreconditionViolated("cfg.family must be 'B'")
-    _require_bounded(f, "op_B")
-    xs, scalar = _as_points(x)
-    ks, chiv = _line_nodes(cfg.n, xs, cfg.truncation)
-    out = (f.eval(ks / cfg.n) * chiv).sum(axis=1)
-    return float(out[0]) if scalar else out
+    return _line_operator(f, x, cfg, np.zeros(1), np.ones(1))
 
 
 def op_C(f: FunctionSpec, x, cfg: OperatorConfig):
     """Kantorovich operator: sum (n * integral of f over [k/n,(k+1)/n]) chi(nx-k).
 
-    Cell integrals use fixed-order Gauss-Legendre (cfg.kantorovich_nodes).
+    Cell integrals use fixed-order Gauss-Legendre (cfg.kantorovich_nodes):
+    the cell mean is sum_j (glw_j/2) f(k/n + (glx_j+1)/(2n)).
     """
     if cfg.family != "C":
         raise PreconditionViolated("cfg.family must be 'C'")
-    _require_bounded(f, "op_C")
-    xs, scalar = _as_points(x)
-    n = cfg.n
-    ks, chiv = _line_nodes(n, xs, cfg.truncation)
     glx, glw = leggauss(cfg.kantorovich_nodes)
-    # mean of f over [k/n, (k+1)/n]: sum_j (glw_j/2) f(k/n + (glx_j+1)/(2n))
-    tt = ks[:, :, None] / n + (glx[None, None, :] + 1.0) / (2.0 * n)
-    cell_means = np.tensordot(f.eval(tt), glw / 2.0, axes=([2], [0]))
-    out = (cell_means * chiv).sum(axis=1)
-    return float(out[0]) if scalar else out
+    return _line_operator(f, x, cfg, (glx + 1.0) / (2.0 * cfg.n), glw / 2.0)
 
 
 def op_D(f: FunctionSpec, x, cfg: OperatorConfig):
     """Quadrature operator: samples replaced by sum_r w_r f(k/n + r/(n*theta))."""
     if cfg.family != "D":
         raise PreconditionViolated("cfg.family must be 'D'")
-    _require_bounded(f, "op_D")
     wts = cfg.weights
-    xs, scalar = _as_points(x)
-    n = cfg.n
-    ks, chiv = _line_nodes(n, xs, cfg.truncation)
     rr = np.arange(wts.theta + 1, dtype=float)
-    tt = ks[:, :, None] / n + rr[None, None, :] / (n * wts.theta)
-    delta = np.tensordot(f.eval(tt), np.asarray(wts.w), axes=([2], [0]))
-    out = (delta * chiv).sum(axis=1)
-    return float(out[0]) if scalar else out
+    return _line_operator(f, x, cfg, rr / (cfg.n * wts.theta), np.asarray(wts.w))
 
 
 _FAMILY_OPS = {"A": op_A, "B": op_B, "C": op_C, "D": op_D}

@@ -1,17 +1,14 @@
-"""Double-precision error function and the erf-based bell density.
+"""The error function and the erf-based bell density.
 
 Everything downstream (partition sums, operators, bounds) reduces to
 evaluations of ``erf`` and the density
 
-    chi(x) = (erf(x + 1) - erf(x - 1)) / 4,
+    chi(x) = (erf(x + 1) - erf(x - 1)) / 4.
 
-so erf is implemented in-repo and kept at absolute error <= 1e-15:
-
-* |x| <= 3   : confluent (all-positive-terms) power series
-               erf(x) = 2/sqrt(pi) * x * exp(-x^2) * sum_k (2x^2)^k / (2k+1)!!
-* 3 < |x| < 6: 1 - erfc(x) with erfc from the standard continued fraction
-               erfc(x) = exp(-x^2)/sqrt(pi) / (x + (1/2)/(x + 1/(x + (3/2)/(x + ...))))
-* |x| >= 6   : +-1 (erfc(6) ~ 2.2e-17, below the accuracy target)
+``erf`` is a thin wrapper over ``scipy.special.erf`` (absolute error
+about 2e-16 against mpmath on [-7, 7]).  ``chi`` resolves ``erf`` through
+this module's global at every call, so rebinding it here reaches both of
+chi's evaluations.
 
 All functions accept scalars or numpy arrays and are pure.
 """
@@ -19,53 +16,16 @@ All functions accept scalars or numpy arrays and are pure.
 from __future__ import annotations
 
 import numpy as np
+from scipy import special
 
 SQRT_PI = float(np.sqrt(np.pi))
 TWO_OVER_SQRT_PI = 2.0 / SQRT_PI
 
-_SERIES_CUTOFF = 3.0
-_SATURATION_CUTOFF = 6.0
-_SERIES_TERMS = 72          # (2*3^2)^k / (2k+1)!! < 1e-19 relative by k = 72
-_CF_DEPTH = 64
-
-
-def _erf_series(x):
-    # erf(x) = 2/sqrt(pi) * x * e^{-x^2} * sum_{k>=0} (2x^2)^k / (1*3*...*(2k+1))
-    # Terms are positive, so there is no cancellation; evaluated by Horner
-    # from the tail inward.
-    t = 2.0 * x * x
-    acc = np.zeros_like(x)
-    for k in range(_SERIES_TERMS, 0, -1):
-        acc = (acc + 1.0) * (t / (2.0 * k + 1.0))
-    acc = acc + 1.0
-    return TWO_OVER_SQRT_PI * x * np.exp(-x * x) * acc
-
-
-def _erfc_cf(x):
-    # Continued fraction for erfc on x >= 3; bottom-up fixed-depth evaluation.
-    t = np.zeros_like(x)
-    for m in range(_CF_DEPTH, 0, -1):
-        t = (0.5 * m) / (x + t)
-    return np.exp(-x * x) / SQRT_PI / (x + t)
-
 
 def erf(x):
-    """Gauss error function, absolute error <= 1e-15 on finite inputs."""
-    x_arr = np.asarray(x, dtype=float)
-    scalar = x_arr.ndim == 0
-    x_arr = np.atleast_1d(x_arr)
-    ax = np.abs(x_arr)
-    out = np.ones_like(ax)
-
-    small = ax <= _SERIES_CUTOFF
-    if np.any(small):
-        out[small] = _erf_series(ax[small])
-    mid = (~small) & (ax < _SATURATION_CUTOFF)
-    if np.any(mid):
-        out[mid] = 1.0 - _erfc_cf(ax[mid])
-
-    out = np.copysign(out, x_arr)
-    return float(out[0]) if scalar else out
+    """Gauss error function; a float for a scalar x, else an array."""
+    out = special.erf(np.asarray(x, dtype=float))
+    return float(out) if np.ndim(x) == 0 else out
 
 
 def erf_antiderivative(x):

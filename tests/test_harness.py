@@ -1,10 +1,15 @@
 """Harness: config validation, determinism, skip handling, exit codes."""
 
+import dataclasses
 import json
+import sys
+from collections import Counter
 
+import numpy as np
 import pytest
 import yaml
 
+from erfapprox import bounds
 from erfapprox.cli import main
 from erfapprox.errors import ConfigError
 from erfapprox.harness import (
@@ -176,3 +181,68 @@ class TestCli:
         path = write_config(tmp_path, BASE)
         assert main(["rates", "--config", path]) == 0
         assert "slope=" in capsys.readouterr().out
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNonFinite:
+    def run_cli(self, tmp_path, spec):
+        doc = {**BASE, "functions": [{"id": "g", "domain": [0.0, 1.0], **spec}]}
+        out = tmp_path / "out.json"
+        code = main(["verify", "--config", write_config(tmp_path, doc),
+                     "--out-json", str(out)])
+        return code, json.loads(out.read_text())
+
+    def test_pole_is_skipped_not_violated(self, tmp_path):
+        # nan error against an infinite bound; reported "violated" (exit 1)
+        # while the exact modulus made the verdict final
+        code, doc = self.run_cli(tmp_path, {"expr": "x^-1", "exact_modulus": "linear"})
+        assert code == 0
+        assert doc["rows"] == []
+        assert [(s["family"], s["n"]) for s in doc["skipped"]] == [("A", 9), ("A", 16), ("A", 81)]
+        assert {s["reason"] for s in doc["skipped"]} == {"non-finite empirical error or bound"}
+
+    def test_overflow_is_skipped_not_inconclusive(self, tmp_path):
+        code, doc = self.run_cli(tmp_path, {"expr": "exp(800*x)"})
+        assert code == 0
+        assert doc["rows"] == []
+        assert {s["family"] for s in doc["skipped"]} == {"A"}
+        assert {s["reason"] for s in doc["skipped"]} == {"non-finite empirical error or bound"}
+
+
+class TestSupErrorPerRun:
+    def test_each_distinct_sup_error_is_measured_once_per_run(self, monkeypatch):
+        calls = Counter()
+        real = bounds.apply_operator
+
+        def counting(f, x, cfg):
+            calls[(f.name, cfg.family, cfg.n, np.size(x))] += 1
+            return real(f, x, cfg)
+
+        monkeypatch.setattr(bounds, "apply_operator", counting)
+        cfg = cfg_with(functions=[{"id": "sin", "builtin": "sin"}], theorems=["T12", "T16"],
+                       sweep=[9, 16, 81, 256], rate_exponents=[0.5, 0.8],
+                       highorder_orders=[1, 2], grid={"x_points": 64, "refinement": True})
+        first = run_verify(cfg)
+        # T12 and T16 (N = 1, 2) at both exponents measure the same
+        # (f, A, n) images; exponent 0.8 admits only n = 256
+        assert len(first.rows) == 15
+        assert dict(calls) == {("sin", "A", n, p): 1
+                               for n in (9, 16, 81, 256) for p in (64, 127)}
+
+        second = run_verify(cfg)
+        assert set(calls.values()) == {2}
+        assert second.rows == first.rows
+
+    def test_threads_sharing_one_run_match_serial(self):
+        cfg = cfg_with(functions=[{"id": "sin", "builtin": "sin"},
+                                  {"id": "cos", "builtin": "cos"}],
+                       theorems=["T12", "T16"], sweep=[9, 16, 81], highorder_orders=[1, 2],
+                       rate_exponents=[0.5, 0.6], grid={"x_points": 64})
+        serial = run_verify(cfg)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = run_verify(dataclasses.replace(cfg, jobs=4))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded.rows == serial.rows

@@ -15,6 +15,7 @@ from erfapprox.errors import (
     UnboundedFunction,
 )
 from erfapprox.funcs import FunctionSpec
+from erfapprox.special_functions import chi
 from erfapprox.operators import (
     OperatorConfig,
     QuadratureWeights,
@@ -28,7 +29,7 @@ from erfapprox.operators import (
 
 
 def chi_oracle(t: float) -> float:
-    # independent of the in-repo erf
+    # independent of the package's erf
     return (math.erf(t + 1.0) - math.erf(t - 1.0)) / 4.0
 
 
@@ -197,6 +198,97 @@ class TestComplex:
         re, im = op_complex(f, xs, cfg)
         assert np.array_equal(re, op_B(f.re, xs, cfg))
         assert np.array_equal(im, op_B(f.im, xs, cfg))
+
+
+class CountingSpec:
+    """Wraps a FunctionSpec; counts the points its eval sees."""
+
+    def __init__(self, f):
+        self.points = 0
+
+        def counted(t):
+            self.points += np.size(t)
+            return f.eval(t)
+
+        self.spec = FunctionSpec(f.name, counted, domain=f.domain, sup_norm=f.sup_norm)
+
+
+def dense_window(n, xs, radius):
+    """u = nx and the indices round(u) + (0, -1, 1, ..., -R, R) per point."""
+    offs = [0]
+    for r in range(1, radius + 1):
+        offs.extend((-r, r))
+    u = n * xs
+    return u, np.round(u)[:, None] + np.array(offs, dtype=float)[None, :]
+
+
+def dense_line(f, xs, n, radius, offsets, weights):
+    """The points x window x nodes formula: f at every node of every window."""
+    u, ks = dense_window(n, xs, radius)
+    tt = ks[:, :, None] / n + offsets[None, None, :]
+    vals = np.tensordot(f.eval(tt), weights, axes=([2], [0]))
+    return (vals * chi(u[:, None] - ks)).sum(axis=1), ks
+
+
+class TestOneNodeFunctionalPerIndex:
+    N = 81
+    RADIUS = OperatorConfig("B", 81).truncation.radius()
+
+    def test_op_a(self):
+        f = SIN_INT
+        a, b = f.domain
+        n, radius = self.N, self.RADIUS
+        xs = np.linspace(a, b, 513)
+        u = n * xs
+        ks = np.round(u).astype(np.int64)[:, None] + np.arange(-radius, radius + 1)[None, :]
+        lo, hi = math.ceil(n * a), math.floor(n * b)
+        valid = (ks >= lo) & (ks <= hi)
+        chiv = np.where(valid, chi(u[:, None] - ks), 0.0)
+        ks = np.clip(ks, lo, hi)
+        want = (f.eval(ks / n) * chiv).sum(axis=1) / chiv.sum(axis=1)
+
+        counting = CountingSpec(f)
+        got = op_A(counting.spec, xs, OperatorConfig("A", n, interval=(a, b)))
+        assert np.array_equal(got, want)
+        assert counting.points <= ks.max() - ks.min() + 1
+
+    def line_rule(self, family):
+        n = self.N
+        cfg = OperatorConfig(family, n, weights=QuadratureWeights.uniform(4))
+        if family == "B":
+            offsets, weights = np.zeros(1), np.ones(1)
+        elif family == "C":
+            glx, glw = np.polynomial.legendre.leggauss(cfg.kantorovich_nodes)
+            offsets, weights = (glx + 1.0) / (2.0 * n), glw / 2.0
+        else:
+            offsets = np.arange(5, dtype=float) / (n * 4)
+            weights = np.asarray(cfg.weights.w)
+        return cfg, offsets, weights
+
+    def check_line(self, family, xs):
+        cfg, offsets, weights = self.line_rule(family)
+        want, ks = dense_line(SIN_LINE, xs, self.N, self.RADIUS, offsets, weights)
+
+        counting = CountingSpec(SIN_LINE)
+        got = apply_operator(counting.spec, xs, cfg)
+        assert np.array_equal(got, want)
+        assert counting.points <= len(np.unique(ks)) * len(weights)
+
+    @pytest.mark.parametrize("family", ["B", "C", "D"])
+    def test_line_operators(self, family):
+        self.check_line(family, np.linspace(-2.5, 2.5, 513))
+
+    @pytest.mark.parametrize("family", ["B", "C", "D"])
+    def test_far_apart_points_cost_their_windows_only(self, family):
+        # an arange over k_min..k_max would need about 1.6e8 nodes here
+        self.check_line(family, np.array([-1e6, 0.3, 1e6]))
+
+    @pytest.mark.parametrize("family", ["B", "C", "D"])
+    def test_nan_point_gives_nan(self, family):
+        cfg, _, _ = self.line_rule(family)
+        got = apply_operator(SIN_LINE, np.array([0.3, np.nan]), cfg)
+        assert got[0] == apply_operator(SIN_LINE, 0.3, cfg)
+        assert np.isnan(got[1])
 
 
 class TestConfig:

@@ -1,4 +1,4 @@
-"""Oracle and property tests for the in-repo erf and the bell density."""
+"""Oracle and property tests for erf (scipy) and the bell density."""
 
 import math
 
@@ -21,8 +21,7 @@ from erfapprox.special_functions import (
 
 mpmath.mp.dps = 40
 
-# 29 probe points spanning all three evaluation regimes (series, continued
-# fraction, saturation), both signs, and the regime boundaries themselves.
+# 29 probe points: small, moderate and saturated arguments, both signs.
 ERF_PROBES = [
     0.0, 1e-12, 1e-6, 0.01, 0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5,
     2.999, 3.0, 3.001, 3.5, 4.0, 4.5, 5.0, 5.5, 5.999, 6.0, 6.5, 8.0, 40.0,
@@ -41,6 +40,11 @@ class TestErfOracle:
         ours = erf(xs)
         theirs = np.array([math.erf(v) for v in xs])
         assert np.max(np.abs(ours - theirs)) <= 1e-15
+
+    def test_dense_against_mpmath(self):
+        xs = np.linspace(-7.0, 7.0, 4001)
+        expected = np.array([float(mpmath.erf(mpmath.mpf(x))) for x in xs])
+        assert np.max(np.abs(erf(xs) - expected)) <= 2.5e-16
 
     def test_anchor_values(self):
         assert abs(erf(1.0) - 0.8427007929497149) <= 1e-14
