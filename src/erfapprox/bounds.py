@@ -54,7 +54,7 @@ class BoundReport:
     bound_value: float
     terms: Dict[str, float]
     modulus_quality: str        # "exact" or "estimated"
-    verdict: str                # "holds", "violated", "inconclusive-estimated"
+    verdict: str                # "holds", "violated", "inconclusive-estimated", "non-finite"
 
     @property
     def slack(self) -> float:
@@ -62,6 +62,8 @@ class BoundReport:
 
 
 def _verdict(empirical: float, bound: float, quality: str) -> str:
+    if not (math.isfinite(empirical) and math.isfinite(bound)):
+        return "non-finite"
     if empirical <= bound * (1.0 + 1e-9):
         return "holds"
     return "violated" if quality == "exact" else "inconclusive-estimated"
@@ -179,11 +181,29 @@ def highorder_bound(
 
 @dataclass(frozen=True)
 class _AnchorData:
-    """Per-anchor Caputo ingredients: the derivative tables on both sides."""
+    """Per-anchor Caputo ingredients: the derivative tables on both sides
+    and their n-independent sup norms (0 for a missing side)."""
 
     x: float
     table_right: Optional[Tuple[np.ndarray, np.ndarray]]   # D_{x-} on [a, x]
     table_left: Optional[Tuple[np.ndarray, np.ndarray]]    # D_{*x} on [x, b]
+    sup_right: float
+    sup_left: float
+
+
+def _anchor_data(f: FunctionSpec, alpha: float, a: float, b: float, x: float,
+                 points: int) -> _AnchorData:
+    """Caputo tables on both sides of the anchor x, each with its sup."""
+    tr = tl = None
+    if x - a > 1e-12:
+        tr = caputo_table(f, FractionalSpec(alpha, x, "right"), (a, x), points)
+    if b - x > 1e-12:
+        tl = caputo_table(f, FractionalSpec(alpha, x, "left"), (x, b), points)
+
+    def sup(table):
+        return 0.0 if table is None else float(np.max(np.abs(table[1])))
+
+    return _AnchorData(x, tr, tl, sup(tr), sup(tl))
 
 
 @lru_cache(maxsize=32)
@@ -197,32 +217,18 @@ def _anchor_tables(
 ) -> Tuple[_AnchorData, ...]:
     """Caputo derivative tables at a grid of anchor points; n-independent,
     cached across the whole sweep."""
-    out = []
-    for x in np.linspace(a, b, anchors):
-        x = float(x)
-        tr = tl = None
-        if x - a > 1e-12:
-            tr = caputo_table(
-                f, FractionalSpec(alpha, x, "right"), (a, x), points
-            )
-        if b - x > 1e-12:
-            tl = caputo_table(
-                f, FractionalSpec(alpha, x, "left"), (x, b), points
-            )
-        out.append(_AnchorData(x, tr, tl))
-    return tuple(out)
+    return tuple(_anchor_data(f, alpha, a, b, float(x), points)
+                 for x in np.linspace(a, b, anchors))
 
 
 def _anchor_ingredients(data: _AnchorData, delta: float):
     """(modulus_right, modulus_left, sup_right, sup_left) at one anchor."""
-    wr = wl = sr = sl = 0.0
+    wr = wl = 0.0
     if data.table_right is not None:
         wr = table_modulus(data.table_right, delta)
-        sr = float(np.max(np.abs(data.table_right[1])))
     if data.table_left is not None:
         wl = table_modulus(data.table_left, delta)
-        sl = float(np.max(np.abs(data.table_left[1])))
-    return wr, wl, sr, sl
+    return wr, wl, data.sup_right, data.sup_left
 
 
 def fractional_bound(
@@ -269,13 +275,7 @@ def fractional_bound(
         data = min(tables, key=lambda d: abs(d.x - x))
         if abs(data.x - x) > 1e-9 * (1.0 + abs(x)):
             # off-grid anchor: build its tables directly
-            data = _AnchorData(
-                x,
-                caputo_table(f, FractionalSpec(alpha_frac, x, "right"), (a, x), table_points)
-                if x - a > 1e-12 else None,
-                caputo_table(f, FractionalSpec(alpha_frac, x, "left"), (x, b), table_points)
-                if b - x > 1e-12 else None,
-            )
+            data = _anchor_data(f, alpha_frac, a, b, x, table_points)
         wr, wl, sr, sl = _anchor_ingredients(data, delta)
         frac_block = gamma_factor * (
             (wr + wl) / float(n) ** (alpha_frac * beta)
@@ -359,8 +359,14 @@ def complex_bound(f: ComplexFunctionSpec, real_bound, *args, **kw):
 
 @dataclass(frozen=True)
 class GridPolicy:
-    """x-sampling: grid-sup resolution (doubled once as a stability
-    certificate), pointwise-check resolution, and fractional anchor grid."""
+    """x-sampling: grid-sup resolution, pointwise-check resolution, and
+    fractional anchor grid.
+
+    With ``refinement`` the grid sup is taken on the refined grid of
+    2 * x_points - 1 points alone: it holds the x_points grid bit for bit
+    as its even samples, so the coarse pass is read from it, not evaluated
+    again.
+    """
 
     x_points: int = 2048
     refinement: bool = True
@@ -382,18 +388,24 @@ def _taylor_image(f: FunctionSpec, x: float, cfg: OperatorConfig, order: int) ->
 
 def _deviation(f, x, cfg: OperatorConfig, taylor_order: int = 0):
     """|Op f - f| at x (a point or a grid); a complex f is measured through
-    the hypot of its parts.  A taylor_order N > 1 first subtracts the
-    operator image of f's Taylor terms of orders 1..N-1 at the point x."""
+    the hypot of its parts, whose images come from one operator call.  A
+    taylor_order N > 1 first subtracts the operator image of f's Taylor
+    terms of orders 1..N-1 at the point x."""
+    images = apply_operator(f, x, cfg)
+    if len(f.parts) == 1:
+        images = (images,)
     devs = [
-        apply_operator(p, x, cfg) - _taylor_image(p, x, cfg, taylor_order) - p.eval(x)
-        for p in f.parts
+        image - _taylor_image(p, x, cfg, taylor_order) - p.eval(x)
+        for image, p in zip(images, f.parts)
     ]
     return np.hypot(*devs) if len(devs) == 2 else np.abs(devs[0])
 
 
 def _sup_error(f, cfg: OperatorConfig, window: Tuple[float, float], grid: GridPolicy,
                memo: Optional[dict] = None) -> float:
-    """Grid sup of |Op f - f| over window, refined once if grid says so.
+    """Grid sup of |Op f - f| over window, on the refined grid of
+    2 * x_points - 1 points when grid.refinement is on (its even samples
+    are the x_points grid, so the coarse maximum is never larger).
 
     With a memo dict, each distinct (f, cfg, window, grid resolution) is
     measured once and later calls read the stored float.  Threads sharing
@@ -405,14 +417,9 @@ def _sup_error(f, cfg: OperatorConfig, window: Tuple[float, float], grid: GridPo
             memo[key] = _sup_error(f, cfg, window, grid)
         return memo[key]
 
-    def on(points):
-        xs = np.linspace(window[0], window[1], points)
-        return float(np.max(_deviation(f, xs, cfg)))
-
-    err = on(grid.x_points)
-    if grid.refinement:
-        err = max(err, on(2 * grid.x_points - 1))
-    return err
+    points = 2 * grid.x_points - 1 if grid.refinement else grid.x_points
+    xs = np.linspace(window[0], window[1], points)
+    return float(np.max(_deviation(f, xs, cfg)))
 
 
 def fit_rate(points: Sequence[Tuple[float, float]]) -> Tuple[float, float]:
@@ -535,6 +542,9 @@ def verify(
     distinct grid-sup error so that rows measuring the same operator image
     reuse it.
 
+    A row whose error or bound is not finite (a pole, an overflow) at any
+    of its points gets the verdict "non-finite" instead of a comparison.
+
     Extra keyword arguments: the theorem's parameter (N or alpha_frac),
     mode, and x0, the point the "critical" mode evaluates at (default 0).
     The "pointwise" and "taylor_pointwise" modes report the worst of
@@ -607,9 +617,12 @@ def _verify_one(tid, th: Theorem, f, n, ex, grid, sup_errors, kw) -> List[BoundR
                 emp = _sup_error(f, cfg, window, grid, sup_errors)
             else:
                 emp = float(_deviation(f, x, cfg, taylor))
-            ratio = emp / value if value > 0 else math.inf
-            if worst[i] is None or ratio > worst[i][0]:
-                worst[i] = (ratio, emp, value, terms, quality)
+            # a non-finite point outranks every finite one, so its row reads
+            # "non-finite" (a nan ratio would never compare greater)
+            finite = math.isfinite(emp) and math.isfinite(value)
+            rank = (not finite, emp / value if finite and value > 0 else math.inf)
+            if worst[i] is None or rank > worst[i][0]:
+                worst[i] = (rank, emp, value, terms, quality)
     return [
         _report(tid, f, family, n, ex, point_mode, emp, value, terms, quality)
         for family, (_, emp, value, terms, quality) in zip(th.families, worst)

@@ -281,12 +281,12 @@ def run_verify(cfg: ExperimentConfig) -> RunResult:
         theorem, fid, _, _, exponent, _ = task
         finite = []
         for r in reports:
-            if math.isfinite(r.empirical_error) and math.isfinite(r.bound_value):
-                finite.append(r)
-            else:
+            if r.verdict == "non-finite":
                 skipped.append({"theorem": theorem, "function": fid, "family": r.family,
                                 "n": r.n, "exponent": exponent,
                                 "reason": "non-finite empirical error or bound"})
+            else:
+                finite.append(r)
         reports = finite
         slope = r2 = None
         try:

@@ -1,12 +1,15 @@
-"""The four neural-network operators and their complex wrappers.
+"""The four neural-network operators and their dispatch.
 
 * ``op_A``: interval quasi-interpolation, normalized by the window sum.
 * ``op_B``: whole-line quasi-interpolation with certified truncation.
 * ``op_C``: Kantorovich variant replacing samples f(k/n) by cell averages.
 * ``op_D``: quadrature variant replacing samples by convex sub-cell combos.
-* ``op_complex``: componentwise application to a complex function.
+* ``apply_operator``: the operator of a config's family.
 
-All operators accept a scalar x or a 1-D array of x values.
+All operators accept a scalar x or a 1-D array of x values, and a real
+FunctionSpec or a ComplexFunctionSpec.  A complex f gets the pair
+(Op re, Op im) from one kernel: the window indices, the chi matrix and
+A's denominator are built once and applied to both parts.
 """
 
 from __future__ import annotations
@@ -101,6 +104,13 @@ def _at_nodes(functional, ks: np.ndarray) -> np.ndarray:
     return functional(distinct)[where].reshape(ks.shape)
 
 
+def _each_part(f, image, scalar: bool):
+    """image(p) for every real part p of f: one result for a real f, the
+    pair (re, im) for a complex one."""
+    outs = tuple(float(v[0]) if scalar else v for v in map(image, f.parts))
+    return outs if isinstance(f, ComplexFunctionSpec) else outs[0]
+
+
 def op_A(f: FunctionSpec, x, cfg: OperatorConfig):
     """Normalized interval operator: sum f(k/n) chi(nx-k) / sum chi(nx-k)."""
     if cfg.family != "A":
@@ -118,32 +128,37 @@ def op_A(f: FunctionSpec, x, cfg: OperatorConfig):
     ks = centers[:, None] + np.arange(-radius, radius + 1)[None, :]
     valid = (ks >= win.lo) & (ks <= win.hi)
     chiv = np.where(valid, chi(u[:, None] - ks), 0.0)
-    fk = _at_nodes(lambda kk: f.eval(kk / n), np.clip(ks, win.lo, win.hi))
-    num = (fk * chiv).sum(axis=1)
     den = chiv.sum(axis=1)
-    out = num / den
-    return float(out[0]) if scalar else out
+    ks = np.clip(ks, win.lo, win.hi)
+
+    def image(p):
+        return (_at_nodes(lambda kk: p.eval(kk / n), ks) * chiv).sum(axis=1) / den
+
+    return _each_part(f, image, scalar)
 
 
 def _line_operator(f: FunctionSpec, x, cfg: OperatorConfig, offsets, weights):
     """sum_k L_k(f) chi(nx-k) over the certified window around round(nx),
     with the node functional L_k(f) = sum_j weights_j f(k/n + offsets_j)."""
-    if f.sup_norm is None:
-        raise UnboundedFunction(
-            f"{f.name}: op_{cfg.family} needs a finite sup_norm for its truncation certificate"
-        )
+    for p in f.parts:
+        if p.sup_norm is None:
+            raise UnboundedFunction(
+                f"{p.name}: op_{cfg.family} needs a finite sup_norm for its truncation certificate"
+            )
     xs, scalar = _as_points(x)
     n = cfg.n
     u = n * xs
     ks = np.round(u)[:, None] + _window_offsets(cfg.truncation.radius())[None, :]
     chiv = chi(u[:, None] - ks)
 
-    def functional(kk):
-        tt = kk[:, None] / n + offsets[None, :]
-        return np.tensordot(f.eval(tt), weights, axes=([1], [0]))
+    def image(p):
+        def functional(kk):
+            tt = kk[:, None] / n + offsets[None, :]
+            return np.tensordot(p.eval(tt), weights, axes=([1], [0]))
 
-    out = (_at_nodes(functional, ks) * chiv).sum(axis=1)
-    return float(out[0]) if scalar else out
+        return (_at_nodes(functional, ks) * chiv).sum(axis=1)
+
+    return _each_part(f, image, scalar)
 
 
 def op_B(f: FunctionSpec, x, cfg: OperatorConfig):
@@ -178,10 +193,5 @@ _FAMILY_OPS = {"A": op_A, "B": op_B, "C": op_C, "D": op_D}
 
 
 def apply_operator(f: FunctionSpec, x, cfg: OperatorConfig):
+    """Op f at x for cfg's family; the pair (Op re, Op im) for a complex f."""
     return _FAMILY_OPS[cfg.family](f, x, cfg)
-
-
-def op_complex(f: ComplexFunctionSpec, x, cfg: OperatorConfig):
-    """Componentwise operator: (Op(re), Op(im)), bit-identical to real calls."""
-    op = _FAMILY_OPS[cfg.family]
-    return op(f.re, x, cfg), op(f.im, x, cfg)

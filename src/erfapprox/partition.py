@@ -53,16 +53,20 @@ class IndexWindow:
 class TruncationPolicy:
     """Replaces sums over all of Z by a certified finite window.
 
-    ``epsilon`` is the admissible neglected tail mass; the derived radius R
-    is the smallest integer whose envelope tail bound is below epsilon.
+    ``epsilon`` is the admissible neglected tail mass, in (0, 1); the
+    derived radius R is the smallest integer from 3 up whose envelope tail
+    bound is below epsilon.  The floor of 3 means every epsilon above
+    about 0.021 gets radius 3.
     """
 
     epsilon: float = 1e-14
     max_radius: int = 100
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise PreconditionViolated("truncation epsilon must be > 0")
+        if not 0.0 < self.epsilon < 1.0:
+            raise PreconditionViolated(
+                f"truncation epsilon must lie in (0, 1), got {self.epsilon!r}"
+            )
         if self.radius() > self.max_radius:
             raise PreconditionViolated(
                 f"epsilon {self.epsilon} needs radius > max_radius {self.max_radius}"

@@ -20,7 +20,7 @@ from erfapprox.corpus import (
 )
 from erfapprox.fractional import FractionalSpec, caputo, caputo_monomial
 from erfapprox.funcs import FunctionSpec
-from erfapprox.operators import OperatorConfig, QuadratureWeights, op_B, op_D, op_complex
+from erfapprox.operators import OperatorConfig, QuadratureWeights, apply_operator, op_B, op_D
 from erfapprox.partition import (
     boundary_deficiency,
     chi_integral,
@@ -236,7 +236,7 @@ def test_criterion_11_complex_layer():
         circle = COMPLEX_LINE_CORPUS["circle"]
         cfg = OperatorConfig("B", 32)
         xs = np.linspace(-2.0, 2.0, 257)
-        re, im = op_complex(circle, xs, cfg)
+        re, im = apply_operator(circle, xs, cfg)
         assert np.array_equal(re, op_B(circle.re, xs, cfg))
         assert np.array_equal(im, op_B(circle.im, xs, cfg))
         # bound rows across the complex theorems

@@ -23,6 +23,7 @@ from erfapprox.corpus import (
     FRACTIONAL_CORPUS,
     INTERVAL_CORPUS,
     LINE_CORPUS,
+    function_from_expression,
 )
 from erfapprox.errors import (
     CriticalPointViolated,
@@ -204,3 +205,48 @@ class TestVerify:
     def test_unknown_theorem(self):
         with pytest.raises(PreconditionViolated):
             verify("T99", INTERVAL_CORPUS["linear"], (16,), 0.5)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_error_or_bound_gets_its_own_verdict(self):
+        # a pole at 0: nan error against an infinite bound, which used to
+        # read "violated" because the exact modulus made the verdict final
+        pole = function_from_expression("pole", "x^-1", domain=(0.0, 1.0),
+                                        exact_modulus="linear")
+        rows = verify("T12", pole, (9, 16), 0.5, FAST_GRID)
+        assert [r.verdict for r in rows] == ["non-finite", "non-finite"]
+        assert not math.isfinite(rows[0].empirical_error)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_an_interior_pole_makes_a_pointwise_row_non_finite(self):
+        # the pole is the 9th of 17 points: it must win over the finite
+        # ratios of the other points instead of being skipped
+        pole = function_from_expression("pole", "(x - 0.5)^-1", domain=(0.0, 1.0),
+                                        orders=2)
+        [row] = verify("T16", pole, (16,), 0.5, FAST_GRID, N=2, mode="pointwise")
+        assert row.verdict == "non-finite"
+        assert not (math.isfinite(row.empirical_error) and math.isfinite(row.bound_value))
+
+
+class TestRefinedGridOnly:
+    SIZES = (2, 17, 64, 128, 256, 513, 2048, 4096)
+
+    def test_refined_grid_holds_the_coarse_grid_bit_for_bit(self):
+        rng = np.random.default_rng(20140101)
+        windows = [(-8.0, 8.0), (0.0, 1.0), (-math.pi, math.pi), (0.1, 0.7), (-1.0, 1.5)]
+        windows += [tuple(sorted(rng.uniform(-50.0, 50.0, 2))) for _ in range(40)]
+        for a, b in windows:
+            for n in self.SIZES:
+                coarse = np.linspace(a, b, n)
+                assert np.array_equal(np.linspace(a, b, 2 * n - 1)[::2], coarse), (a, b, n)
+
+    @pytest.mark.parametrize("theorem, f", [
+        ("T12", INTERVAL_CORPUS["abs"]),
+        ("T14", LINE_CORPUS["sin"]),
+        ("T36", COMPLEX_INTERVAL_CORPUS["circle"]),
+    ])
+    def test_sup_error_is_the_max_of_both_passes(self, theorem, f):
+        refined = verify(theorem, f, (16, 81), 0.5, GridPolicy(x_points=129))
+        for row in refined:
+            passes = [verify(theorem, f, (row.n,), 0.5, GridPolicy(x_points=p, refinement=False))
+                      for p in (129, 257)]
+            assert row.empirical_error == max(r[0].empirical_error for r in passes)

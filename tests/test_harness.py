@@ -227,7 +227,7 @@ class TestSupErrorPerRun:
         # (f, A, n) images; exponent 0.8 admits only n = 256
         assert len(first.rows) == 15
         assert dict(calls) == {("sin", "A", n, p): 1
-                               for n in (9, 16, 81, 256) for p in (64, 127)}
+                               for n in (9, 16, 81, 256) for p in (127,)}
 
         second = run_verify(cfg)
         assert set(calls.values()) == {2}

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from erfapprox.corpus import INTERVAL_CORPUS, LINE_CORPUS
 from erfapprox.errors import IntervalViolation, PreconditionViolated
 from erfapprox.funcs import FunctionSpec
-from erfapprox.modulus import ModulusQuery, evaluate_modulus, omega1
+from erfapprox.modulus import ModulusQuery, evaluate_modulus, grid_modulus, omega1
 
 
 def brute_force_modulus(f, delta, lo, hi, points=400):
@@ -86,6 +86,28 @@ class TestExactPath:
         res = evaluate_modulus(ModulusQuery(f, 0.5, interval=(0.0, 1.0)))
         assert res.quality == "estimated"
         assert res.refinement_gap is not None
+
+
+class TestRefinement:
+    @pytest.mark.parametrize("grid_points", [2, 17, 64, 513])
+    def test_one_evaluation_gives_both_passes(self, grid_points):
+        calls = []
+
+        def counted(t):
+            calls.append(np.size(t))
+            return SIN.eval(t)
+
+        f = FunctionSpec("sin", counted, domain=SIN.domain)
+        res = evaluate_modulus(ModulusQuery(f, 0.3, grid_points=grid_points))
+        assert calls == [2 * grid_points - 1]
+
+        def pass_on(points):
+            xs = np.linspace(-math.pi, math.pi, points)
+            return grid_modulus(xs, SIN.eval(xs), 0.3)
+
+        coarse, fine = pass_on(grid_points), pass_on(2 * grid_points - 1)
+        assert res.value == max(coarse, fine)
+        assert res.refinement_gap == abs(fine - coarse)
 
 
 class TestValidation:

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from erfapprox.corpus import COMPLEX_LINE_CORPUS, INTERVAL_CORPUS, LINE_CORPUS
+from erfapprox import operators
+from erfapprox.corpus import (
+    COMPLEX_INTERVAL_CORPUS,
+    COMPLEX_LINE_CORPUS,
+    INTERVAL_CORPUS,
+    LINE_CORPUS,
+)
 from erfapprox.errors import (
     DomainViolation,
     InvalidWeights,
@@ -24,7 +30,6 @@ from erfapprox.operators import (
     op_B,
     op_C,
     op_D,
-    op_complex,
 )
 
 
@@ -195,9 +200,36 @@ class TestComplex:
         f = COMPLEX_LINE_CORPUS["circle"]
         cfg = OperatorConfig("B", 32)
         xs = np.linspace(-2.0, 2.0, 101)
-        re, im = op_complex(f, xs, cfg)
+        re, im = apply_operator(f, xs, cfg)
         assert np.array_equal(re, op_B(f.re, xs, cfg))
         assert np.array_equal(im, op_B(f.im, xs, cfg))
+
+    @pytest.mark.parametrize("family", ["A", "B", "C", "D"])
+    def test_one_chi_call_per_complex_image(self, family, monkeypatch):
+        if family == "A":
+            f = COMPLEX_INTERVAL_CORPUS["circle"]
+            cfg = OperatorConfig("A", 32, interval=f.domain)
+            xs = np.linspace(*f.domain, 101)
+        else:
+            f = COMPLEX_LINE_CORPUS["circle"]
+            cfg = OperatorConfig(family, 32, weights=QuadratureWeights.uniform(4))
+            xs = np.linspace(-2.0, 2.0, 101)
+        want = [apply_operator(p, xs, cfg) for p in f.parts]
+
+        calls = []
+
+        def counting(t):
+            calls.append(np.shape(t))
+            return chi(t)
+
+        monkeypatch.setattr(operators, "chi", counting)
+        re, im = apply_operator(f, xs, cfg)
+        assert len(calls) == 1
+        assert np.array_equal(re, want[0]) and np.array_equal(im, want[1])
+
+        point = apply_operator(f, 0.25, cfg)
+        assert point == (apply_operator(f.re, 0.25, cfg), apply_operator(f.im, 0.25, cfg))
+        assert all(isinstance(v, float) for v in point)
 
 
 class CountingSpec:

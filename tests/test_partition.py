@@ -115,3 +115,13 @@ class TestTruncationPolicy:
 
     def test_tighter_epsilon_wider_radius(self):
         assert TruncationPolicy(epsilon=1e-20).radius() >= DEFAULT_POLICY.radius()
+
+    @pytest.mark.parametrize("epsilon", [math.inf, math.nan, 1.0, 10.0, 0.0, -1e-14])
+    def test_rejects_epsilon_outside_unit_interval(self, epsilon):
+        # inf and 10 used to get radius 3 without a word
+        with pytest.raises(PreconditionViolated):
+            TruncationPolicy(epsilon=epsilon)
+
+    def test_radius_floor_is_three(self):
+        assert TruncationPolicy(epsilon=0.5).radius() == 3
+        assert TruncationPolicy(epsilon=0.02).radius() == 4
