@@ -375,14 +375,21 @@ class GridPolicy:
     table_points: int = 513
 
 
-def _taylor_image(f: FunctionSpec, x: float, cfg: OperatorConfig, order: int) -> float:
-    """Operator image at x of the Taylor terms of f about x of orders 1..order-1."""
+def _monomial_images(x: float, cfg: OperatorConfig, order: int) -> List[float]:
+    """Operator images at x of the shifted monomials (t - x)^j, j = 1..order-1."""
+    return [
+        apply_operator(FunctionSpec("shifted_power",
+                                    lambda t, _j=j: (np.asarray(t, float) - x) ** _j), x, cfg)
+        for j in range(1, order)
+    ]
+
+
+def _taylor_image(f: FunctionSpec, x: float, monomials: Sequence[float]) -> float:
+    """Operator image at x of the Taylor terms of f about x of orders 1..N-1,
+    from the images of the shifted monomials."""
     corr = 0.0
-    for j in range(1, order):
-        mono = FunctionSpec(
-            "shifted_power", lambda t, _j=j: (np.asarray(t, float) - x) ** _j
-        )
-        corr += float(f.derivative(j)(x)) / math.factorial(j) * apply_operator(mono, x, cfg)
+    for j, image in enumerate(monomials, start=1):
+        corr += float(f.derivative(j)(x)) / math.factorial(j) * image
     return corr
 
 
@@ -390,12 +397,14 @@ def _deviation(f, x, cfg: OperatorConfig, taylor_order: int = 0):
     """|Op f - f| at x (a point or a grid); a complex f is measured through
     the hypot of its parts, whose images come from one operator call.  A
     taylor_order N > 1 first subtracts the operator image of f's Taylor
-    terms of orders 1..N-1 at the point x."""
+    terms of orders 1..N-1 at the point x; the shifted monomials' images
+    are shared by both parts."""
     images = apply_operator(f, x, cfg)
     if len(f.parts) == 1:
         images = (images,)
+    monomials = _monomial_images(x, cfg, taylor_order)
     devs = [
-        image - _taylor_image(p, x, cfg, taylor_order) - p.eval(x)
+        image - _taylor_image(p, x, monomials) - p.eval(x)
         for image, p in zip(images, f.parts)
     ]
     return np.hypot(*devs) if len(devs) == 2 else np.abs(devs[0])

@@ -31,6 +31,13 @@ CSV_COLUMNS = (
     "slope", "r2",
 )
 
+# the keys a config may name, at the top level and inside grid and output
+CONFIG_KEYS = ("schema_version", "functions", "theorems", "sweep", "rate_exponents",
+               "fractional_orders", "highorder_orders", "grid", "output")
+GRID_KEYS = ("x_points", "refinement", "pointwise_points", "anchors", "table_points")
+OUTPUT_KEYS = ("csv", "json")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     functions: Tuple[dict, ...]
@@ -62,6 +69,7 @@ class ExperimentConfig:
         version = raw.get("schema_version")
         if version != SCHEMA_VERSION:
             raise ConfigError("schema_version", f"expected {SCHEMA_VERSION}, got {version!r}")
+        _known_keys("", raw, CONFIG_KEYS)
 
         def _list(name, caster, default=None, required=False):
             if name not in raw:
@@ -105,6 +113,7 @@ class ExperimentConfig:
         grid_raw = raw.get("grid", {})
         if not isinstance(grid_raw, dict):
             raise ConfigError("grid", "must be a mapping")
+        _known_keys("grid.", grid_raw, GRID_KEYS)
         grid = GridPolicy(
             x_points=int(grid_raw.get("x_points", 2048)),
             refinement=bool(grid_raw.get("refinement", True)),
@@ -118,6 +127,7 @@ class ExperimentConfig:
         output = raw.get("output", {})
         if not isinstance(output, dict):
             raise ConfigError("output", "must be a mapping")
+        _known_keys("output.", output, OUTPUT_KEYS)
 
         return ExperimentConfig(
             functions=tuple(dict(s) for s in functions),
@@ -130,6 +140,14 @@ class ExperimentConfig:
             csv_path=output.get("csv"),
             json_path=output.get("json"),
         )
+
+
+def _known_keys(prefix: str, mapping: dict, known: Tuple[str, ...]):
+    """Reject the first key of mapping that the config schema does not know,
+    so a misspelt knob fails instead of running the default."""
+    for key in mapping:
+        if key not in known:
+            raise ConfigError(f"{prefix}{key}", f"unknown key; expected one of {', '.join(known)}")
 
 
 # ------------------------------------------------------- function resolution

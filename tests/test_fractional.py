@@ -2,15 +2,21 @@
 high-precision quadrature oracle, anchor behavior, and the gamma function."""
 
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi
 
+import erfapprox
 from erfapprox.corpus import FRACTIONAL_CORPUS
 from erfapprox.errors import PreconditionViolated
 from erfapprox.fractional import (
     FractionalSpec,
+    _jacobi_rule,
     caputo,
     caputo_envelope,
     caputo_left,
@@ -45,6 +51,42 @@ class TestGamma:
     def test_rejects_nonpositive(self):
         with pytest.raises(PreconditionViolated):
             gamma_fn(0.0)
+
+
+class TestJacobiRule:
+    # exponents as written and as caputo computes them, N - alpha - 1
+    EXPONENTS = sorted({round(-0.05 * i, 2) for i in range(1, 20)}
+                       | {math.ceil(a) - a - 1.0 for a in np.arange(1, 40) / 20 if a != 1.0})
+
+    @pytest.mark.parametrize("nodes", [4, 8, 16, 32, 64])
+    def test_equals_scipy_roots_jacobi(self, nodes):
+        for expo in self.EXPONENTS:
+            for singular_at_right in (True, False):
+                xj, wj = _jacobi_rule(expo, singular_at_right, nodes)
+                ab = (expo, 0.0) if singular_at_right else (0.0, expo)
+                xs, ws = roots_jacobi(nodes, *ab)
+                assert np.array_equal(xj, xs), (expo, singular_at_right)
+                assert np.array_equal(wj, ws), (expo, singular_at_right)
+
+    def test_verify_run_never_loads_scipy_linalg(self):
+        # a fresh interpreter: other tests load scipy.linalg into this one
+        script = (
+            "import sys\n"
+            "from erfapprox.harness import ExperimentConfig, run_verify\n"
+            "cfg = ExperimentConfig.from_dict({'schema_version': 1, 'theorems': ['T30'],\n"
+            "    'functions': [{'id': 'sq', 'builtin': 'sq'}], 'sweep': [9, 16, 81],\n"
+            "    'rate_exponents': [0.5], 'fractional_orders': [0.5, 1.5],\n"
+            "    'grid': {'x_points': 64, 'anchors': 5, 'table_points': 33}})\n"
+            "assert run_verify(cfg).rows\n"
+            "print('scipy.linalg' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(erfapprox.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 def monomial_spec(anchor: float, power: int, side: str) -> FunctionSpec:

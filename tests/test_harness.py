@@ -4,11 +4,13 @@ import dataclasses
 import json
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import erfapprox
 from erfapprox import bounds
 from erfapprox.cli import main
 from erfapprox.errors import ConfigError
@@ -74,6 +76,22 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as exc:
             ExperimentConfig.from_dict({k: v for k, v in BASE.items() if k != "sweep"})
         assert exc.value.field == "sweep"
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"theorem": ["T12"]}, "theorem"),
+        ({"truncation_epsilon": 1e-14}, "truncation_epsilon"),
+        ({"grid": {"x_point": 64}}, "grid.x_point"),
+        ({"output": {"cvs": "a.csv"}}, "output.cvs"),
+    ])
+    def test_unknown_key_is_named(self, overrides, field):
+        # each of these used to load as the default sweep without a word
+        with pytest.raises(ConfigError) as exc:
+            cfg_with(**overrides)
+        assert exc.value.field == field
+
+    def test_packaged_default_loads(self):
+        path = Path(erfapprox.__file__).parent / "default.yaml"
+        assert ExperimentConfig.from_file(str(path)).theorems == tuple(bounds.THEOREMS)
 
 
 class TestRunVerify:

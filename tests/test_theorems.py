@@ -1,7 +1,9 @@
 """The theorem table: one row per theorem drives verify and the harness."""
 
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from erfapprox import bounds, corpus
@@ -51,6 +53,29 @@ class TestComplexFractional:
             assert math.isclose(row.bound_value, want, rel_tol=1e-12)
             values.append(row.bound_value)
         assert values[0] != values[1]
+
+    def test_taylor_terms_share_one_monomial_image_per_point(self, monkeypatch):
+        calls = Counter()
+        real = bounds.apply_operator
+
+        def counting(f, x, cfg):
+            calls[f.name] += 1
+            return real(f, x, cfg)
+
+        monkeypatch.setattr(bounds, "apply_operator", counting)
+        f = COMPLEX_INTERVAL_CORPUS["circle"]
+        verify("T39", f, (81,), 0.5, GridPolicy(pointwise_points=3, anchors=5, table_points=65),
+               alpha_frac=1.5, mode="taylor_pointwise")
+        # N = 2: one image of f and one of (t - x) per point, not one per part
+        assert calls == {"circle": 3, "shifted_power": 3}
+
+    def test_complex_taylor_deviation_is_the_hypot_of_the_parts(self):
+        f = COMPLEX_INTERVAL_CORPUS["circle"]
+        cfg = bounds._family_config("A", 81, f.domain)
+        for x in np.linspace(*f.domain, 5):
+            for order in (0, 2, 3):
+                parts = [bounds._deviation(p, x, cfg, order) for p in f.parts]
+                assert bounds._deviation(f, x, cfg, order) == np.hypot(*parts)
 
 
 class TestExpansion:
