@@ -1,28 +1,27 @@
 """Error-function based neural network approximation operators and a
 verification harness for their quantitative error bounds."""
 
-from .bounds import BoundReport, GridPolicy, fit_rate, tail_core, verify
+from .bounds import BoundReport, GridPolicy, fit_rate, verify
 from .errors import ErfApproxError
-from .fractional import FractionalSpec, caputo_left, caputo_right, gamma_fn
+from .fractional import FractionalSpec, caputo, gamma_fn
 from .funcs import ComplexFunctionSpec, FunctionSpec
 from .harness import ExperimentConfig, run_partition_check, run_verify
 from .modulus import ModulusQuery, evaluate_modulus, omega1
-from .operators import OperatorConfig, QuadratureWeights, apply_operator, op_A, op_B, op_C, op_D
-from .partition import chi_integral, partition_sum, tail_bound, tail_sum
+from .operators import OperatorConfig, QuadratureWeights, apply_operator
+from .partition import chi_integral, partition_sum, tail_bound, tail_core, tail_sum
 from .special_functions import CHI_AT_ONE, CHI_AT_ZERO, INV_CHI_AT_ONE, chi, erf
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundReport", "GridPolicy", "fit_rate", "tail_core", "verify",
+    "BoundReport", "GridPolicy", "fit_rate", "verify",
     "ErfApproxError",
-    "FractionalSpec", "caputo_left", "caputo_right", "gamma_fn",
+    "FractionalSpec", "caputo", "gamma_fn",
     "ComplexFunctionSpec", "FunctionSpec",
     "ExperimentConfig", "run_partition_check", "run_verify",
     "ModulusQuery", "evaluate_modulus", "omega1",
     "OperatorConfig", "QuadratureWeights", "apply_operator",
-    "op_A", "op_B", "op_C", "op_D",
-    "chi_integral", "partition_sum", "tail_bound", "tail_sum",
+    "chi_integral", "partition_sum", "tail_bound", "tail_core", "tail_sum",
     "CHI_AT_ONE", "CHI_AT_ZERO", "INV_CHI_AT_ONE", "chi", "erf",
     "__version__",
 ]

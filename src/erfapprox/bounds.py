@@ -12,8 +12,8 @@ Theorem ids:
 Each theorem is declared by one row of ``THEOREMS``: its corpus pool,
 operator families, bound function, swept parameter and default mode.
 
-The constant 1/chi(1) ~= 4.0188 enters every interval-operator bound; it
-is used at full precision and its rounded value is echoed in reports.
+The constant 1/chi(1) ~= 4.0188 enters every interval-operator bound at
+full precision.
 """
 
 from __future__ import annotations
@@ -35,11 +35,8 @@ from .fractional import (
 from .funcs import ComplexFunctionSpec, FunctionSpec
 from .modulus import ModulusQuery, evaluate_modulus
 from .operators import OperatorConfig, QuadratureWeights, apply_operator
-from .partition import _check_tail_hypothesis
-from .special_functions import INV_CHI_AT_ONE, SQRT_PI
-
-#: rounded form echoed in reports next to the full-precision constant
-NORMALIZATION_ROUNDED = 4.019
+from .partition import tail_bound, tail_core
+from .special_functions import INV_CHI_AT_ONE
 
 
 @dataclass(frozen=True)
@@ -67,17 +64,6 @@ def _verdict(empirical: float, bound: float, quality: str) -> str:
     if empirical <= bound * (1.0 + 1e-9):
         return "holds"
     return "violated" if quality == "exact" else "inconclusive-estimated"
-
-
-def tail_core(n: int, exponent: float) -> float:
-    """1 / (sqrt(pi) (t - 2) e^{(t-2)^2}) with t = n^(1-exponent).
-
-    Twice the chi tail mass bound; the factor multiplying ||f||_inf in
-    every first-order bound.
-    """
-    t = _check_tail_hypothesis(n, exponent)
-    # written as a product so large t underflows to 0 instead of overflowing
-    return math.exp(-((t - 2.0) ** 2)) / (SQRT_PI * (t - 2.0))
 
 
 # ------------------------------------------------------- first-order bounds
@@ -264,7 +250,7 @@ def fractional_bound(
     if not pointwise and mode not in ("sup", "n1_sup", "half_sup"):
         raise PreconditionViolated(f"unknown mode {mode!r}")
     delta = float(n) ** (-beta)
-    htc = tail_core(n, beta) / 2.0
+    htc = tail_bound(n, beta)
     gamma_factor = 1.0 / gamma_fn(alpha_frac + 1.0)
     tables = _anchor_tables(f, alpha_frac, a, b, anchors, table_points)
 
@@ -516,8 +502,6 @@ THEOREMS: Dict[str, Theorem] = {
                    param="alpha_frac", orders=(0.0, 2.0), mode="sup"),
     "T41": Theorem("COMPLEX_LINE_CORPUS", ("C", "D"), "mu3", complex=True),
 }
-
-THEOREM_IDS = tuple(THEOREMS)
 
 
 # ------------------------------------------------------- verify

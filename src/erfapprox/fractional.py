@@ -6,6 +6,12 @@ For non-integer alpha > 0 with N = ceil(alpha), the left derivative is
 
 for x >= x0 and 0 for x < x0; the right derivative mirrors it for x <= x0
 with the factor (-1)^N, and is 0 for x > x0.  Both vanish at the anchor.
+``caputo`` computes either one: ``FractionalSpec.side`` selects it.
+``caputo_table`` samples it on a sub-interval of its side once, and
+``table_modulus`` reads omega_1 estimates at any delta from that table.
+``caputo_sup_ceiling`` and ``caputo_modulus_ceiling`` are closed-form
+upper bounds, and ``caputo_monomial`` is the closed-form oracle for
+monomials.
 
 The weakly singular kernel is absorbed exactly by Gauss-Jacobi quadrature:
 substituting t = x0 + (x - x0)(u + 1)/2 turns the kernel into the Jacobi
@@ -128,20 +134,6 @@ def caputo(f: FunctionSpec, spec: FractionalSpec, x):
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
-def caputo_left(f: FunctionSpec, spec: FractionalSpec, x):
-    """Left Caputo derivative; 0 for x below the anchor."""
-    if spec.side != "left":
-        raise PreconditionViolated("spec.side must be 'left'")
-    return caputo(f, spec, x)
-
-
-def caputo_right(f: FunctionSpec, spec: FractionalSpec, x):
-    """Right Caputo derivative; 0 for x above the anchor."""
-    if spec.side != "right":
-        raise PreconditionViolated("spec.side must be 'right'")
-    return caputo(f, spec, x)
-
-
 def _check_side_interval(spec: FractionalSpec, sub: Tuple[float, float]):
     lo, hi = sub
     if not lo < hi:
@@ -154,39 +146,6 @@ def _check_side_interval(spec: FractionalSpec, sub: Tuple[float, float]):
         raise PreconditionViolated(
             f"right derivative lives on [a, x0]; sub interval ends at {hi} > {spec.anchor}"
         )
-
-
-def caputo_sup_norm(
-    f: FunctionSpec, spec: FractionalSpec, sub: Tuple[float, float], samples: int = 1024
-) -> float:
-    """Grid supremum of the Caputo derivative's magnitude over sub.
-
-    A lower estimate of the true sup norm; the closed-form ceiling is
-    available separately as caputo_sup_ceiling.
-    """
-    _check_side_interval(spec, sub)
-    xs = np.linspace(sub[0], sub[1], samples)
-    return float(np.max(np.abs(caputo(f, spec, xs))))
-
-
-def caputo_modulus(
-    f: FunctionSpec,
-    spec: FractionalSpec,
-    delta: float,
-    sub: Tuple[float, float],
-    samples: int = 4096,
-) -> float:
-    """Sliding-window grid estimate of omega_1 of the Caputo derivative on sub.
-
-    Under-reports the true modulus (grid pairs only), the safe direction
-    for bound certification.
-    """
-    if not delta > 0:
-        raise PreconditionViolated(f"delta must be > 0, got {delta}")
-    _check_side_interval(spec, sub)
-    xs = np.linspace(sub[0], sub[1], samples)
-    ys = caputo(f, spec, xs)
-    return grid_modulus(xs, ys, delta)
 
 
 def caputo_table(
@@ -207,13 +166,6 @@ def table_modulus(table: Tuple[np.ndarray, np.ndarray], delta: float) -> float:
     if not delta > 0:
         raise PreconditionViolated(f"delta must be > 0, got {delta}")
     return grid_modulus(table[0], table[1], delta)
-
-
-def caputo_envelope(f: FunctionSpec, spec: FractionalSpec, x) -> float:
-    """Pointwise bound ||f^(N)||_inf |x - x0|^(N-alpha) / Gamma(N - alpha + 1)."""
-    N = spec.N
-    sup_n = f.derivative(N).grid_sup_norm()
-    return sup_n * abs(float(x) - spec.anchor) ** (N - spec.alpha) / gamma_fn(N - spec.alpha + 1.0)
 
 
 def caputo_sup_ceiling(

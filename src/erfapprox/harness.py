@@ -31,10 +31,12 @@ CSV_COLUMNS = (
     "slope", "r2",
 )
 
-# the keys a config may name, at the top level and inside grid and output
+# the keys a config may name, at the top level and inside grid and output;
+# GridPolicy.pointwise_points is not one: a config run uses each theorem's
+# default mode, and no default mode reads it
 CONFIG_KEYS = ("schema_version", "functions", "theorems", "sweep", "rate_exponents",
                "fractional_orders", "highorder_orders", "grid", "output")
-GRID_KEYS = ("x_points", "refinement", "pointwise_points", "anchors", "table_points")
+GRID_KEYS = ("x_points", "refinement", "anchors", "table_points")
 OUTPUT_KEYS = ("csv", "json")
 
 
@@ -117,7 +119,6 @@ class ExperimentConfig:
         grid = GridPolicy(
             x_points=int(grid_raw.get("x_points", 2048)),
             refinement=bool(grid_raw.get("refinement", True)),
-            pointwise_points=int(grid_raw.get("pointwise_points", 17)),
             anchors=int(grid_raw.get("anchors", 33)),
             table_points=int(grid_raw.get("table_points", 513)),
         )

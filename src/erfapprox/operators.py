@@ -1,22 +1,30 @@
-"""The four neural-network operators and their dispatch.
+"""The four neural-network operators as one sum over the erf density.
 
-* ``op_A``: interval quasi-interpolation, normalized by the window sum.
-* ``op_B``: whole-line quasi-interpolation with certified truncation.
-* ``op_C``: Kantorovich variant replacing samples f(k/n) by cell averages.
-* ``op_D``: quadrature variant replacing samples by convex sub-cell combos.
-* ``apply_operator``: the operator of a config's family.
+Every family computes
 
-All operators accept a scalar x or a 1-D array of x values, and a real
-FunctionSpec or a ComplexFunctionSpec.  A complex f gets the pair
-(Op re, Op im) from one kernel: the window indices, the chi matrix and
-A's denominator are built once and applied to both parts.
+    Op f(x) = sum_k L_k(f) chi(nx - k)
+
+over the window of indices round(nx) + offsets that the truncation
+policy certifies, and differs from the others only in its node
+functional L_k(f) = sum_j w_j f(k/n + t_j) (``_node_rule``):
+
+* A: interval quasi-interpolation, L_k(f) = f(k/n) with k restricted to
+  [ceil(na), floor(nb)] and the sum divided by the window's chi sum.
+* B: whole-line quasi-interpolation, L_k(f) = f(k/n).
+* C: Kantorovich variant, L_k(f) the cell mean of f over [k/n, (k+1)/n].
+* D: quadrature variant, L_k(f) a convex sub-cell combination.
+
+``apply_operator`` accepts a scalar x or a 1-D array of x values, and a
+real FunctionSpec or a ComplexFunctionSpec.  It builds the kernel (the
+window indices, one chi matrix and A's denominator) once and applies it
+to every part of f, so a complex f gets the pair (Op re, Op im).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -50,7 +58,7 @@ class QuadratureWeights:
 
     @staticmethod
     def degenerate(theta: int = 1) -> "QuadratureWeights":
-        """w_0 = 1, rest 0: collapses op_D onto op_B."""
+        """w_0 = 1, rest 0: collapses family D onto family B."""
         return QuadratureWeights(theta, (1.0,) + (0.0,) * theta)
 
     @staticmethod
@@ -85,11 +93,6 @@ class OperatorConfig:
             raise PreconditionViolated("family D needs quadrature weights")
 
 
-def _as_points(x):
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    return xs, np.ndim(x) == 0
-
-
 def _at_nodes(functional, ks: np.ndarray) -> np.ndarray:
     """functional(k) for every index in ks, evaluated once per distinct k
     and gathered back into the shape of ks.  Contiguous indices take
@@ -104,94 +107,59 @@ def _at_nodes(functional, ks: np.ndarray) -> np.ndarray:
     return functional(distinct)[where].reshape(ks.shape)
 
 
-def _each_part(f, image, scalar: bool):
-    """image(p) for every real part p of f: one result for a real f, the
-    pair (re, im) for a complex one."""
-    outs = tuple(float(v[0]) if scalar else v for v in map(image, f.parts))
-    return outs if isinstance(f, ComplexFunctionSpec) else outs[0]
+def _node_rule(cfg: OperatorConfig) -> Tuple[np.ndarray, np.ndarray]:
+    """(t, w) of the family's node functional L_k(f) = sum_j w_j f(k/n + t_j).
 
-
-def op_A(f: FunctionSpec, x, cfg: OperatorConfig):
-    """Normalized interval operator: sum f(k/n) chi(nx-k) / sum chi(nx-k)."""
-    if cfg.family != "A":
-        raise PreconditionViolated("cfg.family must be 'A'")
-    a, b = cfg.interval
-    n = cfg.n
-    xs, scalar = _as_points(x)
-    if np.any(xs < a) or np.any(xs > b):
-        raise DomainViolation(f"x outside [{a}, {b}]")
-
-    win = IndexWindow.for_interval(n, a, b)
-    u = n * xs
-    centers = np.round(u).astype(np.int64)
-    radius = cfg.truncation.radius()
-    ks = centers[:, None] + np.arange(-radius, radius + 1)[None, :]
-    valid = (ks >= win.lo) & (ks <= win.hi)
-    chiv = np.where(valid, chi(u[:, None] - ks), 0.0)
-    den = chiv.sum(axis=1)
-    ks = np.clip(ks, win.lo, win.hi)
-
-    def image(p):
-        return (_at_nodes(lambda kk: p.eval(kk / n), ks) * chiv).sum(axis=1) / den
-
-    return _each_part(f, image, scalar)
-
-
-def _line_operator(f: FunctionSpec, x, cfg: OperatorConfig, offsets, weights):
-    """sum_k L_k(f) chi(nx-k) over the certified window around round(nx),
-    with the node functional L_k(f) = sum_j weights_j f(k/n + offsets_j)."""
-    for p in f.parts:
-        if p.sup_norm is None:
-            raise UnboundedFunction(
-                f"{p.name}: op_{cfg.family} needs a finite sup_norm for its truncation certificate"
-            )
-    xs, scalar = _as_points(x)
-    n = cfg.n
-    u = n * xs
-    ks = np.round(u)[:, None] + _window_offsets(cfg.truncation.radius())[None, :]
-    chiv = chi(u[:, None] - ks)
-
-    def image(p):
-        def functional(kk):
-            tt = kk[:, None] / n + offsets[None, :]
-            return np.tensordot(p.eval(tt), weights, axes=([1], [0]))
-
-        return (_at_nodes(functional, ks) * chiv).sum(axis=1)
-
-    return _each_part(f, image, scalar)
-
-
-def op_B(f: FunctionSpec, x, cfg: OperatorConfig):
-    """Whole-line quasi-interpolation: sum f(k/n) chi(nx-k), truncated."""
-    if cfg.family not in ("B", "D"):
-        raise PreconditionViolated("cfg.family must be 'B'")
-    return _line_operator(f, x, cfg, np.zeros(1), np.ones(1))
-
-
-def op_C(f: FunctionSpec, x, cfg: OperatorConfig):
-    """Kantorovich operator: sum (n * integral of f over [k/n,(k+1)/n]) chi(nx-k).
-
-    Cell integrals use fixed-order Gauss-Legendre (cfg.kantorovich_nodes):
-    the cell mean is sum_j (glw_j/2) f(k/n + (glx_j+1)/(2n)).
+    A and B sample f(k/n); C takes the cell mean by fixed-order
+    Gauss-Legendre (cfg.kantorovich_nodes); D combines the sub-cell nodes
+    k/n + r/(n*theta) with cfg.weights.
     """
-    if cfg.family != "C":
-        raise PreconditionViolated("cfg.family must be 'C'")
-    glx, glw = leggauss(cfg.kantorovich_nodes)
-    return _line_operator(f, x, cfg, (glx + 1.0) / (2.0 * cfg.n), glw / 2.0)
-
-
-def op_D(f: FunctionSpec, x, cfg: OperatorConfig):
-    """Quadrature operator: samples replaced by sum_r w_r f(k/n + r/(n*theta))."""
-    if cfg.family != "D":
-        raise PreconditionViolated("cfg.family must be 'D'")
-    wts = cfg.weights
-    rr = np.arange(wts.theta + 1, dtype=float)
-    return _line_operator(f, x, cfg, rr / (cfg.n * wts.theta), np.asarray(wts.w))
-
-
-_FAMILY_OPS = {"A": op_A, "B": op_B, "C": op_C, "D": op_D}
+    if cfg.family == "C":
+        glx, glw = leggauss(cfg.kantorovich_nodes)
+        return (glx + 1.0) / (2.0 * cfg.n), glw / 2.0
+    if cfg.family == "D":
+        wts = cfg.weights
+        rr = np.arange(wts.theta + 1, dtype=float)
+        return rr / (cfg.n * wts.theta), np.asarray(wts.w)
+    return np.zeros(1), np.ones(1)
 
 
 def apply_operator(f: FunctionSpec, x, cfg: OperatorConfig):
     """Op f at x for cfg's family; the pair (Op re, Op im) for a complex f."""
-    return _FAMILY_OPS[cfg.family](f, x, cfg)
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    n = cfg.n
+    radius = cfg.truncation.radius()
+    if cfg.family == "A":
+        a, b = cfg.interval
+        if np.any(xs < a) or np.any(xs > b):
+            raise DomainViolation(f"x outside [{a}, {b}]")
+        offsets = np.arange(-radius, radius + 1, dtype=float)
+    else:
+        for p in f.parts:
+            if p.sup_norm is None:
+                raise UnboundedFunction(
+                    f"{p.name}: family {cfg.family} needs a finite sup_norm "
+                    "for its truncation certificate"
+                )
+        offsets = _window_offsets(radius)
+
+    u = n * xs
+    ks = np.round(u)[:, None] + offsets[None, :]
+    chiv = chi(u[:, None] - ks)
+    den = 1.0
+    if cfg.family == "A":
+        win = IndexWindow.for_interval(n, a, b)
+        valid = (ks >= win.lo) & (ks <= win.hi)
+        chiv = np.where(valid, chiv, 0.0)
+        den = chiv.sum(axis=1)
+        ks = np.clip(ks, win.lo, win.hi)
+    t, w = _node_rule(cfg)
+
+    def image(p):
+        def functional(kk):
+            return np.tensordot(p.eval(kk[:, None] / n + t[None, :]), w, axes=([1], [0]))
+
+        return (_at_nodes(functional, ks) * chiv).sum(axis=1) / den
+
+    outs = tuple(float(v[0]) if np.ndim(x) == 0 else v for v in map(image, f.parts))
+    return outs if isinstance(f, ComplexFunctionSpec) else outs[0]

@@ -134,6 +134,17 @@ def _check_tail_hypothesis(n: int, alpha: float) -> float:
     return t
 
 
+def tail_core(n: int, exponent: float) -> float:
+    """1 / (sqrt(pi) (t - 2) e^{(t-2)^2}) with t = n^(1-exponent).
+
+    Twice ``tail_bound``; the factor multiplying ||f||_inf in every
+    first-order bound.
+    """
+    t = _check_tail_hypothesis(n, exponent)
+    # written as a product so large t underflows to 0 instead of overflowing
+    return math.exp(-((t - 2.0) ** 2)) / (SQRT_PI * (t - 2.0))
+
+
 def _tail_indices(x: float, n: int, alpha: float, policy: TruncationPolicy):
     """(nx, t, k): the indices k with |nx - k| >= t = n^(1-alpha), taken on
     both sides out to the policy radius beyond t, where the envelope has
@@ -158,9 +169,7 @@ def tail_sum(x: float, n: int, alpha: float, policy: TruncationPolicy = DEFAULT_
 
 def tail_bound(n: int, alpha: float) -> float:
     """Closed-form tail bound 1 / (2 sqrt(pi) (t - 2) e^{(t-2)^2}), t = n^(1-alpha)."""
-    t = _check_tail_hypothesis(n, alpha)
-    # written as a product so large t underflows to 0 instead of overflowing
-    return math.exp(-((t - 2.0) ** 2)) / (2.0 * SQRT_PI * (t - 2.0))
+    return tail_core(n, alpha) / 2.0
 
 
 def tail_comparison(

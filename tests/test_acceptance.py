@@ -20,7 +20,7 @@ from erfapprox.corpus import (
 )
 from erfapprox.fractional import FractionalSpec, caputo, caputo_monomial
 from erfapprox.funcs import FunctionSpec
-from erfapprox.operators import OperatorConfig, QuadratureWeights, apply_operator, op_B, op_D
+from erfapprox.operators import OperatorConfig, QuadratureWeights, apply_operator
 from erfapprox.partition import (
     boundary_deficiency,
     chi_integral,
@@ -237,8 +237,8 @@ def test_criterion_11_complex_layer():
         cfg = OperatorConfig("B", 32)
         xs = np.linspace(-2.0, 2.0, 257)
         re, im = apply_operator(circle, xs, cfg)
-        assert np.array_equal(re, op_B(circle.re, xs, cfg))
-        assert np.array_equal(im, op_B(circle.im, xs, cfg))
+        assert np.array_equal(re, apply_operator(circle.re, xs, cfg))
+        assert np.array_equal(im, apply_operator(circle.im, xs, cfg))
         # bound rows across the complex theorems
         for name, f in COMPLEX_INTERVAL_CORPUS.items():
             for tid in ("T36", "T38", "T39"):
@@ -257,4 +257,4 @@ def test_criterion_12_degenerate_weight_identity():
             cfg_d = OperatorConfig("D", n, weights=QuadratureWeights.degenerate())
             cfg_b = OperatorConfig("B", n)
             for f in (LINE_CORPUS["sin"], LINE_CORPUS["abs"], LINE_CORPUS["linear"]):
-                assert np.array_equal(op_D(f, xs, cfg_d), op_B(f, xs, cfg_b))
+                assert np.array_equal(apply_operator(f, xs, cfg_d), apply_operator(f, xs, cfg_b))

@@ -15,7 +15,6 @@ from erfapprox.bounds import (
     mu2,
     mu3,
     remark34_check,
-    tail_core,
     verify,
 )
 from erfapprox.corpus import (
@@ -31,6 +30,7 @@ from erfapprox.errors import (
     PreconditionViolated,
 )
 from erfapprox.funcs import ComplexFunctionSpec, FunctionSpec
+from erfapprox.partition import tail_core
 from erfapprox.special_functions import INV_CHI_AT_ONE, SQRT_PI
 
 FAST_GRID = GridPolicy(x_points=256, refinement=False, anchors=9, table_points=129)

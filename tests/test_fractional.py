@@ -18,14 +18,9 @@ from erfapprox.fractional import (
     FractionalSpec,
     _jacobi_rule,
     caputo,
-    caputo_envelope,
-    caputo_left,
-    caputo_modulus,
     caputo_modulus_ceiling,
     caputo_monomial,
-    caputo_right,
     caputo_sup_ceiling,
-    caputo_sup_norm,
     caputo_table,
     gamma_fn,
     table_modulus,
@@ -157,7 +152,7 @@ class TestHighPrecisionOracle:
                     lambda t: (x - t) ** (N - alpha - 1) * fN(t), [0, x]
                 ) / mpmath.gamma(N - alpha)
             )
-            got = caputo_left(f, spec, x)
+            got = caputo(f, spec, x)
             assert abs(got - want) <= 1e-10 * max(abs(want), 1.0)
 
 
@@ -177,11 +172,16 @@ class TestAnchorBehavior:
         assert caputo(f, right, 0.8) == 0.0     # above a right anchor
 
     def test_side_wrappers_enforce_side(self):
+        # spec.side selects the side: the right derivative of f at x is the
+        # left derivative of the mirror image g(t) = f(2 x0 - t) at 2 x0 - x
         f = FRACTIONAL_CORPUS["sq"]
-        with pytest.raises(PreconditionViolated):
-            caputo_left(f, FractionalSpec(0.5, 0.5, "right"), 0.7)
-        with pytest.raises(PreconditionViolated):
-            caputo_right(f, FractionalSpec(0.5, 0.5, "left"), 0.2)
+        g = monomial_spec(1.0, 2, "right")  # (1 - t)^2 = f(1 - t)
+        xs = np.linspace(0.0, 0.45, 10)
+        for alpha in (0.5, 1.5):
+            right = caputo(f, FractionalSpec(alpha, 0.5, "right"), xs)
+            mirrored = caputo(g, FractionalSpec(alpha, 0.5, "left"), 1.0 - xs)
+            assert np.max(np.abs(right)) > 0.1
+            assert np.max(np.abs(right - mirrored)) <= 1e-12
 
     def test_integer_order_rejected(self):
         with pytest.raises(PreconditionViolated):
@@ -193,27 +193,39 @@ class TestEnvelopes:
         # |D f(x)| <= ||f^(N)|| (x-x0)^(N-alpha) / Gamma(N-alpha+1)
         f = FRACTIONAL_CORPUS["sq"]
         spec = FractionalSpec(0.5, 0.0, "left")
+        sup_n = f.derivative(spec.N).grid_sup_norm()
         for x in np.linspace(0.05, 1.0, 20):
-            assert abs(caputo(f, spec, float(x))) <= caputo_envelope(f, spec, float(x)) * (1 + 1e-9)
+            envelope = sup_n * x ** (spec.N - spec.alpha) / gamma_fn(spec.N - spec.alpha + 1.0)
+            assert abs(caputo(f, spec, float(x))) <= envelope * (1 + 1e-9)
 
     def test_sup_norm_below_ceiling(self):
         f = FRACTIONAL_CORPUS["sq"]
         spec = FractionalSpec(0.5, 0.0, "left")
-        sup = caputo_sup_norm(f, spec, (0.0, 1.0))
+        _, ys = caputo_table(f, spec, (0.0, 1.0), 1024)
+        sup = float(np.max(np.abs(ys)))
         assert sup <= caputo_sup_ceiling(f, spec, (0.0, 1.0)) * (1 + 1e-9)
 
     def test_modulus_below_ceiling_and_table_agrees(self):
+        # D f(x) = Gamma(3)/Gamma(2.5) x^1.5 for f = t^2 is increasing, so
+        # omega_1(D f, delta) on [0, 1] is D f(1) - D f(1 - delta); the table's
+        # window spans at most delta and at least delta minus one grid step
         f = FRACTIONAL_CORPUS["sq"]
         spec = FractionalSpec(0.5, 0.0, "left")
         table = caputo_table(f, spec, (0.0, 1.0))
+        h = 1.0 / (len(table[0]) - 1)
+
+        def exact(d):
+            lo, hi = caputo_monomial(0.5, 0.0, 2, "left", np.array([1.0 - d, 1.0]))
+            return hi - lo
+
         for delta in (0.01, 0.1, 0.5):
-            direct = caputo_modulus(f, spec, delta, (0.0, 1.0))
-            assert abs(direct - table_modulus(table, delta)) <= 1e-12
-            assert direct <= caputo_modulus_ceiling(f, spec, (0.0, 1.0)) * (1 + 1e-9)
+            got = table_modulus(table, delta)
+            assert exact(delta - h) - 1e-12 <= got <= exact(delta) + 1e-12
+            assert got <= caputo_modulus_ceiling(f, spec, (0.0, 1.0)) * (1 + 1e-9)
 
     def test_side_interval_checked(self):
         f = FRACTIONAL_CORPUS["sq"]
         with pytest.raises(PreconditionViolated):
-            caputo_sup_norm(f, FractionalSpec(0.5, 0.5, "left"), (0.0, 1.0))
+            caputo_table(f, FractionalSpec(0.5, 0.5, "left"), (0.0, 1.0))
         with pytest.raises(PreconditionViolated):
-            caputo_modulus(f, FractionalSpec(0.5, 0.5, "right"), 0.1, (0.4, 1.0))
+            caputo_table(f, FractionalSpec(0.5, 0.5, "right"), (0.4, 1.0))

@@ -82,9 +82,10 @@ class TestConfigValidation:
         ({"truncation_epsilon": 1e-14}, "truncation_epsilon"),
         ({"grid": {"x_point": 64}}, "grid.x_point"),
         ({"output": {"cvs": "a.csv"}}, "output.cvs"),
+        ({"grid": {"pointwise_points": 9}}, "grid.pointwise_points"),
     ])
     def test_unknown_key_is_named(self, overrides, field):
-        # each of these used to load as the default sweep without a word
+        # each of these used to load without a word and never take effect
         with pytest.raises(ConfigError) as exc:
             cfg_with(**overrides)
         assert exc.value.field == field

@@ -1,6 +1,7 @@
 """Operator tests against an independent direct-summation oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,15 +23,7 @@ from erfapprox.errors import (
 )
 from erfapprox.funcs import FunctionSpec
 from erfapprox.special_functions import chi
-from erfapprox.operators import (
-    OperatorConfig,
-    QuadratureWeights,
-    apply_operator,
-    op_A,
-    op_B,
-    op_C,
-    op_D,
-)
+from erfapprox.operators import OperatorConfig, QuadratureWeights, apply_operator
 
 
 def chi_oracle(t: float) -> float:
@@ -83,7 +76,7 @@ class TestOpA:
     @pytest.mark.parametrize("x", [-3.0, -1.2, 0.0, 0.7, 3.14159])
     def test_matches_oracle(self, x):
         cfg = OperatorConfig("A", 16, interval=(-math.pi, math.pi))
-        got = op_A(SIN_INT, x, cfg)
+        got = apply_operator(SIN_INT, x, cfg)
         want = op_a_oracle(math.sin, x, 16, -math.pi, math.pi)
         assert abs(got - want) <= 1e-13
 
@@ -91,17 +84,24 @@ class TestOpA:
         f = INTERVAL_CORPUS["const"]
         cfg = OperatorConfig("A", 32, interval=(0.0, 1.0))
         xs = np.linspace(0.0, 1.0, 101)
-        assert np.max(np.abs(op_A(f, xs, cfg) - 1.0)) <= 1e-14
+        assert np.max(np.abs(apply_operator(f, xs, cfg) - 1.0)) <= 1e-14
 
     def test_domain_enforced(self):
         cfg = OperatorConfig("A", 16, interval=(0.0, 1.0))
         with pytest.raises(DomainViolation):
-            op_A(INTERVAL_CORPUS["linear"], 1.5, cfg)
+            apply_operator(INTERVAL_CORPUS["linear"], 1.5, cfg)
 
     def test_family_checked(self):
+        # the guards follow cfg.family: A bounds its sum by the interval and
+        # needs no sup norm, while B, C and D need one for their truncation
+        unbounded = FunctionSpec("id", lambda t: np.asarray(t, dtype=float))
         cfg = OperatorConfig("A", 16, interval=(0.0, 1.0))
-        with pytest.raises(PreconditionViolated):
-            op_B(INTERVAL_CORPUS["linear"], 0.5, cfg)
+        got = apply_operator(unbounded, 0.7, cfg)
+        assert abs(got - op_a_oracle(lambda t: t, 0.7, 16, 0.0, 1.0)) <= 1e-13
+        for line in (OperatorConfig("B", 16), OperatorConfig("C", 16),
+                     OperatorConfig("D", 16, weights=QuadratureWeights.uniform(2))):
+            with pytest.raises(UnboundedFunction):
+                apply_operator(unbounded, 0.7, line)
 
     @given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
     @settings(max_examples=50, deadline=None)
@@ -113,15 +113,15 @@ class TestOpA:
             "combo", lambda t: c1 * f.eval(t) + c2 * g.eval(t), domain=(-math.pi, math.pi)
         )
         x = 0.37
-        lhs = op_A(combo, x, cfg)
-        rhs = c1 * op_A(f, x, cfg) + c2 * op_A(g, x, cfg)
+        lhs = apply_operator(combo, x, cfg)
+        rhs = c1 * apply_operator(f, x, cfg) + c2 * apply_operator(g, x, cfg)
         assert abs(lhs - rhs) <= 1e-11 * (1.0 + abs(c1) + abs(c2))
 
     def test_positivity_and_envelope(self):
         # positive operator: min f <= A_n f <= max f
         cfg = OperatorConfig("A", 25, interval=(-math.pi, math.pi))
         xs = np.linspace(-math.pi, math.pi, 301)
-        vals = op_A(SIN_INT, xs, cfg)
+        vals = apply_operator(SIN_INT, xs, cfg)
         assert np.all(vals >= -1.0 - 1e-14)
         assert np.all(vals <= 1.0 + 1e-14)
 
@@ -130,27 +130,27 @@ class TestOpB:
     @pytest.mark.parametrize("x", [-2.5, -0.3, 0.0, 1.1, 2.9])
     def test_matches_oracle(self, x):
         cfg = OperatorConfig("B", 16)
-        got = op_B(SIN_LINE, x, cfg)
+        got = apply_operator(SIN_LINE, x, cfg)
         want = op_b_oracle(math.sin, x, 16)
         assert abs(got - want) <= 1e-13
 
     def test_requires_sup_norm(self):
         unbounded = FunctionSpec("id", lambda t: np.asarray(t, dtype=float))
         with pytest.raises(UnboundedFunction):
-            op_B(unbounded, 0.0, OperatorConfig("B", 16))
+            apply_operator(unbounded, 0.0, OperatorConfig("B", 16))
 
     def test_reproduces_constants(self):
         f = LINE_CORPUS["const"]
         cfg = OperatorConfig("B", 16)
         xs = np.linspace(-2.0, 2.0, 101)
-        assert np.max(np.abs(op_B(f, xs, cfg) - 1.0)) <= 1e-13
+        assert np.max(np.abs(apply_operator(f, xs, cfg) - 1.0)) <= 1e-13
 
 
 class TestOpC:
     @pytest.mark.parametrize("x", [-1.1, 0.0, 0.42, 2.0])
     def test_matches_oracle(self, x):
         cfg = OperatorConfig("C", 16)
-        got = op_C(SIN_LINE, x, cfg)
+        got = apply_operator(SIN_LINE, x, cfg)
         want = op_c_oracle(math.sin, x, 16)
         assert abs(got - want) <= 1e-11
 
@@ -160,8 +160,8 @@ class TestOpC:
         f = LINE_CORPUS["linear"]
         n = 16
         xs = np.linspace(-2.0, 2.0, 41)
-        c = op_C(f, xs, OperatorConfig("C", n))
-        b = op_B(f, xs, OperatorConfig("B", n))
+        c = apply_operator(f, xs, OperatorConfig("C", n))
+        b = apply_operator(f, xs, OperatorConfig("B", n))
         assert np.max(np.abs(c - (b + 1.0 / (2.0 * n)))) <= 1e-12
 
 
@@ -170,7 +170,7 @@ class TestOpD:
         wts = QuadratureWeights.uniform(4)
         cfg = OperatorConfig("D", 16, weights=wts)
         for x in (-1.7, 0.0, 0.9):
-            got = op_D(SIN_LINE, x, cfg)
+            got = apply_operator(SIN_LINE, x, cfg)
             want = op_d_oracle(math.sin, x, 16, wts)
             assert abs(got - want) <= 1e-13
 
@@ -180,8 +180,8 @@ class TestOpD:
         cfg_b = OperatorConfig("B", n)
         xs = np.linspace(-3.0, 3.0, 257)
         for f in (SIN_LINE, LINE_CORPUS["abs"], LINE_CORPUS["linear"]):
-            d = op_D(f, xs, cfg_d)
-            b = op_B(f, xs, cfg_b)
+            d = apply_operator(f, xs, cfg_d)
+            b = apply_operator(f, xs, cfg_b)
             assert np.array_equal(d, b)
 
     def test_weight_validation(self):
@@ -201,8 +201,8 @@ class TestComplex:
         cfg = OperatorConfig("B", 32)
         xs = np.linspace(-2.0, 2.0, 101)
         re, im = apply_operator(f, xs, cfg)
-        assert np.array_equal(re, op_B(f.re, xs, cfg))
-        assert np.array_equal(im, op_B(f.im, xs, cfg))
+        assert np.array_equal(re, apply_operator(f.re, xs, cfg))
+        assert np.array_equal(im, apply_operator(f.im, xs, cfg))
 
     @pytest.mark.parametrize("family", ["A", "B", "C", "D"])
     def test_one_chi_call_per_complex_image(self, family, monkeypatch):
@@ -223,6 +223,9 @@ class TestComplex:
             return chi(t)
 
         monkeypatch.setattr(operators, "chi", counting)
+        apply_operator(f.re, xs, cfg)
+        assert len(calls) == 1
+        calls.clear()
         re, im = apply_operator(f, xs, cfg)
         assert len(calls) == 1
         assert np.array_equal(re, want[0]) and np.array_equal(im, want[1])
@@ -280,7 +283,7 @@ class TestOneNodeFunctionalPerIndex:
         want = (f.eval(ks / n) * chiv).sum(axis=1) / chiv.sum(axis=1)
 
         counting = CountingSpec(f)
-        got = op_A(counting.spec, xs, OperatorConfig("A", n, interval=(a, b)))
+        got = apply_operator(counting.spec, xs, OperatorConfig("A", n, interval=(a, b)))
         assert np.array_equal(got, want)
         assert counting.points <= ks.max() - ks.min() + 1
 
@@ -315,11 +318,18 @@ class TestOneNodeFunctionalPerIndex:
         # an arange over k_min..k_max would need about 1.6e8 nodes here
         self.check_line(family, np.array([-1e6, 0.3, 1e6]))
 
-    @pytest.mark.parametrize("family", ["B", "C", "D"])
+    @pytest.mark.parametrize("family", ["A", "B", "C", "D"])
     def test_nan_point_gives_nan(self, family):
-        cfg, _, _ = self.line_rule(family)
-        got = apply_operator(SIN_LINE, np.array([0.3, np.nan]), cfg)
-        assert got[0] == apply_operator(SIN_LINE, 0.3, cfg)
+        if family == "A":
+            f, cfg = SIN_INT, OperatorConfig("A", self.N, interval=SIN_INT.domain)
+        else:
+            f, (cfg, _, _) = SIN_LINE, self.line_rule(family)
+        # no warning either: the window indices stay floats, so a nan x is
+        # never cast to an integer
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = apply_operator(f, np.array([0.3, np.nan]), cfg)
+        assert got[0] == apply_operator(f, 0.3, cfg)
         assert np.isnan(got[1])
 
 
@@ -333,5 +343,20 @@ class TestConfig:
             OperatorConfig("A", 8)
 
     def test_apply_operator_dispatch(self):
-        cfg = OperatorConfig("B", 16)
-        assert apply_operator(SIN_LINE, 0.3, cfg) == op_B(SIN_LINE, 0.3, cfg)
+        # one entry point: cfg.family picks the node rule, a scalar x gives a
+        # float and an array x the same value elementwise
+        x, n = 0.3, 16
+        wts = QuadratureWeights.uniform(4)
+        cases = [
+            (SIN_INT, OperatorConfig("A", n, interval=(-math.pi, math.pi)),
+             op_a_oracle(math.sin, x, n, -math.pi, math.pi), 1e-13),
+            (SIN_LINE, OperatorConfig("B", n), op_b_oracle(math.sin, x, n), 1e-13),
+            (SIN_LINE, OperatorConfig("C", n), op_c_oracle(math.sin, x, n), 1e-11),
+            (SIN_LINE, OperatorConfig("D", n, weights=wts),
+             op_d_oracle(math.sin, x, n, wts), 1e-13),
+        ]
+        for f, cfg, want, tol in cases:
+            got = apply_operator(f, x, cfg)
+            assert isinstance(got, float)
+            assert got == apply_operator(f, np.array([x]), cfg)[0]
+            assert abs(got - want) <= tol
