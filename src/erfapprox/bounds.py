@@ -397,24 +397,21 @@ def _deviation(f, x, cfg: OperatorConfig, taylor_order: int = 0):
 
 
 def _sup_error(f, cfg: OperatorConfig, window: Tuple[float, float], grid: GridPolicy,
-               memo: Optional[dict] = None) -> float:
+               memo: dict) -> float:
     """Grid sup of |Op f - f| over window, on the refined grid of
     2 * x_points - 1 points when grid.refinement is on (its even samples
     are the x_points grid, so the coarse maximum is never larger).
 
-    With a memo dict, each distinct (f, cfg, window, grid resolution) is
-    measured once and later calls read the stored float.  Threads sharing
-    the dict may both measure a key; they store the same float.
+    Each distinct (f, cfg, window, grid resolution) is measured once and
+    later calls read the float stored in memo.  Threads sharing the dict
+    may both measure a key; they store the same float.
     """
-    if memo is not None:
-        key = (f, cfg, window, grid.x_points, grid.refinement)
-        if key not in memo:
-            memo[key] = _sup_error(f, cfg, window, grid)
-        return memo[key]
-
-    points = 2 * grid.x_points - 1 if grid.refinement else grid.x_points
-    xs = np.linspace(window[0], window[1], points)
-    return float(np.max(_deviation(f, xs, cfg)))
+    key = (f, cfg, window, grid.x_points, grid.refinement)
+    if key not in memo:
+        points = 2 * grid.x_points - 1 if grid.refinement else grid.x_points
+        xs = np.linspace(window[0], window[1], points)
+        memo[key] = float(np.max(_deviation(f, xs, cfg)))
+    return memo[key]
 
 
 def fit_rate(points: Sequence[Tuple[float, float]]) -> Tuple[float, float]:
@@ -531,9 +528,9 @@ def verify(
     """Measure empirical operator error against the theorem's bound for
     every n in the sweep; one report row per n and operator family.
 
-    ``sup_errors``, a dict shared by the calls of one run, stores each
-    distinct grid-sup error so that rows measuring the same operator image
-    reuse it.
+    ``sup_errors``, a dict shared by the calls of one run (a fresh one per
+    call when omitted), stores each distinct grid-sup error so that rows
+    measuring the same operator image reuse it.
 
     A row whose error or bound is not finite (a pole, an overflow) at any
     of its points gets the verdict "non-finite" instead of a comparison.
@@ -553,6 +550,8 @@ def verify(
             raise PreconditionViolated(
                 f"{theorem_id} needs {lo:g} < {th.param} < {hi:g}, got {value}"
             )
+    if sup_errors is None:
+        sup_errors = {}
     rows: List[BoundReport] = []
     for n in sweep:
         rows.extend(_verify_one(theorem_id, th, f, int(n), rate_exponent, grid,

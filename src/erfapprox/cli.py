@@ -14,6 +14,7 @@ as inconclusive, not failures), 1 at least one row violated a bound,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from importlib import resources
@@ -47,21 +48,19 @@ def _load_config(args) -> ExperimentConfig:
         if args.jobs < 1:
             raise ConfigError("jobs", "must be >= 1")
         updates["jobs"] = args.jobs
-    if updates:
-        cfg = ExperimentConfig(**{**cfg.__dict__, **updates})
-    return cfg
+    return dataclasses.replace(cfg, **updates)
 
 
 def _restrict(cfg: ExperimentConfig, theorems) -> ExperimentConfig:
     kept = tuple(t for t in cfg.theorems if t in theorems)
-    return ExperimentConfig(**{**cfg.__dict__, "theorems": kept})
+    return dataclasses.replace(cfg, theorems=kept)
 
 
-def _emit(result: RunResult, cfg: ExperimentConfig, extra: Optional[dict] = None) -> int:
+def _emit(result: RunResult, cfg: ExperimentConfig) -> int:
     if cfg.csv_path:
         write_csv(result, cfg.csv_path)
     if cfg.json_path:
-        write_json(result, cfg.json_path, extra=extra)
+        write_json(result, cfg.json_path)
     print(
         f"rows={len(result.rows)} holds={result.held} "
         f"violated={result.violated} inconclusive={result.inconclusive} "

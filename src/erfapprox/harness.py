@@ -31,13 +31,16 @@ CSV_COLUMNS = (
     "slope", "r2",
 )
 
-# the keys a config may name, at the top level and inside grid and output;
-# GridPolicy.pointwise_points is not one: a config run uses each theorem's
-# default mode, and no default mode reads it
+# the keys a config may name, at the top level, inside grid and output, and
+# in a builtin or an expr function entry; GridPolicy.pointwise_points is not
+# one: a config run uses each theorem's default mode, and no default mode
+# reads it
 CONFIG_KEYS = ("schema_version", "functions", "theorems", "sweep", "rate_exponents",
                "fractional_orders", "highorder_orders", "grid", "output")
 GRID_KEYS = ("x_points", "refinement", "anchors", "table_points")
 OUTPUT_KEYS = ("csv", "json")
+BUILTIN_KEYS = ("id", "builtin")
+EXPR_KEYS = ("id", "expr", "domain", "orders", "exact_modulus", "sup_norm", "grid_window")
 
 
 @dataclass(frozen=True)
@@ -111,6 +114,8 @@ class ExperimentConfig:
             seen.add(spec["id"])
             if "builtin" not in spec and "expr" not in spec:
                 raise ConfigError(f"functions[{i}]", "needs 'builtin' or 'expr'")
+            # expr decides the kind, so an entry with both fails on its 'builtin'
+            _known_keys(f"functions[{i}].", spec, EXPR_KEYS if "expr" in spec else BUILTIN_KEYS)
 
         grid_raw = raw.get("grid", {})
         if not isinstance(grid_raw, dict):
@@ -122,8 +127,9 @@ class ExperimentConfig:
             anchors=int(grid_raw.get("anchors", 33)),
             table_points=int(grid_raw.get("table_points", 513)),
         )
-        if grid.x_points < 2:
-            raise ConfigError("grid.x_points", "must be >= 2")
+        for key, least in (("x_points", 2), ("anchors", 1), ("table_points", 2)):
+            if getattr(grid, key) < least:
+                raise ConfigError(f"grid.{key}", f"must be >= {least}")
 
         output = raw.get("output", {})
         if not isinstance(output, dict):
@@ -346,7 +352,7 @@ def write_csv(result: RunResult, path: str):
             fh.write(",".join(_fmt(row[c]) for c in CSV_COLUMNS) + "\n")
 
 
-def write_json(result: RunResult, path: str, extra: Optional[dict] = None):
+def write_json(result: RunResult, path: str):
     doc = {
         "schema_version": SCHEMA_VERSION,
         "summary": {
@@ -359,8 +365,6 @@ def write_json(result: RunResult, path: str, extra: Optional[dict] = None):
         "rows": [dict(r) for r in result.rows],
         "skipped": [dict(s) for s in result.skipped],
     }
-    if extra:
-        doc.update(extra)
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -4,15 +4,17 @@ Every family computes
 
     Op f(x) = sum_k L_k(f) chi(nx - k)
 
-over the window of indices round(nx) + offsets that the truncation
-policy certifies, and differs from the others only in its node
-functional L_k(f) = sum_j w_j f(k/n + t_j) (``_node_rule``):
+over the window of indices round(nx) + offsets of radius
+``partition.RADIUS``, and differs from the others only in its node
+functional L_k(f) = sum_j w_j f(k/n + t_j) (``_node_rule``).  An
+``OperatorConfig`` takes its family's parameters and no others:
 
-* A: interval quasi-interpolation, L_k(f) = f(k/n) with k restricted to
-  [ceil(na), floor(nb)] and the sum divided by the window's chi sum.
-* B: whole-line quasi-interpolation, L_k(f) = f(k/n).
-* C: Kantorovich variant, L_k(f) the cell mean of f over [k/n, (k+1)/n].
-* D: quadrature variant, L_k(f) a convex sub-cell combination.
+* A (n, [a, b]): interval quasi-interpolation, L_k(f) = f(k/n) with k
+  restricted to [ceil(na), floor(nb)] and the sum divided by the
+  window's chi sum.
+* B (n): whole-line quasi-interpolation, L_k(f) = f(k/n).
+* C (n): Kantorovich variant, L_k(f) the cell mean of f over [k/n, (k+1)/n].
+* D (n, weights): quadrature variant, L_k(f) a convex sub-cell combination.
 
 ``apply_operator`` accepts a scalar x or a 1-D array of x values, and a
 real FunctionSpec or a ComplexFunctionSpec.  It builds the kernel (the
@@ -23,7 +25,7 @@ to every part of f, so a complex f gets the pair (Op re, Op im).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -36,8 +38,12 @@ from .errors import (
     UnboundedFunction,
 )
 from .funcs import ComplexFunctionSpec, FunctionSpec
-from .partition import DEFAULT_POLICY, IndexWindow, TruncationPolicy, _window_offsets
+from .partition import RADIUS, _window_offsets, index_window
 from .special_functions import chi
+
+#: Gauss-Legendre order of C's cell mean
+KANTOROVICH_NODES = 8
+
 
 @dataclass(frozen=True)
 class QuadratureWeights:
@@ -71,8 +77,6 @@ class OperatorConfig:
     family: str
     n: int
     interval: Optional[Tuple[float, float]] = None
-    truncation: TruncationPolicy = field(default_factory=lambda: DEFAULT_POLICY)
-    kantorovich_nodes: int = 8
     weights: Optional[QuadratureWeights] = None
 
     def __post_init__(self):
@@ -86,11 +90,14 @@ class OperatorConfig:
             a, b = self.interval
             if not a < b:
                 raise PreconditionViolated(f"need a < b, got [{a}, {b}]")
-            IndexWindow.for_interval(self.n, a, b)
-        if self.family == "C" and self.kantorovich_nodes < 2:
-            raise PreconditionViolated("kantorovich_nodes must be >= 2")
-        if self.family == "D" and self.weights is None:
-            raise PreconditionViolated("family D needs quadrature weights")
+            index_window(self.n, a, b)
+        elif self.interval is not None:
+            raise PreconditionViolated(f"family {self.family} takes no interval")
+        if self.family == "D":
+            if self.weights is None:
+                raise PreconditionViolated("family D needs quadrature weights")
+        elif self.weights is not None:
+            raise PreconditionViolated(f"family {self.family} takes no weights")
 
 
 def _at_nodes(functional, ks: np.ndarray) -> np.ndarray:
@@ -111,11 +118,11 @@ def _node_rule(cfg: OperatorConfig) -> Tuple[np.ndarray, np.ndarray]:
     """(t, w) of the family's node functional L_k(f) = sum_j w_j f(k/n + t_j).
 
     A and B sample f(k/n); C takes the cell mean by fixed-order
-    Gauss-Legendre (cfg.kantorovich_nodes); D combines the sub-cell nodes
+    Gauss-Legendre (KANTOROVICH_NODES); D combines the sub-cell nodes
     k/n + r/(n*theta) with cfg.weights.
     """
     if cfg.family == "C":
-        glx, glw = leggauss(cfg.kantorovich_nodes)
+        glx, glw = leggauss(KANTOROVICH_NODES)
         return (glx + 1.0) / (2.0 * cfg.n), glw / 2.0
     if cfg.family == "D":
         wts = cfg.weights
@@ -128,12 +135,11 @@ def apply_operator(f: FunctionSpec, x, cfg: OperatorConfig):
     """Op f at x for cfg's family; the pair (Op re, Op im) for a complex f."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     n = cfg.n
-    radius = cfg.truncation.radius()
     if cfg.family == "A":
         a, b = cfg.interval
         if np.any(xs < a) or np.any(xs > b):
             raise DomainViolation(f"x outside [{a}, {b}]")
-        offsets = np.arange(-radius, radius + 1, dtype=float)
+        offsets = np.arange(-RADIUS, RADIUS + 1, dtype=float)
     else:
         for p in f.parts:
             if p.sup_norm is None:
@@ -141,18 +147,18 @@ def apply_operator(f: FunctionSpec, x, cfg: OperatorConfig):
                     f"{p.name}: family {cfg.family} needs a finite sup_norm "
                     "for its truncation certificate"
                 )
-        offsets = _window_offsets(radius)
+        offsets = _window_offsets(RADIUS)
 
     u = n * xs
     ks = np.round(u)[:, None] + offsets[None, :]
     chiv = chi(u[:, None] - ks)
     den = 1.0
     if cfg.family == "A":
-        win = IndexWindow.for_interval(n, a, b)
-        valid = (ks >= win.lo) & (ks <= win.hi)
+        lo, hi = index_window(n, a, b)
+        valid = (ks >= lo) & (ks <= hi)
         chiv = np.where(valid, chiv, 0.0)
         den = chiv.sum(axis=1)
-        ks = np.clip(ks, win.lo, win.hi)
+        ks = np.clip(ks, lo, hi)
     t, w = _node_rule(cfg)
 
     def image(p):

@@ -3,8 +3,9 @@
 The density satisfies sum_k chi(nx - k) = 1 for every n and x; the
 operators only ever see finite windows of that sum, so this module owns
 
-* certified truncation of the infinite sum (via the mean-value envelope
-  chi(t) < exp(-(t-1)^2)/sqrt(pi) for t >= 1),
+* the certified radius ``RADIUS`` of every truncated window (via the
+  mean-value envelope chi(t) < exp(-(t-1)^2)/sqrt(pi) for t >= 1) and
+  the interval index window ceil(na)..floor(nb),
 * the interval denominator sum over ceil(na) <= k <= floor(nb) and its
   lower bound chi(1),
 * the doubly-exponential tail mass of indices with |nx - k| >= n^(1-alpha)
@@ -17,7 +18,6 @@ operators only ever see finite windows of that sum, so this module owns
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -27,86 +27,58 @@ from .errors import PreconditionViolated, WindowEmpty
 from .special_functions import SQRT_PI, chi, erf_antiderivative
 
 
-@dataclass(frozen=True)
-class IndexWindow:
-    """Inclusive integer index range; interval mode uses ceil(na)..floor(nb)."""
-
-    lo: int
-    hi: int
-
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise WindowEmpty(f"empty index window [{self.lo}, {self.hi}]")
-
-    @staticmethod
-    def for_interval(n: int, a: float, b: float) -> "IndexWindow":
-        lo = math.ceil(n * a)
-        hi = math.floor(n * b)
-        if lo > hi:
-            raise WindowEmpty(
-                f"ceil({n}*{a}) = {lo} > floor({n}*{b}) = {hi}; n too small for [{a}, {b}]"
-            )
-        return IndexWindow(lo, hi)
+def index_window(n: int, a: float, b: float) -> Tuple[int, int]:
+    """Inclusive index range (ceil(na), floor(nb)) of the interval mode."""
+    lo = math.ceil(n * a)
+    hi = math.floor(n * b)
+    if lo > hi:
+        raise WindowEmpty(
+            f"ceil({n}*{a}) = {lo} > floor({n}*{b}) = {hi}; n too small for [{a}, {b}]"
+        )
+    return lo, hi
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """Replaces sums over all of Z by a certified finite window.
+def certified_radius(epsilon: float) -> int:
+    """Smallest R from 3 up with the chi-tail mass beyond |t| >= R below epsilon.
 
-    ``epsilon`` is the admissible neglected tail mass, in (0, 1); the
-    derived radius R is the smallest integer from 3 up whose envelope tail
-    bound is below epsilon.  The floor of 3 means every epsilon above
-    about 0.021 gets radius 3.
+    Both tails of sum_{|k - u| >= R} chi(k - u) are bounded via the
+    Gaussian envelope by (2/sqrt(pi)) e^{-(R-1)^2} / (1 - e^{-2(R-1)}).
+    The floor of 3 means every epsilon above about 0.021 gets radius 3.
     """
-
-    epsilon: float = 1e-14
-    max_radius: int = 100
-
-    def __post_init__(self):
-        if not 0.0 < self.epsilon < 1.0:
-            raise PreconditionViolated(
-                f"truncation epsilon must lie in (0, 1), got {self.epsilon!r}"
-            )
-        if self.radius() > self.max_radius:
-            raise PreconditionViolated(
-                f"epsilon {self.epsilon} needs radius > max_radius {self.max_radius}"
-            )
-
-    def radius(self) -> int:
-        """Smallest R with the chi-tail mass beyond |t| >= R below epsilon.
-
-        Both tails of sum_{|k - u| >= R} chi(k - u) are bounded via the
-        Gaussian envelope by (2/sqrt(pi)) e^{-(R-1)^2} / (1 - e^{-2(R-1)}).
-        """
-        for r in range(3, self.max_radius + 1):
-            tail = (2.0 / SQRT_PI) * math.exp(-((r - 1) ** 2)) / (1.0 - math.exp(-2.0 * (r - 1)))
-            if tail < self.epsilon:
-                return r
-        return self.max_radius + 1
+    if not 0.0 < epsilon < 1.0:
+        raise PreconditionViolated(f"truncation epsilon must lie in (0, 1), got {epsilon!r}")
+    r = 3
+    # e^{-(R-1)^2} underflows to 0 by R = 29, so every positive epsilon stops
+    while (2.0 / SQRT_PI) * math.exp(-((r - 1) ** 2)) / (1.0 - math.exp(-2.0 * (r - 1))) >= epsilon:
+        r += 1
+    return r
 
 
-DEFAULT_POLICY = TruncationPolicy()
+#: neglected chi-tail mass of every window sum, and the radius it certifies
+TRUNCATION_EPSILON = 1e-14
+RADIUS = certified_radius(TRUNCATION_EPSILON)
 
 
 def _window_offsets(radius: int) -> np.ndarray:
-    # Offsets ordered center-outward in pairs so the doubly-exponentially
-    # decaying terms accumulate small-to-large when summed in reverse.
+    # Offsets centre-outward in pairs (0, -1, 1, ..., -R, R).  The order
+    # is fixed so that every window sum adds its terms in the same order
+    # and stays reproducible bit for bit.
     offs = [0]
     for r in range(1, radius + 1):
         offs.extend((-r, r))
     return np.array(offs, dtype=float)
 
 
-def partition_sum(x, n: int, policy: TruncationPolicy = DEFAULT_POLICY):
+def partition_sum(x, n: int):
     """Truncated sum_k chi(nx - k) over the window centered at round(nx).
 
-    Equals 1 to within policy.epsilon for every n >= 1 and real x.
+    Equals 1 to within TRUNCATION_EPSILON for every n >= 1 and real x.
     Accepts scalar or array x.
     """
     if n < 1:
         raise PreconditionViolated("n must be >= 1")
     u = np.atleast_1d(np.asarray(x, dtype=float)) * n
-    offs = _window_offsets(policy.radius())
+    offs = _window_offsets(RADIUS)
     terms = chi(u[:, None] - (np.round(u)[:, None] + offs[None, :]))
     # reversed order: outermost (smallest) terms first
     total = terms[:, ::-1].sum(axis=1)
@@ -118,8 +90,8 @@ def interval_denominator(x, n: int, a: float, b: float):
 
     Strictly above chi(1) ~= 0.2488 for x in [a, b], and at most 1.
     """
-    win = IndexWindow.for_interval(n, a, b)
-    ks = np.arange(win.lo, win.hi + 1, dtype=float)
+    lo, hi = index_window(n, a, b)
+    ks = np.arange(lo, hi + 1, dtype=float)
     u = np.atleast_1d(np.asarray(x, dtype=float)) * n
     total = chi(u[:, None] - ks[None, :]).sum(axis=1)
     return float(total[0]) if np.ndim(x) == 0 else total
@@ -145,25 +117,24 @@ def tail_core(n: int, exponent: float) -> float:
     return math.exp(-((t - 2.0) ** 2)) / (SQRT_PI * (t - 2.0))
 
 
-def _tail_indices(x: float, n: int, alpha: float, policy: TruncationPolicy):
+def _tail_indices(x: float, n: int, alpha: float):
     """(nx, t, k): the indices k with |nx - k| >= t = n^(1-alpha), taken on
-    both sides out to the policy radius beyond t, where the envelope has
-    dropped below the policy tail."""
+    both sides out to RADIUS beyond t, where the envelope has dropped
+    below TRUNCATION_EPSILON."""
     t = _check_tail_hypothesis(n, alpha)
     u = float(x) * n
-    extra = policy.radius()
     ks = np.concatenate(
         [
-            np.arange(math.ceil(u + t), math.ceil(u + t + extra) + 1, dtype=float),
-            np.arange(math.floor(u - t - extra), math.floor(u - t) + 1, dtype=float),
+            np.arange(math.ceil(u + t), math.ceil(u + t + RADIUS) + 1, dtype=float),
+            np.arange(math.floor(u - t - RADIUS), math.floor(u - t) + 1, dtype=float),
         ]
     )
     return u, t, ks[np.abs(u - ks) >= t]
 
 
-def tail_sum(x: float, n: int, alpha: float, policy: TruncationPolicy = DEFAULT_POLICY) -> float:
+def tail_sum(x: float, n: int, alpha: float) -> float:
     """Mass of chi(nx - k) over indices with |nx - k| >= n^(1-alpha)."""
-    u, _, ks = _tail_indices(x, n, alpha, policy)
+    u, _, ks = _tail_indices(x, n, alpha)
     return float(np.sort(chi(u - ks)).sum())
 
 
@@ -172,9 +143,7 @@ def tail_bound(n: int, alpha: float) -> float:
     return tail_core(n, alpha) / 2.0
 
 
-def tail_comparison(
-    x: float, n: int, alpha: float, policy: TruncationPolicy = DEFAULT_POLICY
-) -> Tuple[float, float]:
+def tail_comparison(x: float, n: int, alpha: float) -> Tuple[float, float]:
     """(tail sum, tail bound), both rescaled by e^{(t-2)^2}.
 
     The shared exponential factor makes the strict inequality checkable in
@@ -182,7 +151,7 @@ def tail_comparison(
     Each chi term is expanded through erfcx, the scaled complementary
     error function, so no intermediate quantity over- or underflows.
     """
-    u, t, ks = _tail_indices(x, n, alpha, policy)
+    u, t, ks = _tail_indices(x, n, alpha)
     v = np.abs(u - ks)              # all >= t >= 3, so chi is on its outer flank
     s = (t - 2.0) ** 2
     # chi(v) = (erfc(v-1) - erfc(v+1)) / 4 for v >= 1; rescaling each erfc

@@ -83,12 +83,36 @@ class TestConfigValidation:
         ({"grid": {"x_point": 64}}, "grid.x_point"),
         ({"output": {"cvs": "a.csv"}}, "output.cvs"),
         ({"grid": {"pointwise_points": 9}}, "grid.pointwise_points"),
+        # an estimated modulus in place of the misspelt exact one
+        ({"functions": [{"id": "g", "expr": "sin(x)", "domain": [0.0, 1.0],
+                         "exact_modulu": "sine_rising"}]}, "functions[0].exact_modulu"),
+        # the builtin's own domain in place of this one
+        ({"functions": [{"id": "s", "builtin": "sin", "domain": [0.0, 1.0]}]},
+         "functions[0].domain"),
+        # expr in place of builtin
+        ({"functions": [{"id": "s", "builtin": "sin", "expr": "cos(x)", "domain": [0.0, 1.0]}]},
+         "functions[0].builtin"),
     ])
     def test_unknown_key_is_named(self, overrides, field):
         # each of these used to load without a word and never take effect
         with pytest.raises(ConfigError) as exc:
             cfg_with(**overrides)
         assert exc.value.field == field
+
+    def test_expr_entry_takes_every_key_it_reads(self):
+        spec = {"id": "g", "expr": "sin(x)", "domain": [0.0, 1.0], "orders": 1,
+                "exact_modulus": "sine_rising", "sup_norm": 1.0, "grid_window": [0.0, 1.0]}
+        assert cfg_with(functions=[spec]).functions == (spec,)
+
+    @pytest.mark.parametrize("key, value", [
+        ("x_points", 1), ("anchors", 0), ("table_points", 1),
+    ])
+    def test_grid_size_below_its_least_is_rejected(self, key, value):
+        # anchors 0 and table_points 1 used to crash run_verify on T30 with
+        # a bare ValueError
+        with pytest.raises(ConfigError) as exc:
+            cfg_with(grid={key: value})
+        assert exc.value.field == f"grid.{key}"
 
     def test_packaged_default_loads(self):
         path = Path(erfapprox.__file__).parent / "default.yaml"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from erfapprox import operators
+from erfapprox import operators, partition
 from erfapprox.corpus import (
     COMPLEX_INTERVAL_CORPUS,
     COMPLEX_LINE_CORPUS,
@@ -212,7 +212,8 @@ class TestComplex:
             xs = np.linspace(*f.domain, 101)
         else:
             f = COMPLEX_LINE_CORPUS["circle"]
-            cfg = OperatorConfig(family, 32, weights=QuadratureWeights.uniform(4))
+            weights = QuadratureWeights.uniform(4) if family == "D" else None
+            cfg = OperatorConfig(family, 32, weights=weights)
             xs = np.linspace(-2.0, 2.0, 101)
         want = [apply_operator(p, xs, cfg) for p in f.parts]
 
@@ -267,7 +268,7 @@ def dense_line(f, xs, n, radius, offsets, weights):
 
 class TestOneNodeFunctionalPerIndex:
     N = 81
-    RADIUS = OperatorConfig("B", 81).truncation.radius()
+    RADIUS = partition.RADIUS
 
     def test_op_a(self):
         f = SIN_INT
@@ -289,15 +290,16 @@ class TestOneNodeFunctionalPerIndex:
 
     def line_rule(self, family):
         n = self.N
-        cfg = OperatorConfig(family, n, weights=QuadratureWeights.uniform(4))
+        wts = QuadratureWeights.uniform(4) if family == "D" else None
+        cfg = OperatorConfig(family, n, weights=wts)
         if family == "B":
             offsets, weights = np.zeros(1), np.ones(1)
         elif family == "C":
-            glx, glw = np.polynomial.legendre.leggauss(cfg.kantorovich_nodes)
+            glx, glw = np.polynomial.legendre.leggauss(operators.KANTOROVICH_NODES)
             offsets, weights = (glx + 1.0) / (2.0 * n), glw / 2.0
         else:
             offsets = np.arange(5, dtype=float) / (n * 4)
-            weights = np.asarray(cfg.weights.w)
+            weights = np.asarray(wts.w)
         return cfg, offsets, weights
 
     def check_line(self, family, xs):
@@ -341,6 +343,19 @@ class TestConfig:
     def test_interval_required_for_a(self):
         with pytest.raises(PreconditionViolated):
             OperatorConfig("A", 8)
+
+    @pytest.mark.parametrize("family, kw", [
+        ("B", {"interval": (0.0, 1.0)}),
+        ("C", {"interval": (0.0, 1.0)}),
+        ("D", {"interval": (0.0, 1.0), "weights": QuadratureWeights.uniform(4)}),
+        ("A", {"interval": (0.0, 1.0), "weights": QuadratureWeights.uniform(4)}),
+        ("B", {"weights": QuadratureWeights.uniform(4)}),
+        ("C", {"weights": QuadratureWeights.uniform(4)}),
+    ])
+    def test_knob_the_family_ignores_is_rejected(self, family, kw):
+        # each of these used to be kept and never read
+        with pytest.raises(PreconditionViolated):
+            OperatorConfig(family, 16, **kw)
 
     def test_apply_operator_dispatch(self):
         # one entry point: cfg.family picks the node rule, a scalar x gives a

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from erfapprox.errors import PreconditionViolated, WindowEmpty
 from erfapprox.partition import (
-    DEFAULT_POLICY,
-    IndexWindow,
-    TruncationPolicy,
+    RADIUS,
+    TRUNCATION_EPSILON,
     boundary_deficiency,
+    certified_radius,
     chi_integral,
+    index_window,
     interval_denominator,
     partition_sum,
     tail_bound,
@@ -104,24 +105,23 @@ class TestDenominator:
 
     def test_empty_window(self):
         with pytest.raises(WindowEmpty):
-            IndexWindow.for_interval(1, 0.3, 0.7)
+            index_window(1, 0.3, 0.7)
 
 
 class TestTruncationPolicy:
     def test_radius_covers_epsilon(self):
         # envelope chi(r) < exp(-(r-1)^2)/sqrt(pi) must be below epsilon
-        r = DEFAULT_POLICY.radius()
-        assert chi(float(r)) < DEFAULT_POLICY.epsilon
+        assert chi(float(RADIUS)) < TRUNCATION_EPSILON
 
     def test_tighter_epsilon_wider_radius(self):
-        assert TruncationPolicy(epsilon=1e-20).radius() >= DEFAULT_POLICY.radius()
+        assert certified_radius(1e-20) >= RADIUS
 
     @pytest.mark.parametrize("epsilon", [math.inf, math.nan, 1.0, 10.0, 0.0, -1e-14])
     def test_rejects_epsilon_outside_unit_interval(self, epsilon):
         # inf and 10 used to get radius 3 without a word
         with pytest.raises(PreconditionViolated):
-            TruncationPolicy(epsilon=epsilon)
+            certified_radius(epsilon)
 
     def test_radius_floor_is_three(self):
-        assert TruncationPolicy(epsilon=0.5).radius() == 3
-        assert TruncationPolicy(epsilon=0.02).radius() == 4
+        assert certified_radius(0.5) == 3
+        assert certified_radius(0.02) == 4

@@ -1,9 +1,11 @@
-"""README's library example runs, and every exported name resolves."""
+"""README's library example runs, its config key lists match the schema,
+and every exported name resolves."""
 
 import re
 from pathlib import Path
 
 import erfapprox
+from erfapprox import harness
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -18,6 +20,23 @@ def test_library_example_runs():
     scope = {}
     exec(compile(library_block(), str(README), "exec"), scope)
     assert all(r.verdict == "holds" for r in scope["rows"])
+
+
+def test_config_key_lists_match_the_schema():
+    text = README.read_text()
+    section = text[text.index("## Configuration"):]
+    block = re.search(r"```text\n(.*?)```", section, re.S).group(1)
+    listed = {}
+    for line in block.splitlines():
+        label, keys = line.split(":")
+        listed[label] = tuple(k.strip() for k in keys.split(","))
+    assert listed == {
+        "top level": harness.CONFIG_KEYS,
+        "grid": harness.GRID_KEYS,
+        "output": harness.OUTPUT_KEYS,
+        "builtin function": harness.BUILTIN_KEYS,
+        "expr function": harness.EXPR_KEYS,
+    }
 
 
 def test_every_exported_name_resolves():
