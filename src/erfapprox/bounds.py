@@ -3,9 +3,10 @@ measurement, verdicts, and convergence-rate fitting.
 
 Theorem ids:
 
-* T12/T13/T14/T15: first-order Jackson bounds for the A/B/C/D operators.
+* T12/T13/T14/T15: first-order Jackson bounds for the A/B/C/D operators,
+  one core at the modulus step n^-alpha (A, B) or 1/n + n^-alpha (C, D).
 * T16: high-order bound for the interval operator using derivatives 1..N.
-* T30, C31, C33: fractional bounds built from Caputo derivative moduli.
+* T30, C31, C33: fractional bounds from Caputo moduli and T16's Taylor sum.
 * T36/T37/T38/T41: complex-valued companions (componentwise ingredients
   added); T39: complex fractional companion.
 
@@ -66,18 +67,41 @@ def _verdict(empirical: float, bound: float, quality: str) -> str:
     return "violated" if quality == "exact" else "inconclusive-estimated"
 
 
+@dataclass(frozen=True)
+class GridPolicy:
+    """x-sampling: grid-sup resolution, pointwise-check resolution, and
+    fractional anchor grid.
+
+    With ``refinement`` the grid sup is taken on the refined grid of
+    2 * x_points - 1 points alone: it holds the x_points grid bit for bit
+    as its even samples, so the coarse pass is read from it, not evaluated
+    again.
+    """
+
+    x_points: int = 2048
+    refinement: bool = True
+    pointwise_points: int = 17
+    anchors: int = 33
+    table_points: int = 513
+
+
 # ------------------------------------------------------- first-order bounds
 
 
-def mu2(f: FunctionSpec, n: int, alpha: float,
-        interval: Optional[Tuple[float, float]] = None):
-    """Line-operator bound omega_1(f, n^-alpha) + ||f|| tail; returns
-    (value, terms, modulus quality)."""
-    delta = float(n) ** (-alpha)
+def _jackson(f: FunctionSpec, n: int, alpha: float, delta: float,
+             interval: Optional[Tuple[float, float]]):
+    """omega_1(f, delta) + ||f|| tail, the first-order bound at the modulus
+    step delta; returns (value, terms, modulus quality)."""
     mq = evaluate_modulus(ModulusQuery(f, delta, interval))
     tail = f.grid_sup_norm() * tail_core(n, alpha)
     terms = {"modulus_term": mq.value, "tail_term": tail}
     return mq.value + tail, terms, mq.quality
+
+
+def mu2(f: FunctionSpec, n: int, alpha: float,
+        interval: Optional[Tuple[float, float]] = None):
+    """Line-operator bound: the Jackson core at the step n^-alpha."""
+    return _jackson(f, n, alpha, float(n) ** (-alpha), interval)
 
 
 def mu1(f: FunctionSpec, n: int, alpha: float,
@@ -91,26 +115,33 @@ def mu1(f: FunctionSpec, n: int, alpha: float,
 
 def mu3(f: FunctionSpec, n: int, alpha: float,
         interval: Optional[Tuple[float, float]] = None):
-    """Kantorovich/quadrature bound: modulus step widened to 1/n + n^-alpha."""
-    delta = 1.0 / n + float(n) ** (-alpha)
-    mq = evaluate_modulus(ModulusQuery(f, delta, interval))
-    tail = f.grid_sup_norm() * tail_core(n, alpha)
-    terms = {"modulus_term": mq.value, "tail_term": tail}
-    return mq.value + tail, terms, mq.quality
+    """Kantorovich/quadrature bound: the Jackson core at the step 1/n + n^-alpha."""
+    return _jackson(f, n, alpha, 1.0 / n + float(n) ** (-alpha), interval)
 
 
 # ------------------------------------------------------- high-order bound
 
 
-def _derivative_values(f: FunctionSpec, N: int, x: float) -> List[float]:
-    return [abs(float(f.derivative(j)(x))) for j in range(1, N + 1)]
-
-
-def _check_critical(f: FunctionSpec, N: int, x: float):
-    """Raise unless f^(j)(x) = 0 (to 1e-12) for j = 1..N."""
-    for j, dv in enumerate(_derivative_values(f, N, x), start=1):
-        if dv > 1e-12:
-            raise CriticalPointViolated(f"{f.name}: |f^({j})({x})| = {dv:.3e} > 1e-12")
+def _taylor_sum(f: FunctionSpec, order: int, mode: str, x: Optional[float], n: int,
+                exponent: float, width: float, tail: float) -> float:
+    """T16's and T30's derivative sum_{j<=order} c_j/j! (n^(-exponent j) + width^j tail)
+    with c_j = |f^(j)(x)| ("pointwise") or ||f^(j)|| ("sup").  "critical" omits
+    it but requires f^(j)(x) = 0 (to 1e-12) for j = 1..order; other modes omit it."""
+    if mode in ("pointwise", "critical"):
+        coeffs = [abs(float(f.derivative(j)(x))) for j in range(1, order + 1)]
+    elif mode == "sup":
+        coeffs = [f.derivative(j).grid_sup_norm() for j in range(1, order + 1)]
+    else:
+        return 0.0
+    if mode == "critical":
+        for j, dv in enumerate(coeffs, start=1):
+            if dv > 1e-12:
+                raise CriticalPointViolated(f"{f.name}: |f^({j})({x})| = {dv:.3e} > 1e-12")
+        return 0.0
+    total = 0.0
+    for j, cj in enumerate(coeffs, start=1):
+        total += (cj / math.factorial(j)) * (float(n) ** (-exponent * j) + width ** j * tail)
+    return total
 
 
 def highorder_bound(
@@ -140,19 +171,7 @@ def highorder_bound(
         mq.value / (float(n) ** (alpha * N) * n_fact)
         + fN.grid_sup_norm() * width ** N / n_fact * tc
     )
-
-    coeffs = []
-    if mode == "critical":
-        _check_critical(f, N, x)
-    elif mode == "pointwise":
-        coeffs = _derivative_values(f, N, x)
-    else:
-        coeffs = [f.derivative(j).grid_sup_norm() for j in range(1, N + 1)]
-    deriv_sum = 0.0
-    for j, cj in enumerate(coeffs, start=1):
-        deriv_sum += (cj / math.factorial(j)) * (
-            float(n) ** (-alpha * j) + width ** j * tc / 2.0
-        )
+    deriv_sum = _taylor_sum(f, N, mode, x, n, alpha, width, tc / 2.0)
 
     value = INV_CHI_AT_ONE * (deriv_sum + final_block)
     terms = {
@@ -226,8 +245,8 @@ def fractional_bound(
     b: float,
     mode: str,
     x: Optional[float] = None,
-    anchors: int = 33,
-    table_points: int = 513,
+    anchors: int = GridPolicy.anchors,
+    table_points: int = GridPolicy.table_points,
 ):
     """Fractional interval-operator bound built from Caputo ingredients.
 
@@ -254,7 +273,6 @@ def fractional_bound(
     gamma_factor = 1.0 / gamma_fn(alpha_frac + 1.0)
     tables = _anchor_tables(f, alpha_frac, a, b, anchors, table_points)
 
-    coeffs = []
     if pointwise:
         if x is None:
             raise PreconditionViolated(f"mode {mode} needs an evaluation point x")
@@ -267,10 +285,6 @@ def fractional_bound(
             (wr + wl) / float(n) ** (alpha_frac * beta)
             + htc * (sr * (x - a) ** alpha_frac + sl * (b - x) ** alpha_frac)
         )
-        if mode == "critical":
-            _check_critical(f, N - 1, x)
-        elif mode == "pointwise":
-            coeffs = _derivative_values(f, N - 1, x)
     else:
         ing = [_anchor_ingredients(d, delta) for d in tables]
         sup_wr, sup_wl, sup_sr, sup_sl = (max(i[k] for i in ing) for k in range(4))
@@ -278,14 +292,7 @@ def fractional_bound(
             (sup_wr + sup_wl) / float(n) ** (alpha_frac * beta)
             + htc * (b - a) ** alpha_frac * (sup_sr + sup_sl)
         )
-        if mode == "sup":
-            coeffs = [f.derivative(j).grid_sup_norm() for j in range(1, N)]
-
-    deriv_sum = 0.0
-    for j, cj in enumerate(coeffs, start=1):
-        deriv_sum += (cj / math.factorial(j)) * (
-            float(n) ** (-beta * j) + (b - a) ** j * htc
-        )
+    deriv_sum = _taylor_sum(f, N - 1, mode, x, n, beta, b - a, htc)
     value = INV_CHI_AT_ONE * (deriv_sum + frac_block)
     terms = {
         "derivative_sum": INV_CHI_AT_ONE * deriv_sum,
@@ -300,8 +307,8 @@ def remark34_check(
     sweep: Sequence[int],
     a: float,
     b: float,
-    anchors: int = 33,
-    table_points: int = 513,
+    anchors: int = GridPolicy.anchors,
+    table_points: int = GridPolicy.table_points,
 ):
     """Certify the linear-modulus premise for the accelerated n^(-3 beta/2)
     uniform rate at fractional order 1/2.
@@ -341,24 +348,6 @@ def complex_bound(f: ComplexFunctionSpec, real_bound, *args, **kw):
 
 
 # ------------------------------------------------------- empirical errors
-
-
-@dataclass(frozen=True)
-class GridPolicy:
-    """x-sampling: grid-sup resolution, pointwise-check resolution, and
-    fractional anchor grid.
-
-    With ``refinement`` the grid sup is taken on the refined grid of
-    2 * x_points - 1 points alone: it holds the x_points grid bit for bit
-    as its even samples, so the coarse pass is read from it, not evaluated
-    again.
-    """
-
-    x_points: int = 2048
-    refinement: bool = True
-    pointwise_points: int = 17
-    anchors: int = 33
-    table_points: int = 513
 
 
 def _monomial_images(x: float, cfg: OperatorConfig, order: int) -> List[float]:

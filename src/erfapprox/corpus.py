@@ -5,6 +5,9 @@ Two views of each shape exist where both make sense: an interval variant
 finite sup norm (for the line operators).  Exact first moduli are
 attached wherever a closed form is available; everything else falls back
 to grid estimation and is flagged as such downstream.
+
+Every derivative chain, hand-built or derived from an expression, is made
+by ``_chain``; sin and cos are one cycle (sin, cos, -sin, -cos) rotated.
 """
 
 from __future__ import annotations
@@ -121,21 +124,6 @@ def _np(fn):
     return lambda t: fn(np.asarray(t, dtype=float))
 
 
-def _const_spec(name, value, domain, depth=2):
-    deriv = None
-    for _ in range(depth):
-        deriv = FunctionSpec(
-            name + "'", _np(lambda t, : np.zeros_like(t)), domain=domain,
-            derivatives=(deriv,) if deriv else (),
-            exact_modulus=lambda d: 0.0, sup_norm=0.0,
-        )
-    return FunctionSpec(
-        name, _np(lambda t: np.full_like(t, value)), domain=domain,
-        derivatives=(deriv, deriv), exact_modulus=lambda d: 0.0,
-        sup_norm=abs(value),
-    )
-
-
 def _chain(name, evals, domain, moduli, sups, grid_window=None):
     """Build a FunctionSpec whose derivatives are the tail of the chain;
     each level is built once and shared by every level above it."""
@@ -154,28 +142,17 @@ def _chain(name, evals, domain, moduli, sups, grid_window=None):
     return spec
 
 
-def _sin_chain(name, domain, grid_window, period_mod=True):
-    evals = [_np(np.sin), _np(np.cos), _np(lambda t: -np.sin(t)), _np(lambda t: -np.cos(t))]
-    if period_mod:
-        mod = _mod_sine_period(None, None)
-        moduli = [mod] * 4
-        sups = [1.0] * 4
-    else:
-        a, b = domain
-        moduli = [
-            _mod_sine_rising(a, b),
-            None,   # cos on [0,1]: estimated
-            None,
-            None,
-        ]
-        sups = [math.sin(b) if b <= math.pi / 2 else 1.0, 1.0, math.sin(b), 1.0]
-    return _chain(name, evals, domain, moduli, sups, grid_window)
+#: sin and its derivatives; cos and its derivatives are the same cycle
+#: rotated by one
+_SINE_CYCLE = [_np(np.sin), _np(np.cos), _np(lambda t: -np.sin(t)), _np(lambda t: -np.cos(t))]
 
 
-def _cos_chain(name, domain, grid_window):
-    evals = [_np(np.cos), _np(lambda t: -np.sin(t)), _np(lambda t: -np.cos(t)), _np(np.sin)]
-    mod = _mod_sine_period(None, None)
-    return _chain(name, evals, domain, [mod] * 4, [1.0] * 4, grid_window)
+def _wave(name, shift, domain, grid_window):
+    """sin (shift 0) or cos (shift 1) with three derivatives, each under the
+    whole-period modulus and sup norm 1."""
+    evals = _SINE_CYCLE[shift:] + _SINE_CYCLE[:shift]
+    return _chain(name, evals, domain, [_mod_sine_period(None, None)] * 4, [1.0] * 4,
+                  grid_window)
 
 
 def _build_interval_corpus() -> Dict[str, FunctionSpec]:
@@ -189,8 +166,8 @@ def _build_interval_corpus() -> Dict[str, FunctionSpec]:
         [_mod_linear(0.0, 1.0), lambda d: 0.0, lambda d: 0.0],
         [1.0, 1.0, 0.0],
     )
-    out["sin"] = _sin_chain("sin", (-pi, pi), None)
-    out["cos"] = _cos_chain("cos", (-pi, pi), None)
+    out["sin"] = _wave("sin", 0, (-pi, pi), None)
+    out["cos"] = _wave("cos", 1, (-pi, pi), None)
     out["abs"] = FunctionSpec(
         "abs", _np(np.abs), domain=(-1.0, 1.0),
         exact_modulus=_mod_vee(-1.0, 1.0), sup_norm=1.0,
@@ -209,7 +186,8 @@ def _build_interval_corpus() -> Dict[str, FunctionSpec]:
         [_mod_parabola(-1.0, 1.0), _mod_linear(-1.0, 1.0, 2.0), lambda d: 0.0],
         [1.0, 2.0, 2.0],
     )
-    out["const"] = _const_spec("const", 1.0, (0.0, 1.0))
+    out["const"] = _chain("const", [_np(np.ones_like), _np(np.zeros_like), _np(np.zeros_like)],
+                          (0.0, 1.0), [lambda d: 0.0] * 3, [1.0, 0.0, 0.0])
     return out
 
 
@@ -222,17 +200,14 @@ def _build_line_corpus() -> Dict[str, FunctionSpec]:
         exact_modulus=_mod_clipped_linear(None, None), sup_norm=_CLIP,
         grid_window=(-_CLIP, _CLIP),
     )
-    out["sin"] = _sin_chain("sin", None, (-pi, pi))
-    out["cos"] = _cos_chain("cos", None, (-pi, pi))
+    out["sin"] = _wave("sin", 0, None, (-pi, pi))
+    out["cos"] = _wave("cos", 1, None, (-pi, pi))
     out["abs"] = FunctionSpec(
         "abs", _np(lambda t: np.minimum(np.abs(t), _CLIP)), domain=None,
         exact_modulus=_mod_clipped_vee(None, None), sup_norm=_CLIP,
         grid_window=(-_CLIP, _CLIP),
     )
-    out["const"] = FunctionSpec(
-        "const", _np(lambda t: np.ones_like(t)), domain=None,
-        exact_modulus=lambda d: 0.0, sup_norm=1.0, grid_window=(-2.0, 2.0),
-    )
+    out["const"] = _chain("const", [_np(np.ones_like)], None, [lambda d: 0.0], [1.0], (-2.0, 2.0))
     return out
 
 
@@ -255,8 +230,12 @@ def _build_fractional_corpus() -> Dict[str, FunctionSpec]:
         [None, None, _mod_linear(0.0, 1.0, 6.0), lambda d: 0.0],
         [1.0, 3.0, 6.0, 6.0],
     )
-    out["sin"] = _sin_chain("sin", (0.0, 1.0), None, period_mod=False)
-    out["const"] = _const_spec("const", 1.0, (0.0, 1.0))
+    # sin on [0, 1] rises inside [0, pi/2]; its derivatives' moduli are estimated
+    out["sin"] = _chain("sin", _SINE_CYCLE, (0.0, 1.0),
+                        [_mod_sine_rising(0.0, 1.0), None, None, None],
+                        [math.sin(1.0), 1.0, math.sin(1.0), 1.0])
+    # the interval variant of const already lives on [0, 1]
+    out["const"] = INTERVAL_CORPUS["const"]
     return out
 
 
@@ -267,17 +246,8 @@ FRACTIONAL_CORPUS = _build_fractional_corpus()
 #: Complex pairs (re, im); variant-matched so both parts share a domain.
 COMPLEX_INTERVAL_CORPUS: Dict[str, ComplexFunctionSpec] = {
     "circle": ComplexFunctionSpec("circle", INTERVAL_CORPUS["cos"], INTERVAL_CORPUS["sin"]),
-    "ramp_pair": ComplexFunctionSpec(
-        "ramp_pair",
-        INTERVAL_CORPUS["linear"],
-        _chain(
-            "sq01",
-            [_np(np.square), _np(lambda t: 2.0 * t), _np(lambda t: np.full_like(t, 2.0))],
-            (0.0, 1.0),
-            [_mod_parabola_right(0.0, 1.0), _mod_linear(0.0, 1.0, 2.0), lambda d: 0.0],
-            [1.0, 2.0, 2.0],
-        ),
-    ),
+    "ramp_pair": ComplexFunctionSpec("ramp_pair", INTERVAL_CORPUS["linear"],
+                                     FRACTIONAL_CORPUS["sq"]),
 }
 
 COMPLEX_LINE_CORPUS: Dict[str, ComplexFunctionSpec] = {

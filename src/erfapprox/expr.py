@@ -12,8 +12,9 @@ Grammar (EBNF):
     number  = digits [ "." digits ] [ ("e" | "E") [sign] digits ] ;
 
 Exponents are numeric literals only, so every expression has closed-form
-derivatives of all orders except through ``abs``.  Evaluation is numpy
-aware; ``erf`` delegates to ``special_functions.erf``.
+derivatives of all orders except through ``abs``.  One table,
+``_FUNCTIONS``, gives each name its numpy evaluation and its derivative;
+``erf`` delegates to ``special_functions.erf``.
 """
 
 from __future__ import annotations
@@ -89,7 +90,18 @@ class Fun:
 
 Node = Union[Num, Var, Neg, Add, Sub, Mul, Div, Pow, Fun]
 
-_FUNCTIONS = ("sin", "cos", "exp", "erf", "abs")
+
+#: each function's numpy evaluation and its derivative at the argument u, as
+#: a tree (None: not differentiable); erf is looked up at call time
+_FUNCTIONS = {
+    "sin": (np.sin, lambda u: Fun("cos", u)),
+    "cos": (np.cos, lambda u: Neg(Fun("sin", u))),
+    "exp": (np.exp, lambda u: Fun("exp", u)),
+    # erf'(u) = 2/sqrt(pi) e^{-u^2}
+    "erf": (lambda u: erf(u),
+            lambda u: _mul(Num(TWO_OVER_SQRT_PI), Fun("exp", Neg(Pow(u, 2.0))))),
+    "abs": (np.abs, None),
+}
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 
 # ---------------------------------------------------------------- parser
@@ -258,17 +270,7 @@ def _eval(node: Node, x):
     if isinstance(node, Pow):
         return np.power(_eval(node.base, x), node.exponent)
     if isinstance(node, Fun):
-        arg = _eval(node.arg, x)
-        if node.name == "sin":
-            return np.sin(arg)
-        if node.name == "cos":
-            return np.cos(arg)
-        if node.name == "exp":
-            return np.exp(arg)
-        if node.name == "erf":
-            return erf(arg)
-        if node.name == "abs":
-            return np.abs(arg)
+        return _FUNCTIONS[node.name][0](_eval(node.arg, x))
     raise TypeError(f"unknown node {node!r}")
 
 
@@ -349,18 +351,10 @@ def _d(node: Node) -> Node:
         return _mul(chain, inner)
     if isinstance(node, Fun):
         inner = _d(node.arg)
-        if node.name == "sin":
-            outer: Node = Fun("cos", node.arg)
-        elif node.name == "cos":
-            outer = Neg(Fun("sin", node.arg))
-        elif node.name == "exp":
-            outer = Fun("exp", node.arg)
-        elif node.name == "erf":
-            # erf'(u) = 2/sqrt(pi) e^{-u^2}
-            outer = _mul(Num(TWO_OVER_SQRT_PI), Fun("exp", Neg(Pow(node.arg, 2.0))))
-        else:
-            raise NonDifferentiable("abs is not differentiable at 0")
-        return _mul(outer, inner)
+        outer = _FUNCTIONS[node.name][1]
+        if outer is None:
+            raise NonDifferentiable(f"{node.name} is not differentiable at 0")
+        return _mul(outer(node.arg), inner)
     raise TypeError(f"unknown node {node!r}")
 
 

@@ -76,20 +76,15 @@ class ExperimentConfig:
             raise ConfigError("schema_version", f"expected {SCHEMA_VERSION}, got {version!r}")
         _known_keys("", raw, CONFIG_KEYS)
 
-        def _list(name, caster, default=None, required=False):
+        def _list(name, kind, required=False):
             if name not in raw:
-                if required:
-                    raise ConfigError(name, "missing")
-                return default
+                raise ConfigError(name, "missing")
             val = raw[name]
             if not isinstance(val, (list, tuple)) or not val and required:
                 raise ConfigError(name, "must be a non-empty list")
-            try:
-                return tuple(caster(v) for v in val)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(name, str(exc))
+            return tuple(_typed(name, v, kind) for v in val)
 
-        theorems = _list("theorems", str, default=tuple(bounds.THEOREMS))
+        theorems = _list("theorems", str) if "theorems" in raw else tuple(bounds.THEOREMS)
         for t in theorems:
             if t not in bounds.THEOREMS:
                 raise ConfigError("theorems", f"unknown theorem id {t!r}")
@@ -99,6 +94,9 @@ class ExperimentConfig:
         exponents = _list("rate_exponents", float, required=True)
         if any(not 0.0 < e < 1.0 for e in exponents):
             raise ConfigError("rate_exponents", "exponents must lie in (0, 1)")
+        # an absent order list keeps the dataclass default
+        orders = {name: _list(name, kind) for name, kind in
+                  (("fractional_orders", float), ("highorder_orders", int)) if name in raw}
 
         functions = raw.get("functions")
         if functions is None:
@@ -116,17 +114,18 @@ class ExperimentConfig:
                 raise ConfigError(f"functions[{i}]", "needs 'builtin' or 'expr'")
             # expr decides the kind, so an entry with both fails on its 'builtin'
             _known_keys(f"functions[{i}].", spec, EXPR_KEYS if "expr" in spec else BUILTIN_KEYS)
+            if "expr" in spec:
+                _check_expr_entry(f"functions[{i}].", spec)
 
         grid_raw = raw.get("grid", {})
         if not isinstance(grid_raw, dict):
             raise ConfigError("grid", "must be a mapping")
         _known_keys("grid.", grid_raw, GRID_KEYS)
-        grid = GridPolicy(
-            x_points=int(grid_raw.get("x_points", 2048)),
-            refinement=bool(grid_raw.get("refinement", True)),
-            anchors=int(grid_raw.get("anchors", 33)),
-            table_points=int(grid_raw.get("table_points", 513)),
-        )
+        # an absent key keeps the GridPolicy default
+        grid = GridPolicy(**{
+            key: _typed(f"grid.{key}", val, bool if key == "refinement" else int)
+            for key, val in grid_raw.items()
+        })
         for key, least in (("x_points", 2), ("anchors", 1), ("table_points", 2)):
             if getattr(grid, key) < least:
                 raise ConfigError(f"grid.{key}", f"must be >= {least}")
@@ -135,18 +134,57 @@ class ExperimentConfig:
         if not isinstance(output, dict):
             raise ConfigError("output", "must be a mapping")
         _known_keys("output.", output, OUTPUT_KEYS)
+        paths = {key: _typed(f"output.{key}", val, str) for key, val in output.items()}
 
         return ExperimentConfig(
             functions=tuple(dict(s) for s in functions),
             theorems=theorems,
             sweep=sweep,
             rate_exponents=exponents,
-            fractional_orders=_list("fractional_orders", float, default=(0.5, 1.5)),
-            highorder_orders=_list("highorder_orders", int, default=(1,)),
             grid=grid,
-            csv_path=output.get("csv"),
-            json_path=output.get("json"),
+            csv_path=paths.get("csv"),
+            json_path=paths.get("json"),
+            **orders,
         )
+
+
+#: each kind of config value: its name in errors and the types it accepts;
+#: a YAML bool is a Python int, so only the bool kind accepts one
+_KINDS = {int: ("an integer", int), float: ("a number", (int, float)),
+          bool: ("a boolean", bool), str: ("a string", str)}
+
+
+def _typed(field: str, value, kind: type):
+    """value (a number as a float), or a ConfigError naming field if value
+    is not of kind."""
+    name, types = _KINDS[kind]
+    if not isinstance(value, types) or isinstance(value, bool) and kind is not bool:
+        raise ConfigError(field, f"must be {name}, got {value!r}")
+    return float(value) if kind is float else value
+
+
+def _check_expr_entry(prefix: str, spec: dict):
+    """Reject an expr function entry whose values have the wrong type or
+    range; the entry itself is kept as written."""
+    _typed(prefix + "expr", spec["expr"], str)
+    for key in ("domain", "grid_window"):
+        if key in spec:
+            window = spec[key]
+            if not isinstance(window, (list, tuple)) or len(window) != 2:
+                raise ConfigError(prefix + key, f"must be [lo, hi], got {window!r}")
+            lo, hi = (_typed(prefix + key, v, float) for v in window)
+            if not lo < hi:
+                raise ConfigError(prefix + key, f"needs lo < hi, got {window!r}")
+    if "orders" in spec and _typed(prefix + "orders", spec["orders"], int) < 0:
+        raise ConfigError(prefix + "orders", "must be >= 0")
+    if "sup_norm" in spec:
+        _typed(prefix + "sup_norm", spec["sup_norm"], float)
+    if "exact_modulus" in spec:
+        name = _typed(prefix + "exact_modulus", spec["exact_modulus"], str)
+        if name not in corpus.EXACT_MODULI:
+            raise ConfigError(prefix + "exact_modulus",
+                              f"unknown modulus shape {name!r}; expected one of "
+                              f"{', '.join(corpus.EXACT_MODULI)}")
 
 
 def _known_keys(prefix: str, mapping: dict, known: Tuple[str, ...]):
@@ -178,7 +216,7 @@ def _resolve(spec: dict, theorem: str):
             return None, "whole-line theorem, function has a compact domain"
         elif spec.get("sup_norm") is None:
             return None, "whole-line theorem needs a declared sup_norm"
-        orders = int(spec.get("orders", 2 if th.bound == "fractional_bound" else 0))
+        orders = spec.get("orders", 2 if th.bound == "fractional_bound" else 0)
         try:
             f = corpus.function_from_expression(
                 fid, spec["expr"], domain=domain, orders=orders,
@@ -225,8 +263,9 @@ def _variants(cfg: ExperimentConfig, theorem: str, f) -> Tuple[List[dict], Optio
 def _precheck(theorem: str, f, n: int, exponent: float, kw: dict) -> Optional[str]:
     """Reason to skip this (theorem, function, n) cell, or None."""
     t = float(n) ** (1.0 - exponent)
-    if t < 3.0:
-        return f"hypothesis n^(1-exponent) >= 3 fails: {n}^{1.0 - exponent:.2f} = {t:.3f}"
+    if t < partition.TAIL_T_MIN:
+        return (f"hypothesis n^(1-exponent) >= {partition.TAIL_T_MIN:g} fails: "
+                f"{n}^{1.0 - exponent:.2f} = {t:.3f}")
     need, have = bounds.THEOREMS[theorem].derivative_order(kw), _derivatives(f)
     if have < need:
         return f"needs derivatives to order {need}, have {have}"
@@ -390,7 +429,7 @@ def run_partition_check(
     rng = np.random.default_rng(0)
     for n in n_list:
         for alpha in alpha_list:
-            if float(n) ** (1.0 - alpha) < 3.0:
+            if float(n) ** (1.0 - alpha) < partition.TAIL_T_MIN:
                 continue
             for x in rng.uniform(-2.0, 2.0, 20):
                 s, bound = partition.tail_comparison(float(x), n, alpha)

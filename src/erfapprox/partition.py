@@ -97,12 +97,17 @@ def interval_denominator(x, n: int, a: float, b: float):
     return float(total[0]) if np.ndim(x) == 0 else total
 
 
+#: the hypothesis of every tail estimate: t = n^(1-alpha) >= TAIL_T_MIN
+TAIL_T_MIN = 3.0
+
+
 def _check_tail_hypothesis(n: int, alpha: float) -> float:
     if not 0.0 < alpha < 1.0:
         raise PreconditionViolated(f"alpha must lie in (0, 1), got {alpha}")
     t = float(n) ** (1.0 - alpha)
-    if t < 3.0:
-        raise PreconditionViolated(f"n^(1-alpha) = {t:.4f} < 3 for n={n}, alpha={alpha}")
+    if t < TAIL_T_MIN:
+        raise PreconditionViolated(
+            f"n^(1-alpha) = {t:.4f} < {TAIL_T_MIN:g} for n={n}, alpha={alpha}")
     return t
 
 

@@ -203,6 +203,33 @@ class TestCli:
         path = write_config(tmp_path, {**BASE, "theorems": ["T99"]})
         assert main(["verify", "--config", path]) == 2
 
+    @pytest.mark.parametrize("overrides, field", [
+        # a bare ValueError and a traceback
+        ({"grid": {"anchors": "abc"}}, "grid.anchors"),
+        # ran with refinement on: bool("false") is True
+        ({"grid": {"refinement": "false"}}, "grid.refinement"),
+        # ran as 2048, n = 16 and n = 1
+        ({"grid": {"x_points": 2048.9}}, "grid.x_points"),
+        ({"sweep": [16.7]}, "sweep"),
+        ({"sweep": [True]}, "sweep"),
+        # a TypeError and a ValueError out of run_verify
+        ({"functions": [{"id": "g", "expr": "x", "domain": 5}]}, "functions[0].domain"),
+        ({"functions": [{"id": "g", "expr": "x", "domain": [0.0, 1.0], "orders": "two"}]},
+         "functions[0].orders"),
+        # every row a skip: "unknown modulus shape", "group failed"
+        ({"functions": [{"id": "g", "expr": "x", "domain": [0.0, 1.0],
+                         "exact_modulus": "lineer"}]}, "functions[0].exact_modulus"),
+        ({"functions": [{"id": "g", "expr": "x", "domain": [1.0, 0.0]}]}, "functions[0].domain"),
+        # open(1, "w") closed the process's stdout
+        ({"output": {"csv": 1}}, "output.csv"),
+        ({"output": {"json": 1}}, "output.json"),
+    ])
+    def test_value_of_the_wrong_type_exits_two_naming_its_field(self, tmp_path, capsys,
+                                                                overrides, field):
+        path = write_config(tmp_path, {**BASE, **overrides})
+        assert main(["verify", "--config", path]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+
     def test_missing_config_exit_two(self):
         assert main(["verify", "--config", "/no/such/file.yaml"]) == 2
 
