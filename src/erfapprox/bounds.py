@@ -187,7 +187,8 @@ def highorder_bound(
 @dataclass(frozen=True)
 class _AnchorData:
     """Per-anchor Caputo ingredients: the derivative tables on both sides
-    and their n-independent sup norms (0 for a missing side)."""
+    and their n-independent sup norms (0 for a missing side).  A table is
+    (grid end points, values): table_modulus needs no more of the grid."""
 
     x: float
     table_right: Optional[Tuple[np.ndarray, np.ndarray]]   # D_{x-} on [a, x]
@@ -199,11 +200,14 @@ class _AnchorData:
 def _anchor_data(f: FunctionSpec, alpha: float, a: float, b: float, x: float,
                  points: int) -> _AnchorData:
     """Caputo tables on both sides of the anchor x, each with its sup."""
-    tr = tl = None
-    if x - a > 1e-12:
-        tr = caputo_table(f, FractionalSpec(alpha, x, "right"), (a, x), points)
-    if b - x > 1e-12:
-        tl = caputo_table(f, FractionalSpec(alpha, x, "left"), (x, b), points)
+
+    def side_table(side, sub):
+        xs, values = caputo_table(f, FractionalSpec(alpha, x, side), sub, points)
+        # a copy of the two end points, so the full grid is freed
+        return xs[[0, -1]], values
+
+    tr = side_table("right", (a, x)) if x - a > 1e-12 else None
+    tl = side_table("left", (x, b)) if b - x > 1e-12 else None
 
     def sup(table):
         return 0.0 if table is None else float(np.max(np.abs(table[1])))

@@ -110,7 +110,8 @@ EXACT_MODULI: Dict[str, Callable] = {
 
 def modulus_from_registry(name: str, domain: Optional[Tuple[float, float]]):
     if name not in EXACT_MODULI:
-        raise ConfigError("exact_modulus", f"unknown modulus shape {name!r}")
+        raise ConfigError("exact_modulus", f"unknown modulus shape {name!r}; expected one of "
+                                           f"{', '.join(EXACT_MODULI)}")
     a, b = domain if domain is not None else (None, None)
     return EXACT_MODULI[name](a, b)
 

@@ -46,6 +46,7 @@ class ConfigError(ErfApproxError):
 
     def __init__(self, field, message):
         self.field = field
+        self.message = message
         super().__init__(f"{field}: {message}")
 
 

@@ -8,7 +8,10 @@ for x >= x0 and 0 for x < x0; the right derivative mirrors it for x <= x0
 with the factor (-1)^N, and is 0 for x > x0.  Both vanish at the anchor.
 ``caputo`` computes either one: ``FractionalSpec.side`` selects it.
 ``caputo_table`` samples it on a sub-interval of its side once, and
-``table_modulus`` reads omega_1 estimates at any delta from that table.
+``table_modulus`` reads omega_1 estimates at any delta from that table
+with ``modulus.grid_modulus``: the grid step comes from the table's first
+and last grid points, so a caller that keeps a table may keep only those
+two points and its values, and a NaN value gives a NaN estimate.
 ``caputo_sup_ceiling`` and ``caputo_modulus_ceiling`` are closed-form
 upper bounds, and ``caputo_monomial`` is the closed-form oracle for
 monomials.
@@ -162,7 +165,8 @@ def caputo_table(
 
 
 def table_modulus(table: Tuple[np.ndarray, np.ndarray], delta: float) -> float:
-    """omega_1 estimate from a precomputed caputo_table."""
+    """omega_1 estimate from a precomputed caputo_table, or from its grid's
+    two end points and its values."""
     if not delta > 0:
         raise PreconditionViolated(f"delta must be > 0, got {delta}")
     return grid_modulus(table[0], table[1], delta)

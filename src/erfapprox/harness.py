@@ -41,6 +41,9 @@ GRID_KEYS = ("x_points", "refinement", "anchors", "table_points")
 OUTPUT_KEYS = ("csv", "json")
 BUILTIN_KEYS = ("id", "builtin")
 EXPR_KEYS = ("id", "expr", "domain", "orders", "exact_modulus", "sup_norm", "grid_window")
+#: every name a builtin entry may take: the members of the theorems' pools
+BUILTINS = tuple(sorted({name for th in bounds.THEOREMS.values()
+                         for name in getattr(corpus, th.pool)}))
 
 
 @dataclass(frozen=True)
@@ -107,15 +110,20 @@ class ExperimentConfig:
         for i, spec in enumerate(functions):
             if not isinstance(spec, dict) or "id" not in spec:
                 raise ConfigError(f"functions[{i}]", "each entry needs an id")
-            if spec["id"] in seen:
-                raise ConfigError(f"functions[{i}].id", f"duplicate id {spec['id']!r}")
-            seen.add(spec["id"])
+            fid = _typed(f"functions[{i}].id", spec["id"], str)
+            if fid in seen:
+                raise ConfigError(f"functions[{i}].id", f"duplicate id {fid!r}")
+            seen.add(fid)
             if "builtin" not in spec and "expr" not in spec:
                 raise ConfigError(f"functions[{i}]", "needs 'builtin' or 'expr'")
             # expr decides the kind, so an entry with both fails on its 'builtin'
             _known_keys(f"functions[{i}].", spec, EXPR_KEYS if "expr" in spec else BUILTIN_KEYS)
             if "expr" in spec:
                 _check_expr_entry(f"functions[{i}].", spec)
+            elif _typed(f"functions[{i}].builtin", spec["builtin"], str) not in BUILTINS:
+                raise ConfigError(f"functions[{i}].builtin",
+                                  f"unknown builtin {spec['builtin']!r}; expected one of "
+                                  f"{', '.join(BUILTINS)}")
 
         grid_raw = raw.get("grid", {})
         if not isinstance(grid_raw, dict):
@@ -181,10 +189,11 @@ def _check_expr_entry(prefix: str, spec: dict):
         _typed(prefix + "sup_norm", spec["sup_norm"], float)
     if "exact_modulus" in spec:
         name = _typed(prefix + "exact_modulus", spec["exact_modulus"], str)
-        if name not in corpus.EXACT_MODULI:
-            raise ConfigError(prefix + "exact_modulus",
-                              f"unknown modulus shape {name!r}; expected one of "
-                              f"{', '.join(corpus.EXACT_MODULI)}")
+        # the shape must exist and fit the domain, or every row would skip
+        try:
+            corpus.modulus_from_registry(name, tuple(spec["domain"]) if "domain" in spec else None)
+        except ConfigError as exc:
+            raise ConfigError(prefix + "exact_modulus", exc.message) from None
 
 
 def _known_keys(prefix: str, mapping: dict, known: Tuple[str, ...]):

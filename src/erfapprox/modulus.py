@@ -4,6 +4,17 @@ Exact closed forms are used when the function carries one for the queried
 interval; otherwise a sliding-window grid estimate with one refinement
 pass.  Grid estimates always under-report the true modulus, which is the
 safe direction for certifying that an error sits below a bound.
+
+``grid_modulus`` is the sliding-window kernel, in numpy alone: the
+largest max - min over every window of m consecutive samples, from a
+doubling pass (a sparse table) of running maxima over the pair (ys, -ys)
+and two overlapping blocks of width 2^floor(log2 m) per window start.
+max, min and a + (-b) == a - b are exact, so the estimate equals the
+largest spread of the windows bit for bit.  The grid step comes from the
+two end points of xs, so a caller may pass the whole uniform grid or only
+its ends.  A NaN sample makes every window that holds it NaN, and so the
+estimate: the row that reads it becomes non-finite rather than taking a
+finite spread from the other samples.
 """
 
 from __future__ import annotations
@@ -13,7 +24,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
 from .errors import IntervalViolation, PreconditionViolated
 from .funcs import FunctionSpec
@@ -60,14 +70,25 @@ class ModulusResult:
 
 
 def grid_modulus(xs: np.ndarray, ys: np.ndarray, delta: float) -> float:
-    """Sliding-window omega_1 estimate from samples ys on the uniform grid xs."""
-    h = (xs[-1] - xs[0]) / (len(xs) - 1)
+    """Sliding-window omega_1 estimate from samples ys on the uniform grid
+    from xs[0] to xs[-1] (the whole grid or only its two end points)."""
+    n = len(ys)
+    h = (xs[-1] - xs[0]) / (n - 1)
     # a window of size m spans (m-1)*h, so m = floor(delta/h) + 1 keeps
     # every in-window pair within distance delta (never overshoots); delta
     # below grid resolution falls back to adjacent differences
     size = max(2, int(math.floor(delta / h)) + 1)
-    spread = maximum_filter1d(ys, size, mode="nearest") - minimum_filter1d(ys, size, mode="nearest")
-    return float(np.max(spread))
+    if size >= n:
+        return float(ys.max() - ys.min())
+    # levels[:, i] holds the maxima of (ys, -ys) over [i, i + width)
+    levels, width = np.concatenate((ys, -ys)).reshape(2, n), 1
+    while 2 * width <= size:
+        levels = np.maximum(levels[:, :-width], levels[:, width:])
+        width *= 2
+    # the window [i, i + size) is the union of [i, i + width) and
+    # [i + size - width, i + size)
+    top = np.maximum(levels[:, :n - size + 1], levels[:, size - width:])
+    return float((top[0] + top[1]).max())
 
 
 def evaluate_modulus(q: ModulusQuery) -> ModulusResult:

@@ -9,6 +9,8 @@ import sys
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import roots_jacobi
 
 import erfapprox
@@ -222,6 +224,16 @@ class TestEnvelopes:
             got = table_modulus(table, delta)
             assert exact(delta - h) - 1e-12 <= got <= exact(delta) + 1e-12
             assert got <= caputo_modulus_ceiling(f, spec, (0.0, 1.0)) * (1 + 1e-9)
+
+    @given(st.integers(2, 600), st.floats(1e-4, 2.0), st.sampled_from(["left", "right"]))
+    @settings(max_examples=40, deadline=None)
+    def test_end_points_and_values_give_the_table_modulus(self, points, delta, side):
+        # the anchor cache keeps only a table's grid end points
+        f = FRACTIONAL_CORPUS["sq"]
+        spec = FractionalSpec(1.5, 0.0 if side == "left" else 1.0, side)
+        xs, ys = caputo_table(f, spec, (0.0, 1.0), points)
+        full = table_modulus((xs, ys), delta)
+        assert table_modulus((xs[[0, -1]], ys), delta).hex() == full.hex()
 
     def test_side_interval_checked(self):
         f = FRACTIONAL_CORPUS["sq"]

@@ -223,6 +223,17 @@ class TestCli:
         # open(1, "w") closed the process's stdout
         ({"output": {"csv": 1}}, "output.csv"),
         ({"output": {"json": 1}}, "output.json"),
+        # an uncaught TypeError: unhashable type: 'list'
+        ({"functions": [{"id": [1], "builtin": "sin"}]}, "functions[0].id"),
+        # loaded, then the same TypeError out of run_verify
+        ({"functions": [{"id": "s", "builtin": ["sin"]}]}, "functions[0].builtin"),
+        # loaded, and every theorem skipped it
+        ({"functions": [{"id": "s", "builtin": "nosuch"}]}, "functions[0].builtin"),
+        # loaded, and every row became the skip "expression rejected"
+        ({"functions": [{"id": "g", "expr": "sin(x)", "domain": [2.0, 3.0],
+                         "exact_modulus": "sine_rising"}]}, "functions[0].exact_modulus"),
+        ({"functions": [{"id": "g", "expr": "x^2", "domain": [0.0, 1.0],
+                         "exact_modulus": "parabola"}]}, "functions[0].exact_modulus"),
     ])
     def test_value_of_the_wrong_type_exits_two_naming_its_field(self, tmp_path, capsys,
                                                                 overrides, field):

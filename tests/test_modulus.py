@@ -1,12 +1,18 @@
 """Modulus-of-continuity estimation against a brute-force pair oracle."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from numpy.lib.stride_tricks import sliding_window_view
 
+import erfapprox
 from erfapprox.corpus import INTERVAL_CORPUS, LINE_CORPUS
 from erfapprox.errors import IntervalViolation, PreconditionViolated
 from erfapprox.funcs import FunctionSpec
@@ -108,6 +114,79 @@ class TestRefinement:
         coarse, fine = pass_on(grid_points), pass_on(2 * grid_points - 1)
         assert res.value == max(coarse, fine)
         assert res.refinement_gap == abs(fine - coarse)
+
+
+def window_spread(ys, size):
+    """Largest max - min over the windows of size consecutive samples (all
+    of ys when size exceeds it), from an explicit window view."""
+    windows = sliding_window_view(ys, min(size, len(ys)))
+    return np.max(windows.max(axis=1) - windows.min(axis=1))
+
+
+# finite values with many ties, and the infinities
+SAMPLES = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 2.5, math.inf, -math.inf]),
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+class TestSlidingWindowKernel:
+    @given(hnp.arrays(np.float64, st.integers(2, 600), elements=SAMPLES),
+           st.integers(2, 700))
+    @settings(max_examples=300, deadline=None)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # inf - inf, overflow
+    def test_matches_window_view(self, ys, size):
+        # unit step, so delta = size - 1/2 asks for windows of size samples
+        got = grid_modulus(np.array([0.0, len(ys) - 1.0]), ys, size - 0.5)
+        want = window_spread(ys, size)
+        assert got == want or math.isnan(got) and math.isnan(want)
+
+    @pytest.mark.parametrize("points", [2, 3, 5, 8, 33, 64])
+    def test_windows_about_as_long_as_the_grid(self, points):
+        ys = np.random.default_rng(points).normal(size=points)
+        xs = np.array([0.0, points - 1.0])
+        for size in range(max(2, points - 3), points + 3):
+            assert grid_modulus(xs, ys, size - 0.5) == window_spread(ys, size)
+
+    @pytest.mark.parametrize("points", [2, 3, 17, 600])
+    @pytest.mark.parametrize("delta", [0.01, 0.3, 5.0])
+    def test_constant_samples_have_zero_spread(self, points, delta):
+        xs = np.linspace(0.0, 1.0, points)
+        assert grid_modulus(xs, np.full(points, -3.25), delta) == 0.0
+
+    XS = np.linspace(0.0, 1.0, 9)
+
+    def test_nan_in_an_edge_window_gives_nan(self):
+        # the clamped edge windows of the old scipy.ndimage filters gave 1.0
+        ys = np.arange(9.0)
+        ys[-1] = np.nan
+        assert math.isnan(grid_modulus(self.XS, ys, 0.1))
+
+    def test_nan_in_the_whole_window_gives_nan(self):
+        # the old filters gave 8.0, the spread of the other samples
+        ys = np.arange(9.0)
+        ys[4] = np.nan
+        assert math.isnan(grid_modulus(self.XS, ys, 2.0))
+
+    def test_verify_run_never_loads_scipy_ndimage(self):
+        # a fresh interpreter: other tests may load scipy.ndimage into this one
+        script = (
+            "import sys\n"
+            "from erfapprox.harness import ExperimentConfig, run_verify\n"
+            "cfg = ExperimentConfig.from_dict({'schema_version': 1, 'theorems': ['T12', 'T30'],\n"
+            "    'functions': [{'id': 'sq', 'builtin': 'sq'},\n"
+            "                  {'id': 'g', 'expr': 'sin(2*x)', 'domain': [0.0, 1.0]}],\n"
+            "    'sweep': [9, 16, 81], 'rate_exponents': [0.5], 'fractional_orders': [0.5],\n"
+            "    'grid': {'x_points': 64, 'anchors': 5, 'table_points': 33}})\n"
+            "result = run_verify(cfg)\n"
+            "assert {r['theorem'] for r in result.rows} == {'T12', 'T30'}\n"
+            "print('scipy.ndimage' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(erfapprox.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestValidation:
