@@ -224,8 +224,14 @@ def _anchor_tables(
     anchors: int,
     points: int,
 ) -> Tuple[_AnchorData, ...]:
-    """Caputo derivative tables at a grid of anchor points; n-independent,
-    cached across the whole sweep."""
+    """Caputo derivative tables at a grid of anchor points.
+
+    The tables do not depend on n, so one entry serves every n of a sweep.
+    The cache is process-wide (lru_cache, 32 entries) and keeps its tables
+    after a run returns, so a later call in the same process reuses them.
+    It is not cleared per run because the benchmark's trace reads its hit
+    counts through ``cache_info()``.
+    """
     return tuple(_anchor_data(f, alpha, a, b, float(x), points)
                  for x in np.linspace(a, b, anchors))
 

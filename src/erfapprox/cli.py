@@ -82,27 +82,26 @@ def _emit(result: RunResult, cfg: ExperimentConfig) -> int:
     return 1 if result.violated else 0
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="experiment config (YAML)")
-    p.add_argument("--out-csv", help="write the report table here")
-    p.add_argument("--out-json", help="write the JSON summary here")
-    p.add_argument("--jobs", type=int, default=None, help="worker threads")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="erfapprox",
         description="verify error bounds for error-function network operators",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # check-partition reads no config and writes no table: any other flag
+    # would be parsed and ignored, so it is an argparse error instead
+    p = sub.add_parser("check-partition", help="partition-of-unity and tail invariants")
+    p.add_argument("--out-json", help="write the JSON summary here")
     for name, help_text in (
-        ("check-partition", "partition-of-unity and tail invariants"),
         ("verify", "full bound-verification sweep"),
         ("rates", "sweep reported as fitted decay rates"),
         ("fractional", "fractional-derivative rows only"),
     ):
         p = sub.add_parser(name, help=help_text)
-        _add_common(p)
+        p.add_argument("--config", help="experiment config (YAML)")
+        p.add_argument("--out-csv", help="write the report table here")
+        p.add_argument("--out-json", help="write the JSON summary here")
+        p.add_argument("--jobs", type=int, default=None, help="worker threads")
     return parser
 
 

@@ -17,9 +17,16 @@ functional L_k(f) = sum_j w_j f(k/n + t_j) (``_node_rule``).  An
 * D (n, weights): quadrature variant, L_k(f) a convex sub-cell combination.
 
 ``apply_operator`` accepts a scalar x or a 1-D array of x values, and a
-real FunctionSpec or a ComplexFunctionSpec.  It builds the kernel (the
-window indices, one chi matrix and A's denominator) once and applies it
-to every part of f, so a complex f gets the pair (Op re, Op im).
+real FunctionSpec or a ComplexFunctionSpec.  It builds the kernel once
+and applies it to every part of f, so a complex f gets the pair
+(Op re, Op im).  The kernel is one chi matrix chi((u - r) - offsets),
+with u = nx and r = round(u), one integer matrix that points each
+(x, offset) at its node index k = r + offset, and A's mask and
+denominator; only the edge rows whose window leaves [ceil(na), floor(nb)]
+are masked and clipped.  The node functional is evaluated once per
+distinct k, in blocks of ``NODE_POINTS`` node points, so a call's
+working set stays near three points x window matrices whatever n and
+the rule's node count.
 """
 
 from __future__ import annotations
@@ -43,6 +50,10 @@ from .special_functions import chi
 
 #: Gauss-Legendre order of C's cell mean
 KANTOROVICH_NODES = 8
+
+#: node points k/n + t_j per evaluation of the node functional L_k(f):
+#: 2048 indices k of C's 8-node rule, 16384 of A's and B's single node
+NODE_POINTS = 16384
 
 
 @dataclass(frozen=True)
@@ -100,20 +111,6 @@ class OperatorConfig:
             raise PreconditionViolated(f"family {self.family} takes no weights")
 
 
-def _at_nodes(functional, ks: np.ndarray) -> np.ndarray:
-    """functional(k) for every index in ks, evaluated once per distinct k
-    and gathered back into the shape of ks.  Contiguous indices take
-    arange(k_min, k_max + 1); scattered or nan ones take np.unique, so the
-    work stays bounded by ks.size."""
-    if ks.size == 0:
-        return np.zeros(ks.shape)
-    k_min = ks.min()
-    if ks.max() - k_min < ks.size:
-        return functional(np.arange(k_min, ks.max() + 1))[(ks - k_min).astype(np.intp)]
-    distinct, where = np.unique(ks, return_inverse=True)
-    return functional(distinct)[where].reshape(ks.shape)
-
-
 def _node_rule(cfg: OperatorConfig) -> Tuple[np.ndarray, np.ndarray]:
     """(t, w) of the family's node functional L_k(f) = sum_j w_j f(k/n + t_j).
 
@@ -131,6 +128,32 @@ def _node_rule(cfg: OperatorConfig) -> Tuple[np.ndarray, np.ndarray]:
     return np.zeros(1), np.ones(1)
 
 
+def _node_indices(r: np.ndarray, offsets: np.ndarray, lo: float, hi: float):
+    """The window indices k = r + offsets of every point, as (kk, idx, edge,
+    keep): the distinct k, clipped to [lo, hi], as floats; one integer
+    matrix with k = kk[idx]; the rows whose window leaves [lo, hi]; and on
+    those rows the mask of the k inside it.
+
+    Windows that overlap into one range take the arange over that range
+    and build idx in integers, clipping only the edge rows.  Scattered
+    windows, and windows that contain nan, take np.unique of the float
+    indices instead: the work stays bounded by their size, and nan is
+    never cast to an integer.
+    """
+    span = r.max() - r.min() if r.size else math.nan
+    if span < r.size * offsets.size and np.abs(r).max() < 2.0**52:      # no nan or inf
+        k0 = max(r.min() + offsets.min(), lo)
+        m = int(min(r.max() + offsets.max(), hi) - k0)
+        idx = (r - k0).astype(np.intp)[:, None] + offsets.astype(np.intp)
+        edge = (r + offsets.min() < lo) | (r + offsets.max() > hi)
+        ke = idx[edge]
+        idx[edge] = np.clip(ke, 0, m)
+        return k0 + np.arange(m + 1.0), idx, edge, (ke >= 0) & (ke <= m)
+    ks = r[:, None] + offsets
+    kk, idx = np.unique(np.clip(ks, lo, hi), return_inverse=True)
+    return kk, idx.reshape(ks.shape), np.ones(r.size, dtype=bool), (ks >= lo) & (ks <= hi)
+
+
 def apply_operator(f: FunctionSpec, x, cfg: OperatorConfig):
     """Op f at x for cfg's family; the pair (Op re, Op im) for a complex f."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
@@ -140,6 +163,7 @@ def apply_operator(f: FunctionSpec, x, cfg: OperatorConfig):
         if np.any(xs < a) or np.any(xs > b):
             raise DomainViolation(f"x outside [{a}, {b}]")
         offsets = np.arange(-RADIUS, RADIUS + 1, dtype=float)
+        lo, hi = index_window(n, a, b)
     else:
         for p in f.parts:
             if p.sup_norm is None:
@@ -148,24 +172,28 @@ def apply_operator(f: FunctionSpec, x, cfg: OperatorConfig):
                     "for its truncation certificate"
                 )
         offsets = _window_offsets(RADIUS)
+        lo, hi = -math.inf, math.inf
 
     u = n * xs
-    ks = np.round(u)[:, None] + offsets[None, :]
-    chiv = chi(u[:, None] - ks)
+    r = np.round(u)
+    # u - r and r + offset are exact, so this is chi(u - k) bit for bit
+    chiv = chi((u - r)[:, None] - offsets)
+    kk, idx, edge, keep = _node_indices(r, offsets, lo, hi)
     den = 1.0
     if cfg.family == "A":
-        lo, hi = index_window(n, a, b)
-        valid = (ks >= lo) & (ks <= hi)
-        chiv = np.where(valid, chiv, 0.0)
+        chiv[edge] = np.where(keep, chiv[edge], 0.0)
         den = chiv.sum(axis=1)
-        ks = np.clip(ks, lo, hi)
     t, w = _node_rule(cfg)
+    step = max(1, NODE_POINTS // t.size)
 
     def image(p):
-        def functional(kk):
-            return np.tensordot(p.eval(kk[:, None] / n + t[None, :]), w, axes=([1], [0]))
-
-        return (_at_nodes(functional, ks) * chiv).sum(axis=1) / den
+        node = np.empty(kk.size)
+        for s in range(0, kk.size, step):
+            block = kk[s:s + step, None] / n + t
+            node[s:s + step] = np.tensordot(p.eval(block), w, axes=([1], [0]))
+        vals = node[idx]
+        vals *= chiv
+        return vals.sum(axis=1) / den
 
     outs = tuple(float(v[0]) if np.ndim(x) == 0 else v for v in map(image, f.parts))
     return outs if isinstance(f, ComplexFunctionSpec) else outs[0]

@@ -244,8 +244,20 @@ class TestCli:
     def test_missing_config_exit_two(self):
         assert main(["verify", "--config", "/no/such/file.yaml"]) == 2
 
-    def test_check_partition_exit_zero(self):
-        assert main(["check-partition"]) == 0
+    def test_check_partition_exit_zero(self, tmp_path):
+        out = tmp_path / "partition.json"
+        assert main(["check-partition", "--out-json", str(out)]) == 0
+        assert json.loads(out.read_text())["partition_ok"]
+
+    @pytest.mark.parametrize("flags", [
+        ["--config", "/nonexistent.yaml"], ["--out-csv", "x.csv"], ["--jobs", "0"],
+    ])
+    def test_check_partition_rejects_the_flags_it_would_ignore(self, flags, capsys):
+        # all three used to be parsed and ignored, with exit code 0
+        with pytest.raises(SystemExit) as exc:
+            main(["check-partition", *flags])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_fractional_subcommand(self, tmp_path):
         doc = {**BASE, "functions": [{"id": "sq", "builtin": "sq"}],

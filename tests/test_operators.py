@@ -1,6 +1,7 @@
 """Operator tests against an independent direct-summation oracle."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from erfapprox.corpus import (
     COMPLEX_LINE_CORPUS,
     INTERVAL_CORPUS,
     LINE_CORPUS,
+    function_from_expression,
 )
 from erfapprox.errors import (
     DomainViolation,
@@ -237,12 +239,14 @@ class TestComplex:
 
 
 class CountingSpec:
-    """Wraps a FunctionSpec; counts the points its eval sees."""
+    """Wraps a FunctionSpec; counts the calls of its eval and the points
+    they see."""
 
     def __init__(self, f):
-        self.points = 0
+        self.calls = self.points = 0
 
         def counted(t):
+            self.calls += 1
             self.points += np.size(t)
             return f.eval(t)
 
@@ -266,19 +270,27 @@ def dense_line(f, xs, n, radius, offsets, weights):
     return (vals * chi(u[:, None] - ks)).sum(axis=1), ks
 
 
+def blocks(points, nodes):
+    """Node functional evaluations of a call that samples f at points node
+    points, nodes per index k."""
+    return -(-(points // nodes) // (operators.NODE_POINTS // nodes))
+
+
 class TestOneNodeFunctionalPerIndex:
     N = 81
     RADIUS = partition.RADIUS
+    # at n = 2048 the windows of a 10-wide grid cover 2 blocks of A's and
+    # B's single node, 7 of D's 5 nodes and 11 of C's 8
+    BLOCKED = 2048
 
-    def test_op_a(self):
-        f = SIN_INT
-        a, b = f.domain
-        n, radius = self.N, self.RADIUS
-        xs = np.linspace(a, b, 513)
+    def check_a(self, f, n, xs):
+        a, b = xs[0], xs[-1]
+        radius = self.RADIUS
         u = n * xs
         ks = np.round(u).astype(np.int64)[:, None] + np.arange(-radius, radius + 1)[None, :]
         lo, hi = math.ceil(n * a), math.floor(n * b)
         valid = (ks >= lo) & (ks <= hi)
+        assert not valid.all()                  # edge rows are masked and clipped
         chiv = np.where(valid, chi(u[:, None] - ks), 0.0)
         ks = np.clip(ks, lo, hi)
         want = (f.eval(ks / n) * chiv).sum(axis=1) / chiv.sum(axis=1)
@@ -287,9 +299,16 @@ class TestOneNodeFunctionalPerIndex:
         got = apply_operator(counting.spec, xs, OperatorConfig("A", n, interval=(a, b)))
         assert np.array_equal(got, want)
         assert counting.points <= ks.max() - ks.min() + 1
+        return counting
 
-    def line_rule(self, family):
-        n = self.N
+    def test_op_a(self):
+        self.check_a(SIN_INT, self.N, np.linspace(*SIN_INT.domain, 513))
+
+    def test_op_a_in_blocks(self):
+        counting = self.check_a(SIN_LINE, self.BLOCKED, np.linspace(-5.0, 5.0, 4095))
+        assert counting.calls == blocks(counting.points, 1) > 1
+
+    def line_rule(self, family, n=N):
         wts = QuadratureWeights.uniform(4) if family == "D" else None
         cfg = OperatorConfig(family, n, weights=wts)
         if family == "B":
@@ -302,18 +321,25 @@ class TestOneNodeFunctionalPerIndex:
             weights = np.asarray(wts.w)
         return cfg, offsets, weights
 
-    def check_line(self, family, xs):
-        cfg, offsets, weights = self.line_rule(family)
-        want, ks = dense_line(SIN_LINE, xs, self.N, self.RADIUS, offsets, weights)
+    def check_line(self, family, xs, n=N):
+        cfg, offsets, weights = self.line_rule(family, n)
+        want, ks = dense_line(SIN_LINE, xs, n, self.RADIUS, offsets, weights)
 
         counting = CountingSpec(SIN_LINE)
         got = apply_operator(counting.spec, xs, cfg)
         assert np.array_equal(got, want)
         assert counting.points <= len(np.unique(ks)) * len(weights)
+        return counting
 
     @pytest.mark.parametrize("family", ["B", "C", "D"])
     def test_line_operators(self, family):
         self.check_line(family, np.linspace(-2.5, 2.5, 513))
+
+    @pytest.mark.parametrize("family", ["B", "C", "D"])
+    def test_line_operators_in_blocks(self, family):
+        counting = self.check_line(family, np.linspace(-5.0, 5.0, 4095), self.BLOCKED)
+        nodes = len(self.line_rule(family)[2])
+        assert counting.calls == blocks(counting.points, nodes) > 1
 
     @pytest.mark.parametrize("family", ["B", "C", "D"])
     def test_far_apart_points_cost_their_windows_only(self, family):
@@ -326,13 +352,30 @@ class TestOneNodeFunctionalPerIndex:
             f, cfg = SIN_INT, OperatorConfig("A", self.N, interval=SIN_INT.domain)
         else:
             f, (cfg, _, _) = SIN_LINE, self.line_rule(family)
-        # no warning either: the window indices stay floats, so a nan x is
-        # never cast to an integer
+        # no warning either: a window with nan keeps its indices as floats,
+        # so a nan x is never cast to an integer
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = apply_operator(f, np.array([0.3, np.nan]), cfg)
         assert got[0] == apply_operator(f, 0.3, cfg)
         assert np.isnan(got[1])
+
+
+def test_working_set_of_one_call_is_bounded():
+    # one expr-dense call: family C at n = 2048 on a 10.4-wide window; the
+    # points x window x nodes formula peaked at 6.6 MB here
+    f = function_from_expression("w", "0.42*sin(1.91*x)*cos(2.28*x)", sup_norm=0.42,
+                                 grid_window=(-4.95, 5.42))
+    xs = np.linspace(-4.95, 5.42, 4095)
+    cfg = OperatorConfig("C", 2048)
+    apply_operator(f, xs, cfg)
+    tracemalloc.start()
+    try:
+        apply_operator(f, xs, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6
 
 
 class TestConfig:
