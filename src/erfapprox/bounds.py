@@ -6,12 +6,14 @@ Theorem ids:
 * T12/T13/T14/T15: first-order Jackson bounds for the A/B/C/D operators,
   one core at the modulus step n^-alpha (A, B) or 1/n + n^-alpha (C, D).
 * T16: high-order bound for the interval operator using derivatives 1..N.
-* T30, C31, C33: fractional bounds from Caputo moduli and T16's Taylor sum.
+* T30: fractional bound from Caputo moduli and T16's Taylor sum; C31
+  (0 < alpha < 1) and C33 (alpha = 1/2) are its sup form.
 * T36/T37/T38/T41: complex-valued companions (componentwise ingredients
   added); T39: complex fractional companion.
 
 Each theorem is declared by one row of ``THEOREMS``: its corpus pool,
-operator families, bound function, swept parameter and default mode.
+operator families, bound function and swept parameter.  With
+``_BOUND_ARGS`` and ``_PARAM_DEFAULTS`` it alone says what a theorem reads.
 
 The constant 1/chi(1) ~= 4.0188 enters every interval-operator bound at
 full precision.
@@ -151,7 +153,7 @@ def highorder_bound(
     a: float,
     b: float,
     N: int,
-    mode: str,
+    mode: str = "sup",
     x: Optional[float] = None,
 ):
     """High-order interval bound; mode selects the pointwise form (with
@@ -253,7 +255,7 @@ def fractional_bound(
     alpha_frac: float,
     a: float,
     b: float,
-    mode: str,
+    mode: str = "sup",
     x: Optional[float] = None,
     anchors: int = GridPolicy.anchors,
     table_points: int = GridPolicy.table_points,
@@ -262,21 +264,16 @@ def fractional_bound(
 
     Modes: "taylor_pointwise" (Taylor terms moved to the left-hand side),
     "critical" (same value, valid only when f^(j)(x) = 0 for j < N),
-    "pointwise" (full right-hand side with |f^(j)(x)| terms), "sup"
-    (uniform form, anchor-grid suprema), "n1_sup" (N = 1 uniform
-    specialization) and "half_sup" (order 1/2 with prefactor 8.038/sqrt(pi)).
+    "pointwise" (full right-hand side with |f^(j)(x)| terms) and "sup"
+    (uniform form, anchor-grid suprema).  The sup form at 0 < alpha < 1
+    is C31's bound and at alpha = 1/2 C33's.
 
     Returns (value, terms, modulus quality); quality is always
     "estimated" because Caputo moduli come from sampled tables.
     """
-    spec = FractionalSpec(alpha_frac, 0.5 * (a + b), "left")
-    N = spec.N
-    if mode in ("n1_sup", "half_sup") and N != 1:
-        raise PreconditionViolated(f"mode {mode} needs 0 < alpha < 1, got {alpha_frac}")
-    if mode == "half_sup" and abs(alpha_frac - 0.5) > 1e-12:
-        raise PreconditionViolated("half_sup hard-wires alpha = 1/2")
+    N = FractionalSpec(alpha_frac, 0.5 * (a + b), "left").N
     pointwise = mode in ("taylor_pointwise", "critical", "pointwise")
-    if not pointwise and mode not in ("sup", "n1_sup", "half_sup"):
+    if not pointwise and mode != "sup":
         raise PreconditionViolated(f"unknown mode {mode!r}")
     delta = float(n) ** (-beta)
     htc = tail_bound(n, beta)
@@ -445,8 +442,8 @@ class Theorem:
     function of this module, applied through ``complex_bound`` when
     ``complex``.  ``param`` ("N" or "alpha_frac") is swept over the
     config's ``highorder_orders`` or ``fractional_orders``; only values
-    inside the open range ``orders`` are admissible.  ``mode`` is the
-    default bound mode, None for the first-order bounds.
+    inside the open range ``orders`` are admissible.  A theorem without
+    one reads its bound at ``_PARAM_DEFAULTS`` (C33 at alpha_frac = 1/2).
     """
 
     pool: str
@@ -455,7 +452,6 @@ class Theorem:
     complex: bool = False
     param: Optional[str] = None
     orders: Tuple[float, float] = (-math.inf, math.inf)
-    mode: Optional[str] = None
 
     def derivative_order(self, kw: dict) -> int:
         """Highest derivative of f one cell with parameters kw consumes."""
@@ -477,25 +473,25 @@ _BOUND_ARGS = {
     "fractional_bound": ("alpha_frac", "a", "b", "mode", "x", "anchors", "table_points"),
 }
 
-_PARAM_DEFAULTS = {"N": 1, "alpha_frac": 0.5}
+#: the value of each keyword verify takes but was not given
+_PARAM_DEFAULTS = {"N": 1, "alpha_frac": 0.5, "mode": "sup"}
 
 THEOREMS: Dict[str, Theorem] = {
     "T12": Theorem("INTERVAL_CORPUS", ("A",), "mu1"),
     "T13": Theorem("LINE_CORPUS", ("B",), "mu2"),
     "T14": Theorem("LINE_CORPUS", ("C",), "mu3"),
     "T15": Theorem("LINE_CORPUS", ("D",), "mu3"),
-    "T16": Theorem("INTERVAL_CORPUS", ("A",), "highorder_bound", param="N", mode="sup"),
-    "T30": Theorem("FRACTIONAL_CORPUS", ("A",), "fractional_bound",
-                   param="alpha_frac", mode="sup"),
+    "T16": Theorem("INTERVAL_CORPUS", ("A",), "highorder_bound", param="N"),
+    "T30": Theorem("FRACTIONAL_CORPUS", ("A",), "fractional_bound", param="alpha_frac"),
     "C31": Theorem("FRACTIONAL_CORPUS", ("A",), "fractional_bound",
-                   param="alpha_frac", orders=(0.0, 1.0), mode="n1_sup"),
-    "C33": Theorem("FRACTIONAL_CORPUS", ("A",), "fractional_bound", mode="half_sup"),
+                   param="alpha_frac", orders=(0.0, 1.0)),
+    "C33": Theorem("FRACTIONAL_CORPUS", ("A",), "fractional_bound"),
     "T36": Theorem("COMPLEX_INTERVAL_CORPUS", ("A",), "mu1", complex=True),
     "T37": Theorem("COMPLEX_LINE_CORPUS", ("B",), "mu2", complex=True),
     "T38": Theorem("COMPLEX_INTERVAL_CORPUS", ("A",), "highorder_bound", complex=True,
-                   param="N", mode="sup"),
+                   param="N"),
     "T39": Theorem("COMPLEX_INTERVAL_CORPUS", ("A",), "fractional_bound", complex=True,
-                   param="alpha_frac", orders=(0.0, 2.0), mode="sup"),
+                   param="alpha_frac", orders=(0.0, 2.0)),
     "T41": Theorem("COMPLEX_LINE_CORPUS", ("C", "D"), "mu3", complex=True),
 }
 
@@ -534,21 +530,24 @@ def verify(
     A row whose error or bound is not finite (a pole, an overflow) at any
     of its points gets the verdict "non-finite" instead of a comparison.
 
-    Extra keyword arguments: the theorem's parameter (N or alpha_frac),
-    mode, and x0, the point the "critical" mode evaluates at (default 0).
-    The "pointwise" and "taylor_pointwise" modes report the worst of
+    Extra keyword arguments: the theorem's parameter (N or alpha_frac) and,
+    for a bound with modes, mode (default "sup") and x0, the point the
+    "critical" mode evaluates at (default 0); any other raises.  The
+    "pointwise" and "taylor_pointwise" modes report the worst of
     grid.pointwise_points points by error-to-bound ratio.
     """
     th = THEOREMS.get(theorem_id)
     if th is None:
         raise PreconditionViolated(f"unknown theorem id {theorem_id!r}")
+    reads = {th.param, "mode", "x0"} if "mode" in _BOUND_ARGS[th.bound] else {th.param}
+    if set(kw) - reads:
+        raise PreconditionViolated(f"{theorem_id} does not read {sorted(set(kw) - reads)}")
     if th.param is not None:
         lo, hi = th.orders
         value = kw.get(th.param, _PARAM_DEFAULTS[th.param])
         if not lo < value < hi:
-            raise PreconditionViolated(
-                f"{theorem_id} needs {lo:g} < {th.param} < {hi:g}, got {value}"
-            )
+            raise PreconditionViolated(f"{theorem_id} needs {lo:g} < {th.param} < {hi:g}, "
+                                       f"got {value}")
     if sup_errors is None:
         sup_errors = {}
     rows: List[BoundReport] = []
@@ -575,13 +574,13 @@ def _report(theorem_id, f, family, n, ex, point_mode, emp, value, terms, quality
 
 
 def _verify_one(tid, th: Theorem, f, n, ex, grid, sup_errors, kw) -> List[BoundReport]:
-    mode = kw.get("mode", th.mode) if th.mode else None
     a, b = f.domain or (None, None)
     cell = {
-        "a": a, "b": b, "interval": f.domain, "mode": mode,
+        "a": a, "b": b, "interval": f.domain,
         "anchors": grid.anchors, "table_points": grid.table_points,
         **{k: kw.get(k, v) for k, v in _PARAM_DEFAULTS.items()},
     }
+    mode = cell["mode"]
     if mode == "critical":
         points, point_mode = [kw.get("x0", 0.0)], "pointwise x"
     elif mode in ("pointwise", "taylor_pointwise"):

@@ -33,14 +33,13 @@ CSV_COLUMNS = (
 
 # the keys a config may name, at the top level, inside grid and output, and
 # in a builtin or an expr function entry; GridPolicy.pointwise_points is not
-# one: a config run uses each theorem's default mode, and no default mode
-# reads it
+# one: a config run reads every bound in its sup form, which does not read it
 CONFIG_KEYS = ("schema_version", "functions", "theorems", "sweep", "rate_exponents",
                "fractional_orders", "highorder_orders", "grid", "output")
 GRID_KEYS = ("x_points", "refinement", "anchors", "table_points")
 OUTPUT_KEYS = ("csv", "json")
 BUILTIN_KEYS = ("id", "builtin")
-EXPR_KEYS = ("id", "expr", "domain", "orders", "exact_modulus", "sup_norm", "grid_window")
+EXPR_KEYS = ("id", "expr", "domain", "exact_modulus", "sup_norm", "grid_window")
 #: every name a builtin entry may take: the members of the theorems' pools
 BUILTINS = tuple(sorted({name for th in bounds.THEOREMS.values()
                          for name in getattr(corpus, th.pool)}))
@@ -100,6 +99,10 @@ class ExperimentConfig:
         # an absent order list keeps the dataclass default
         orders = {name: _list(name, kind) for name, kind in
                   (("fractional_orders", float), ("highorder_orders", int)) if name in raw}
+        if any(N < 1 for N in orders.get("highorder_orders", ())):
+            raise ConfigError("highorder_orders", "each N must be >= 1")
+        if any(not 0 < a < math.inf or a.is_integer() for a in orders.get("fractional_orders", ())):
+            raise ConfigError("fractional_orders", "each order must be finite, > 0, not an integer")
 
         functions = raw.get("functions")
         if functions is None:
@@ -175,6 +178,8 @@ def _check_expr_entry(prefix: str, spec: dict):
     """Reject an expr function entry whose values have the wrong type or
     range; the entry itself is kept as written."""
     _typed(prefix + "expr", spec["expr"], str)
+    if "domain" in spec and "grid_window" in spec:
+        raise ConfigError(prefix + "grid_window", "unread: a domain is its own sampling window")
     for key in ("domain", "grid_window"):
         if key in spec:
             window = spec[key]
@@ -183,8 +188,6 @@ def _check_expr_entry(prefix: str, spec: dict):
             lo, hi = (_typed(prefix + key, v, float) for v in window)
             if not lo < hi:
                 raise ConfigError(prefix + key, f"needs lo < hi, got {window!r}")
-    if "orders" in spec and _typed(prefix + "orders", spec["orders"], int) < 0:
-        raise ConfigError(prefix + "orders", "must be >= 0")
     if "sup_norm" in spec:
         _typed(prefix + "sup_norm", spec["sup_norm"], float)
     if "exact_modulus" in spec:
@@ -207,13 +210,13 @@ def _known_keys(prefix: str, mapping: dict, known: Tuple[str, ...]):
 # ------------------------------------------------------- function resolution
 
 
-def _resolve(spec: dict, theorem: str):
-    """Corpus variant (or expression-built function) suited to a theorem.
+def _resolve(spec: dict, theorem: str, order: int):
+    """Corpus variant, or function built from an expression with its
+    derivatives to order, suited to a theorem.
 
     Returns (object, skip_reason); exactly one is None.
     """
     th = bounds.THEOREMS[theorem]
-    fid = spec["id"]
     if "expr" in spec:
         domain = tuple(spec["domain"]) if "domain" in spec else None
         if th.complex:
@@ -225,10 +228,9 @@ def _resolve(spec: dict, theorem: str):
             return None, "whole-line theorem, function has a compact domain"
         elif spec.get("sup_norm") is None:
             return None, "whole-line theorem needs a declared sup_norm"
-        orders = spec.get("orders", 2 if th.bound == "fractional_bound" else 0)
         try:
             f = corpus.function_from_expression(
-                fid, spec["expr"], domain=domain, orders=orders,
+                spec["id"], spec["expr"], domain=domain, orders=order,
                 exact_modulus=spec.get("exact_modulus"),
                 sup_norm=spec.get("sup_norm"),
                 grid_window=tuple(spec["grid_window"]) if "grid_window" in spec else None,
@@ -248,14 +250,9 @@ def _derivatives(f) -> int:
     return min(len(p.derivatives) for p in f.parts)
 
 
-def _variants(cfg: ExperimentConfig, theorem: str, f) -> Tuple[List[dict], Optional[str]]:
-    """Parameter variants of a theorem for f, or a reason to skip the pair.
-
-    Config values outside the theorem's admissible range are dropped.  Of
-    the values f lacks derivatives for, only the lowest is kept: the
-    precheck skips its cells with the reason, and higher ones fail alike.
-    """
-    th = bounds.THEOREMS[theorem]
+def _variants(cfg: ExperimentConfig, th: bounds.Theorem) -> Tuple[List[dict], Optional[str]]:
+    """A theorem's parameter variants, or a reason to skip it; config
+    values outside the theorem's admissible range are dropped."""
     if th.param is None:
         return [{}], None
     values = cfg.highorder_orders if th.param == "N" else cfg.fractional_orders
@@ -263,10 +260,7 @@ def _variants(cfg: ExperimentConfig, theorem: str, f) -> Tuple[List[dict], Optio
     kws = [{th.param: v} for v in values if lo < v < hi]
     if not kws:
         return [], f"no {th.param} in {list(values)} lies in ({lo:g}, {hi:g})"
-    have = _derivatives(f)
-    fits = [kw for kw in kws if th.derivative_order(kw) <= have]
-    short = [kw for kw in kws if th.derivative_order(kw) > have]
-    return fits + short[:1], None
+    return kws, None
 
 
 def _precheck(theorem: str, f, n: int, exponent: float, kw: dict) -> Optional[str]:
@@ -306,15 +300,22 @@ def run_verify(cfg: ExperimentConfig) -> RunResult:
     tasks = []
     skipped = []
     for theorem in cfg.theorems:
+        th = bounds.THEOREMS[theorem]
+        variants, no_variant = _variants(cfg, th)
+        # an expression gets the derivatives its most demanding variant reads
+        order = max((th.derivative_order(kw) for kw in variants), default=0)
         for spec in cfg.functions:
-            f, reason = _resolve(spec, theorem)
-            kws = []
-            if f is not None:
-                kws, reason = _variants(cfg, theorem, f)
+            f, reason = _resolve(spec, theorem, order)
+            reason = reason or no_variant
             if reason is not None:
                 skipped.append({"theorem": theorem, "function": spec["id"],
                                 "reason": reason})
                 continue
+            # of the variants f lacks derivatives for only the lowest is kept:
+            # the precheck skips its cells with the reason, higher ones fail alike
+            have = _derivatives(f)
+            kws = [kw for kw in variants if th.derivative_order(kw) <= have]
+            kws += [kw for kw in variants if th.derivative_order(kw) > have][:1]
             for exponent in cfg.rate_exponents:
                 for kw in kws:
                     ns = []

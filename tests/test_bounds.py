@@ -1,5 +1,6 @@
 """Bound right-hand sides, verdicts, rate fitting, and verify dispatch."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -116,12 +117,21 @@ class TestFractionalBound:
                                          anchors=9, table_points=129)
         assert quality == "estimated"
 
-    def test_half_sup_requires_half_order(self):
-        f = FRACTIONAL_CORPUS["sq"]
-        with pytest.raises(PreconditionViolated):
-            fractional_bound(f, 81, 0.5, 0.8, 0.0, 1.0, "half_sup")
-        with pytest.raises(PreconditionViolated):
-            fractional_bound(f, 81, 0.5, 1.5, 0.0, 1.0, "n1_sup")
+    def test_corollaries_hold_their_order(self):
+        # C33 sweeps no order, so it reads none and stays at 1/2; C31 is T30
+        # at 0 < alpha < 1
+        for tid, alpha_frac in (("C33", 0.8), ("C31", 1.5)):
+            with pytest.raises(PreconditionViolated) as exc:
+                verify(tid, FRACTIONAL_CORPUS["sq"], (81,), 0.5, FAST_GRID,
+                       alpha_frac=alpha_frac)
+            assert "alpha_frac" in str(exc.value)
+
+    def test_corollaries_are_the_t30_sup_form(self):
+        f = FRACTIONAL_CORPUS["sin"]
+        t30 = verify("T30", f, (16, 81), 0.5, FAST_GRID, alpha_frac=0.5)
+        for tid, kw in (("C31", {"alpha_frac": 0.5}), ("C33", {})):
+            assert verify(tid, f, (16, 81), 0.5, FAST_GRID, **kw) == [
+                dataclasses.replace(r, theorem_id=tid) for r in t30]
 
     def test_pointwise_needs_x(self):
         f = FRACTIONAL_CORPUS["sq"]
@@ -205,6 +215,19 @@ class TestVerify:
     def test_unknown_theorem(self):
         with pytest.raises(PreconditionViolated):
             verify("T99", INTERVAL_CORPUS["linear"], (16,), 0.5)
+
+    @pytest.mark.parametrize("tid, kw", [
+        # both used to return the plain first-order rows
+        ("T12", {"N": 3}),
+        ("T13", {"mode": "pointwise"}),
+        ("T16", {"alpha_frac": 0.5}),
+        ("T30", {"N": 2}),
+    ])
+    def test_a_keyword_the_theorem_does_not_read_is_rejected(self, tid, kw):
+        f = INTERVAL_CORPUS["sin"] if tid != "T13" else LINE_CORPUS["sin"]
+        with pytest.raises(PreconditionViolated) as exc:
+            verify(tid, f, (16,), 0.5, FAST_GRID, **kw)
+        assert repr(next(iter(kw))) in str(exc.value)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_error_or_bound_gets_its_own_verdict(self):

@@ -100,9 +100,12 @@ class TestConfigValidation:
         assert exc.value.field == field
 
     def test_expr_entry_takes_every_key_it_reads(self):
-        spec = {"id": "g", "expr": "sin(x)", "domain": [0.0, 1.0], "orders": 1,
-                "exact_modulus": "sine_rising", "sup_norm": 1.0, "grid_window": [0.0, 1.0]}
-        assert cfg_with(functions=[spec]).functions == (spec,)
+        # a domain and a grid_window are never read together
+        specs = [{"id": "g", "expr": "sin(x)", "domain": [0.0, 1.0],
+                  "exact_modulus": "sine_rising", "sup_norm": 1.0},
+                 {"id": "w", "expr": "sin(x)", "exact_modulus": "sine_period",
+                  "sup_norm": 1.0, "grid_window": [-3.0, 3.0]}]
+        assert cfg_with(functions=specs).functions == tuple(specs)
 
     @pytest.mark.parametrize("key, value", [
         ("x_points", 1), ("anchors", 0), ("table_points", 1),
@@ -212,8 +215,9 @@ class TestCli:
         ({"grid": {"x_points": 2048.9}}, "grid.x_points"),
         ({"sweep": [16.7]}, "sweep"),
         ({"sweep": [True]}, "sweep"),
-        # a TypeError and a ValueError out of run_verify
+        # a TypeError out of run_verify
         ({"functions": [{"id": "g", "expr": "x", "domain": 5}]}, "functions[0].domain"),
+        # a ValueError out of run_verify; the theorem now decides the orders
         ({"functions": [{"id": "g", "expr": "x", "domain": [0.0, 1.0], "orders": "two"}]},
          "functions[0].orders"),
         # every row a skip: "unknown modulus shape", "group failed"
@@ -234,6 +238,15 @@ class TestCli:
                          "exact_modulus": "sine_rising"}]}, "functions[0].exact_modulus"),
         ({"functions": [{"id": "g", "expr": "x^2", "domain": [0.0, 1.0],
                          "exact_modulus": "parabola"}]}, "functions[0].exact_modulus"),
+        # loaded, and every group became the skip "group failed"
+        ({"theorems": ["T16"], "highorder_orders": [0]}, "highorder_orders"),
+        ({"theorems": ["T16"], "highorder_orders": [-1]}, "highorder_orders"),
+        ({"theorems": ["T30"], "fractional_orders": [2.0]}, "fractional_orders"),
+        ({"theorems": ["T30"], "fractional_orders": [0.0]}, "fractional_orders"),
+        ({"theorems": ["T30"], "fractional_orders": [-0.5]}, "fractional_orders"),
+        # loaded, and never read: the domain is the sampling window
+        ({"functions": [{"id": "g", "expr": "x", "domain": [0.0, 1.0],
+                         "grid_window": [0.2, 0.4]}]}, "functions[0].grid_window"),
     ])
     def test_value_of_the_wrong_type_exits_two_naming_its_field(self, tmp_path, capsys,
                                                                 overrides, field):

@@ -96,6 +96,22 @@ class TestExpansion:
         assert result.rows == ()
         assert [s["reason"] for s in result.skipped] == ["no alpha_frac in [1.5] lies in (0, 1)"]
 
+    def test_an_expression_gets_the_derivatives_its_theorem_reads(self):
+        # with no orders key it used to be built without derivatives, and
+        # every T16 cell was skipped
+        result = run(functions=[{"id": "bump", "expr": "exp(-x^2)", "domain": [-1.0, 1.0]}],
+                     theorems=["T16"], highorder_orders=[1, 2])
+        assert [(r["n"], r["verdict"]) for r in result.rows] == [
+            (n, "holds") for _ in (1, 2) for n in (9, 16, 81)]
+        assert result.skipped == ()
+
+    def test_an_expression_without_derivatives_is_rejected(self):
+        result = run(functions=[{"id": "vee", "expr": "abs(x)", "domain": [0.0, 1.0]}],
+                     theorems=["T12", "T30"], fractional_orders=[0.5])
+        assert len(result.rows) == 3
+        [skip] = result.skipped
+        assert skip["theorem"] == "T30" and skip["reason"].startswith("expression rejected")
+
     def test_missing_derivatives_skip_cells(self):
         result = run(functions=[{"id": "abs", "builtin": "abs"}], theorems=["T16"],
                      highorder_orders=[1, 2])
