@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -85,6 +85,15 @@ class GridPolicy:
     pointwise_points: int = 17
     anchors: int = 33
     table_points: int = 513
+
+    #: each count's least value; the config schema reads it from here
+    LEAST: ClassVar[Dict[str, int]] = {
+        "x_points": 2, "pointwise_points": 1, "anchors": 1, "table_points": 2}
+
+    def __post_init__(self):
+        for key, least in self.LEAST.items():
+            if getattr(self, key) < least:
+                raise PreconditionViolated(f"GridPolicy.{key} must be >= {least}")
 
 
 # ------------------------------------------------------- first-order bounds
@@ -531,15 +540,17 @@ def verify(
     of its points gets the verdict "non-finite" instead of a comparison.
 
     Extra keyword arguments: the theorem's parameter (N or alpha_frac) and,
-    for a bound with modes, mode (default "sup") and x0, the point the
-    "critical" mode evaluates at (default 0); any other raises.  The
-    "pointwise" and "taylor_pointwise" modes report the worst of
-    grid.pointwise_points points by error-to-bound ratio.
+    for a bound with modes, mode (default "sup") and, with mode="critical"
+    only, x0, the point that mode evaluates at (default 0); any other
+    raises.  The "pointwise" and "taylor_pointwise" modes report the worst
+    of grid.pointwise_points points by error-to-bound ratio.
     """
     th = THEOREMS.get(theorem_id)
     if th is None:
         raise PreconditionViolated(f"unknown theorem id {theorem_id!r}")
-    reads = {th.param, "mode", "x0"} if "mode" in _BOUND_ARGS[th.bound] else {th.param}
+    reads = {th.param}
+    if "mode" in _BOUND_ARGS[th.bound]:
+        reads |= {"mode", "x0"} if kw.get("mode") == "critical" else {"mode"}
     if set(kw) - reads:
         raise PreconditionViolated(f"{theorem_id} does not read {sorted(set(kw) - reads)}")
     if th.param is not None:
@@ -555,22 +566,6 @@ def verify(
         rows.extend(_verify_one(theorem_id, th, f, int(n), rate_exponent, grid,
                                 sup_errors, kw))
     return rows
-
-
-def _report(theorem_id, f, family, n, ex, point_mode, emp, value, terms, quality):
-    return BoundReport(
-        theorem_id=theorem_id,
-        function_id=f.name,
-        family=family,
-        n=n,
-        rate_exponent=ex,
-        point_mode=point_mode,
-        empirical_error=emp,
-        bound_value=value,
-        terms=terms,
-        modulus_quality=quality,
-        verdict=_verdict(emp, value, quality),
-    )
 
 
 def _verify_one(tid, th: Theorem, f, n, ex, grid, sup_errors, kw) -> List[BoundReport]:
@@ -614,6 +609,7 @@ def _verify_one(tid, th: Theorem, f, n, ex, grid, sup_errors, kw) -> List[BoundR
             if worst[i] is None or rank > worst[i][0]:
                 worst[i] = (rank, emp, value, terms, quality)
     return [
-        _report(tid, f, family, n, ex, point_mode, emp, value, terms, quality)
+        BoundReport(tid, f.name, family, n, ex, point_mode, emp, value, terms, quality,
+                    _verdict(emp, value, quality))
         for family, (_, emp, value, terms, quality) in zip(th.families, worst)
     ]

@@ -18,7 +18,7 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from .errors import ConfigError
-from .expr import differentiate, evaluate, parse
+from .expr import derivatives, evaluate, parse
 from .funcs import ComplexFunctionSpec, FunctionSpec
 
 # ------------------------------------------------------- modulus registry
@@ -269,9 +269,7 @@ def function_from_expression(
     grid_window: Optional[Tuple[float, float]] = None,
 ) -> FunctionSpec:
     """Build a FunctionSpec (with symbolic derivatives) from an expression."""
-    asts = [parse(text)]
-    for _ in range(orders):
-        asts.append(differentiate(asts[-1]))
+    asts = derivatives(parse(text), orders)
 
     mod = None if exact_modulus is None else modulus_from_registry(exact_modulus, domain)
     rest = [None] * (len(asts) - 1)

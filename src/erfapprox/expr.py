@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import List, Union, get_args
 
 import numpy as np
 
@@ -89,6 +89,7 @@ class Fun:
 
 
 Node = Union[Num, Var, Neg, Add, Sub, Mul, Div, Pow, Fun]
+_NODES = get_args(Node)
 
 
 #: each function's numpy evaluation and its derivative at the argument u, as
@@ -123,12 +124,8 @@ def _tokenize(text: str):
             if not stripped:
                 break
             raise ExprSyntaxError(f"unexpected character {stripped[0]!r}", len(text) - len(stripped))
-        if m.lastgroup == "num":
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group("name"), m.start("name")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
+        kind = m.lastgroup      # "num", "name" or "op"
+        tokens.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens
@@ -242,36 +239,59 @@ def parse(text: str) -> Node:
 
 
 def evaluate(node: Node, x):
-    """Evaluate an AST at scalar or array x."""
+    """Evaluate an AST at scalar or array x.  A subtree reached more than
+    once, as in a derivative chain, is computed once and its value dropped
+    after its last use; a tree without sharing holds no stored value."""
     xv = np.asarray(x, dtype=float)
-    out = _eval(node, xv)
+    out = _eval(node, xv, _uses(node), {})
     out = np.asarray(out, dtype=float) + np.zeros_like(xv)
     return float(out) if np.ndim(x) == 0 else out
 
 
-def _eval(node: Node, x):
+def _uses(root: Node) -> dict:
+    """How many times each node is reached from root: its edges in."""
+    uses, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in uses:
+            uses[id(node)] += 1
+        else:
+            uses[id(node)] = 1
+            stack += [v for v in vars(node).values() if isinstance(v, _NODES)]
+    return uses
+
+
+def _eval(node: Node, x, uses: dict, memo: dict):
+    key = id(node)
+    if key in memo:
+        uses[key] -= 1
+        return memo.pop(key) if uses[key] == 1 else memo[key]
     if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return x
-    if isinstance(node, Neg):
-        return -_eval(node.arg, x)
-    if isinstance(node, Add):
-        return _eval(node.left, x) + _eval(node.right, x)
-    if isinstance(node, Sub):
-        return _eval(node.left, x) - _eval(node.right, x)
-    if isinstance(node, Mul):
-        return _eval(node.left, x) * _eval(node.right, x)
-    if isinstance(node, Div):
-        den = np.asarray(_eval(node.right, x))
+        out = node.value
+    elif isinstance(node, Var):
+        out = x
+    elif isinstance(node, Neg):
+        out = -_eval(node.arg, x, uses, memo)
+    elif isinstance(node, Add):
+        out = _eval(node.left, x, uses, memo) + _eval(node.right, x, uses, memo)
+    elif isinstance(node, Sub):
+        out = _eval(node.left, x, uses, memo) - _eval(node.right, x, uses, memo)
+    elif isinstance(node, Mul):
+        out = _eval(node.left, x, uses, memo) * _eval(node.right, x, uses, memo)
+    elif isinstance(node, Div):
+        den = np.asarray(_eval(node.right, x, uses, memo))
         if np.any(den == 0.0):
             raise DivisionByZero("division by zero during evaluation")
-        return _eval(node.left, x) / den
-    if isinstance(node, Pow):
-        return np.power(_eval(node.base, x), node.exponent)
-    if isinstance(node, Fun):
-        return _FUNCTIONS[node.name][0](_eval(node.arg, x))
-    raise TypeError(f"unknown node {node!r}")
+        out = _eval(node.left, x, uses, memo) / den
+    elif isinstance(node, Pow):
+        out = np.power(_eval(node.base, x, uses, memo), node.exponent)
+    elif isinstance(node, Fun):
+        out = _FUNCTIONS[node.name][0](_eval(node.arg, x, uses, memo))
+    else:
+        raise TypeError(f"unknown node {node!r}")
+    if uses[key] > 1:
+        memo[key] = out
+    return out
 
 
 # ---------------------------------------------------------------- calculus
@@ -317,45 +337,53 @@ def _mul(a: Node, b: Node) -> Node:
 
 def differentiate(node: Node, order: int = 1) -> Node:
     """Symbolic derivative of given order with light simplification."""
+    return derivatives(node, order)[-1]
+
+
+def derivatives(node: Node, order: int) -> List[Node]:
+    """[node, node', ..., node^(order)]; one memo over the chain differentiates
+    each distinct subtree once, so the trees share subtrees by identity."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    out = node
+    chain, memo = [node], {}
     for _ in range(order):
-        out = _d(out)
-    return out
+        chain.append(_d(chain[-1], memo))
+    return chain
 
 
-def _d(node: Node) -> Node:
+def _d(node: Node, memo: dict) -> Node:
+    # every key is a subtree of a tree in the chain, so its id stays taken
+    if id(node) in memo:
+        return memo[id(node)]
     if isinstance(node, Num):
-        return Num(0.0)
-    if isinstance(node, Var):
-        return Num(1.0)
-    if isinstance(node, Neg):
-        inner = _d(node.arg)
-        return Num(0.0) if _is_zero(inner) else Neg(inner)
-    if isinstance(node, Add):
-        return _add(_d(node.left), _d(node.right))
-    if isinstance(node, Sub):
-        return _sub(_d(node.left), _d(node.right))
-    if isinstance(node, Mul):
-        return _add(_mul(_d(node.left), node.right), _mul(node.left, _d(node.right)))
-    if isinstance(node, Div):
+        out = Num(0.0)
+    elif isinstance(node, Var):
+        out = Num(1.0)
+    elif isinstance(node, Neg):
+        inner = _d(node.arg, memo)
+        out = Num(0.0) if _is_zero(inner) else Neg(inner)
+    elif isinstance(node, Add):
+        out = _add(_d(node.left, memo), _d(node.right, memo))
+    elif isinstance(node, Sub):
+        out = _sub(_d(node.left, memo), _d(node.right, memo))
+    elif isinstance(node, Mul):
+        out = _add(_mul(_d(node.left, memo), node.right), _mul(node.left, _d(node.right, memo)))
+    elif isinstance(node, Div):
         # (u/v)' = u'/v - u v'/v^2
         u, v = node.left, node.right
-        return _sub(Div(_d(u), v), Div(_mul(u, _d(v)), Pow(v, 2.0)))
-    if isinstance(node, Pow):
-        if node.exponent == 0.0:
-            return Num(0.0)
-        inner = _d(node.base)
+        out = _sub(Div(_d(u, memo), v), Div(_mul(u, _d(v, memo)), Pow(v, 2.0)))
+    elif isinstance(node, Pow):
         chain = _mul(Num(node.exponent), Pow(node.base, node.exponent - 1.0))
-        return _mul(chain, inner)
-    if isinstance(node, Fun):
-        inner = _d(node.arg)
+        out = Num(0.0) if node.exponent == 0.0 else _mul(chain, _d(node.base, memo))
+    elif isinstance(node, Fun):
         outer = _FUNCTIONS[node.name][1]
         if outer is None:
             raise NonDifferentiable(f"{node.name} is not differentiable at 0")
-        return _mul(outer(node.arg), inner)
-    raise TypeError(f"unknown node {node!r}")
+        out = _mul(outer(node.arg), _d(node.arg, memo))
+    else:
+        raise TypeError(f"unknown node {node!r}")
+    memo[id(node)] = out
+    return out
 
 
 # ---------------------------------------------------------------- printing
@@ -370,8 +398,7 @@ def serialize(node: Node) -> str:
 def _ser(node: Node, parent: int) -> str:
     if isinstance(node, Num):
         v = node.value
-        text = repr(v) if v >= 0 else f"({v!r})"
-        return text
+        return repr(v) if v >= 0 else f"({v!r})"
     if isinstance(node, Var):
         return "x"
     if isinstance(node, Neg):

@@ -22,6 +22,7 @@ import yaml
 from . import bounds, corpus, partition
 from .bounds import GridPolicy, fit_rate, verify
 from .errors import ConfigError, DegenerateFit, ErfApproxError
+from .expr import parse
 
 SCHEMA_VERSION = 1
 
@@ -31,18 +32,59 @@ CSV_COLUMNS = (
     "slope", "r2",
 )
 
-# the keys a config may name, at the top level, inside grid and output, and
-# in a builtin or an expr function entry; GridPolicy.pointwise_points is not
-# one: a config run reads every bound in its sup form, which does not read it
-CONFIG_KEYS = ("schema_version", "functions", "theorems", "sweep", "rate_exponents",
-               "fractional_orders", "highorder_orders", "grid", "output")
-GRID_KEYS = ("x_points", "refinement", "anchors", "table_points")
-OUTPUT_KEYS = ("csv", "json")
-BUILTIN_KEYS = ("id", "builtin")
-EXPR_KEYS = ("id", "expr", "domain", "exact_modulus", "sup_norm", "grid_window")
 #: every name a builtin entry may take: the members of the theorems' pools
 BUILTINS = tuple(sorted({name for th in bounds.THEOREMS.values()
                          for name in getattr(corpus, th.pool)}))
+
+
+def _least(key: str):
+    """The schema entry of a grid count: an int of at least GridPolicy.LEAST[key]."""
+    least = GridPolicy.LEAST[key]
+    return int, lambda v: v >= least, f"must be >= {least}"
+
+
+_STR = (str, None, None)
+_WINDOW = ([float, float], lambda w: w[0] < w[1], "needs lo < hi")
+
+#: every config key, under the README's label of the mapping that takes it,
+#: as (kind, test, message).  A kind is int, float, bool, str, dict (a
+#: mapping), [kind] (a list of it) or [float, float] (a [lo, hi] window).  A
+#: value of another kind, or one its test rejects, is a ConfigError naming
+#: its key; a test that raises an ErfApproxError fails with that message.
+#: A config run reads every bound in its sup form, so it takes no
+#: GridPolicy.pointwise_points.
+SCHEMA = {
+    "top level": {
+        "schema_version": (int, None, None),
+        "functions": ([dict], None, None),
+        "theorems": ([str], lambda ts: all(t in bounds.THEOREMS for t in ts),
+                     f"must be theorem ids: {', '.join(bounds.THEOREMS)}"),
+        "sweep": ([int], lambda ns: all(n >= 1 for n in ns), "all n must be >= 1"),
+        "rate_exponents": ([float], lambda es: all(0.0 < e < 1.0 for e in es),
+                           "exponents must lie in (0, 1)"),
+        "fractional_orders": ([float], lambda As: all(0 < a < math.inf and not a.is_integer()
+                              for a in As), "each order must be finite, > 0, not an integer"),
+        "highorder_orders": ([int], lambda Ns: all(N >= 1 for N in Ns), "each N must be >= 1"),
+        "grid": (dict, None, None),
+        "output": (dict, None, None),
+    },
+    "grid": {"x_points": _least("x_points"), "refinement": (bool, None, None),
+             "anchors": _least("anchors"), "table_points": _least("table_points")},
+    "output": {"csv": _STR, "json": _STR},
+    "builtin function": {
+        "id": _STR,
+        "builtin": (str, lambda b: b in BUILTINS, f"must be one of {', '.join(BUILTINS)}"),
+    },
+    "expr function": {
+        "id": _STR,
+        # an expression that does not parse fails with its syntax error
+        "expr": (str, lambda text: parse(text) is not None, None),
+        "domain": _WINDOW,
+        "exact_modulus": _STR,
+        "sup_norm": (float, None, None),
+        "grid_window": _WINDOW,
+    },
+}
 
 
 @dataclass(frozen=True)
@@ -71,140 +113,88 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
+        """The config raw describes; SCHEMA checks each value, and this the
+        rules that span keys.  The function entries are kept as written."""
         if not isinstance(raw, dict):
             raise ConfigError("document", "top level must be a mapping")
         version = raw.get("schema_version")
         if version != SCHEMA_VERSION:
             raise ConfigError("schema_version", f"expected {SCHEMA_VERSION}, got {version!r}")
-        _known_keys("", raw, CONFIG_KEYS)
-
-        def _list(name, kind, required=False):
-            if name not in raw:
-                raise ConfigError(name, "missing")
-            val = raw[name]
-            if not isinstance(val, (list, tuple)) or not val and required:
+        top = _read("top level", raw)
+        for name in ("sweep", "rate_exponents"):
+            if not top.get(name):
                 raise ConfigError(name, "must be a non-empty list")
-            return tuple(_typed(name, v, kind) for v in val)
 
-        theorems = _list("theorems", str) if "theorems" in raw else tuple(bounds.THEOREMS)
-        for t in theorems:
-            if t not in bounds.THEOREMS:
-                raise ConfigError("theorems", f"unknown theorem id {t!r}")
-        sweep = _list("sweep", int, required=True)
-        if any(n < 1 for n in sweep):
-            raise ConfigError("sweep", "all n must be >= 1")
-        exponents = _list("rate_exponents", float, required=True)
-        if any(not 0.0 < e < 1.0 for e in exponents):
-            raise ConfigError("rate_exponents", "exponents must lie in (0, 1)")
-        # an absent order list keeps the dataclass default
-        orders = {name: _list(name, kind) for name, kind in
-                  (("fractional_orders", float), ("highorder_orders", int)) if name in raw}
-        if any(N < 1 for N in orders.get("highorder_orders", ())):
-            raise ConfigError("highorder_orders", "each N must be >= 1")
-        if any(not 0 < a < math.inf or a.is_integer() for a in orders.get("fractional_orders", ())):
-            raise ConfigError("fractional_orders", "each order must be finite, > 0, not an integer")
-
-        functions = raw.get("functions")
-        if functions is None:
-            functions = [{"id": name, "builtin": name}
-                         for name in ("linear", "sin", "cos", "abs", "exp", "sq",
-                                      "circle", "ramp_pair")]
+        functions = top.pop("functions", [{"id": name, "builtin": name} for name in (
+            "linear", "sin", "cos", "abs", "exp", "sq", "circle", "ramp_pair")])
         seen = set()
         for i, spec in enumerate(functions):
-            if not isinstance(spec, dict) or "id" not in spec:
-                raise ConfigError(f"functions[{i}]", "each entry needs an id")
-            fid = _typed(f"functions[{i}].id", spec["id"], str)
-            if fid in seen:
-                raise ConfigError(f"functions[{i}].id", f"duplicate id {fid!r}")
-            seen.add(fid)
-            if "builtin" not in spec and "expr" not in spec:
-                raise ConfigError(f"functions[{i}]", "needs 'builtin' or 'expr'")
+            prefix = f"functions[{i}]"
+            if "id" not in spec or "builtin" not in spec and "expr" not in spec:
+                raise ConfigError(prefix, "needs an id and a 'builtin' or an 'expr'")
             # expr decides the kind, so an entry with both fails on its 'builtin'
-            _known_keys(f"functions[{i}].", spec, EXPR_KEYS if "expr" in spec else BUILTIN_KEYS)
-            if "expr" in spec:
-                _check_expr_entry(f"functions[{i}].", spec)
-            elif _typed(f"functions[{i}].builtin", spec["builtin"], str) not in BUILTINS:
-                raise ConfigError(f"functions[{i}].builtin",
-                                  f"unknown builtin {spec['builtin']!r}; expected one of "
-                                  f"{', '.join(BUILTINS)}")
+            entry = _read("expr function" if "expr" in spec else "builtin function", spec,
+                          prefix + ".")
+            if entry["id"] in seen:
+                raise ConfigError(prefix + ".id", f"duplicate id {entry['id']!r}")
+            seen.add(entry["id"])
+            if "domain" in entry and "grid_window" in entry:
+                raise ConfigError(prefix + ".grid_window",
+                                  "unread: a domain is its own sampling window")
+            if "exact_modulus" in entry:
+                # the shape must exist and fit the domain, or every row would skip
+                try:
+                    corpus.modulus_from_registry(entry["exact_modulus"], entry.get("domain"))
+                except ConfigError as exc:
+                    raise ConfigError(prefix + ".exact_modulus", exc.message) from None
 
-        grid_raw = raw.get("grid", {})
-        if not isinstance(grid_raw, dict):
-            raise ConfigError("grid", "must be a mapping")
-        _known_keys("grid.", grid_raw, GRID_KEYS)
-        # an absent key keeps the GridPolicy default
-        grid = GridPolicy(**{
-            key: _typed(f"grid.{key}", val, bool if key == "refinement" else int)
-            for key, val in grid_raw.items()
-        })
-        for key, least in (("x_points", 2), ("anchors", 1), ("table_points", 2)):
-            if getattr(grid, key) < least:
-                raise ConfigError(f"grid.{key}", f"must be >= {least}")
-
-        output = raw.get("output", {})
-        if not isinstance(output, dict):
-            raise ConfigError("output", "must be a mapping")
-        _known_keys("output.", output, OUTPUT_KEYS)
-        paths = {key: _typed(f"output.{key}", val, str) for key, val in output.items()}
-
+        output = _read("output", top.pop("output", {}), "output.")
+        del top["schema_version"]
+        top.setdefault("theorems", tuple(bounds.THEOREMS))
+        # the other top-level keys name their fields; an absent one keeps its default
         return ExperimentConfig(
             functions=tuple(dict(s) for s in functions),
-            theorems=theorems,
-            sweep=sweep,
-            rate_exponents=exponents,
-            grid=grid,
-            csv_path=paths.get("csv"),
-            json_path=paths.get("json"),
-            **orders,
-        )
+            grid=GridPolicy(**_read("grid", top.pop("grid", {}), "grid.")),
+            csv_path=output.get("csv"), json_path=output.get("json"), **top)
+
+
+def _read(label: str, mapping: dict, prefix: str = "") -> dict:
+    """mapping's values, typed (a number as a float, a list or a window as
+    a tuple); a ConfigError names the first key that SCHEMA[label] does not
+    take or whose value it rejects, so a misspelt knob cannot run the default."""
+    schema, typed = SCHEMA[label], {}
+    for key, value in mapping.items():
+        if key not in schema:
+            raise ConfigError(prefix + key, f"unknown key; expected one of {', '.join(schema)}")
+        kind, test, message = schema[key]
+        typed[key] = _typed(prefix + key, value, kind)
+        try:
+            passes = test is None or test(typed[key])
+        except ErfApproxError as exc:
+            raise ConfigError(prefix + key, str(exc)) from None
+        if not passes:
+            raise ConfigError(prefix + key, f"{message}, got {value!r}")
+    return typed
 
 
 #: each kind of config value: its name in errors and the types it accepts;
 #: a YAML bool is a Python int, so only the bool kind accepts one
 _KINDS = {int: ("an integer", int), float: ("a number", (int, float)),
-          bool: ("a boolean", bool), str: ("a string", str)}
+          bool: ("a boolean", bool), str: ("a string", str), dict: ("a mapping", dict)}
 
 
-def _typed(field: str, value, kind: type):
-    """value (a number as a float), or a ConfigError naming field if value
-    is not of kind."""
+def _typed(field: str, value, kind):
+    """value (a number as a float, a list as a tuple), or a ConfigError
+    naming field if value is not of kind."""
+    if isinstance(kind, list):
+        if not isinstance(value, (list, tuple)) or len(kind) == 2 and len(value) != 2:
+            shape = "[lo, hi]" if len(kind) == 2 else "a list"
+            raise ConfigError(field, f"must be {shape}, got {value!r}")
+        return tuple(_typed(field, v, kind[0]) for v in value)
     name, types = _KINDS[kind]
     if not isinstance(value, types) or isinstance(value, bool) and kind is not bool:
         raise ConfigError(field, f"must be {name}, got {value!r}")
     return float(value) if kind is float else value
-
-
-def _check_expr_entry(prefix: str, spec: dict):
-    """Reject an expr function entry whose values have the wrong type or
-    range; the entry itself is kept as written."""
-    _typed(prefix + "expr", spec["expr"], str)
-    if "domain" in spec and "grid_window" in spec:
-        raise ConfigError(prefix + "grid_window", "unread: a domain is its own sampling window")
-    for key in ("domain", "grid_window"):
-        if key in spec:
-            window = spec[key]
-            if not isinstance(window, (list, tuple)) or len(window) != 2:
-                raise ConfigError(prefix + key, f"must be [lo, hi], got {window!r}")
-            lo, hi = (_typed(prefix + key, v, float) for v in window)
-            if not lo < hi:
-                raise ConfigError(prefix + key, f"needs lo < hi, got {window!r}")
-    if "sup_norm" in spec:
-        _typed(prefix + "sup_norm", spec["sup_norm"], float)
-    if "exact_modulus" in spec:
-        name = _typed(prefix + "exact_modulus", spec["exact_modulus"], str)
-        # the shape must exist and fit the domain, or every row would skip
-        try:
-            corpus.modulus_from_registry(name, tuple(spec["domain"]) if "domain" in spec else None)
-        except ConfigError as exc:
-            raise ConfigError(prefix + "exact_modulus", exc.message) from None
-
-
-def _known_keys(prefix: str, mapping: dict, known: Tuple[str, ...]):
-    """Reject the first key of mapping that the config schema does not know,
-    so a misspelt knob fails instead of running the default."""
-    for key in mapping:
-        if key not in known:
-            raise ConfigError(f"{prefix}{key}", f"unknown key; expected one of {', '.join(known)}")
 
 
 # ------------------------------------------------------- function resolution
@@ -368,21 +358,10 @@ def run_verify(cfg: ExperimentConfig) -> RunResult:
         except DegenerateFit:
             pass
         for r in reports:
-            rows.append({
-                "theorem": r.theorem_id,
-                "function": r.function_id,
-                "family": r.family,
-                "n": r.n,
-                "exponent": r.rate_exponent,
-                "point_mode": r.point_mode,
-                "empirical_error": r.empirical_error,
-                "bound": r.bound_value,
-                "slack": r.slack,
-                "modulus_quality": r.modulus_quality,
-                "verdict": r.verdict,
-                "slope": slope,
-                "r2": r2,
-            })
+            rows.append(dict(zip(CSV_COLUMNS, (
+                r.theorem_id, r.function_id, r.family, r.n, r.rate_exponent, r.point_mode,
+                r.empirical_error, r.bound_value, r.slack, r.modulus_quality, r.verdict,
+                slope, r2))))
 
     verdicts = [r["verdict"] for r in rows]
     return RunResult(

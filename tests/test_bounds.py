@@ -222,12 +222,27 @@ class TestVerify:
         ("T13", {"mode": "pointwise"}),
         ("T16", {"alpha_frac": 0.5}),
         ("T30", {"N": 2}),
+        # x0 is read only by mode="critical"
+        ("T16", {"x0": 0.3, "N": 1}),
     ])
     def test_a_keyword_the_theorem_does_not_read_is_rejected(self, tid, kw):
         f = INTERVAL_CORPUS["sin"] if tid != "T13" else LINE_CORPUS["sin"]
         with pytest.raises(PreconditionViolated) as exc:
             verify(tid, f, (16,), 0.5, FAST_GRID, **kw)
         assert repr(next(iter(kw))) in str(exc.value)
+
+    @pytest.mark.parametrize("theorem, grid, kw", [
+        # a bare ValueError: max() arg is an empty sequence
+        ("T30", {"anchors": 0}, {}),
+        # a bare ValueError: cannot convert float NaN to integer
+        ("T30", {"table_points": 1}, {}),
+        # a TypeError: cannot unpack non-iterable NoneType
+        ("T16", {"pointwise_points": 0}, {"mode": "pointwise"}),
+    ])
+    def test_a_grid_size_below_its_least_is_a_precondition(self, theorem, grid, kw):
+        with pytest.raises(PreconditionViolated) as exc:
+            verify(theorem, FRACTIONAL_CORPUS["sin"], (16,), 0.5, GridPolicy(**grid), **kw)
+        assert f"GridPolicy.{next(iter(grid))}" in str(exc.value)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_error_or_bound_gets_its_own_verdict(self):

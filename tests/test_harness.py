@@ -16,6 +16,7 @@ from erfapprox.cli import main
 from erfapprox.errors import ConfigError
 from erfapprox.harness import (
     CSV_COLUMNS,
+    SCHEMA,
     ExperimentConfig,
     run_partition_check,
     run_verify,
@@ -116,6 +117,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as exc:
             cfg_with(grid={key: value})
         assert exc.value.field == f"grid.{key}"
+
+    def test_every_grid_policy_field_but_pointwise_points_is_a_grid_key(self):
+        # a new GridPolicy field cannot silently stay out of reach of a config
+        fields = [f.name for f in dataclasses.fields(bounds.GridPolicy) if f.name != "pointwise_points"]
+        assert list(SCHEMA["grid"]) == fields
 
     def test_packaged_default_loads(self):
         path = Path(erfapprox.__file__).parent / "default.yaml"
@@ -247,6 +253,9 @@ class TestCli:
         # loaded, and never read: the domain is the sampling window
         ({"functions": [{"id": "g", "expr": "x", "domain": [0.0, 1.0],
                          "grid_window": [0.2, 0.4]}]}, "functions[0].grid_window"),
+        # loaded, and every row became the skip "expression rejected: expected ')'"
+        ({"functions": [{"id": "g", "expr": "sin(x", "domain": [0.0, 1.0]}]},
+         "functions[0].expr"),
     ])
     def test_value_of_the_wrong_type_exits_two_naming_its_field(self, tmp_path, capsys,
                                                                 overrides, field):

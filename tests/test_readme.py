@@ -30,13 +30,7 @@ def test_config_key_lists_match_the_schema():
     for line in block.splitlines():
         label, keys = line.split(":")
         listed[label] = tuple(k.strip() for k in keys.split(","))
-    assert listed == {
-        "top level": harness.CONFIG_KEYS,
-        "grid": harness.GRID_KEYS,
-        "output": harness.OUTPUT_KEYS,
-        "builtin function": harness.BUILTIN_KEYS,
-        "expr function": harness.EXPR_KEYS,
-    }
+    assert listed == {label: tuple(keys) for label, keys in harness.SCHEMA.items()}
 
 
 def test_every_exported_name_resolves():
