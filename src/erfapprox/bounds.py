@@ -22,7 +22,7 @@ full precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import ClassVar, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -197,33 +197,38 @@ def highorder_bound(
 
 @dataclass(frozen=True)
 class _AnchorData:
-    """Per-anchor Caputo ingredients: the derivative tables on both sides
-    and their n-independent sup norms (0 for a missing side).  A table is
-    (grid end points, values): table_modulus needs no more of the grid."""
+    """Per-anchor Caputo ingredients: omega_1 of the derivative on each
+    side at every step of ``deltas`` (0 for a missing side) and the
+    n-independent sup norms.  The tables they were read from are gone."""
 
     x: float
-    table_right: Optional[Tuple[np.ndarray, np.ndarray]]   # D_{x-} on [a, x]
-    table_left: Optional[Tuple[np.ndarray, np.ndarray]]    # D_{*x} on [x, b]
+    deltas: Tuple[float, ...]
+    moduli_right: np.ndarray    # D_{x-} on [a, x]
+    moduli_left: np.ndarray     # D_{*x} on [x, b]
     sup_right: float
     sup_left: float
 
+    def ingredients(self, delta: float):
+        """(modulus_right, modulus_left, sup_right, sup_left) at delta, one
+        of the steps the data was built for."""
+        i = self.deltas.index(delta)
+        return (float(self.moduli_right[i]), float(self.moduli_left[i]),
+                self.sup_right, self.sup_left)
+
 
 def _anchor_data(f: FunctionSpec, alpha: float, a: float, b: float, x: float,
-                 points: int) -> _AnchorData:
-    """Caputo tables on both sides of the anchor x, each with its sup."""
+                 points: int, deltas: Tuple[float, ...]) -> _AnchorData:
+    """Caputo tables on both sides of the anchor x, each read at every step
+    of deltas in one table_modulus call and kept as those moduli and its sup."""
 
-    def side_table(side, sub):
-        xs, values = caputo_table(f, FractionalSpec(alpha, x, side), sub, points)
-        # a copy of the two end points, so the full grid is freed
-        return xs[[0, -1]], values
+    def side(side, sub):
+        if sub[1] - sub[0] <= 1e-12:
+            return np.zeros(len(deltas)), 0.0
+        table = caputo_table(f, FractionalSpec(alpha, x, side), sub, points)
+        return table_modulus(table, deltas), float(np.max(np.abs(table[1])))
 
-    tr = side_table("right", (a, x)) if x - a > 1e-12 else None
-    tl = side_table("left", (x, b)) if b - x > 1e-12 else None
-
-    def sup(table):
-        return 0.0 if table is None else float(np.max(np.abs(table[1])))
-
-    return _AnchorData(x, tr, tl, sup(tr), sup(tl))
+    (wr, sr), (wl, sl) = side("right", (a, x)), side("left", (x, b))
+    return _AnchorData(x, deltas, wr, wl, sr, sl)
 
 
 @lru_cache(maxsize=32)
@@ -234,27 +239,19 @@ def _anchor_tables(
     b: float,
     anchors: int,
     points: int,
+    deltas: Tuple[float, ...],
 ) -> Tuple[_AnchorData, ...]:
-    """Caputo derivative tables at a grid of anchor points.
+    """Caputo ingredients at a grid of anchor points, for every step in
+    deltas (a run's whole set, so one entry serves each n and exponent).
 
-    The tables do not depend on n, so one entry serves every n of a sweep.
-    The cache is process-wide (lru_cache, 32 entries) and keeps its tables
-    after a run returns, so a later call in the same process reuses them.
-    It is not cleared per run because the benchmark's trace reads its hit
-    counts through ``cache_info()``.
+    Each side's table is built, read at every delta in one doubling pass
+    and dropped: an entry holds its sups and len(deltas) moduli per side.
+    The cache is process-wide (lru_cache, 32 entries) and keeps its entries
+    after a run returns; the benchmark's trace reads its hit counts through
+    ``cache_info()``.
     """
-    return tuple(_anchor_data(f, alpha, a, b, float(x), points)
+    return tuple(_anchor_data(f, alpha, a, b, float(x), points, deltas)
                  for x in np.linspace(a, b, anchors))
-
-
-def _anchor_ingredients(data: _AnchorData, delta: float):
-    """(modulus_right, modulus_left, sup_right, sup_left) at one anchor."""
-    wr = wl = 0.0
-    if data.table_right is not None:
-        wr = table_modulus(data.table_right, delta)
-    if data.table_left is not None:
-        wl = table_modulus(data.table_left, delta)
-    return wr, wl, data.sup_right, data.sup_left
 
 
 def fractional_bound(
@@ -268,6 +265,7 @@ def fractional_bound(
     x: Optional[float] = None,
     anchors: int = GridPolicy.anchors,
     table_points: int = GridPolicy.table_points,
+    deltas: Sequence[float] = (),
 ):
     """Fractional interval-operator bound built from Caputo ingredients.
 
@@ -277,6 +275,10 @@ def fractional_bound(
     (uniform form, anchor-grid suprema).  The sup form at 0 < alpha < 1
     is C31's bound and at alpha = 1/2 C33's.
 
+    deltas, the steps of the whole run (``Run.deltas``), lets one table
+    pass serve every n and exponent; the bound's own step n^-beta is added
+    when it is missing.
+
     Returns (value, terms, modulus quality); quality is always
     "estimated" because Caputo moduli come from sampled tables.
     """
@@ -285,24 +287,27 @@ def fractional_bound(
     if not pointwise and mode != "sup":
         raise PreconditionViolated(f"unknown mode {mode!r}")
     delta = float(n) ** (-beta)
+    deltas = tuple(deltas)
+    if delta not in deltas:
+        deltas = tuple(sorted(deltas + (delta,)))
     htc = tail_bound(n, beta)
     gamma_factor = 1.0 / gamma_fn(alpha_frac + 1.0)
-    tables = _anchor_tables(f, alpha_frac, a, b, anchors, table_points)
+    tables = _anchor_tables(f, alpha_frac, a, b, anchors, table_points, deltas)
 
     if pointwise:
         if x is None:
             raise PreconditionViolated(f"mode {mode} needs an evaluation point x")
         data = min(tables, key=lambda d: abs(d.x - x))
         if abs(data.x - x) > 1e-9 * (1.0 + abs(x)):
-            # off-grid anchor: build its tables directly
-            data = _anchor_data(f, alpha_frac, a, b, x, table_points)
-        wr, wl, sr, sl = _anchor_ingredients(data, delta)
+            # off-grid anchor: build its tables directly, for this step only
+            data = _anchor_data(f, alpha_frac, a, b, x, table_points, (delta,))
+        wr, wl, sr, sl = data.ingredients(delta)
         frac_block = gamma_factor * (
             (wr + wl) / float(n) ** (alpha_frac * beta)
             + htc * (sr * (x - a) ** alpha_frac + sl * (b - x) ** alpha_frac)
         )
     else:
-        ing = [_anchor_ingredients(d, delta) for d in tables]
+        ing = [d.ingredients(delta) for d in tables]
         sup_wr, sup_wl, sup_sr, sup_sl = (max(i[k] for i in ing) for k in range(4))
         frac_block = gamma_factor * (
             (sup_wr + sup_wl) / float(n) ** (alpha_frac * beta)
@@ -334,11 +339,12 @@ def remark34_check(
     is non-increasing along the sweep; K is then max q(n).  Returns
     (certified, K).
     """
-    tables = _anchor_tables(f, 0.5, a, b, anchors, table_points)
+    deltas = tuple(sorted({float(n) ** (-beta) for n in sweep}))
+    tables = _anchor_tables(f, 0.5, a, b, anchors, table_points, deltas)
     qs = []
     for n in sweep:
         delta = float(n) ** (-beta)
-        ing = [_anchor_ingredients(d, delta) for d in tables]
+        ing = [d.ingredients(delta) for d in tables]
         sup_mod = max(i[0] for i in ing) + max(i[1] for i in ing)
         qs.append(float(n) ** beta * sup_mod)
     certified = all(
@@ -479,7 +485,8 @@ _BOUND_ARGS = {
     "mu2": ("interval",),
     "mu3": ("interval",),
     "highorder_bound": ("a", "b", "N", "mode", "x"),
-    "fractional_bound": ("alpha_frac", "a", "b", "mode", "x", "anchors", "table_points"),
+    "fractional_bound": ("alpha_frac", "a", "b", "mode", "x", "anchors", "table_points",
+                         "deltas"),
 }
 
 #: the value of each keyword verify takes but was not given
@@ -511,6 +518,21 @@ THEOREMS: Dict[str, Theorem] = {
 _DEFAULT_THETA = 4
 
 
+@dataclass
+class Run:
+    """What the verify calls of one run share: ``sup_errors``, each
+    distinct grid-sup error measured once, and ``deltas``, every modulus
+    step float(n) ** (-e) of the run's sweep and exponents, sorted, at
+    which each Caputo table is read once when it is built."""
+
+    deltas: Tuple[float, ...]
+    sup_errors: dict = field(default_factory=dict)
+
+    @staticmethod
+    def of(sweep: Sequence[int], exponents: Sequence[float]) -> "Run":
+        return Run(tuple(sorted({float(n) ** (-e) for n in sweep for e in exponents})))
+
+
 def _family_config(family: str, n: int, interval=None) -> OperatorConfig:
     if family == "A":
         return OperatorConfig("A", n, interval=interval)
@@ -526,15 +548,16 @@ def verify(
     rate_exponent: float,
     grid: GridPolicy = GridPolicy(),
     *,
-    sup_errors: Optional[dict] = None,
+    run: Optional[Run] = None,
     **kw,
 ) -> List[BoundReport]:
     """Measure empirical operator error against the theorem's bound for
     every n in the sweep; one report row per n and operator family.
 
-    ``sup_errors``, a dict shared by the calls of one run (a fresh one per
-    call when omitted), stores each distinct grid-sup error so that rows
-    measuring the same operator image reuse it.
+    ``run``, shared by the calls of one run (``Run.of(sweep,
+    (rate_exponent,))`` when omitted), stores each distinct grid-sup error
+    so that rows measuring the same operator image reuse it, and names the
+    steps each Caputo table is read at.
 
     A row whose error or bound is not finite (a pole, an overflow) at any
     of its points gets the verdict "non-finite" instead of a comparison.
@@ -559,20 +582,19 @@ def verify(
         if not lo < value < hi:
             raise PreconditionViolated(f"{theorem_id} needs {lo:g} < {th.param} < {hi:g}, "
                                        f"got {value}")
-    if sup_errors is None:
-        sup_errors = {}
+    if run is None:
+        run = Run.of(sweep, (rate_exponent,))
     rows: List[BoundReport] = []
     for n in sweep:
-        rows.extend(_verify_one(theorem_id, th, f, int(n), rate_exponent, grid,
-                                sup_errors, kw))
+        rows.extend(_verify_one(theorem_id, th, f, int(n), rate_exponent, grid, run, kw))
     return rows
 
 
-def _verify_one(tid, th: Theorem, f, n, ex, grid, sup_errors, kw) -> List[BoundReport]:
+def _verify_one(tid, th: Theorem, f, n, ex, grid, run: Run, kw) -> List[BoundReport]:
     a, b = f.domain or (None, None)
     cell = {
         "a": a, "b": b, "interval": f.domain,
-        "anchors": grid.anchors, "table_points": grid.table_points,
+        "anchors": grid.anchors, "table_points": grid.table_points, "deltas": run.deltas,
         **{k: kw.get(k, v) for k, v in _PARAM_DEFAULTS.items()},
     }
     mode = cell["mode"]
@@ -599,7 +621,7 @@ def _verify_one(tid, th: Theorem, f, n, ex, grid, sup_errors, kw) -> List[BoundR
             value, terms, quality = real_bound(f, n, ex, *args)
         for i, cfg in enumerate(cfgs):
             if x is None:
-                emp = _sup_error(f, cfg, window, grid, sup_errors)
+                emp = _sup_error(f, cfg, window, grid, run.sup_errors)
             else:
                 emp = float(_deviation(f, x, cfg, taylor))
             # a non-finite point outranks every finite one, so its row reads

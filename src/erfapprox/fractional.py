@@ -8,10 +8,10 @@ for x >= x0 and 0 for x < x0; the right derivative mirrors it for x <= x0
 with the factor (-1)^N, and is 0 for x > x0.  Both vanish at the anchor.
 ``caputo`` computes either one: ``FractionalSpec.side`` selects it.
 ``caputo_table`` samples it on a sub-interval of its side once, and
-``table_modulus`` reads omega_1 estimates at any delta from that table
-with ``modulus.grid_modulus``: the grid step comes from the table's first
-and last grid points, so a caller that keeps a table may keep only those
-two points and its values, and a NaN value gives a NaN estimate.
+``table_modulus`` reads omega_1 estimates from that table with
+``modulus.grid_modulus``, at one delta or at a sequence of deltas in one
+doubling pass: the grid step comes from the table's first and last grid
+points, and a NaN value gives a NaN estimate.
 ``caputo_sup_ceiling`` and ``caputo_modulus_ceiling`` are closed-form
 upper bounds, and ``caputo_monomial`` is the closed-form oracle for
 monomials.
@@ -154,20 +154,18 @@ def _check_side_interval(spec: FractionalSpec, sub: Tuple[float, float]):
 def caputo_table(
     f: FunctionSpec, spec: FractionalSpec, sub: Tuple[float, float], points: int = 4096
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Dense (grid, values) table of the Caputo derivative on an interval.
-
-    Precomputed once per (f, spec) and reused for modulus queries at many
-    deltas via table_modulus.
-    """
+    """Dense (grid, values) table of the Caputo derivative on an interval,
+    for table_modulus to read at one delta or many."""
     _check_side_interval(spec, sub)
     xs = np.linspace(sub[0], sub[1], points)
     return xs, caputo(f, spec, xs)
 
 
-def table_modulus(table: Tuple[np.ndarray, np.ndarray], delta: float) -> float:
+def table_modulus(table: Tuple[np.ndarray, np.ndarray], delta):
     """omega_1 estimate from a precomputed caputo_table, or from its grid's
-    two end points and its values."""
-    if not delta > 0:
+    two end points and its values: a float at one delta, an array at a
+    sequence of deltas (see ``grid_modulus``)."""
+    if not np.all(np.asarray(delta) > 0):
         raise PreconditionViolated(f"delta must be > 0, got {delta}")
     return grid_modulus(table[0], table[1], delta)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -81,7 +81,7 @@ SCHEMA = {
         "expr": (str, lambda text: parse(text) is not None, None),
         "domain": _WINDOW,
         "exact_modulus": _STR,
-        "sup_norm": (float, None, None),
+        "sup_norm": (float, lambda s: 0.0 <= s < math.inf, "must be finite and >= 0"),
         "grid_window": _WINDOW,
     },
 }
@@ -227,6 +227,14 @@ def _resolve(spec: dict, theorem: str, order: int):
             )
         except ErfApproxError as exc:
             return None, f"expression rejected: {exc}"
+        declared = spec.get("sup_norm")
+        if declared is not None:
+            # bounds take a declared sup_norm as the function's sup, so one
+            # below the sampled sup would make them too small
+            sampled = replace(f, sup_norm=None).grid_sup_norm()
+            if sampled > declared * (1.0 + 1e-12):
+                return None, (f"expression rejected: declared sup_norm {declared!r} "
+                              f"is below the sampled sup {sampled!r}")
         return f, None
 
     name = spec["builtin"]
@@ -321,12 +329,12 @@ def run_verify(cfg: ExperimentConfig) -> RunResult:
                     if ns:
                         tasks.append((theorem, spec["id"], f, tuple(ns), exponent, kw))
 
-    sup_errors = {}     # one run's grid-sup errors, shared by its groups
+    run = bounds.Run.of(cfg.sweep, cfg.rate_exponents)     # shared by the groups
 
     def run_group(task):
         theorem, fid, f, ns, exponent, kw = task
         try:
-            return verify(theorem, f, ns, exponent, cfg.grid, sup_errors=sup_errors, **kw)
+            return verify(theorem, f, ns, exponent, cfg.grid, run=run, **kw)
         except ErfApproxError as exc:
             return [{"theorem": theorem, "function": fid, "exponent": exponent,
                      "reason": f"group failed: {exc}"}]

@@ -9,6 +9,8 @@ safe direction for certifying that an error sits below a bound.
 largest max - min over every window of m consecutive samples, from a
 doubling pass (a sparse table) of running maxima over the pair (ys, -ys)
 and two overlapping blocks of width 2^floor(log2 m) per window start.
+Given a sequence of deltas it makes that pass once, in ascending window
+size, and reads every size on the way.
 max, min and a + (-b) == a - b are exact, so the estimate equals the
 largest spread of the windows bit for bit.  The grid step comes from the
 two end points of xs, so a caller may pass the whole uniform grid or only
@@ -69,26 +71,37 @@ class ModulusResult:
     refinement_gap: Optional[float] = None
 
 
-def grid_modulus(xs: np.ndarray, ys: np.ndarray, delta: float) -> float:
+def grid_modulus(xs: np.ndarray, ys: np.ndarray, delta):
     """Sliding-window omega_1 estimate from samples ys on the uniform grid
-    from xs[0] to xs[-1] (the whole grid or only its two end points)."""
+    from xs[0] to xs[-1] (the whole grid or only its two end points).
+
+    delta is one step, giving a float, or a sequence of steps, giving an
+    array of the estimates in its order from one doubling pass: the
+    levels grow once and each window size is read when they reach it, so
+    every entry equals the scalar call bit for bit."""
     n = len(ys)
     h = (xs[-1] - xs[0]) / (n - 1)
     # a window of size m spans (m-1)*h, so m = floor(delta/h) + 1 keeps
     # every in-window pair within distance delta (never overshoots); delta
     # below grid resolution falls back to adjacent differences
-    size = max(2, int(math.floor(delta / h)) + 1)
-    if size >= n:
-        return float(ys.max() - ys.min())
+    sizes = [max(2, int(math.floor(d / h)) + 1) for d in np.atleast_1d(delta)]
+    spreads = {}
     # levels[:, i] holds the maxima of (ys, -ys) over [i, i + width)
     levels, width = np.concatenate((ys, -ys)).reshape(2, n), 1
-    while 2 * width <= size:
-        levels = np.maximum(levels[:, :-width], levels[:, width:])
-        width *= 2
-    # the window [i, i + size) is the union of [i, i + width) and
-    # [i + size - width, i + size)
-    top = np.maximum(levels[:, :n - size + 1], levels[:, size - width:])
-    return float((top[0] + top[1]).max())
+    for size in sorted(set(sizes)):
+        if size >= n:
+            spreads[size] = float(ys.max() - ys.min())
+            continue
+        while 2 * width <= size:
+            levels = np.maximum(levels[:, :-width], levels[:, width:])
+            width *= 2
+        # the window [i, i + size) is the union of [i, i + width) and
+        # [i + size - width, i + size)
+        top = np.maximum(levels[:, :n - size + 1], levels[:, size - width:])
+        spreads[size] = float((top[0] + top[1]).max())
+    if np.ndim(delta) == 0:
+        return spreads[sizes[0]]
+    return np.array([spreads[size] for size in sizes])
 
 
 def evaluate_modulus(q: ModulusQuery) -> ModulusResult:

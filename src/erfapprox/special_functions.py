@@ -22,9 +22,10 @@ SQRT_PI = float(np.sqrt(np.pi))
 TWO_OVER_SQRT_PI = 2.0 / SQRT_PI
 
 
-def erf(x):
-    """Gauss error function; a float for a scalar x, else an array."""
-    out = special.erf(np.asarray(x, dtype=float))
+def erf(x, out=None):
+    """Gauss error function; a float for a scalar x, else an array (out,
+    when given, which may be x itself)."""
+    out = special.erf(np.asarray(x, dtype=float), out=out)
     return float(out) if np.ndim(x) == 0 else out
 
 
@@ -42,10 +43,20 @@ def chi(x):
     """Bell density chi(x) = (erf(x+1) - erf(x-1))/4.
 
     Even, strictly positive, maximized at 0 with chi(0) = erf(1)/2.
+
+    An array x is shifted into two buffers that erf overwrites in place and
+    that are then combined in place, the same operations in the same
+    order, so a call holds two arrays the size of x besides it.
     """
+    if np.ndim(x) == 0:
+        return (erf(float(x) + 1.0) - erf(float(x) - 1.0)) / 4.0
     x_arr = np.asarray(x, dtype=float)
-    out = (erf(x_arr + 1.0) - erf(x_arr - 1.0)) / 4.0
-    return float(out) if np.ndim(x) == 0 else out
+    hi, lo = x_arr + 1.0, x_arr - 1.0
+    erf(hi, out=hi)
+    erf(lo, out=lo)
+    hi -= lo
+    hi /= 4.0
+    return hi
 
 
 def chi_derivative(x):

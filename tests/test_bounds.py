@@ -30,8 +30,9 @@ from erfapprox.errors import (
     DegenerateFit,
     PreconditionViolated,
 )
+from erfapprox.fractional import FractionalSpec, caputo_table, gamma_fn, table_modulus
 from erfapprox.funcs import ComplexFunctionSpec, FunctionSpec
-from erfapprox.partition import tail_core
+from erfapprox.partition import tail_bound, tail_core
 from erfapprox.special_functions import INV_CHI_AT_ONE, SQRT_PI
 
 FAST_GRID = GridPolicy(x_points=256, refinement=False, anchors=9, table_points=129)
@@ -137,6 +138,56 @@ class TestFractionalBound:
         f = FRACTIONAL_CORPUS["sq"]
         with pytest.raises(PreconditionViolated):
             fractional_bound(f, 81, 0.5, 0.5, 0.0, 1.0, "pointwise")
+
+    @staticmethod
+    def full_table_ingredients(f, alpha, x, points, delta):
+        """(wr, wl, sr, sl) at the anchor x from whole Caputo tables, each
+        read by one scalar table_modulus call."""
+        (a, b), out = f.domain, []
+        for side, sub in (("right", (a, x)), ("left", (x, b))):
+            if sub[1] - sub[0] <= 1e-12:
+                out.append((0.0, 0.0))
+                continue
+            table = caputo_table(f, FractionalSpec(alpha, x, side), sub, points)
+            out.append((table_modulus(table, delta), float(np.max(np.abs(table[1])))))
+        (wr, sr), (wl, sl) = out
+        return wr, wl, sr, sl
+
+    @pytest.mark.parametrize("mode, x, deltas", [
+        ("sup", None, ()),
+        ("sup", None, (0.3, 81.0 ** -0.5, 0.01)),   # the bound's own step among others
+        ("sup", None, (0.3,)),                       # the bound's own step missing
+        ("pointwise", 0.375, (0.3, 81.0 ** -0.5)),   # an anchor of the grid of 9
+        ("pointwise", 0.3, (0.3, 81.0 ** -0.5)),     # between two anchors
+    ])
+    @pytest.mark.parametrize("alpha", [0.5, 1.5])
+    def test_equals_the_bound_from_whole_tables(self, mode, x, deltas, alpha):
+        f, n, beta, points = FRACTIONAL_CORPUS["sin"], 81, 0.5, 129
+        a, b = f.domain
+        _, terms, _ = fractional_bound(f, n, beta, alpha, a, b, mode, x, anchors=9,
+                                       table_points=points, deltas=deltas)
+        delta, htc, gf = float(n) ** (-beta), tail_bound(n, beta), 1.0 / gamma_fn(alpha + 1.0)
+        if x is None:
+            ing = [self.full_table_ingredients(f, alpha, float(t), points, delta)
+                   for t in np.linspace(a, b, 9)]
+            wr, wl, sr, sl = (max(i[k] for i in ing) for k in range(4))
+            block = gf * ((wr + wl) / float(n) ** (alpha * beta)
+                          + htc * (b - a) ** alpha * (sr + sl))
+        else:
+            wr, wl, sr, sl = self.full_table_ingredients(f, alpha, x, points, delta)
+            block = gf * ((wr + wl) / float(n) ** (alpha * beta)
+                          + htc * (sr * (x - a) ** alpha + sl * (b - x) ** alpha))
+        assert terms["fractional_block"].hex() == (INV_CHI_AT_ONE * block).hex()
+
+    def test_remark34_equals_its_value_from_whole_tables(self):
+        f, beta, sweep = FRACTIONAL_CORPUS["sq"], 0.5, (9, 16, 81, 256)
+        qs = []
+        for n in sweep:
+            ing = [self.full_table_ingredients(f, 0.5, float(t), 129, float(n) ** (-beta))
+                   for t in np.linspace(0.0, 1.0, 9)]
+            qs.append(float(n) ** beta * (max(i[0] for i in ing) + max(i[1] for i in ing)))
+        certified, K = remark34_check(f, beta, sweep, 0.0, 1.0, anchors=9, table_points=129)
+        assert not certified and K.hex() == max(qs).hex()
 
     def test_remark34_constant_certifies(self):
         certified, K = remark34_check(

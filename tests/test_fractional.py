@@ -228,7 +228,7 @@ class TestEnvelopes:
     @given(st.integers(2, 600), st.floats(1e-4, 2.0), st.sampled_from(["left", "right"]))
     @settings(max_examples=40, deadline=None)
     def test_end_points_and_values_give_the_table_modulus(self, points, delta, side):
-        # the anchor cache keeps only a table's grid end points
+        # the grid step comes from the grid's two end points alone
         f = FRACTIONAL_CORPUS["sq"]
         spec = FractionalSpec(1.5, 0.0 if side == "left" else 1.0, side)
         xs, ys = caputo_table(f, spec, (0.0, 1.0), points)

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import sys
 from collections import Counter
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import yaml
 import erfapprox
 from erfapprox import bounds
 from erfapprox.cli import main
+from erfapprox.corpus import FRACTIONAL_CORPUS
 from erfapprox.errors import ConfigError
 from erfapprox.harness import (
     CSV_COLUMNS,
@@ -166,6 +168,17 @@ class TestRunVerify:
         assert len(result.rows) == 3
         assert all(r["verdict"] in ("holds", "inconclusive-estimated") for r in result.rows)
 
+    def test_declared_sup_norm_below_the_sampled_sup_is_skipped(self):
+        # T13 used to read 0.5 as sin's sup, a bound too small to certify
+        result = run_verify(cfg_with(theorems=["T13"], functions=[
+            {"id": "w", "expr": "sin(x)", "sup_norm": 0.5, "exact_modulus": "sine_period"},
+            {"id": "v", "expr": "sin(x)", "sup_norm": 1.0, "exact_modulus": "sine_period"}]))
+        assert {r["function"] for r in result.rows} == {"v"}
+        (skip,) = result.skipped
+        assert skip["function"] == "w"
+        assert skip["reason"].startswith(
+            "expression rejected: declared sup_norm 0.5 is below the sampled sup 0.99")
+
     def test_jobs_match_serial(self):
         serial = run_verify(cfg_with())
         doc = {**BASE}
@@ -256,6 +269,11 @@ class TestCli:
         # loaded, and every row became the skip "expression rejected: expected ')'"
         ({"functions": [{"id": "g", "expr": "sin(x", "domain": [0.0, 1.0]}]},
          "functions[0].expr"),
+        # loaded, and whole-line bounds took -5 as the function's sup
+        ({"functions": [{"id": "w", "expr": "sin(x)", "sup_norm": -5.0}]},
+         "functions[0].sup_norm"),
+        ({"functions": [{"id": "w", "expr": "sin(x)", "sup_norm": float("inf")}]},
+         "functions[0].sup_norm"),
     ])
     def test_value_of_the_wrong_type_exits_two_naming_its_field(self, tmp_path, capsys,
                                                                 overrides, field):
@@ -361,3 +379,40 @@ class TestSupErrorPerRun:
         finally:
             sys.setswitchinterval(interval)
         assert threaded.rows == serial.rows
+
+
+class TestCaputoPerRun:
+    def test_a_run_keeps_only_moduli_at_its_steps(self, monkeypatch):
+        # each Caputo table is read at the run's steps once and dropped
+        entries = []
+        real = bounds._anchor_tables
+
+        def spy(*args):
+            entries.append((args, real(*args)))
+            return entries[-1][1]
+
+        monkeypatch.setattr(bounds, "_anchor_tables", spy)
+        path = resources.files("erfapprox").joinpath("default.yaml")
+        cfg = dataclasses.replace(ExperimentConfig.from_file(str(path)), theorems=("T30",))
+        assert run_verify(cfg).held > 0
+        deltas = bounds.Run.of(cfg.sweep, cfg.rate_exponents).deltas
+        assert len(deltas) == 8 and entries
+        for args, data in entries:
+            assert args[-1] == deltas
+            arrays = [v for d in data for v in vars(d).values() if isinstance(v, np.ndarray)]
+            assert arrays and all(a.shape == (len(deltas),) for a in arrays)
+
+    def test_library_verify_per_exponent_matches_run_verify(self):
+        # verify alone reads the tables at its own steps, run_verify at the
+        # steps of every exponent; the rows are the same
+        cfg = cfg_with(functions=[{"id": "sq", "builtin": "sq"}], theorems=["T30"],
+                       sweep=[16, 81, 256], rate_exponents=[0.5, 0.6],
+                       fractional_orders=[0.5], grid={"x_points": 64, "anchors": 5,
+                                                      "table_points": 65})
+        keys = ("n", "exponent", "empirical_error", "bound", "verdict")
+        rows = [tuple(r[k] for k in keys) for r in run_verify(cfg).rows]
+        library = [(r.n, r.rate_exponent, r.empirical_error, r.bound_value, r.verdict)
+                   for e in cfg.rate_exponents
+                   for r in bounds.verify("T30", FRACTIONAL_CORPUS["sq"], cfg.sweep, e,
+                                          cfg.grid, alpha_frac=0.5)]
+        assert len(rows) == 6 and library == rows

@@ -139,6 +139,19 @@ class TestSlidingWindowKernel:
         want = window_spread(ys, size)
         assert got == want or math.isnan(got) and math.isnan(want)
 
+    @given(hnp.arrays(np.float64, st.integers(2, 300),
+                      elements=st.one_of(SAMPLES, st.just(math.nan))),
+           st.lists(st.floats(0.01, 400.0), min_size=1, max_size=12))
+    @settings(max_examples=300, deadline=None)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # inf - inf, overflow
+    def test_a_sequence_of_deltas_equals_the_scalar_calls(self, ys, deltas):
+        # unsorted, with duplicates, and up to windows past the grid's length
+        xs = np.array([0.0, len(ys) - 1.0])
+        deltas += deltas[:2]
+        got = grid_modulus(xs, ys, deltas)
+        assert got.shape == (len(deltas),)
+        assert [v.hex() for v in got] == [grid_modulus(xs, ys, d).hex() for d in deltas]
+
     @pytest.mark.parametrize("points", [2, 3, 5, 8, 33, 64])
     def test_windows_about_as_long_as_the_grid(self, points):
         ys = np.random.default_rng(points).normal(size=points)

@@ -1,6 +1,7 @@
 """Oracle and property tests for erf (scipy) and the bell density."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -110,6 +111,24 @@ class TestChi:
         # chi(t) < exp(-(t-1)^2)/sqrt(pi) for t >= 1: the truncation driver
         ts = np.linspace(1.0, 12.0, 500)
         assert np.all(chi(ts) < np.exp(-((ts - 1.0) ** 2)) / SQRT_PI)
+
+    def test_array_call_is_the_formula_and_agrees_with_scalars(self):
+        xs = np.linspace(-9.0, 9.0, 4095 * 3).reshape(4095, 3)
+        got = chi(xs)
+        assert np.array_equal(got, (erf(xs + 1.0) - erf(xs - 1.0)) / 4.0)
+        assert [chi(float(x)) for x in xs.flat[::97]] == list(got.flat[::97])
+
+    def test_one_call_holds_two_arrays_the_size_of_its_input(self):
+        # erf writes into the shifted copies, which are combined in place;
+        # the formula's temporaries held three such arrays
+        xs = np.linspace(-8.0, 8.0, 4095 * 15).reshape(4095, 15)
+        tracemalloc.start()
+        try:
+            chi(xs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.2 * xs.nbytes
 
     @given(st.floats(-6.0, 6.0))
     @settings(max_examples=100, deadline=None)
