@@ -414,8 +414,7 @@ def _sup_error(f, cfg: OperatorConfig, window: Tuple[float, float], grid: GridPo
     are the x_points grid, so the coarse maximum is never larger).
 
     Each distinct (f, cfg, window, grid resolution) is measured once and
-    later calls read the float stored in memo.  Threads sharing the dict
-    may both measure a key; they store the same float.
+    later calls read the float stored in memo.
     """
     key = (f, cfg, window, grid.x_points, grid.refinement)
     if key not in memo:

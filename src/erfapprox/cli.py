@@ -44,10 +44,6 @@ def _load_config(args) -> ExperimentConfig:
         updates["csv_path"] = args.out_csv
     if args.out_json:
         updates["json_path"] = args.out_json
-    if args.jobs is not None:
-        if args.jobs < 1:
-            raise ConfigError("jobs", "must be >= 1")
-        updates["jobs"] = args.jobs
     return dataclasses.replace(cfg, **updates)
 
 
@@ -101,7 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="experiment config (YAML)")
         p.add_argument("--out-csv", help="write the report table here")
         p.add_argument("--out-json", help="write the JSON summary here")
-        p.add_argument("--jobs", type=int, default=None, help="worker threads")
     return parser
 
 

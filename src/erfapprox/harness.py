@@ -1,18 +1,17 @@
 """Experiment orchestration: config ingestion, verification runs, and
 report serialization.
 
-A run fans out over (theorem, function, rate exponent) groups, sweeps n
-inside each group, appends fitted log-log rates per group, and writes a
-deterministic CSV (fixed column order, fixed float formatting) plus an
-optional JSON summary.  Hypothesis-violating combinations are skipped
-with a recorded reason, never crashed on.
+A run goes through its (theorem, function, rate exponent) groups one
+after another, sweeps n inside each group, appends fitted log-log rates
+per group, and writes a deterministic CSV (fixed column order, fixed
+float formatting) plus an optional JSON summary.  Hypothesis-violating
+combinations are skipped with a recorded reason, never crashed on.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
@@ -21,8 +20,9 @@ import yaml
 
 from . import bounds, corpus, partition
 from .bounds import GridPolicy, fit_rate, verify
-from .errors import ConfigError, DegenerateFit, ErfApproxError
+from .errors import ConfigError, DegenerateFit, ErfApproxError, PreconditionViolated
 from .expr import parse
+from .special_functions import CHI_AT_ONE
 
 SCHEMA_VERSION = 1
 
@@ -98,7 +98,11 @@ class ExperimentConfig:
     grid: GridPolicy = field(default_factory=GridPolicy)
     csv_path: Optional[str] = None
     json_path: Optional[str] = None
-    jobs: int = 1
+    jobs: int = 1       # runs are serial; perfbench/child.py still passes jobs=1
+
+    def __post_init__(self):
+        if self.jobs != 1:
+            raise PreconditionViolated(f"jobs must be 1: runs are serial, got {self.jobs!r}")
 
     @staticmethod
     def from_file(path: str) -> "ExperimentConfig":
@@ -121,12 +125,15 @@ class ExperimentConfig:
         if version != SCHEMA_VERSION:
             raise ConfigError("schema_version", f"expected {SCHEMA_VERSION}, got {version!r}")
         top = _read("top level", raw)
-        for name in ("sweep", "rate_exponents"):
+        top.setdefault("functions", [{"id": name, "builtin": name} for name in (
+            "linear", "sin", "cos", "abs", "exp", "sq", "circle", "ramp_pair")])
+        top.setdefault("theorems", tuple(bounds.THEOREMS))
+        # a run crosses these lists, so an empty one checks nothing
+        for name in ("functions", "theorems", "sweep", "rate_exponents"):
             if not top.get(name):
                 raise ConfigError(name, "must be a non-empty list")
 
-        functions = top.pop("functions", [{"id": name, "builtin": name} for name in (
-            "linear", "sin", "cos", "abs", "exp", "sq", "circle", "ramp_pair")])
+        functions = top.pop("functions")
         seen = set()
         for i, spec in enumerate(functions):
             prefix = f"functions[{i}]"
@@ -150,7 +157,6 @@ class ExperimentConfig:
 
         output = _read("output", top.pop("output", {}), "output.")
         del top["schema_version"]
-        top.setdefault("theorems", tuple(bounds.THEOREMS))
         # the other top-level keys name their fields; an absent one keeps its default
         return ExperimentConfig(
             functions=tuple(dict(s) for s in functions),
@@ -185,12 +191,17 @@ _KINDS = {int: ("an integer", int), float: ("a number", (int, float)),
 
 def _typed(field: str, value, kind):
     """value (a number as a float, a list as a tuple), or a ConfigError
-    naming field if value is not of kind."""
+    naming field if value is not of kind.  A list of values names each
+    once, since a repeat would run its groups or rows twice; function
+    entries are told apart by their ids instead."""
     if isinstance(kind, list):
         if not isinstance(value, (list, tuple)) or len(kind) == 2 and len(value) != 2:
             shape = "[lo, hi]" if len(kind) == 2 else "a list"
             raise ConfigError(field, f"must be {shape}, got {value!r}")
-        return tuple(_typed(field, v, kind[0]) for v in value)
+        items = tuple(_typed(field, v, kind[0]) for v in value)
+        if len(kind) == 1 and kind[0] is not dict and len(set(items)) < len(items):
+            raise ConfigError(field, f"must name each entry once, got {value!r}")
+        return items
     name, types = _KINDS[kind]
     if not isinstance(value, types) or isinstance(value, bool) and kind is not bool:
         raise ConfigError(field, f"must be {name}, got {value!r}")
@@ -294,20 +305,26 @@ class RunResult:
 
 
 def run_verify(cfg: ExperimentConfig) -> RunResult:
-    """Execute the configured verification sweep; deterministic output."""
-    tasks = []
-    skipped = []
+    """Execute the configured verification sweep; deterministic output.
+
+    Each (theorem, function, exponent, variant) group runs in config
+    order.  A group that fails, and each non-finite cell, is a skip listed
+    after every skip decided before a group runs (no variant, too few
+    derivatives, a failed hypothesis).
+    """
+    run = bounds.Run.of(cfg.sweep, cfg.rate_exponents)     # shared by the groups
+    skipped, failed, finished = [], [], []
     for theorem in cfg.theorems:
         th = bounds.THEOREMS[theorem]
         variants, no_variant = _variants(cfg, th)
         # an expression gets the derivatives its most demanding variant reads
         order = max((th.derivative_order(kw) for kw in variants), default=0)
         for spec in cfg.functions:
+            where = {"theorem": theorem, "function": spec["id"]}
             f, reason = _resolve(spec, theorem, order)
             reason = reason or no_variant
             if reason is not None:
-                skipped.append({"theorem": theorem, "function": spec["id"],
-                                "reason": reason})
+                skipped.append({**where, "reason": reason})
                 continue
             # of the variants f lacks derivatives for only the lowest is kept:
             # the precheck skips its cells with the reason, higher ones fail alike
@@ -320,65 +337,48 @@ def run_verify(cfg: ExperimentConfig) -> RunResult:
                     for n in cfg.sweep:
                         reason = _precheck(theorem, f, n, exponent, kw)
                         if reason is not None:
-                            skipped.append({
-                                "theorem": theorem, "function": spec["id"],
-                                "n": n, "exponent": exponent, "reason": reason,
-                            })
+                            skipped.append({**where, "n": n, "exponent": exponent,
+                                            "reason": reason})
                         else:
                             ns.append(n)
-                    if ns:
-                        tasks.append((theorem, spec["id"], f, tuple(ns), exponent, kw))
+                    if not ns:
+                        continue
+                    try:
+                        reports = verify(theorem, f, tuple(ns), exponent, cfg.grid, run=run, **kw)
+                    except ErfApproxError as exc:
+                        failed.append({**where, "exponent": exponent,
+                                       "reason": f"group failed: {exc}"})
+                        continue
+                    failed.extend({**where, "family": r.family, "n": r.n, "exponent": exponent,
+                                   "reason": "non-finite empirical error or bound"}
+                                  for r in reports if r.verdict == "non-finite")
+                    finished.append([r for r in reports if r.verdict != "non-finite"])
 
-    run = bounds.Run.of(cfg.sweep, cfg.rate_exponents)     # shared by the groups
-
-    def run_group(task):
-        theorem, fid, f, ns, exponent, kw = task
-        try:
-            return verify(theorem, f, ns, exponent, cfg.grid, run=run, **kw)
-        except ErfApproxError as exc:
-            return [{"theorem": theorem, "function": fid, "exponent": exponent,
-                     "reason": f"group failed: {exc}"}]
-
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(run_group, tasks))
-    else:
-        results = [run_group(t) for t in tasks]
-
-    rows = []
-    for task, reports in zip(tasks, results):
-        if reports and isinstance(reports[0], dict):
-            skipped.extend(reports)
-            continue
-        theorem, fid, _, _, exponent, _ = task
-        finite = []
-        for r in reports:
-            if r.verdict == "non-finite":
-                skipped.append({"theorem": theorem, "function": fid, "family": r.family,
-                                "n": r.n, "exponent": exponent,
-                                "reason": "non-finite empirical error or bound"})
-            else:
-                finite.append(r)
-        reports = finite
-        slope = r2 = None
-        try:
-            slope, r2 = fit_rate([(r.n, r.empirical_error) for r in reports])
-        except DegenerateFit:
-            pass
-        for r in reports:
-            rows.append(dict(zip(CSV_COLUMNS, (
-                r.theorem_id, r.function_id, r.family, r.n, r.rate_exponent, r.point_mode,
-                r.empirical_error, r.bound_value, r.slack, r.modulus_quality, r.verdict,
-                slope, r2))))
-
+    # rates are fitted once every group has run: the first least-squares fit
+    # touches about 1 MB of LAPACK workspace, which would otherwise stay
+    # resident under the groups' peak
+    rows = [row for reports in finished for row in _rows(reports)]
     verdicts = [r["verdict"] for r in rows]
     return RunResult(
         rows=tuple(rows),
-        skipped=tuple(skipped),
+        skipped=tuple(skipped + failed),
         violated=verdicts.count("violated"),
         held=verdicts.count("holds"),
         inconclusive=verdicts.count("inconclusive-estimated"),
     )
+
+
+def _rows(reports) -> List[dict]:
+    """One group's reports as CSV rows, each with the group's fitted rate."""
+    slope = r2 = None
+    try:
+        slope, r2 = fit_rate([(r.n, r.empirical_error) for r in reports])
+    except DegenerateFit:
+        pass
+    return [dict(zip(CSV_COLUMNS, (
+        r.theorem_id, r.function_id, r.family, r.n, r.rate_exponent, r.point_mode,
+        r.empirical_error, r.bound_value, r.slack, r.modulus_quality, r.verdict, slope, r2)))
+        for r in reports]
 
 
 def write_csv(result: RunResult, path: str):
@@ -451,5 +451,5 @@ def run_partition_check(
         "chi_integral_deviation": abs(partition.chi_integral(-12.0, 12.0) - 1.0),
         "boundary_deficiency": deficiencies,
         "boundary_deficiency_min": min_deficiency,
-        "boundary_ok": min_deficiency >= 0.2488,
+        "boundary_ok": min_deficiency >= CHI_AT_ONE,
     }

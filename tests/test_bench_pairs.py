@@ -47,6 +47,34 @@ def test_no_regression_verdicts():
         "no_regression"] == "unresolved"
 
 
+def test_count_differences_names_each_changed_count_and_only_counts():
+    traced = {
+        "default:11": {"metrics": {
+            "special_functions.erf_points": {"parent": 100, "change": 40},
+            "special_functions.erf_self_s": {"parent": 0.3, "change": 0.1},
+            "modulus.calls": {"parent": 7, "change": 7},
+            "operators.points": {"parent": 5, "change": 6},
+            "operators.kernel_keys": {"parent": 20, "change": 20},
+            "operators.kernel_repeat_share": {"parent": 0.5, "change": 0.1},
+        }},
+        "expr-dense:11": {"metrics": {
+            "bounds.verify_cells": {"parent": 9, "change": 9},
+            "harness.groups": {"parent": 4, "change": 3},
+            "fractional.caputo_calls": {"parent": 2, "change": 2},
+        }},
+    }
+    assert bench_pairs.count_differences(traced) == [
+        "default:11 special_functions.erf_points: parent 100 -> change 40",
+        "default:11 operators.points: parent 5 -> change 6",
+        "expr-dense:11 harness.groups: parent 4 -> change 3",
+    ]
+    for entry in traced.values():
+        for sides in entry["metrics"].values():
+            sides["change"] = sides["parent"]
+    assert bench_pairs.count_differences(traced) == [
+        "all 7 traced counts are equal on default:11, expr-dense:11"]
+
+
 def test_tree_id_matches_git_for_files_on_disk(tmp_path):
     def git(*args):
         return subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=t",

@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import sys
 from collections import Counter
 from importlib import resources
 from pathlib import Path
@@ -15,7 +14,7 @@ import erfapprox
 from erfapprox import bounds
 from erfapprox.cli import main
 from erfapprox.corpus import FRACTIONAL_CORPUS
-from erfapprox.errors import ConfigError
+from erfapprox.errors import ConfigError, PreconditionViolated
 from erfapprox.harness import (
     CSV_COLUMNS,
     SCHEMA,
@@ -125,6 +124,11 @@ class TestConfigValidation:
         fields = [f.name for f in dataclasses.fields(bounds.GridPolicy) if f.name != "pointwise_points"]
         assert list(SCHEMA["grid"]) == fields
 
+    def test_absent_functions_load_the_default_list(self):
+        doc = {k: v for k, v in BASE.items() if k != "functions"}
+        ids = [spec["id"] for spec in ExperimentConfig.from_dict(doc).functions]
+        assert ids == ["linear", "sin", "cos", "abs", "exp", "sq", "circle", "ramp_pair"]
+
     def test_packaged_default_loads(self):
         path = Path(erfapprox.__file__).parent / "default.yaml"
         assert ExperimentConfig.from_file(str(path)).theorems == tuple(bounds.THEOREMS)
@@ -139,7 +143,9 @@ class TestRunVerify:
         assert all(set(r) == set(CSV_COLUMNS) for r in result.rows)
 
     def test_empty_theorems_empty_report(self):
-        result = run_verify(cfg_with(theorems=[]))
+        # a config cannot name no theorem, but `erfapprox fractional` keeps
+        # none from a config without a fractional one
+        result = run_verify(dataclasses.replace(cfg_with(), theorems=()))
         assert result.rows == ()
         assert result.violated == 0
 
@@ -179,12 +185,30 @@ class TestRunVerify:
         assert skip["reason"].startswith(
             "expression rejected: declared sup_norm 0.5 is below the sampled sup 0.99")
 
-    def test_jobs_match_serial(self):
-        serial = run_verify(cfg_with())
-        doc = {**BASE}
-        cfg = ExperimentConfig(**{**ExperimentConfig.from_dict(doc).__dict__, "jobs": 4})
-        parallel = run_verify(cfg)
-        assert serial.rows == parallel.rows
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_run_time_skips_follow_every_plan_time_skip(self):
+        # n = 4 at exponent 0.5 fails the hypothesis when the run is
+        # planned; the pole of x^-1 shows only once its group has run
+        result = run_verify(cfg_with(sweep=[4, 9, 16], functions=[
+            {"id": "g", "expr": "x^-1", "domain": [0.0, 1.0], "exact_modulus": "linear"},
+            {"id": "linear", "builtin": "linear"}]))
+        reasons = [(s["function"], s["n"], s["reason"].split()[0]) for s in result.skipped]
+        assert reasons == [("g", 4, "hypothesis"), ("linear", 4, "hypothesis"),
+                           ("g", 9, "non-finite"), ("g", 16, "non-finite")]
+        assert [r["n"] for r in result.rows] == [9, 16]
+
+    def test_jobs_other_than_one_is_a_precondition(self):
+        with pytest.raises(PreconditionViolated, match="jobs"):
+            ExperimentConfig(functions=(), theorems=(), sweep=(16,), rate_exponents=(0.5,),
+                             jobs=2)
+
+    def test_replace_with_jobs_one_keeps_working(self, tmp_path):
+        # the form perfbench/child.py uses
+        cfg = dataclasses.replace(cfg_with(), jobs=1, csv_path=str(tmp_path / "r.csv"),
+                                  json_path=str(tmp_path / "r.json"))
+        assert (cfg.jobs, cfg.csv_path, cfg.json_path) == (
+            1, str(tmp_path / "r.csv"), str(tmp_path / "r.json"))
+        assert run_verify(cfg).rows == run_verify(cfg_with()).rows
 
 
 class TestDeterminism:
@@ -274,12 +298,29 @@ class TestCli:
          "functions[0].sup_norm"),
         ({"functions": [{"id": "w", "expr": "sin(x)", "sup_norm": float("inf")}]},
          "functions[0].sup_norm"),
+        # loaded, and gave 0 rows: nothing was checked
+        ({"theorems": []}, "theorems"),
+        ({"functions": []}, "functions"),
+        # loaded, wrote the n = 16 row twice and fitted the rate with it twice
+        ({"sweep": [16, 16, 81]}, "sweep"),
+        # loaded, and every group of the repeated entry ran twice
+        ({"theorems": ["T12", "T12"]}, "theorems"),
+        ({"rate_exponents": [0.5, 0.5]}, "rate_exponents"),
+        ({"theorems": ["T30"], "fractional_orders": [0.5, 0.5]}, "fractional_orders"),
+        ({"theorems": ["T16"], "highorder_orders": [1, 1]}, "highorder_orders"),
     ])
     def test_value_of_the_wrong_type_exits_two_naming_its_field(self, tmp_path, capsys,
                                                                 overrides, field):
         path = write_config(tmp_path, {**BASE, **overrides})
         assert main(["verify", "--config", path]) == 2
         assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+
+    def test_jobs_flag_is_gone(self, capsys):
+        # runs are serial; the flag used to pick a thread pool
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_missing_config_exit_two(self):
         assert main(["verify", "--config", "/no/such/file.yaml"]) == 2
@@ -365,20 +406,6 @@ class TestSupErrorPerRun:
         second = run_verify(cfg)
         assert set(calls.values()) == {2}
         assert second.rows == first.rows
-
-    def test_threads_sharing_one_run_match_serial(self):
-        cfg = cfg_with(functions=[{"id": "sin", "builtin": "sin"},
-                                  {"id": "cos", "builtin": "cos"}],
-                       theorems=["T12", "T16"], sweep=[9, 16, 81], highorder_orders=[1, 2],
-                       rate_exponents=[0.5, 0.6], grid={"x_points": 64})
-        serial = run_verify(cfg)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threaded = run_verify(dataclasses.replace(cfg, jobs=4))
-        finally:
-            sys.setswitchinterval(interval)
-        assert threaded.rows == serial.rows
 
 
 class TestCaputoPerRun:

@@ -29,6 +29,12 @@ from the files on disk (equal to ``git rev-parse <commit>:src`` once
 committed), whether the perfbench trees match, nproc, and
 ``wc -l src/erfapprox/*.py`` for both sides.
 
+After writing the file the script prints each traced count (a metric
+whose last word is ``calls``, ``points`` or ``keys``, plus
+``bounds.verify_cells`` and ``harness.groups``) that differs between the
+sides, or one line saying that all of them are equal, so a change's work
+counts stand next to its timings.
+
 The script refuses to run when the two perfbench trees differ.
 """
 
@@ -46,6 +52,7 @@ from typing import Dict, List, Optional, Tuple
 
 RUN_TIMEOUT_S = 600.0
 PAIRS = 10                  # the fewest pairs a claim of a gain is judged on
+COUNTS = ("bounds.verify_cells", "harness.groups")     # counts with no count word
 
 
 def git(checkout: str, *args: str) -> Optional[str]:
@@ -184,6 +191,25 @@ def claim_verdict(stats: dict) -> dict:
     return out
 
 
+def is_count(name: str) -> bool:
+    return name in COUNTS or name.replace(".", "_").rsplit("_", 1)[-1] in (
+        "calls", "points", "keys")
+
+
+def count_differences(traced: Dict[str, dict]) -> List[str]:
+    """One line per traced count that differs between the parent and the
+    change, or one line saying that all of them are equal."""
+    lines, compared = [], 0
+    for run, entry in traced.items():
+        for name, sides in entry["metrics"].items():
+            if is_count(name):
+                compared += 1
+                if sides["parent"] != sides["change"]:
+                    lines.append(f"{run} {name}: parent {sides['parent']} -> "
+                                 f"change {sides['change']}")
+    return lines or [f"all {compared} traced counts are equal on {', '.join(traced)}"]
+
+
 def spec(text: str, fields: int) -> Tuple[str, ...]:
     parts = tuple(text.split(":"))
     if len(parts) != fields:
@@ -270,6 +296,8 @@ def main(argv=None) -> int:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
     print(f"wrote {path}", file=sys.stderr)
+    if args.trace:
+        print("\n".join(count_differences(doc["traced"])))
     return 0
 
 
