@@ -49,6 +49,8 @@ def _load_config(args) -> ExperimentConfig:
 
 def _restrict(cfg: ExperimentConfig, theorems) -> ExperimentConfig:
     kept = tuple(t for t in cfg.theorems if t in theorems)
+    if not kept:
+        raise ConfigError("theorems", f"names none of {', '.join(theorems)}: nothing to check")
     return dataclasses.replace(cfg, theorems=kept)
 
 

@@ -128,9 +128,8 @@ class ExperimentConfig:
         top.setdefault("functions", [{"id": name, "builtin": name} for name in (
             "linear", "sin", "cos", "abs", "exp", "sq", "circle", "ramp_pair")])
         top.setdefault("theorems", tuple(bounds.THEOREMS))
-        # a run crosses these lists, so an empty one checks nothing
-        for name in ("functions", "theorems", "sweep", "rate_exponents"):
-            if not top.get(name):
+        for name in ("sweep", "rate_exponents"):        # the lists with no default
+            if name not in top:
                 raise ConfigError(name, "must be a non-empty list")
 
         functions = top.pop("functions")
@@ -191,13 +190,15 @@ _KINDS = {int: ("an integer", int), float: ("a number", (int, float)),
 
 def _typed(field: str, value, kind):
     """value (a number as a float, a list as a tuple), or a ConfigError
-    naming field if value is not of kind.  A list of values names each
-    once, since a repeat would run its groups or rows twice; function
-    entries are told apart by their ids instead."""
+    naming field if value is not of kind.  A list must not be empty (a run
+    crosses it) nor name a value twice (a repeat would run its groups or
+    rows twice); function entries are told apart by their ids instead."""
     if isinstance(kind, list):
         if not isinstance(value, (list, tuple)) or len(kind) == 2 and len(value) != 2:
             shape = "[lo, hi]" if len(kind) == 2 else "a list"
             raise ConfigError(field, f"must be {shape}, got {value!r}")
+        if not value:
+            raise ConfigError(field, "must be a non-empty list")
         items = tuple(_typed(field, v, kind[0]) for v in value)
         if len(kind) == 1 and kind[0] is not dict and len(set(items)) < len(items):
             raise ConfigError(field, f"must name each entry once, got {value!r}")

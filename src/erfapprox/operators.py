@@ -23,10 +23,14 @@ and applies it to every part of f, so a complex f gets the pair
 with u = nx and r = round(u), one integer matrix that points each
 (x, offset) at its node index k = r + offset, and A's mask and
 denominator; only the edge rows whose window leaves [ceil(na), floor(nb)]
-are masked and clipped.  The node functional is evaluated once per
-distinct k, in blocks of ``NODE_POINTS`` node points, so a call's
-working set stays near three points x window matrices whatever n and
-the rule's node count.
+are masked and clipped.  chi runs on the matrix window-major (offsets
+-R..R down axis 0), where neighbouring offsets share erf values, so its
+two erf calls see 17 of the 30 arguments per point plus the few inexact
+ones; the result is copied once points-major with its columns in the
+family's summation order, so every window sum adds as before.  The node
+functional is evaluated once per distinct k, in blocks of
+``NODE_POINTS`` node points, so a call's working set stays near three
+points x window matrices whatever n and the rule's node count.
 """
 
 from __future__ import annotations
@@ -176,9 +180,14 @@ def apply_operator(f: FunctionSpec, x, cfg: OperatorConfig):
 
     u = n * xs
     r = np.round(u)
-    # u - r and r + offset are exact, so this is chi(u - k) bit for bit
-    chiv = chi((u - r)[:, None] - offsets)
+    # u - r and r + offset are exact, so this is chi(u - k) bit for bit.  idx
+    # is built before the kernel is copied and dropped, in the space chi
+    # freed: dropping the kernel first let glibc trim the heap, and a
+    # 4095-point call then faulted 536 pages instead of 208
+    kernel = chi((u - r) - np.arange(-RADIUS, RADIUS + 1.0)[:, None])
     kk, idx, edge, keep = _node_indices(r, offsets, lo, hi)
+    chiv = np.stack([kernel[int(m) + RADIUS] for m in offsets], axis=1)
+    del kernel
     den = 1.0
     if cfg.family == "A":
         chiv[edge] = np.where(keep, chiv[edge], 0.0)

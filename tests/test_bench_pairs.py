@@ -75,6 +75,31 @@ def test_count_differences_names_each_changed_count_and_only_counts():
         "all 7 traced counts are equal on default:11, expr-dense:11"]
 
 
+def test_reports_identical_compares_both_reports_byte_for_byte(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for side in (parent, change):
+        out = side / ".bench_out" / "expr-dense-seed13"
+        out.mkdir(parents=True)
+        (out / "rep1.csv").write_bytes(b"theorem,n\nT12,16\n")
+        (out / "rep1.json").write_bytes(b'{"rows": []}\n')
+        (out / "rep2.json").write_bytes(side.name.encode())      # not compared
+
+    def identical():
+        return bench_pairs.reports_identical(str(parent), str(change), "expr-dense", 13)
+
+    assert identical()
+    assert not bench_pairs.reports_identical(str(parent), str(change), "expr-dense", 0)
+    report = change / ".bench_out" / "expr-dense-seed13" / "rep1.json"
+    report.write_bytes(b'{"rows": [] }\n')
+    assert not identical()
+    report.write_bytes(b'{"rows": []}\n')
+    table = parent / ".bench_out" / "expr-dense-seed13" / "rep1.csv"
+    table.write_bytes(b"theorem,n\r\nT12,16\r\n")
+    assert not identical()
+    table.unlink()
+    assert not identical()
+
+
 def test_tree_id_matches_git_for_files_on_disk(tmp_path):
     def git(*args):
         return subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=t",

@@ -143,8 +143,8 @@ class TestRunVerify:
         assert all(set(r) == set(CSV_COLUMNS) for r in result.rows)
 
     def test_empty_theorems_empty_report(self):
-        # a config cannot name no theorem, but `erfapprox fractional` keeps
-        # none from a config without a fractional one
+        # neither a config nor `erfapprox fractional` can name no theorem,
+        # but a library caller can
         result = run_verify(dataclasses.replace(cfg_with(), theorems=()))
         assert result.rows == ()
         assert result.violated == 0
@@ -308,6 +308,11 @@ class TestCli:
         ({"rate_exponents": [0.5, 0.5]}, "rate_exponents"),
         ({"theorems": ["T30"], "fractional_orders": [0.5, 0.5]}, "fractional_orders"),
         ({"theorems": ["T16"], "highorder_orders": [1, 1]}, "highorder_orders"),
+        # loaded, and every function became the one skip "no alpha_frac in []"
+        ({"theorems": ["T30"], "fractional_orders": []}, "fractional_orders"),
+        ({"theorems": ["T16"], "highorder_orders": []}, "highorder_orders"),
+        ({"sweep": []}, "sweep"),
+        ({"rate_exponents": []}, "rate_exponents"),
     ])
     def test_value_of_the_wrong_type_exits_two_naming_its_field(self, tmp_path, capsys,
                                                                 overrides, field):
@@ -350,6 +355,13 @@ class TestCli:
         assert main(["fractional", "--config", path, "--out-json", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert all(r["theorem"] == "C33" for r in doc["rows"])
+
+    def test_fractional_subcommand_without_a_fractional_theorem_exits_two(self, tmp_path,
+                                                                          capsys):
+        # printed rows=0 and exited 0: nothing was checked
+        path = write_config(tmp_path, BASE)
+        assert main(["fractional", "--config", path]) == 2
+        assert capsys.readouterr().err.startswith("config error: theorems: ")
 
     def test_rates_subcommand(self, tmp_path, capsys):
         path = write_config(tmp_path, BASE)

@@ -361,6 +361,53 @@ class TestOneNodeFunctionalPerIndex:
         assert np.isnan(got[1])
 
 
+def points_major(part, xs, cfg):
+    """The operator as one points x window sum, its kernel computed
+    points-major: (L[idx] * chi((u - r)[:, None] - offsets)).sum(axis=1),
+    divided by the window's chi sum for A."""
+    n, radius = cfg.n, partition.RADIUS
+    u = n * xs
+    r = np.round(u)
+    if cfg.family == "A":
+        offsets = np.arange(-radius, radius + 1.0)
+        lo, hi = partition.index_window(n, *cfg.interval)
+    else:
+        offsets = partition._window_offsets(radius)
+        lo, hi = -math.inf, math.inf
+    ks = r[:, None] + offsets
+    chiv = chi((u - r)[:, None] - offsets)
+    chiv[(ks < lo) | (ks > hi)] = 0.0
+    kk, idx = np.unique(np.clip(ks, lo, hi), return_inverse=True)
+    t, w = operators._node_rule(cfg)
+    L = np.tensordot(part.eval(kk[:, None] / n + t), w, axes=([1], [0]))
+    vals = (L[idx.reshape(ks.shape)] * chiv).sum(axis=1)
+    return vals / chiv.sum(axis=1) if cfg.family == "A" else vals
+
+
+class TestWindowMajorKernel:
+    """apply_operator runs chi window-major and copies it points-major in the
+    family's summation order, so it adds every window as the points-major
+    kernel did, bit for bit."""
+
+    @pytest.mark.parametrize("n", [9, 81, 2048])
+    @pytest.mark.parametrize("family", ["A", "B", "C", "D"])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_equals_the_points_major_sum(self, family, n, kind):
+        real = kind == "real"
+        if family == "A":
+            f = INTERVAL_CORPUS["sin"] if real else COMPLEX_INTERVAL_CORPUS["circle"]
+            cfg = OperatorConfig("A", n, interval=f.domain)
+            xs = np.linspace(*f.domain, 1001)
+        else:
+            f = LINE_CORPUS["sin"] if real else COMPLEX_LINE_CORPUS["circle"]
+            weights = QuadratureWeights.uniform(4) if family == "D" else None
+            cfg = OperatorConfig(family, n, weights=weights)
+            xs = np.linspace(-2.5, 2.5, 1001)
+        got = apply_operator(f, xs, cfg)
+        for image, part in zip((got,) if real else got, f.parts):
+            assert np.array_equal(image, points_major(part, xs, cfg))
+
+
 def test_working_set_of_one_call_is_bounded():
     # one expr-dense call: family C at n = 2048 on a 10.4-wide window; the
     # points x window x nodes formula peaked at 6.6 MB here

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from erfapprox import special_functions
+from erfapprox.partition import RADIUS
 from erfapprox.special_functions import (
     CHI_AT_ONE,
     CHI_AT_ZERO,
@@ -136,6 +138,86 @@ class TestChi:
         h = 1e-6
         fd = (chi(x + h) - chi(x - h)) / (2.0 * h)
         assert abs(chi_derivative(x) - fd) <= 5e-9
+
+
+def window_major(n, a, b, points):
+    """The operators' kernel argument d - m, m = -R..R down axis 0, with
+    u = nx and d = u - round(u) on points x values from a to b."""
+    u = n * np.linspace(a, b, points)
+    return (u - np.round(u)) - np.arange(-RADIUS, RADIUS + 1.0)[:, None]
+
+
+def formula(x):
+    return (erf(x + 1.0) - erf(x - 1.0)) / 4.0
+
+
+class TestChiSharesErfValues:
+    """chi takes erf(x - 1) from the erf(x + 1) two places on along axis 0
+    where the two arguments are equal, and still equals the formula."""
+
+    def erf_sizes(self, x, monkeypatch):
+        sizes = []
+
+        def counting(t, out=None):
+            sizes.append(np.size(t))
+            return erf(t, out)
+
+        monkeypatch.setattr(special_functions, "erf", counting)
+        assert np.array_equal(chi(x), formula(x), equal_nan=True)
+        return sizes
+
+    @given(st.integers(1, 4096), st.floats(-50.0, 50.0), st.floats(1e-3, 20.0),
+           st.integers(1, 300))
+    @settings(max_examples=200, deadline=None)
+    def test_window_major_kernel_is_the_formula_bit_for_bit(self, n, a, width, points):
+        x = window_major(n, a, a + width, points)
+        assert np.array_equal(chi(x), formula(x))
+
+    @given(st.integers(1, 6), st.integers(1, 5), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_any_array_is_the_formula_bit_for_bit(self, rows, cols, data):
+        # small integers share erf values with the entry two rows on, the
+        # floats (nan and inf among them) mostly do not
+        values = st.one_of(st.integers(-9, 9).map(float), st.floats(width=64))
+        x = np.array(data.draw(st.lists(values, min_size=rows * cols,
+                                        max_size=rows * cols))).reshape(rows, cols)
+        for arr in (x, x.T, x[:, 0], x[::-1]):
+            assert np.array_equal(chi(arr), formula(arr), equal_nan=True)
+
+    def test_exact_kernel_sends_only_its_last_two_rows_to_the_second_call(self, monkeypatch):
+        x = window_major(81, -8.0, 8.0, 4095)
+        assert self.erf_sizes(x, monkeypatch) == [x.size, 2 * 4095]
+
+    def test_inexact_entries_go_to_the_second_call(self, monkeypatch):
+        # at n = 9 on [0, 1] every |nx| < 9, so d - m rounds on some rows and
+        # x - 1 differs in the last bit from the x + 1 two rows on
+        x = window_major(9, 0.0, 1.0, 1001)
+        sizes = self.erf_sizes(x, monkeypatch)
+        assert len(sizes) == 2 and sizes[0] == x.size
+        assert 2 * 1001 < sizes[1] < x.size // 16 + 2 * 1001
+
+    def test_descending_unit_steps_share_all_but_two(self, monkeypatch):
+        x = np.arange(5.0, -6.0, -1.0)
+        assert self.erf_sizes(x, monkeypatch) == [11, 2]
+
+    @pytest.mark.parametrize("x", [
+        np.linspace(-8.0, 8.0, 4095 * 15).reshape(4095, 15),      # nothing shared
+        window_major(81, -8.0, 8.0, 4095).T,                      # shared along axis 1 only
+        np.array([0.5]), np.zeros((2, 3)), np.array([]),
+    ], ids=["points-major", "transposed", "one", "two-rows", "empty"])
+    def test_every_array_call_makes_two_erf_calls(self, x, monkeypatch):
+        assert len(self.erf_sizes(x, monkeypatch)) == 2
+
+    def test_window_major_call_holds_under_2_2_times_its_input(self):
+        x = window_major(81, -8.0, 8.0, 4095)
+        assert x.shape == (15, 4095)
+        tracemalloc.start()
+        try:
+            chi(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.2 * x.nbytes
 
 
 class TestAntiderivative:

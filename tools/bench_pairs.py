@@ -29,7 +29,12 @@ from the files on disk (equal to ``git rev-parse <commit>:src`` once
 committed), whether the perfbench trees match, nproc, and
 ``wc -l src/erfapprox/*.py`` for both sides.
 
-After writing the file the script prints each traced count (a metric
+After each ``--run`` the script compares the two sides' reports of the
+last repetition, ``.bench_out/<workload>-seed<seed>/rep1.csv`` and
+``rep1.json``, byte for byte.  The file records the answer as that
+workload's ``reports_identical``, and the script prints it.
+
+After writing the file the script also prints each traced count (a metric
 whose last word is ``calls``, ``points`` or ``keys``, plus
 ``bounds.verify_cells`` and ``harness.groups``) that differs between the
 sides, or one line saying that all of them are equal, so a change's work
@@ -53,6 +58,7 @@ from typing import Dict, List, Optional, Tuple
 RUN_TIMEOUT_S = 600.0
 PAIRS = 10                  # the fewest pairs a claim of a gain is judged on
 COUNTS = ("bounds.verify_cells", "harness.groups")     # counts with no count word
+REPORTS = ("rep1.csv", "rep1.json")     # what perfbench/run.py writes for repetition 1
 
 
 def git(checkout: str, *args: str) -> Optional[str]:
@@ -191,6 +197,23 @@ def claim_verdict(stats: dict) -> dict:
     return out
 
 
+def reports_identical(parent: str, change: str, workload: str, seed: int) -> bool:
+    """Whether the two checkouts hold byte-identical REPORTS for workload:seed
+    under .bench_out; False when either side lacks one."""
+    for name in REPORTS:
+        sides = []
+        for checkout in (parent, change):
+            path = os.path.join(checkout, ".bench_out", f"{workload}-seed{seed}", name)
+            try:
+                with open(path, "rb") as fh:
+                    sides.append(fh.read())
+            except OSError:
+                return False
+        if sides[0] != sides[1]:
+            return False
+    return True
+
+
 def is_count(name: str) -> bool:
     return name in COUNTS or name.replace(".", "_").rsplit("_", 1)[-1] in (
         "calls", "points", "keys")
@@ -267,6 +290,7 @@ def main(argv=None) -> int:
                       f"{out['metrics']['verify_s']['value']:.4f}", file=sys.stderr)
         entry = {
             "seed": int(seed),
+            "reports_identical": reports_identical(args.parent, args.change, workload, int(seed)),
             "correct": {s: all(r["correct"] for r in runs[s]) for s in runs},
             "failed": {s: sum(r["failed"] for r in runs[s]) for s in runs},
             "attempted": {s: sum(r["attempted"] for r in runs[s]) for s in runs},
@@ -296,6 +320,8 @@ def main(argv=None) -> int:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
     print(f"wrote {path}", file=sys.stderr)
+    for run, entry in doc["workloads"].items():
+        print(f"{run} reports_identical: {entry['reports_identical']}")
     if args.trace:
         print("\n".join(count_differences(doc["traced"])))
     return 0
