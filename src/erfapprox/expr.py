@@ -335,11 +335,6 @@ def _mul(a: Node, b: Node) -> Node:
     return Mul(a, b)
 
 
-def differentiate(node: Node, order: int = 1) -> Node:
-    """Symbolic derivative of given order with light simplification."""
-    return derivatives(node, order)[-1]
-
-
 def derivatives(node: Node, order: int) -> List[Node]:
     """[node, node', ..., node^(order)]; one memo over the chain differentiates
     each distinct subtree once, so the trees share subtrees by identity."""

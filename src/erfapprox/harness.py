@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 import yaml
 
-from . import bounds, corpus, partition
+from . import bounds, corpus, operators, partition
 from .bounds import GridPolicy, fit_rate, verify
 from .errors import ConfigError, DegenerateFit, ErfApproxError, PreconditionViolated
 from .expr import parse
@@ -44,7 +44,8 @@ def _least(key: str):
 
 
 _STR = (str, None, None)
-_WINDOW = ([float, float], lambda w: w[0] < w[1], "needs lo < hi")
+_WINDOW = ([float, float], lambda w: -math.inf < w[0] < w[1] < math.inf,
+           "needs finite lo < hi")
 
 #: every config key, under the README's label of the mapping that takes it,
 #: as (kind, test, message).  A kind is int, float, bool, str, dict (a
@@ -419,7 +420,7 @@ def run_partition_check(
     xs = np.linspace(-8.0, 8.0, grid_points)
     max_dev = 0.0
     for n in n_list:
-        sums = partition.partition_sum(xs, n)
+        sums = operators.partition_sum(xs, n)
         max_dev = max(max_dev, float(np.max(np.abs(sums - 1.0))))
 
     tail_ok = True
@@ -437,8 +438,8 @@ def run_partition_check(
 
     deficiencies = {
         str(n): {
-            "a": partition.boundary_deficiency(n, 0.0, 1.0, "a"),
-            "b": partition.boundary_deficiency(n, 0.0, 1.0, "b"),
+            "a": operators.boundary_deficiency(n, 0.0, 1.0, "a"),
+            "b": operators.boundary_deficiency(n, 0.0, 1.0, "b"),
         }
         for n in (10, 100, 1000, 10_000)
     }

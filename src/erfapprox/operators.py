@@ -19,11 +19,12 @@ functional L_k(f) = sum_j w_j f(k/n + t_j) (``_node_rule``).  An
 ``apply_operator`` accepts a scalar x or a 1-D array of x values, and a
 real FunctionSpec or a ComplexFunctionSpec.  It builds the kernel once
 and applies it to every part of f, so a complex f gets the pair
-(Op re, Op im).  The kernel is one chi matrix chi((u - r) - offsets),
-with u = nx and r = round(u), one integer matrix that points each
-(x, offset) at its node index k = r + offset, and A's mask and
-denominator; only the edge rows whose window leaves [ceil(na), floor(nb)]
-are masked and clipped.  chi runs on the matrix window-major (offsets
+(Op re, Op im).  The kernel (``_kernel``) is one chi matrix
+chi((u - r) - offsets), with u = nx and r = round(u), and one integer
+matrix that points each (x, offset) at its node index k = r + offset;
+for A the chi matrix is zero outside [ceil(na), floor(nb)], only the edge
+rows whose window leaves it being masked and clipped, and its row sums
+are the denominator.  chi runs on the matrix window-major (offsets
 -R..R down axis 0), where neighbouring offsets share erf values, so its
 two erf calls see 17 of the 30 arguments per point plus the few inexact
 ones; the result is copied once points-major with its columns in the
@@ -31,6 +32,10 @@ family's summation order, so every window sum adds as before.  The node
 functional is evaluated once per distinct k, in blocks of
 ``NODE_POINTS`` node points, so a call's working set stays near three
 points x window matrices whatever n and the rule's node count.
+
+The partition sum sum_k chi(nx - k), the interval denominator V(x) and
+its boundary deficiency 1 - V(a) are window sums of the same kernel, so
+``check-partition`` checks the sums the operators compute.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ from .errors import (
     UnboundedFunction,
 )
 from .funcs import ComplexFunctionSpec, FunctionSpec
-from .partition import RADIUS, _window_offsets, index_window
+from .partition import RADIUS, index_window
 from .special_functions import chi
 
 #: Gauss-Legendre order of C's cell mean
@@ -58,6 +63,13 @@ KANTOROVICH_NODES = 8
 #: node points k/n + t_j per evaluation of the node functional L_k(f):
 #: 2048 indices k of C's 8-node rule, 16384 of A's and B's single node
 NODE_POINTS = 16384
+
+#: window offsets -R..R: chi's rows and A's summation order
+ASCENDING = np.arange(-RADIUS, RADIUS + 1.0)
+#: window offsets centre-outward in pairs (0, -1, 1, ..., -R, R): the
+#: summation order of B, C and D, fixed so that every window sum adds its
+#: terms in the same order and stays reproducible bit for bit
+CENTRE_OUT = np.array(sorted(ASCENDING, key=lambda m: (abs(m), m)))
 
 
 @dataclass(frozen=True)
@@ -76,11 +88,6 @@ class QuadratureWeights:
             raise InvalidWeights("weights must be nonnegative")
         if abs(math.fsum(self.w) - 1.0) > 1e-15:
             raise InvalidWeights(f"weights sum to {math.fsum(self.w)!r}, not 1")
-
-    @staticmethod
-    def degenerate(theta: int = 1) -> "QuadratureWeights":
-        """w_0 = 1, rest 0: collapses family D onto family B."""
-        return QuadratureWeights(theta, (1.0,) + (0.0,) * theta)
 
     @staticmethod
     def uniform(theta: int) -> "QuadratureWeights":
@@ -158,6 +165,63 @@ def _node_indices(r: np.ndarray, offsets: np.ndarray, lo: float, hi: float):
     return kk, idx.reshape(ks.shape), np.ones(r.size, dtype=bool), (ks >= lo) & (ks <= hi)
 
 
+def _kernel(u: np.ndarray, offsets: np.ndarray, lo: float, hi: float):
+    """The window kernel chi(u - k), k = round(u) + offsets, as (chiv, kk,
+    idx): one points x window matrix with its columns in offsets' order and,
+    when [lo, hi] is finite (A's index window), zero outside it; the
+    distinct k, clipped to [lo, hi]; and the integer matrix with k = kk[idx].
+    """
+    r = np.round(u)
+    # u - r and r + offset are exact, so this is chi(u - k) bit for bit.  idx
+    # is built before the kernel is copied and dropped, in the space chi
+    # freed: dropping the kernel first let glibc trim the heap, and a
+    # 4095-point call then faulted 536 pages instead of 208
+    kernel = chi((u - r) - ASCENDING[:, None])
+    kk, idx, edge, keep = _node_indices(r, offsets, lo, hi)
+    chiv = np.stack([kernel[int(m) + RADIUS] for m in offsets], axis=1)
+    del kernel
+    if math.isfinite(lo):
+        chiv[edge] = np.where(keep, chiv[edge], 0.0)
+    return chiv, kk, idx
+
+
+def partition_sum(x, n: int):
+    """Truncated sum_k chi(nx - k) over the window centered at round(nx),
+    added outermost-first.
+
+    Equals 1 to within partition.TRUNCATION_EPSILON for every n >= 1 and
+    real x.  Accepts scalar or array x.
+    """
+    if n < 1:
+        raise PreconditionViolated("n must be >= 1")
+    u = np.atleast_1d(np.asarray(x, dtype=float)) * n
+    total = _kernel(u, CENTRE_OUT, -math.inf, math.inf)[0][:, ::-1].sum(axis=1)
+    return float(total[0]) if np.ndim(x) == 0 else total
+
+
+def interval_denominator(x, n: int, a: float, b: float):
+    """V(x) = sum_{k=ceil(na)}^{floor(nb)} chi(nx - k), the A_n denominator,
+    summed over A's own window kernel.
+
+    Strictly above chi(1) ~= 0.2488 for x in [a, b], and at most 1.
+    """
+    u = np.atleast_1d(np.asarray(x, dtype=float)) * n
+    total = _kernel(u, ASCENDING, *index_window(n, a, b))[0].sum(axis=1)
+    return float(total[0]) if np.ndim(x) == 0 else total
+
+
+def boundary_deficiency(n: int, a: float, b: float, at_end: str) -> float:
+    """1 - V(endpoint): the mass the interval window misses at a or b.
+
+    Stays >= chi(1) > 0 for every n, so the truncated partition sum does
+    not converge to 1 at the endpoints.
+    """
+    if at_end not in ("a", "b"):
+        raise PreconditionViolated(f"at_end must be 'a' or 'b', got {at_end!r}")
+    end = a if at_end == "a" else b
+    return 1.0 - interval_denominator(end, n, a, b)
+
+
 def apply_operator(f: FunctionSpec, x, cfg: OperatorConfig):
     """Op f at x for cfg's family; the pair (Op re, Op im) for a complex f."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
@@ -166,7 +230,7 @@ def apply_operator(f: FunctionSpec, x, cfg: OperatorConfig):
         a, b = cfg.interval
         if np.any(xs < a) or np.any(xs > b):
             raise DomainViolation(f"x outside [{a}, {b}]")
-        offsets = np.arange(-RADIUS, RADIUS + 1, dtype=float)
+        offsets = ASCENDING
         lo, hi = index_window(n, a, b)
     else:
         for p in f.parts:
@@ -175,23 +239,11 @@ def apply_operator(f: FunctionSpec, x, cfg: OperatorConfig):
                     f"{p.name}: family {cfg.family} needs a finite sup_norm "
                     "for its truncation certificate"
                 )
-        offsets = _window_offsets(RADIUS)
+        offsets = CENTRE_OUT
         lo, hi = -math.inf, math.inf
 
-    u = n * xs
-    r = np.round(u)
-    # u - r and r + offset are exact, so this is chi(u - k) bit for bit.  idx
-    # is built before the kernel is copied and dropped, in the space chi
-    # freed: dropping the kernel first let glibc trim the heap, and a
-    # 4095-point call then faulted 536 pages instead of 208
-    kernel = chi((u - r) - np.arange(-RADIUS, RADIUS + 1.0)[:, None])
-    kk, idx, edge, keep = _node_indices(r, offsets, lo, hi)
-    chiv = np.stack([kernel[int(m) + RADIUS] for m in offsets], axis=1)
-    del kernel
-    den = 1.0
-    if cfg.family == "A":
-        chiv[edge] = np.where(keep, chiv[edge], 0.0)
-        den = chiv.sum(axis=1)
+    chiv, kk, idx = _kernel(n * xs, offsets, lo, hi)
+    den = chiv.sum(axis=1) if cfg.family == "A" else 1.0
     t, w = _node_rule(cfg)
     step = max(1, NODE_POINTS // t.size)
 

@@ -6,13 +6,13 @@ operators only ever see finite windows of that sum, so this module owns
 * the certified radius ``RADIUS`` of every truncated window (via the
   mean-value envelope chi(t) < exp(-(t-1)^2)/sqrt(pi) for t >= 1) and
   the interval index window ceil(na)..floor(nb),
-* the interval denominator sum over ceil(na) <= k <= floor(nb) and its
-  lower bound chi(1),
 * the doubly-exponential tail mass of indices with |nx - k| >= n^(1-alpha)
   and its closed-form bound,
-* the density integral through the closed antiderivative,
-* the boundary deficiency showing the truncated sum does not tend to 1
-  at the interval endpoints.
+* the density integral through the closed antiderivative.
+
+The window sums themselves (the partition sum, the interval denominator
+and its boundary deficiency) are sums of the operators' own window
+kernel, so they live in ``operators``.
 """
 
 from __future__ import annotations
@@ -57,44 +57,6 @@ def certified_radius(epsilon: float) -> int:
 #: neglected chi-tail mass of every window sum, and the radius it certifies
 TRUNCATION_EPSILON = 1e-14
 RADIUS = certified_radius(TRUNCATION_EPSILON)
-
-
-def _window_offsets(radius: int) -> np.ndarray:
-    # Offsets centre-outward in pairs (0, -1, 1, ..., -R, R).  The order
-    # is fixed so that every window sum adds its terms in the same order
-    # and stays reproducible bit for bit.
-    offs = [0]
-    for r in range(1, radius + 1):
-        offs.extend((-r, r))
-    return np.array(offs, dtype=float)
-
-
-def partition_sum(x, n: int):
-    """Truncated sum_k chi(nx - k) over the window centered at round(nx).
-
-    Equals 1 to within TRUNCATION_EPSILON for every n >= 1 and real x.
-    Accepts scalar or array x.
-    """
-    if n < 1:
-        raise PreconditionViolated("n must be >= 1")
-    u = np.atleast_1d(np.asarray(x, dtype=float)) * n
-    offs = _window_offsets(RADIUS)
-    terms = chi(u[:, None] - (np.round(u)[:, None] + offs[None, :]))
-    # reversed order: outermost (smallest) terms first
-    total = terms[:, ::-1].sum(axis=1)
-    return float(total[0]) if np.ndim(x) == 0 else total
-
-
-def interval_denominator(x, n: int, a: float, b: float):
-    """V(x) = sum_{k=ceil(na)}^{floor(nb)} chi(nx - k), the A_n denominator.
-
-    Strictly above chi(1) ~= 0.2488 for x in [a, b], and at most 1.
-    """
-    lo, hi = index_window(n, a, b)
-    ks = np.arange(lo, hi + 1, dtype=float)
-    u = np.atleast_1d(np.asarray(x, dtype=float)) * n
-    total = chi(u[:, None] - ks[None, :]).sum(axis=1)
-    return float(total[0]) if np.ndim(x) == 0 else total
 
 
 #: the hypothesis of every tail estimate: t = n^(1-alpha) >= TAIL_T_MIN
@@ -182,15 +144,3 @@ def chi_integral(lo: float, hi: float) -> float:
         return (erf_antiderivative(x + 1.0) - erf_antiderivative(x - 1.0)) / 4.0
 
     return anti(hi) - anti(lo)
-
-
-def boundary_deficiency(n: int, a: float, b: float, at_end: str) -> float:
-    """1 - V(endpoint): the mass the interval window misses at a or b.
-
-    Stays >= chi(1) > 0 for every n, so the truncated partition sum does
-    not converge to 1 at the endpoints.
-    """
-    if at_end not in ("a", "b"):
-        raise PreconditionViolated(f"at_end must be 'a' or 'b', got {at_end!r}")
-    end = a if at_end == "a" else b
-    return 1.0 - interval_denominator(end, n, a, b)

@@ -122,3 +122,18 @@ def test_tree_id_matches_git_for_files_on_disk(tmp_path):
 
     (tmp_path / "sub" / "a.py").write_text("a = 2\n")
     assert bench_pairs.tree_id(str(tmp_path), "sub") != git("rev-parse", "HEAD:sub")
+
+
+def test_json_diff_names_each_differing_key_path():
+    parent = {"boundary_deficiency": {"10": {"a": 0.28932480176257136, "b": 0.3}},
+              "boundary_deficiency_min": 0.28932480176257136, "partition_ok": True,
+              "tail_worst_margin": None}
+    assert bench_pairs.json_diff(parent, parent) == []
+    change = {"boundary_deficiency": {"10": {"a": 0.28932480176257114, "b": 0.3}},
+              "boundary_deficiency_min": 0.28932480176257114, "partition_ok": True,
+              "chi_integral_deviation": 0.0}
+    assert bench_pairs.json_diff(parent, change) == [
+        "boundary_deficiency.10.a", "boundary_deficiency_min", "chi_integral_deviation",
+        "tail_worst_margin"]
+    # a mapping on one side only differs as a whole
+    assert bench_pairs.json_diff({"a": {"b": 1}}, {"a": 1}) == ["a"]

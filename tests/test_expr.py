@@ -23,7 +23,6 @@ from erfapprox.expr import (
     Pow,
     Var,
     derivatives,
-    differentiate,
     evaluate,
     parse,
     serialize,
@@ -142,7 +141,7 @@ class TestDifferentiation:
     @pytest.mark.parametrize("text", CASES)
     def test_matches_central_difference(self, text):
         node = parse(text)
-        d = differentiate(node)
+        d = derivatives(node, 1)[-1]
         rng = np.random.default_rng(11)
         h = 1e-6
         for x in rng.uniform(0.2, 2.0, 50):
@@ -152,22 +151,22 @@ class TestDifferentiation:
             assert abs(got - fd) <= 1e-6 * max(1.0, abs(fd))
 
     def test_erf_derivative_closed_form(self):
-        d = differentiate(parse("erf(x)"))
+        d = derivatives(parse("erf(x)"), 1)[-1]
         for x in (-1.5, 0.0, 0.8):
             want = TWO_OVER_SQRT_PI * math.exp(-x * x)
             assert abs(evaluate(d, x) - want) <= 1e-14
 
     def test_higher_order(self):
-        d2 = differentiate(parse("sin(x)"), order=2)
+        d2 = derivatives(parse("sin(x)"), 2)[-1]
         assert abs(evaluate(d2, 0.7) + math.sin(0.7)) <= 1e-14
 
     def test_abs_refused(self):
         with pytest.raises(NonDifferentiable):
-            differentiate(parse("abs(x)"))
+            derivatives(parse("abs(x)"), 1)
 
     def test_order_zero_is_identity(self):
         node = parse("x^2")
-        assert differentiate(node, order=0) == node
+        assert derivatives(node, 0)[-1] == node
 
     def test_a_derivative_chain_shares_its_subtrees(self):
         # without sharing the order-8 tree held 40,970 nodes; count by
@@ -181,7 +180,7 @@ class TestDifferentiation:
                 seen[id(node)] = node
                 stack.extend(v for v in vars(node).values() if not isinstance(v, (str, float)))
         assert len(seen) <= 1000
-        assert chain[3] == differentiate(parse("exp(-x^2)*sin(3*x)"), 3)
+        assert chain[3] == derivatives(parse("exp(-x^2)*sin(3*x)"), 3)[-1]
 
 class TestSerialization:
     ROUND_TRIP = [
@@ -202,5 +201,5 @@ class TestSerialization:
         assert evaluate(again, x) == evaluate(node, x)
 
     def test_derivative_round_trips(self):
-        d = differentiate(parse("x / (x^2 + 1)"))
+        d = derivatives(parse("x / (x^2 + 1)"), 1)[-1]
         assert parse(serialize(d)) == d

@@ -313,6 +313,12 @@ class TestCli:
         ({"theorems": ["T16"], "highorder_orders": []}, "highorder_orders"),
         ({"sweep": []}, "sweep"),
         ({"rate_exponents": []}, "rate_exponents"),
+        # a run that crashed with exit 1: an OverflowError, then a ValueError
+        ({"functions": [{"id": "g", "expr": "x", "domain": [float("-inf"), 1.0]}]},
+         "functions[0].domain"),
+        ({"theorems": ["T13"], "functions": [{"id": "w", "expr": "sin(x)", "sup_norm": 1.0,
+                                               "grid_window": [float("-inf"), 1.0]}]},
+         "functions[0].grid_window"),
     ])
     def test_value_of_the_wrong_type_exits_two_naming_its_field(self, tmp_path, capsys,
                                                                 overrides, field):

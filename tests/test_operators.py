@@ -178,7 +178,7 @@ class TestOpD:
 
     @pytest.mark.parametrize("n", [9, 16, 81, 256, 1024])
     def test_degenerate_weights_bit_identical_to_op_b(self, n):
-        cfg_d = OperatorConfig("D", n, weights=QuadratureWeights.degenerate())
+        cfg_d = OperatorConfig("D", n, weights=QuadratureWeights(1, (1.0, 0.0)))
         cfg_b = OperatorConfig("B", n)
         xs = np.linspace(-3.0, 3.0, 257)
         for f in (SIN_LINE, LINE_CORPUS["abs"], LINE_CORPUS["linear"]):
@@ -372,7 +372,7 @@ def points_major(part, xs, cfg):
         offsets = np.arange(-radius, radius + 1.0)
         lo, hi = partition.index_window(n, *cfg.interval)
     else:
-        offsets = partition._window_offsets(radius)
+        offsets = operators.CENTRE_OUT
         lo, hi = -math.inf, math.inf
     ks = r[:, None] + offsets
     chiv = chi((u - r)[:, None] - offsets)

@@ -7,21 +7,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from erfapprox import special_functions
 from erfapprox.errors import PreconditionViolated, WindowEmpty
+from erfapprox.operators import boundary_deficiency, interval_denominator, partition_sum
 from erfapprox.partition import (
     RADIUS,
     TRUNCATION_EPSILON,
-    boundary_deficiency,
     certified_radius,
     chi_integral,
     index_window,
-    interval_denominator,
-    partition_sum,
     tail_bound,
     tail_comparison,
     tail_sum,
 )
-from erfapprox.special_functions import CHI_AT_ONE, chi
+from erfapprox.special_functions import CHI_AT_ONE, chi, erf
+
+
+def points_major_sum(x, n):
+    """sum_k chi(nx - k) over k = round(nx) + (0, -1, 1, ..., -R, R), from a
+    points x window chi matrix, added outermost-first."""
+    u = np.atleast_1d(np.asarray(x, dtype=float)) * n
+    offsets = np.array([0.0] + [s * m for m in range(1, RADIUS + 1) for s in (-1.0, 1.0)])
+    return chi(u[:, None] - (np.round(u)[:, None] + offsets))[:, ::-1].sum(axis=1)
 
 
 class TestPartitionSum:
@@ -29,11 +36,26 @@ class TestPartitionSum:
     @settings(max_examples=200, deadline=None)
     def test_sums_to_one(self, x, n):
         assert abs(partition_sum(x, n) - 1.0) <= 1e-12
+        assert partition_sum(x, n) == points_major_sum(x, n)[0]
 
     def test_dense_grid(self):
         xs = np.linspace(-8.0, 8.0, 10_000)
         for n in (1, 2, 7, 50, 311):
             assert np.max(np.abs(partition_sum(xs, n) - 1.0)) <= 1e-12
+            assert np.array_equal(partition_sum(xs, n), points_major_sum(xs, n))
+
+    def test_runs_chi_on_the_window_major_kernel(self, monkeypatch):
+        # a points-major matrix shares no erf value along axis 0, and took
+        # erf calls of 15015 and 15015 points here
+        sizes = []
+
+        def counting(t, out=None):
+            sizes.append(np.size(t))
+            return erf(t, out)
+
+        monkeypatch.setattr(special_functions, "erf", counting)
+        partition_sum(np.linspace(-3.0, 3.0, 1001), 64)
+        assert sizes == [15015, 2002]
 
 
 class TestChiIntegral:
@@ -97,6 +119,15 @@ class TestDenominator:
         assert np.all(vals > 0.2488)
         assert np.all(vals > CHI_AT_ONE)
         assert np.all(vals <= 1.0 + 1e-15)
+
+    @pytest.mark.parametrize("n", [10, 100, 1000, 10_000])
+    def test_is_the_full_interval_sum(self, n):
+        # the window drops only terms below 1e-20, so the sums differ by rounding
+        xs = np.linspace(0.0, 1.0, 1001)
+        ks = np.arange(0.0, n + 1.0)
+        full = np.concatenate([chi(n * part[:, None] - ks).sum(axis=1)
+                               for part in np.array_split(xs, 10)])
+        assert np.max(np.abs(interval_denominator(xs, n, 0.0, 1.0) - full)) <= 4e-16
 
     @pytest.mark.parametrize("n", [10, 100, 1000, 10_000])
     def test_boundary_deficiency(self, n):

@@ -34,6 +34,11 @@ last repetition, ``.bench_out/<workload>-seed<seed>/rep1.csv`` and
 ``rep1.json``, byte for byte.  The file records the answer as that
 workload's ``reports_identical``, and the script prints it.
 
+The script also runs ``erfapprox check-partition --out-json`` once in each
+checkout, into ``.bench_out/partition.json``, and records as
+``partition_json_diff`` the key paths whose values differ between the two
+files, or ``[]`` when they match, and prints it.
+
 After writing the file the script also prints each traced count (a metric
 whose last word is ``calls``, ``points`` or ``keys``, plus
 ``bounds.verify_cells`` and ``harness.groups``) that differs between the
@@ -59,6 +64,7 @@ RUN_TIMEOUT_S = 600.0
 PAIRS = 10                  # the fewest pairs a claim of a gain is judged on
 COUNTS = ("bounds.verify_cells", "harness.groups")     # counts with no count word
 REPORTS = ("rep1.csv", "rep1.json")     # what perfbench/run.py writes for repetition 1
+_ABSENT = object()
 
 
 def git(checkout: str, *args: str) -> Optional[str]:
@@ -214,6 +220,27 @@ def reports_identical(parent: str, change: str, workload: str, seed: int) -> boo
     return True
 
 
+def partition_json(checkout: str) -> dict:
+    """The check-partition JSON of checkout's own source."""
+    path = os.path.join(checkout, ".bench_out", "partition.json")
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    subprocess.run([sys.executable, "-m", "erfapprox.cli", "check-partition", "--out-json", path],
+                   cwd=checkout, env={**os.environ, "PYTHONPATH": os.path.join(checkout, "src")},
+                   check=True, capture_output=True, timeout=RUN_TIMEOUT_S)
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def json_diff(parent, change, path: str = "") -> List[str]:
+    """The dotted key paths whose values differ between two JSON documents,
+    a key that only one side has among them; [] when they match."""
+    if isinstance(parent, dict) and isinstance(change, dict):
+        return [diff for key in sorted(parent.keys() | change.keys())
+                for diff in json_diff(parent.get(key, _ABSENT), change.get(key, _ABSENT),
+                                      f"{path}.{key}" if path else key)]
+    return [] if parent == change else [path]
+
+
 def is_count(name: str) -> bool:
     return name in COUNTS or name.replace(".", "_").rsplit("_", 1)[-1] in (
         "calls", "points", "keys")
@@ -305,6 +332,8 @@ def main(argv=None) -> int:
             doc["claim"] = {"workload": f"{workload}:{seed}", "metric": args.claim[2],
                             **claim_verdict(entry["metrics"][args.claim[2]])}
 
+    doc["partition_json_diff"] = json_diff(partition_json(args.parent),
+                                           partition_json(args.change))
     if args.trace:
         doc["traced"] = {}
     for workload, seed in args.trace:
@@ -322,6 +351,7 @@ def main(argv=None) -> int:
     print(f"wrote {path}", file=sys.stderr)
     for run, entry in doc["workloads"].items():
         print(f"{run} reports_identical: {entry['reports_identical']}")
+    print(f"partition_json_diff: {doc['partition_json_diff']}")
     if args.trace:
         print("\n".join(count_differences(doc["traced"])))
     return 0
