@@ -22,7 +22,7 @@ full precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import ClassVar, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -100,48 +100,50 @@ class GridPolicy:
 
 
 def _jackson(f: FunctionSpec, n: int, alpha: float, delta: float,
-             interval: Optional[Tuple[float, float]]):
+             interval: Optional[Tuple[float, float]], run: Optional[Run]):
     """omega_1(f, delta) + ||f|| tail, the first-order bound at the modulus
-    step delta; returns (value, terms, modulus quality)."""
-    mq = evaluate_modulus(ModulusQuery(f, delta, interval))
-    tail = f.grid_sup_norm() * tail_core(n, alpha)
-    terms = {"modulus_term": mq.value, "tail_term": tail}
-    return mq.value + tail, terms, mq.quality
+    step delta, both read from f's modulus entry in run (a run of this n
+    and alpha alone when None); returns (value, terms, modulus quality)."""
+    omega, quality, sup = (run or Run.of((n,), (alpha,))).modulus(f, interval, delta)
+    tail = sup * tail_core(n, alpha)
+    terms = {"modulus_term": omega, "tail_term": tail}
+    return omega + tail, terms, quality
 
 
 def mu2(f: FunctionSpec, n: int, alpha: float,
-        interval: Optional[Tuple[float, float]] = None):
+        interval: Optional[Tuple[float, float]] = None, run: Optional[Run] = None):
     """Line-operator bound: the Jackson core at the step n^-alpha."""
-    return _jackson(f, n, alpha, float(n) ** (-alpha), interval)
+    return _jackson(f, n, alpha, float(n) ** (-alpha), interval, run)
 
 
 def mu1(f: FunctionSpec, n: int, alpha: float,
-        a: Optional[float] = None, b: Optional[float] = None):
+        a: Optional[float] = None, b: Optional[float] = None, run: Optional[Run] = None):
     """Interval-operator bound: exactly 1/chi(1) times the mu2 core."""
     interval = (a, b) if a is not None else None
-    core, terms, quality = mu2(f, n, alpha, interval)
+    core, terms, quality = mu2(f, n, alpha, interval, run)
     terms = {k: INV_CHI_AT_ONE * v for k, v in terms.items()}
     return INV_CHI_AT_ONE * core, terms, quality
 
 
 def mu3(f: FunctionSpec, n: int, alpha: float,
-        interval: Optional[Tuple[float, float]] = None):
+        interval: Optional[Tuple[float, float]] = None, run: Optional[Run] = None):
     """Kantorovich/quadrature bound: the Jackson core at the step 1/n + n^-alpha."""
-    return _jackson(f, n, alpha, 1.0 / n + float(n) ** (-alpha), interval)
+    return _jackson(f, n, alpha, 1.0 / n + float(n) ** (-alpha), interval, run)
 
 
 # ------------------------------------------------------- high-order bound
 
 
 def _taylor_sum(f: FunctionSpec, order: int, mode: str, x: Optional[float], n: int,
-                exponent: float, width: float, tail: float) -> float:
+                exponent: float, width: float, tail: float, run: Run) -> float:
     """T16's and T30's derivative sum_{j<=order} c_j/j! (n^(-exponent j) + width^j tail)
-    with c_j = |f^(j)(x)| ("pointwise") or ||f^(j)|| ("sup").  "critical" omits
-    it but requires f^(j)(x) = 0 (to 1e-12) for j = 1..order; other modes omit it."""
+    with c_j = |f^(j)(x)| ("pointwise") or ||f^(j)|| ("sup", read through
+    run).  "critical" omits it but requires f^(j)(x) = 0 (to 1e-12) for
+    j = 1..order; other modes omit it."""
     if mode in ("pointwise", "critical"):
         coeffs = [abs(float(f.derivative(j)(x))) for j in range(1, order + 1)]
     elif mode == "sup":
-        coeffs = [f.derivative(j).grid_sup_norm() for j in range(1, order + 1)]
+        coeffs = [run.sup(f.derivative(j)) for j in range(1, order + 1)]
     else:
         return 0.0
     if mode == "critical":
@@ -164,32 +166,35 @@ def highorder_bound(
     N: int,
     mode: str = "sup",
     x: Optional[float] = None,
+    run: Optional[Run] = None,
 ):
     """High-order interval bound; mode selects the pointwise form (with
     |f^(j)(x)|), the sup form (with ||f^(j)||), or the critical-point form
-    (derivative sum omitted, requires f^(j)(x) = 0 for j = 1..N).
+    (derivative sum omitted, requires f^(j)(x) = 0 for j = 1..N).  The
+    modulus and sup norms are read from the modulus entries in run (a run
+    of this n and alpha alone when None).
 
     Returns (value, terms, modulus quality).
     """
     if mode not in ("pointwise", "sup", "critical"):
         raise PreconditionViolated(f"unknown mode {mode!r}")
+    run = run or Run.of((n,), (alpha,))
     tc = tail_core(n, alpha)
     width = b - a
-    fN = f.derivative(N)
-    mq = evaluate_modulus(ModulusQuery(fN, float(n) ** (-alpha), (a, b)))
+    omega, quality, sup = run.modulus(f.derivative(N), (a, b), float(n) ** (-alpha))
     n_fact = math.factorial(N)
     final_block = (
-        mq.value / (float(n) ** (alpha * N) * n_fact)
-        + fN.grid_sup_norm() * width ** N / n_fact * tc
+        omega / (float(n) ** (alpha * N) * n_fact)
+        + sup * width ** N / n_fact * tc
     )
-    deriv_sum = _taylor_sum(f, N, mode, x, n, alpha, width, tc / 2.0)
+    deriv_sum = _taylor_sum(f, N, mode, x, n, alpha, width, tc / 2.0, run)
 
     value = INV_CHI_AT_ONE * (deriv_sum + final_block)
     terms = {
         "derivative_sum": INV_CHI_AT_ONE * deriv_sum,
         "modulus_block": INV_CHI_AT_ONE * final_block,
     }
-    return value, terms, mq.quality
+    return value, terms, quality
 
 
 # ------------------------------------------------------- fractional bounds
@@ -266,6 +271,7 @@ def fractional_bound(
     anchors: int = GridPolicy.anchors,
     table_points: int = GridPolicy.table_points,
     deltas: Sequence[float] = (),
+    run: Optional[Run] = None,
 ):
     """Fractional interval-operator bound built from Caputo ingredients.
 
@@ -277,7 +283,8 @@ def fractional_bound(
 
     deltas, the steps of the whole run (``Run.deltas``), lets one table
     pass serve every n and exponent; the bound's own step n^-beta is added
-    when it is missing.
+    when it is missing.  The sup form's derivative sup norms are read from
+    the modulus entries in run (a run of this n and beta alone when None).
 
     Returns (value, terms, modulus quality); quality is always
     "estimated" because Caputo moduli come from sampled tables.
@@ -313,7 +320,8 @@ def fractional_bound(
             (sup_wr + sup_wl) / float(n) ** (alpha_frac * beta)
             + htc * (b - a) ** alpha_frac * (sup_sr + sup_sl)
         )
-    deriv_sum = _taylor_sum(f, N - 1, mode, x, n, beta, b - a, htc)
+    deriv_sum = _taylor_sum(f, N - 1, mode, x, n, beta, b - a, htc,
+                            run or Run.of((n,), (beta,)))
     value = INV_CHI_AT_ONE * (deriv_sum + frac_block)
     terms = {
         "derivative_sum": INV_CHI_AT_ONE * deriv_sum,
@@ -480,12 +488,12 @@ class Theorem:
 #: cell quantities each bound function takes after (f, n, exponent); the
 #: function itself is looked up by name at call time
 _BOUND_ARGS = {
-    "mu1": ("a", "b"),
-    "mu2": ("interval",),
-    "mu3": ("interval",),
-    "highorder_bound": ("a", "b", "N", "mode", "x"),
+    "mu1": ("a", "b", "run"),
+    "mu2": ("interval", "run"),
+    "mu3": ("interval", "run"),
+    "highorder_bound": ("a", "b", "N", "mode", "x", "run"),
     "fractional_bound": ("alpha_frac", "a", "b", "mode", "x", "anchors", "table_points",
-                         "deltas"),
+                         "deltas", "run"),
 }
 
 #: the value of each keyword verify takes but was not given
@@ -519,17 +527,55 @@ _DEFAULT_THETA = 4
 
 @dataclass
 class Run:
-    """What the verify calls of one run share: ``sup_errors``, each
-    distinct grid-sup error measured once, and ``deltas``, every modulus
-    step float(n) ** (-e) of the run's sweep and exponents, sorted, at
-    which each Caputo table is read once when it is built."""
+    """What the verify calls of one run share:
+
+    * ``sup_errors``: each distinct grid-sup error, measured once;
+    * ``deltas``: every modulus step float(n) ** (-e) of the run's sweep
+      and exponents, sorted, at which each Caputo table is read once when
+      it is built;
+    * ``steps``: every Jackson step, ``deltas`` and mu3's 1/n + n^-e,
+      sorted;
+    * ``moduli``: per (function, window), one ``ModulusResult`` holding
+      omega_1 and its refinement gap at every step and, as ``sup``, the
+      function's sup norm, from one sample of the function.
+    """
 
     deltas: Tuple[float, ...]
+    steps: Tuple[float, ...]
     sup_errors: dict = field(default_factory=dict)
+    moduli: dict = field(default_factory=dict)
 
     @staticmethod
     def of(sweep: Sequence[int], exponents: Sequence[float]) -> "Run":
-        return Run(tuple(sorted({float(n) ** (-e) for n in sweep for e in exponents})))
+        deltas = {float(n) ** (-e) for n in sweep for e in exponents}
+        steps = deltas | {1.0 / n + float(n) ** (-e) for n in sweep for e in exponents}
+        return Run(tuple(sorted(deltas)), tuple(sorted(steps)))
+
+    def modulus(self, f: FunctionSpec, window: Optional[Tuple[float, float]],
+                delta: float) -> Tuple[float, str, float]:
+        """(omega_1(f, delta) on window, its quality, f.grid_sup_norm()), read
+        from f's entry; delta must be one of the steps."""
+        if delta not in self.steps:
+            raise PreconditionViolated(f"modulus step {delta!r} is not one of the run's")
+        mq = self._entry(f, window)
+        return float(mq.value[self.steps.index(delta)]), mq.quality, mq.sup
+
+    def sup(self, f: FunctionSpec) -> float:
+        """f.grid_sup_norm(): the declared sup_norm, else its entry's."""
+        return f.sup_norm if f.sup_norm is not None else self._entry(f, None).sup
+
+    def _entry(self, f: FunctionSpec, window: Optional[Tuple[float, float]]):
+        """f's entry in ``moduli`` on window (None: its sample window), made
+        on first use by one evaluate_modulus call at every step.  Its sup
+        is the estimate's own grid sup when f declares none and window is
+        the sample window, else f.grid_sup_norm()."""
+        window = f.sample_window() if window is None else tuple(window)
+        if (f, window) not in self.moduli:
+            mq = evaluate_modulus(ModulusQuery(f, self.steps, window))
+            if f.sup_norm is not None or mq.sup is None or window != tuple(f.sample_window()):
+                mq = replace(mq, sup=f.grid_sup_norm())
+            self.moduli[f, window] = mq
+        return self.moduli[f, window]
 
 
 def _family_config(family: str, n: int, interval=None) -> OperatorConfig:
@@ -594,6 +640,7 @@ def _verify_one(tid, th: Theorem, f, n, ex, grid, run: Run, kw) -> List[BoundRep
     cell = {
         "a": a, "b": b, "interval": f.domain,
         "anchors": grid.anchors, "table_points": grid.table_points, "deltas": run.deltas,
+        "run": run,
         **{k: kw.get(k, v) for k, v in _PARAM_DEFAULTS.items()},
     }
     mode = cell["mode"]

@@ -18,7 +18,7 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from .errors import ConfigError
-from .expr import derivatives, evaluate, parse
+from .expr import compile, derivatives, evaluate, parse
 from .funcs import ComplexFunctionSpec, FunctionSpec
 
 # ------------------------------------------------------- modulus registry
@@ -268,12 +268,13 @@ def function_from_expression(
     sup_norm: Optional[float] = None,
     grid_window: Optional[Tuple[float, float]] = None,
 ) -> FunctionSpec:
-    """Build a FunctionSpec (with symbolic derivatives) from an expression."""
-    asts = derivatives(parse(text), orders)
+    """Build a FunctionSpec (with symbolic derivatives) from an expression;
+    each derivative is compiled once and its eval runs that program."""
+    programs = [compile(a) for a in derivatives(parse(text), orders)]
 
     mod = None if exact_modulus is None else modulus_from_registry(exact_modulus, domain)
-    rest = [None] * (len(asts) - 1)
+    rest = [None] * (len(programs) - 1)
     return _chain(
-        name, [lambda t, _a=a: evaluate(_a, t) for a in asts], domain,
+        name, [lambda t, _p=p: evaluate(_p, t) for p in programs], domain,
         [mod] + rest, [sup_norm] + rest, grid_window,
     )

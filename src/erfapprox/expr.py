@@ -15,14 +15,20 @@ Exponents are numeric literals only, so every expression has closed-form
 derivatives of all orders except through ``abs``.  One table,
 ``_FUNCTIONS``, gives each name its numpy evaluation and its derivative;
 ``erf`` delegates to ``special_functions.erf``.
+
+``compile`` turns a tree, or a derivative chain's shared DAG, into a flat
+``Program`` with one step per structurally distinct node, and
+``evaluate`` runs a program in one loop; a caller that evaluates one
+expression many times compiles it once.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import struct
 from dataclasses import dataclass
-from typing import List, Union, get_args
+from typing import List, Tuple, Union, get_args
 
 import numpy as np
 
@@ -238,60 +244,131 @@ def parse(text: str) -> Node:
 # ---------------------------------------------------------------- evaluation
 
 
-def evaluate(node: Node, x):
-    """Evaluate an AST at scalar or array x.  A subtree reached more than
-    once, as in a derivative chain, is computed once and its value dropped
-    after its last use; a tree without sharing holds no stored value."""
-    xv = np.asarray(x, dtype=float)
-    out = _eval(node, xv, _uses(node), {})
-    out = np.asarray(out, dtype=float) + np.zeros_like(xv)
-    return float(out) if np.ndim(x) == 0 else out
+@dataclass(frozen=True)
+class Program:
+    """A DAG compiled by ``compile``: steps in evaluation order, the root's
+    last.  A step is (kind, operand slots, constant, slots freed after it,
+    spare); its value goes to the slot of its own index.  The constant is
+    a Num's value, a Pow's exponent or a Fun's name.  The spare is a slot
+    freed after the step that holds an array numpy made for this call (the
+    value of an arithmetic or Pow step), or None: an arithmetic step may
+    write its value into that array."""
+
+    steps: Tuple[tuple, ...]
 
 
-def _uses(root: Node) -> dict:
-    """How many times each node is reached from root: its edges in."""
-    uses, stack = {}, [root]
+def _operands(node: Node) -> tuple:
+    """node's operands in the order a tree walk evaluates them: a Div's
+    denominator first, so its zero check precedes the numerator."""
+    if isinstance(node, (Num, Var)):
+        return ()
+    if isinstance(node, (Neg, Fun)):
+        return (node.arg,)
+    if isinstance(node, Pow):
+        return (node.base,)
+    if isinstance(node, Div):
+        return (node.right, node.left)
+    return (node.left, node.right)
+
+
+#: the steps that combine their operands by IEEE arithmetic, which rounds
+#: exactly, so writing into a spare array changes no bit of the value;
+#: not the transcendental steps, whose numpy loops may differ in place
+_ARITHMETIC = {Neg: np.negative, Add: np.add, Sub: np.subtract, Mul: np.multiply,
+               Div: np.divide}
+#: the steps whose array is the program's own: a Fun's comes from whatever
+#: ``_FUNCTIONS`` holds when it runs, which may keep it
+_OWNED = (*_ARITHMETIC, Pow)
+
+
+def compile(root: Node) -> Program:
+    """root as a flat post-order Program.  Nodes equal in structure become
+    one step, found by identity first and then by their kind, operand
+    steps and constant; constants are keyed by their bits, so 0.0 and
+    -0.0 stay two steps.  Each slot is freed after its last use."""
+    keys, consts, index, slot = [], [], {}, {}     # slot: id(node) -> step
+    stack = [root]
     while stack:
-        node = stack.pop()
-        if id(node) in uses:
-            uses[id(node)] += 1
-        else:
-            uses[id(node)] = 1
-            stack += [v for v in vars(node).values() if isinstance(v, _NODES)]
-    return uses
+        node = stack[-1]
+        if id(node) in slot:
+            stack.pop()
+            continue
+        operands = _operands(node)
+        pending = [op for op in operands if id(op) not in slot]
+        if pending:
+            stack.extend(reversed(pending))
+            continue
+        stack.pop()
+        kind = type(node)
+        if kind not in _NODES:
+            raise TypeError(f"unknown node {node!r}")
+        const = (node.value if kind is Num else node.exponent if kind is Pow
+                 else node.name if kind is Fun else None)
+        args = tuple(slot[id(op)] for op in operands)
+        key = (kind, args, struct.pack("<d", const) if kind in (Num, Pow) else const)
+        if key not in index:
+            index[key] = len(keys)
+            keys.append(key)
+            consts.append(const)
+        slot[id(node)] = index[key]
+    last = {a: i for i, (_, args, _) in enumerate(keys) for a in args}
+    frees = [[] for _ in keys]
+    for a, i in last.items():
+        frees[i].append(a)
+    return Program(tuple(
+        (kind, args, const, tuple(free), next((a for a in free if keys[a][0] in _OWNED), None))
+        for (kind, args, _), const, free in zip(keys, consts, frees)))
 
 
-def _eval(node: Node, x, uses: dict, memo: dict):
-    key = id(node)
-    if key in memo:
-        uses[key] -= 1
-        return memo.pop(key) if uses[key] == 1 else memo[key]
-    if isinstance(node, Num):
-        out = node.value
-    elif isinstance(node, Var):
-        out = x
-    elif isinstance(node, Neg):
-        out = -_eval(node.arg, x, uses, memo)
-    elif isinstance(node, Add):
-        out = _eval(node.left, x, uses, memo) + _eval(node.right, x, uses, memo)
-    elif isinstance(node, Sub):
-        out = _eval(node.left, x, uses, memo) - _eval(node.right, x, uses, memo)
-    elif isinstance(node, Mul):
-        out = _eval(node.left, x, uses, memo) * _eval(node.right, x, uses, memo)
-    elif isinstance(node, Div):
-        den = np.asarray(_eval(node.right, x, uses, memo))
+def _combine(kind, operands: list, out):
+    """An arithmetic step's value, written into out when it is an array; a
+    Div's operands come denominator first.  Its locals die on return, so
+    the loop holds no operand past its last use."""
+    if kind is Div:
+        den = np.asarray(operands.pop(0))
         if np.any(den == 0.0):
             raise DivisionByZero("division by zero during evaluation")
-        out = _eval(node.left, x, uses, memo) / den
-    elif isinstance(node, Pow):
-        out = np.power(_eval(node.base, x, uses, memo), node.exponent)
-    elif isinstance(node, Fun):
-        out = _FUNCTIONS[node.name][0](_eval(node.arg, x, uses, memo))
+        operands.append(den)
+    return _ARITHMETIC[kind](*operands, out=out)
+
+
+def evaluate(program: Union[Program, Node], x):
+    """Evaluate a Program, or an AST compiled for this call, at scalar or
+    array x, in one pass over its steps.  Each step runs once per call and
+    its value is dropped after its last use; an arithmetic step writes into
+    its spare array when that has x's shape, so a call allocates about one
+    array per transcendental step.  A Fun looks up its function in
+    ``_FUNCTIONS`` when it runs."""
+    if not isinstance(program, Program):
+        program = compile(program)
+    xv = np.asarray(x, dtype=float)
+
+    def spare_of(slot):
+        value = None if slot is None else values[slot]
+        return value if isinstance(value, np.ndarray) and value.shape == xv.shape else None
+
+    values = [None] * len(program.steps)
+    for i, (kind, args, const, frees, spare) in enumerate(program.steps):
+        if kind is Num:
+            out = const
+        elif kind is Var:
+            out = xv
+        elif kind is Pow:
+            out = np.power(values[args[0]], const)
+        elif kind is Fun:
+            out = _FUNCTIONS[const][0](values[args[0]])
+        else:
+            out = _combine(kind, [values[a] for a in args], spare_of(spare))
+        values[i] = out
+        for a in frees:
+            values[a] = None
+    # adding +0.0 broadcasts a constant to x's shape and turns -0.0 into 0.0
+    out = spare_of(len(values) - 1) if program.steps[-1][0] in _OWNED else None
+    if out is None:
+        out = np.asarray(values[-1], dtype=float) + np.zeros_like(xv)
     else:
-        raise TypeError(f"unknown node {node!r}")
-    if uses[key] > 1:
-        memo[key] = out
-    return out
+        out += 0.0
+    return float(out) if np.ndim(x) == 0 else out
 
 
 # ---------------------------------------------------------------- calculus

@@ -3,7 +3,11 @@
 Exact closed forms are used when the function carries one for the queried
 interval; otherwise a sliding-window grid estimate with one refinement
 pass.  Grid estimates always under-report the true modulus, which is the
-safe direction for certifying that an error sits below a bound.
+safe direction for certifying that an error sits below a bound.  A query
+may name a sequence of steps: one sample of the function and one
+doubling pass per grid then serve them all, and the estimate also
+carries the coarse grid's sup of |f| (``bounds.Run`` keeps one such
+result per function and window for a whole run).
 
 ``grid_modulus`` is the sliding-window kernel, in numpy alone: the
 largest max - min over every window of m consecutive samples, from a
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -33,15 +37,15 @@ from .funcs import FunctionSpec
 
 @dataclass(frozen=True)
 class ModulusQuery:
-    """One omega_1 request: function, step, interval, grid policy."""
+    """One omega_1 request: function, step or steps, interval, grid policy."""
 
     f: FunctionSpec
-    delta: float
+    delta: Union[float, Sequence[float]]
     interval: Optional[Tuple[float, float]] = None
     grid_points: int = 4096
 
     def __post_init__(self):
-        if not self.delta > 0:
+        if not np.all(np.asarray(self.delta) > 0):
             raise PreconditionViolated(f"delta must be > 0, got {self.delta}")
         if self.grid_points < 2:
             raise PreconditionViolated("grid_points must be >= 2")
@@ -66,9 +70,10 @@ class ModulusQuery:
 class ModulusResult:
     """omega_1 value plus how it was obtained."""
 
-    value: float
+    value: Union[float, np.ndarray]     # an array for a sequence of steps
     quality: str                # "exact" or "estimated"
-    refinement_gap: Optional[float] = None
+    refinement_gap: Union[float, np.ndarray, None] = None
+    sup: Optional[float] = None         # grid sup of |f|, for an estimate
 
 
 def grid_modulus(xs: np.ndarray, ys: np.ndarray, delta):
@@ -109,26 +114,31 @@ def evaluate_modulus(q: ModulusQuery) -> ModulusResult:
     form valid on the queried interval, otherwise a grid estimate refined
     once on a doubled grid (the gap between passes is the certificate).
 
-    f is evaluated once, on the refined grid of 2 * grid_points - 1
-    points; the coarse pass reads its even samples, which are the
-    grid_points grid bit for bit."""
+    q.delta is one step, giving float values, or a sequence of steps,
+    giving arrays in its order, each entry equal to the scalar call bit
+    for bit.  f is evaluated once, on the refined grid of
+    2 * grid_points - 1 points, and each pass reads every step in one
+    doubling pass; the coarse pass reads the even samples, which are the
+    grid_points grid bit for bit, and so does ``sup``, the grid sup of
+    |f| that an estimate carries.  A NaN from either pass makes the value
+    and the gap NaN."""
     lo, hi = q.bounds()
     f = q.f
 
     # a closed form declared without a domain is valid on the whole line,
     # where omega_1 dominates its restriction to any query interval
     if f.exact_modulus is not None and (f.domain is None or (lo, hi) == tuple(f.domain)):
-        return ModulusResult(value=float(f.exact_modulus(q.delta)), quality="exact")
+        values = [float(f.exact_modulus(float(d))) for d in np.atleast_1d(q.delta)]
+        return ModulusResult(values[0] if np.ndim(q.delta) == 0 else np.array(values), "exact")
 
     xs = np.linspace(lo, hi, 2 * q.grid_points - 1)
     ys = np.asarray(f.eval(xs), dtype=float)
     coarse = grid_modulus(xs[::2], ys[::2], q.delta)
     fine = grid_modulus(xs, ys, q.delta)
-    return ModulusResult(
-        value=max(coarse, fine),
-        quality="estimated",
-        refinement_gap=abs(fine - coarse),
-    )
+    value, gap = np.maximum(coarse, fine), np.abs(fine - coarse)
+    if np.ndim(q.delta) == 0:
+        value, gap = float(value), float(gap)
+    return ModulusResult(value, "estimated", gap, float(np.max(np.abs(ys[::2]))))
 
 
 def omega1(q: ModulusQuery) -> float:

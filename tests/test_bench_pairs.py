@@ -137,3 +137,18 @@ def test_json_diff_names_each_differing_key_path():
         "tail_worst_margin"]
     # a mapping on one side only differs as a whole
     assert bench_pairs.json_diff({"a": {"b": 1}}, {"a": 1}) == ["a"]
+
+
+def test_json_diff_descends_into_lists_by_index():
+    parent = {"rows": [{"bound": 0.5, "n": 16}, {"bound": 0.25, "n": 81}], "skipped": []}
+    assert bench_pairs.json_diff(parent, parent) == []
+    change = {"rows": [{"bound": 0.5, "n": 16}, {"bound": 0.2500000000000001, "n": 81}],
+              "skipped": []}
+    assert bench_pairs.json_diff(parent, change) == ["rows.1.bound"]
+    # an item only one side has differs as a whole, on either side
+    longer = {"rows": parent["rows"] + [{"bound": 0.1, "n": 256}], "skipped": [{"n": 9}]}
+    assert bench_pairs.json_diff(parent, longer) == ["rows.2", "skipped.0"]
+    assert bench_pairs.json_diff(longer, parent) == ["rows.2", "skipped.0"]
+    # a list against a non-list differs as a whole
+    assert bench_pairs.json_diff({"rows": []}, {"rows": {}}) == ["rows"]
+    assert bench_pairs.json_diff([1, [2, 3]], [1, [2, 4]]) == ["1.1"]

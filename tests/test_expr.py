@@ -1,6 +1,7 @@
 """Expression language: parsing, evaluation, differentiation, printing."""
 
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -17,11 +18,15 @@ from erfapprox.errors import (
 from erfapprox import expr
 from erfapprox.expr import (
     Add,
+    Div,
     Fun,
     Mul,
+    Neg,
     Num,
     Pow,
+    Sub,
     Var,
+    compile,
     derivatives,
     evaluate,
     parse,
@@ -130,6 +135,100 @@ class TestEvaluation:
         xs = np.linspace(0.0, 1.0, 9)
         got = evaluate(Add(Mul(shared, shared), Fun("cos", Var())), xs)
         assert np.array_equal(got, np.sin(xs) * np.sin(xs) + np.cos(xs))
+
+
+def tree_walk(node, x):
+    """The naive evaluator: every path through the tree walked afresh."""
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Var):
+        return x
+    if isinstance(node, Neg):
+        return -tree_walk(node.arg, x)
+    if isinstance(node, Pow):
+        return np.power(tree_walk(node.base, x), node.exponent)
+    if isinstance(node, Fun):
+        return {"sin": np.sin, "cos": np.cos, "exp": np.exp, "erf": erf,
+                "abs": np.abs}[node.name](tree_walk(node.arg, x))
+    if isinstance(node, Div):
+        den = np.asarray(tree_walk(node.right, x))
+        if np.any(den == 0.0):
+            raise DivisionByZero("division by zero during evaluation")
+        return tree_walk(node.left, x) / den
+    op = {Add: np.add, Sub: np.subtract, Mul: np.multiply}[type(node)]
+    return op(tree_walk(node.left, x), tree_walk(node.right, x))
+
+
+def walk_or_error(evaluator, node, x):
+    try:
+        with np.errstate(all="ignore"):
+            return np.asarray(evaluator(node, x), dtype=float) + np.zeros_like(x)
+    except DivisionByZero:
+        return DivisionByZero
+
+
+LEAVES = st.one_of(st.just(Var()), st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 3.7, math.inf, -math.inf]).map(Num))
+EXPRESSIONS = st.recursive(LEAVES, lambda kids: st.one_of(
+    kids.map(Neg),
+    st.builds(lambda op, a, b: op(a, b), st.sampled_from([Add, Sub, Mul, Div]), kids, kids),
+    st.builds(Pow, kids, st.sampled_from([2.0, 3.0, 0.5, 0.0, -1.0, -2.0])),
+    st.builds(Fun, st.sampled_from(["sin", "cos", "exp", "erf", "abs"]), kids),
+), max_leaves=10)
+POINTS = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 0.5, -1.3, 2.0, 1e-300, 700.0])
+
+
+class TestCompiledPrograms:
+    @given(EXPRESSIONS, st.sampled_from([*POINTS, POINTS]))
+    @settings(max_examples=300, deadline=None)
+    def test_match_a_tree_walk(self, node, x):
+        try:
+            chain = derivatives(node, 3)
+        except NonDifferentiable:
+            chain = [node]
+        for tree in chain:
+            want = walk_or_error(tree_walk, tree, x)
+            got = walk_or_error(lambda t, v: evaluate(compile(t), v), tree, x)
+            if want is DivisionByZero or got is DivisionByZero:
+                assert got is want
+            else:
+                assert np.array_equal(got, want, equal_nan=True)
+
+    def test_zero_and_negative_zero_constants_stay_two_steps(self):
+        # 1/0.0 - 1/(-0.0) = inf - (-inf); one merged step would give inf - inf
+        node = Sub(Pow(Num(0.0), -1.0), Pow(Num(-0.0), -1.0))
+        assert len(compile(node).steps) == 5
+        with np.errstate(divide="ignore"):
+            assert evaluate(node, 1.0) == math.inf
+
+    def test_structurally_equal_nodes_become_one_step(self):
+        second = derivatives(parse("exp(-0.7*x^2)*cos(1.3*x)"), 2)[2]
+        funs = [step[2] for step in compile(second).steps if step[0] is Fun]
+        assert len(compile(second).steps) == 32
+        assert sorted(funs) == ["cos", "exp", "sin"]
+        assert compile(Add(Fun("sin", Var()), Fun("sin", Var()))).steps[-1][1] == (1, 1)
+
+    def test_arithmetic_writes_into_arrays_the_program_made(self, monkeypatch):
+        xs = np.linspace(0.0, 1.0, 100_000)
+        program = compile(parse("((x + 1) * 2 - 3) / 4 + x * x"))
+        tracemalloc.start()
+        got = evaluate(program, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert np.array_equal(got, ((xs + 1) * 2 - 3) / 4 + xs * xs)
+        assert peak < 2.5 * xs.nbytes       # three arrays without the spares
+        # neither x nor an array a function returned is written
+        kept = np.cos(xs)
+        monkeypatch.setitem(expr._FUNCTIONS, "cos", (lambda u: kept, None))
+        assert np.array_equal(evaluate(parse("-cos(x) * 2 + 1"), xs), -np.cos(xs) * 2 + 1)
+        assert np.array_equal(kept, np.cos(xs))
+        assert np.array_equal(xs, np.linspace(0.0, 1.0, 100_000))
+        assert evaluate(parse("x"), xs) is not xs
+
+    def test_a_program_frees_each_value_after_its_last_use(self):
+        program = compile(parse("sin(x) * sin(x) + cos(x)"))
+        freed = [slot for step in program.steps for slot in step[3]]
+        assert sorted(freed) == list(range(len(program.steps) - 1))
 
 
 class TestDifferentiation:

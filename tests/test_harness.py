@@ -11,7 +11,7 @@ import pytest
 import yaml
 
 import erfapprox
-from erfapprox import bounds
+from erfapprox import bounds, corpus
 from erfapprox.cli import main
 from erfapprox.corpus import FRACTIONAL_CORPUS
 from erfapprox.errors import ConfigError, PreconditionViolated
@@ -23,6 +23,7 @@ from erfapprox.harness import (
     run_verify,
     write_csv,
 )
+from erfapprox.modulus import ModulusQuery, evaluate_modulus
 
 BASE = {
     "schema_version": 1,
@@ -424,6 +425,47 @@ class TestSupErrorPerRun:
         second = run_verify(cfg)
         assert set(calls.values()) == {2}
         assert second.rows == first.rows
+
+
+class TestModuliPerRun:
+    def test_each_function_is_sampled_once_per_window(self, monkeypatch):
+        # one 8191-point sample gives every modulus step and the sup of a
+        # (function, window); each theorem resolves its own function
+        sampled, programs = Counter(), []
+        real = corpus.evaluate
+
+        def spy(program, x):
+            if np.size(x) == 8191:
+                programs.append(program)
+                sampled[id(program)] += 1
+            return real(program, x)
+
+        monkeypatch.setattr(corpus, "evaluate", spy)
+        cfg = cfg_with(functions=[
+            {"id": "g", "expr": "exp(-0.7*x^2)*cos(1.3*x)", "domain": [-1.0, 1.5]},
+            {"id": "w", "expr": "0.5*sin(0.8*x)*cos(1.1*x)", "sup_norm": 0.5},
+        ], theorems=["T12", "T13", "T14"], sweep=[16, 81, 256, 1024],
+            rate_exponents=[0.5, 0.6], grid={"x_points": 64})
+        result = run_verify(cfg)
+        assert len(result.rows) == 3 * 4 * 2 and result.held == len(result.rows)
+        assert list(sampled.values()) == [1, 1, 1]
+
+    def test_a_run_reads_the_moduli_a_scalar_query_gives(self):
+        f = corpus.function_from_expression("g", "sin(2.1*x) + 0.3*x^2", domain=(-1.0, 1.0),
+                                            orders=1)
+        run = bounds.Run.of((16, 81, 256), (0.5, 0.75))
+        for n in (16, 81, 256):
+            for e in (0.5, 0.75):
+                for delta in (float(n) ** -e, 1.0 / n + float(n) ** -e):
+                    one = evaluate_modulus(ModulusQuery(f, delta))
+                    assert run.modulus(f, None, delta) == (one.value, one.quality,
+                                                           f.grid_sup_norm())
+                    assert run.moduli[f, f.domain].refinement_gap[
+                        run.steps.index(delta)] == one.refinement_gap
+                assert run.sup(f.derivative(1)) == f.derivative(1).grid_sup_norm()
+        assert len(run.moduli) == 2
+        with pytest.raises(PreconditionViolated):
+            run.modulus(f, None, 0.3)
 
 
 class TestCaputoPerRun:

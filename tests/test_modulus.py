@@ -13,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 from numpy.lib.stride_tricks import sliding_window_view
 
 import erfapprox
+from erfapprox import bounds, corpus
 from erfapprox.corpus import INTERVAL_CORPUS, LINE_CORPUS
 from erfapprox.errors import IntervalViolation, PreconditionViolated
 from erfapprox.funcs import FunctionSpec
@@ -114,6 +115,50 @@ class TestRefinement:
         coarse, fine = pass_on(grid_points), pass_on(2 * grid_points - 1)
         assert res.value == max(coarse, fine)
         assert res.refinement_gap == abs(fine - coarse)
+
+    def test_a_nan_seen_only_by_the_refined_pass_is_kept(self):
+        # the odd samples of the 8191-point grid are in the refined pass alone
+        def with_nan(t):
+            ys = np.sin(t)
+            if np.size(t) == 8191:
+                ys[4097] = math.nan
+            return ys
+
+        f = FunctionSpec("sin", with_nan, domain=(0.0, 1.0))
+        res = evaluate_modulus(ModulusQuery(f, 0.01))
+        assert math.isnan(res.value) and math.isnan(res.refinement_gap)
+        res = evaluate_modulus(ModulusQuery(f, (0.01, 0.5)))
+        assert np.isnan(res.value).all() and np.isnan(res.refinement_gap).all()
+
+
+class TestStepSequence:
+    """evaluate_modulus at a sequence of steps, as a run's records read it."""
+
+    STEPS = bounds.Run.of((16, 81, 256, 1000, 2048), (0.3, 0.5)).steps
+
+    @pytest.mark.parametrize("f", [
+        corpus.function_from_expression("g", "exp(-0.7*x^2)*cos(1.3*x)", domain=(-1.0, 1.5)),
+        corpus.function_from_expression("w", "0.5*sin(0.8*x)", grid_window=(-5.0, 6.0)),
+        INTERVAL_CORPUS["exp"],
+    ])
+    def test_equals_the_scalar_calls_bit_for_bit(self, f):
+        # the steps include mu3's 1/n + n^-e
+        assert 1.0 / 81 + 81.0 ** -0.5 in self.STEPS
+        seq = evaluate_modulus(ModulusQuery(f, self.STEPS))
+        assert seq.value.shape == (len(self.STEPS),)
+        for i, delta in enumerate(self.STEPS):
+            one = evaluate_modulus(ModulusQuery(f, delta))
+            assert (seq.quality, seq.value[i].hex()) == (one.quality, one.value.hex())
+            if one.refinement_gap is None:
+                assert seq.refinement_gap is None
+            else:
+                assert seq.refinement_gap[i].hex() == one.refinement_gap.hex()
+        if seq.quality == "estimated":
+            assert seq.sup.hex() == f.grid_sup_norm().hex()
+
+    def test_every_step_must_be_positive(self):
+        with pytest.raises(PreconditionViolated):
+            ModulusQuery(SIN, (0.1, 0.0))
 
 
 def window_spread(ys, size):

@@ -34,10 +34,14 @@ last repetition, ``.bench_out/<workload>-seed<seed>/rep1.csv`` and
 ``rep1.json``, byte for byte.  The file records the answer as that
 workload's ``reports_identical``, and the script prints it.
 
-The script also runs ``erfapprox check-partition --out-json`` once in each
-checkout, into ``.bench_out/partition.json``, and records as
-``partition_json_diff`` the key paths whose values differ between the two
-files, or ``[]`` when they match, and prints it.
+The script also runs ``erfapprox check-partition --out-json`` and
+``erfapprox verify --config tests/data/golden.yaml --out-json`` once in
+each checkout, into ``.bench_out/partition.json`` and
+``.bench_out/golden.json``, and records as ``partition_json_diff`` and
+``golden_json_diff`` the key paths whose values differ between the two
+sides' files, or ``[]`` when they match, and prints both.  The golden
+JSON holds every row at full precision, where ``golden.csv`` rounds to
+``.12g``.
 
 After writing the file the script also prints each traced count (a metric
 whose last word is ``calls``, ``points`` or ``keys``, plus
@@ -53,6 +57,7 @@ from __future__ import annotations
 import argparse
 import glob
 import hashlib
+import itertools
 import json
 import os
 import statistics
@@ -220,24 +225,43 @@ def reports_identical(parent: str, change: str, workload: str, seed: int) -> boo
     return True
 
 
-def partition_json(checkout: str) -> dict:
-    """The check-partition JSON of checkout's own source."""
-    path = os.path.join(checkout, ".bench_out", "partition.json")
+#: each compared JSON report: its name and the erfapprox command that writes it
+JSON_REPORTS = {
+    "partition": ("check-partition",),
+    "golden": ("verify", "--config", os.path.join("tests", "data", "golden.yaml")),
+}
+
+
+def report_json(checkout: str, name: str) -> dict:
+    """The JSON report JSON_REPORTS[name] of checkout's own source, written
+    to .bench_out/<name>.json; the command's exit code is not read (a
+    violated bound exits 1), but it must write the file."""
+    path = os.path.join(checkout, ".bench_out", f"{name}.json")
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    subprocess.run([sys.executable, "-m", "erfapprox.cli", "check-partition", "--out-json", path],
+    if os.path.exists(path):
+        os.remove(path)
+    subprocess.run([sys.executable, "-m", "erfapprox.cli", *JSON_REPORTS[name], "--out-json", path],
                    cwd=checkout, env={**os.environ, "PYTHONPATH": os.path.join(checkout, "src")},
-                   check=True, capture_output=True, timeout=RUN_TIMEOUT_S)
+                   capture_output=True, timeout=RUN_TIMEOUT_S)
     with open(path) as fh:
         return json.load(fh)
 
 
 def json_diff(parent, change, path: str = "") -> List[str]:
     """The dotted key paths whose values differ between two JSON documents,
-    a key that only one side has among them; [] when they match."""
+    a key that only one side has among them; [] when they match.  Lists
+    are compared item by item, each named by its index, and an item only
+    one side has is a difference."""
+    def child(key) -> str:
+        return f"{path}.{key}" if path else str(key)
+
     if isinstance(parent, dict) and isinstance(change, dict):
         return [diff for key in sorted(parent.keys() | change.keys())
                 for diff in json_diff(parent.get(key, _ABSENT), change.get(key, _ABSENT),
-                                      f"{path}.{key}" if path else key)]
+                                      child(key))]
+    if isinstance(parent, list) and isinstance(change, list):
+        pairs = itertools.zip_longest(parent, change, fillvalue=_ABSENT)
+        return [diff for i, (p, c) in enumerate(pairs) for diff in json_diff(p, c, child(i))]
     return [] if parent == change else [path]
 
 
@@ -332,8 +356,9 @@ def main(argv=None) -> int:
             doc["claim"] = {"workload": f"{workload}:{seed}", "metric": args.claim[2],
                             **claim_verdict(entry["metrics"][args.claim[2]])}
 
-    doc["partition_json_diff"] = json_diff(partition_json(args.parent),
-                                           partition_json(args.change))
+    for name in JSON_REPORTS:
+        doc[f"{name}_json_diff"] = json_diff(report_json(args.parent, name),
+                                             report_json(args.change, name))
     if args.trace:
         doc["traced"] = {}
     for workload, seed in args.trace:
@@ -351,7 +376,8 @@ def main(argv=None) -> int:
     print(f"wrote {path}", file=sys.stderr)
     for run, entry in doc["workloads"].items():
         print(f"{run} reports_identical: {entry['reports_identical']}")
-    print(f"partition_json_diff: {doc['partition_json_diff']}")
+    for name in JSON_REPORTS:
+        print(f"{name}_json_diff: {doc[f'{name}_json_diff']}")
     if args.trace:
         print("\n".join(count_differences(doc["traced"])))
     return 0
