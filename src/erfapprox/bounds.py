@@ -12,8 +12,11 @@ Theorem ids:
   added); T39: complex fractional companion.
 
 Each theorem is declared by one row of ``THEOREMS``: its corpus pool,
-operator families, bound function and swept parameter.  With
-``_BOUND_ARGS`` and ``_PARAM_DEFAULTS`` it alone says what a theorem reads.
+operator families, bound function, the bound's parameters with their
+defaults, and swept parameter; it alone says what a theorem reads.  Every
+bound is called as bound(f, n, exponent, **params, run=run): the window
+is f's own (its domain, or its sample window on the whole line), and the
+grid and steps come from the ``Run``.
 
 The constant 1/chi(1) ~= 4.0188 enters every interval-operator bound at
 full precision.
@@ -99,36 +102,31 @@ class GridPolicy:
 # ------------------------------------------------------- first-order bounds
 
 
-def _jackson(f: FunctionSpec, n: int, alpha: float, delta: float,
-             interval: Optional[Tuple[float, float]], run: Optional[Run]):
+def _jackson(f: FunctionSpec, n: int, alpha: float, delta: float, run: Optional[Run]):
     """omega_1(f, delta) + ||f|| tail, the first-order bound at the modulus
     step delta, both read from f's modulus entry in run (a run of this n
     and alpha alone when None); returns (value, terms, modulus quality)."""
-    omega, quality, sup = (run or Run.of((n,), (alpha,))).modulus(f, interval, delta)
+    omega, quality, sup = (run or Run.of((n,), (alpha,))).modulus(f, delta)
     tail = sup * tail_core(n, alpha)
     terms = {"modulus_term": omega, "tail_term": tail}
     return omega + tail, terms, quality
 
 
-def mu2(f: FunctionSpec, n: int, alpha: float,
-        interval: Optional[Tuple[float, float]] = None, run: Optional[Run] = None):
+def mu2(f: FunctionSpec, n: int, alpha: float, *, run: Optional[Run] = None):
     """Line-operator bound: the Jackson core at the step n^-alpha."""
-    return _jackson(f, n, alpha, float(n) ** (-alpha), interval, run)
+    return _jackson(f, n, alpha, float(n) ** (-alpha), run)
 
 
-def mu1(f: FunctionSpec, n: int, alpha: float,
-        a: Optional[float] = None, b: Optional[float] = None, run: Optional[Run] = None):
+def mu1(f: FunctionSpec, n: int, alpha: float, *, run: Optional[Run] = None):
     """Interval-operator bound: exactly 1/chi(1) times the mu2 core."""
-    interval = (a, b) if a is not None else None
-    core, terms, quality = mu2(f, n, alpha, interval, run)
+    core, terms, quality = mu2(f, n, alpha, run=run)
     terms = {k: INV_CHI_AT_ONE * v for k, v in terms.items()}
     return INV_CHI_AT_ONE * core, terms, quality
 
 
-def mu3(f: FunctionSpec, n: int, alpha: float,
-        interval: Optional[Tuple[float, float]] = None, run: Optional[Run] = None):
+def mu3(f: FunctionSpec, n: int, alpha: float, *, run: Optional[Run] = None):
     """Kantorovich/quadrature bound: the Jackson core at the step 1/n + n^-alpha."""
-    return _jackson(f, n, alpha, 1.0 / n + float(n) ** (-alpha), interval, run)
+    return _jackson(f, n, alpha, 1.0 / n + float(n) ** (-alpha), run)
 
 
 # ------------------------------------------------------- high-order bound
@@ -157,22 +155,13 @@ def _taylor_sum(f: FunctionSpec, order: int, mode: str, x: Optional[float], n: i
     return total
 
 
-def highorder_bound(
-    f: FunctionSpec,
-    n: int,
-    alpha: float,
-    a: float,
-    b: float,
-    N: int,
-    mode: str = "sup",
-    x: Optional[float] = None,
-    run: Optional[Run] = None,
-):
-    """High-order interval bound; mode selects the pointwise form (with
-    |f^(j)(x)|), the sup form (with ||f^(j)||), or the critical-point form
-    (derivative sum omitted, requires f^(j)(x) = 0 for j = 1..N).  The
-    modulus and sup norms are read from the modulus entries in run (a run
-    of this n and alpha alone when None).
+def highorder_bound(f: FunctionSpec, n: int, alpha: float, N: int, mode: str = "sup",
+                    x: Optional[float] = None, *, run: Optional[Run] = None):
+    """High-order bound on f's interval; mode selects the pointwise form
+    (with |f^(j)(x)|), the sup form (with ||f^(j)||), or the critical-point
+    form (derivative sum omitted, requires f^(j)(x) = 0 for j = 1..N).
+    The modulus and sup norms are read from run (a run of this n and alpha
+    alone when None).
 
     Returns (value, terms, modulus quality).
     """
@@ -180,8 +169,9 @@ def highorder_bound(
         raise PreconditionViolated(f"unknown mode {mode!r}")
     run = run or Run.of((n,), (alpha,))
     tc = tail_core(n, alpha)
+    a, b = f.domain
     width = b - a
-    omega, quality, sup = run.modulus(f.derivative(N), (a, b), float(n) ** (-alpha))
+    omega, quality, sup = run.modulus(f.derivative(N), float(n) ** (-alpha))
     n_fact = math.factorial(N)
     final_block = (
         omega / (float(n) ** (alpha * N) * n_fact)
@@ -221,10 +211,12 @@ class _AnchorData:
                 self.sup_right, self.sup_left)
 
 
-def _anchor_data(f: FunctionSpec, alpha: float, a: float, b: float, x: float,
-                 points: int, deltas: Tuple[float, ...]) -> _AnchorData:
-    """Caputo tables on both sides of the anchor x, each read at every step
-    of deltas in one table_modulus call and kept as those moduli and its sup."""
+def _anchor_data(f: FunctionSpec, alpha: float, x: float, points: int,
+                 deltas: Tuple[float, ...]) -> _AnchorData:
+    """Caputo tables on both sides of the anchor x in f's interval, each
+    read at every step of deltas in one table_modulus call and kept as
+    those moduli and its sup."""
+    a, b = f.domain
 
     def side(side, sub):
         if sub[1] - sub[0] <= 1e-12:
@@ -237,17 +229,11 @@ def _anchor_data(f: FunctionSpec, alpha: float, a: float, b: float, x: float,
 
 
 @lru_cache(maxsize=32)
-def _anchor_tables(
-    f: FunctionSpec,
-    alpha: float,
-    a: float,
-    b: float,
-    anchors: int,
-    points: int,
-    deltas: Tuple[float, ...],
-) -> Tuple[_AnchorData, ...]:
-    """Caputo ingredients at a grid of anchor points, for every step in
-    deltas (a run's whole set, so one entry serves each n and exponent).
+def _anchor_tables(f: FunctionSpec, alpha: float, grid: GridPolicy,
+                   deltas: Tuple[float, ...]) -> Tuple[_AnchorData, ...]:
+    """Caputo ingredients at grid.anchors points across f's interval, on
+    tables of grid.table_points points, for every step in deltas (a run's
+    whole set, so one entry serves each n and exponent).
 
     Each side's table is built, read at every delta in one doubling pass
     and dropped: an entry holds its sups and len(deltas) moduli per side.
@@ -255,25 +241,14 @@ def _anchor_tables(
     after a run returns; the benchmark's trace reads its hit counts through
     ``cache_info()``.
     """
-    return tuple(_anchor_data(f, alpha, a, b, float(x), points, deltas)
-                 for x in np.linspace(a, b, anchors))
+    return tuple(_anchor_data(f, alpha, float(x), grid.table_points, deltas)
+                 for x in np.linspace(*f.domain, grid.anchors))
 
 
-def fractional_bound(
-    f: FunctionSpec,
-    n: int,
-    beta: float,
-    alpha_frac: float,
-    a: float,
-    b: float,
-    mode: str = "sup",
-    x: Optional[float] = None,
-    anchors: int = GridPolicy.anchors,
-    table_points: int = GridPolicy.table_points,
-    deltas: Sequence[float] = (),
-    run: Optional[Run] = None,
-):
-    """Fractional interval-operator bound built from Caputo ingredients.
+def fractional_bound(f: FunctionSpec, n: int, beta: float, alpha_frac: float,
+                     mode: str = "sup", x: Optional[float] = None, *,
+                     run: Optional[Run] = None):
+    """Fractional bound on f's interval, built from Caputo ingredients.
 
     Modes: "taylor_pointwise" (Taylor terms moved to the left-hand side),
     "critical" (same value, valid only when f^(j)(x) = 0 for j < N),
@@ -281,25 +256,27 @@ def fractional_bound(
     (uniform form, anchor-grid suprema).  The sup form at 0 < alpha < 1
     is C31's bound and at alpha = 1/2 C33's.
 
-    deltas, the steps of the whole run (``Run.deltas``), lets one table
-    pass serve every n and exponent; the bound's own step n^-beta is added
-    when it is missing.  The sup form's derivative sup norms are read from
-    the modulus entries in run (a run of this n and beta alone when None).
+    run (a run of this n and beta alone when None) gives the anchor grid
+    and the steps each Caputo table is read at, ``Run.deltas``, so that
+    one table pass serves every n and exponent; the bound's own step
+    n^-beta must be one of them.  The sup form's derivative sup norms are
+    read from run too.
 
     Returns (value, terms, modulus quality); quality is always
     "estimated" because Caputo moduli come from sampled tables.
     """
+    run = run or Run.of((n,), (beta,))
+    a, b = f.domain
     N = FractionalSpec(alpha_frac, 0.5 * (a + b), "left").N
     pointwise = mode in ("taylor_pointwise", "critical", "pointwise")
     if not pointwise and mode != "sup":
         raise PreconditionViolated(f"unknown mode {mode!r}")
     delta = float(n) ** (-beta)
-    deltas = tuple(deltas)
-    if delta not in deltas:
-        deltas = tuple(sorted(deltas + (delta,)))
+    if delta not in run.deltas:
+        raise PreconditionViolated(f"Caputo step {delta!r} is not one of the run's")
     htc = tail_bound(n, beta)
     gamma_factor = 1.0 / gamma_fn(alpha_frac + 1.0)
-    tables = _anchor_tables(f, alpha_frac, a, b, anchors, table_points, deltas)
+    tables = _anchor_tables(f, alpha_frac, run.grid, run.deltas)
 
     if pointwise:
         if x is None:
@@ -307,7 +284,7 @@ def fractional_bound(
         data = min(tables, key=lambda d: abs(d.x - x))
         if abs(data.x - x) > 1e-9 * (1.0 + abs(x)):
             # off-grid anchor: build its tables directly, for this step only
-            data = _anchor_data(f, alpha_frac, a, b, x, table_points, (delta,))
+            data = _anchor_data(f, alpha_frac, x, run.grid.table_points, (delta,))
         wr, wl, sr, sl = data.ingredients(delta)
         frac_block = gamma_factor * (
             (wr + wl) / float(n) ** (alpha_frac * beta)
@@ -320,8 +297,7 @@ def fractional_bound(
             (sup_wr + sup_wl) / float(n) ** (alpha_frac * beta)
             + htc * (b - a) ** alpha_frac * (sup_sr + sup_sl)
         )
-    deriv_sum = _taylor_sum(f, N - 1, mode, x, n, beta, b - a, htc,
-                            run or Run.of((n,), (beta,)))
+    deriv_sum = _taylor_sum(f, N - 1, mode, x, n, beta, b - a, htc, run)
     value = INV_CHI_AT_ONE * (deriv_sum + frac_block)
     terms = {
         "derivative_sum": INV_CHI_AT_ONE * deriv_sum,
@@ -330,17 +306,11 @@ def fractional_bound(
     return value, terms, "estimated"
 
 
-def remark34_check(
-    f: FunctionSpec,
-    beta: float,
-    sweep: Sequence[int],
-    a: float,
-    b: float,
-    anchors: int = GridPolicy.anchors,
-    table_points: int = GridPolicy.table_points,
-):
+def remark34_check(f: FunctionSpec, beta: float, sweep: Sequence[int],
+                   grid: GridPolicy = GridPolicy()):
     """Certify the linear-modulus premise for the accelerated n^(-3 beta/2)
-    uniform rate at fractional order 1/2.
+    uniform rate at fractional order 1/2, on grid's anchors across f's
+    interval.
 
     The premise asks sup_x omega_1(Caputo derivative, n^-beta) <= K/n^beta
     for all n.  It is certified empirically iff q(n) = n^beta * sup-modulus
@@ -348,7 +318,7 @@ def remark34_check(
     (certified, K).
     """
     deltas = tuple(sorted({float(n) ** (-beta) for n in sweep}))
-    tables = _anchor_tables(f, 0.5, a, b, anchors, table_points, deltas)
+    tables = _anchor_tables(f, 0.5, grid, deltas)
     qs = []
     for n in sweep:
         delta = float(n) ** (-beta)
@@ -415,21 +385,20 @@ def _deviation(f, x, cfg: OperatorConfig, taylor_order: int = 0):
     return np.hypot(*devs) if len(devs) == 2 else np.abs(devs[0])
 
 
-def _sup_error(f, cfg: OperatorConfig, window: Tuple[float, float], grid: GridPolicy,
-               memo: dict) -> float:
-    """Grid sup of |Op f - f| over window, on the refined grid of
-    2 * x_points - 1 points when grid.refinement is on (its even samples
-    are the x_points grid, so the coarse maximum is never larger).
+def _sup_error(f, cfg: OperatorConfig, run: Run) -> float:
+    """Grid sup of |Op f - f| over f's sample window, on the refined grid
+    of 2 * x_points - 1 points when run.grid.refinement is on (its even
+    samples are the x_points grid, so the coarse maximum is never larger).
 
-    Each distinct (f, cfg, window, grid resolution) is measured once and
-    later calls read the float stored in memo.
+    Each distinct (f, cfg) is measured once per run and later calls read
+    the float stored in run.sup_errors.
     """
-    key = (f, cfg, window, grid.x_points, grid.refinement)
-    if key not in memo:
+    if (f, cfg) not in run.sup_errors:
+        grid = run.grid
         points = 2 * grid.x_points - 1 if grid.refinement else grid.x_points
-        xs = np.linspace(window[0], window[1], points)
-        memo[key] = float(np.max(_deviation(f, xs, cfg)))
-    return memo[key]
+        xs = np.linspace(*f.parts[0].sample_window(), points)
+        run.sup_errors[f, cfg] = float(np.max(_deviation(f, xs, cfg)))
+    return run.sup_errors[f, cfg]
 
 
 def fit_rate(points: Sequence[Tuple[float, float]]) -> Tuple[float, float]:
@@ -462,59 +431,54 @@ class Theorem:
     functions are drawn from.  ``families`` are the operators measured, one
     report row each, all against one bound: ``bound`` names a real bound
     function of this module, applied through ``complex_bound`` when
-    ``complex``.  ``param`` ("N" or "alpha_frac") is swept over the
-    config's ``highorder_orders`` or ``fractional_orders``; only values
-    inside the open range ``orders`` are admissible.  A theorem without
-    one reads its bound at ``_PARAM_DEFAULTS`` (C33 at alpha_frac = 1/2).
+    ``complex``.  ``params`` are the keyword parameters the bound takes
+    after (f, n, exponent) besides the run, with the values verify passes
+    when not given; a bound with pointwise forms takes mode and x.
+    ``param`` ("N" or "alpha_frac") is swept over the config's
+    ``highorder_orders`` or ``fractional_orders``; only values inside the
+    open range ``orders`` are admissible.  A theorem without one reads its
+    bound at the default in ``params`` (C33 at alpha_frac = 1/2).
     """
 
     pool: str
     families: Tuple[str, ...]
     bound: str
     complex: bool = False
+    params: Dict[str, object] = field(default_factory=dict)
     param: Optional[str] = None
     orders: Tuple[float, float] = (-math.inf, math.inf)
 
     def derivative_order(self, kw: dict) -> int:
         """Highest derivative of f one cell with parameters kw consumes."""
-        args = _BOUND_ARGS[self.bound]
-        if "N" in args:
-            return int(kw.get("N", _PARAM_DEFAULTS["N"]))
-        if "alpha_frac" in args:
-            return math.ceil(kw.get("alpha_frac", _PARAM_DEFAULTS["alpha_frac"]))
+        if "N" in self.params:
+            return int(kw.get("N", self.params["N"]))
+        if "alpha_frac" in self.params:
+            return math.ceil(kw.get("alpha_frac", self.params["alpha_frac"]))
         return 0
 
 
-#: cell quantities each bound function takes after (f, n, exponent); the
-#: function itself is looked up by name at call time
-_BOUND_ARGS = {
-    "mu1": ("a", "b", "run"),
-    "mu2": ("interval", "run"),
-    "mu3": ("interval", "run"),
-    "highorder_bound": ("a", "b", "N", "mode", "x", "run"),
-    "fractional_bound": ("alpha_frac", "a", "b", "mode", "x", "anchors", "table_points",
-                         "deltas", "run"),
-}
-
-#: the value of each keyword verify takes but was not given
-_PARAM_DEFAULTS = {"N": 1, "alpha_frac": 0.5, "mode": "sup"}
+#: the ``params`` of the rows of highorder_bound and of fractional_bound
+_HIGHORDER = {"N": 1, "mode": "sup", "x": None}
+_FRACTIONAL = {"alpha_frac": 0.5, "mode": "sup", "x": None}
 
 THEOREMS: Dict[str, Theorem] = {
     "T12": Theorem("INTERVAL_CORPUS", ("A",), "mu1"),
     "T13": Theorem("LINE_CORPUS", ("B",), "mu2"),
     "T14": Theorem("LINE_CORPUS", ("C",), "mu3"),
     "T15": Theorem("LINE_CORPUS", ("D",), "mu3"),
-    "T16": Theorem("INTERVAL_CORPUS", ("A",), "highorder_bound", param="N"),
-    "T30": Theorem("FRACTIONAL_CORPUS", ("A",), "fractional_bound", param="alpha_frac"),
-    "C31": Theorem("FRACTIONAL_CORPUS", ("A",), "fractional_bound",
+    "T16": Theorem("INTERVAL_CORPUS", ("A",), "highorder_bound", params=_HIGHORDER,
+                   param="N"),
+    "T30": Theorem("FRACTIONAL_CORPUS", ("A",), "fractional_bound", params=_FRACTIONAL,
+                   param="alpha_frac"),
+    "C31": Theorem("FRACTIONAL_CORPUS", ("A",), "fractional_bound", params=_FRACTIONAL,
                    param="alpha_frac", orders=(0.0, 1.0)),
-    "C33": Theorem("FRACTIONAL_CORPUS", ("A",), "fractional_bound"),
+    "C33": Theorem("FRACTIONAL_CORPUS", ("A",), "fractional_bound", params=_FRACTIONAL),
     "T36": Theorem("COMPLEX_INTERVAL_CORPUS", ("A",), "mu1", complex=True),
     "T37": Theorem("COMPLEX_LINE_CORPUS", ("B",), "mu2", complex=True),
     "T38": Theorem("COMPLEX_INTERVAL_CORPUS", ("A",), "highorder_bound", complex=True,
-                   param="N"),
+                   params=_HIGHORDER, param="N"),
     "T39": Theorem("COMPLEX_INTERVAL_CORPUS", ("A",), "fractional_bound", complex=True,
-                   param="alpha_frac", orders=(0.0, 2.0)),
+                   params=_FRACTIONAL, param="alpha_frac", orders=(0.0, 2.0)),
     "T41": Theorem("COMPLEX_LINE_CORPUS", ("C", "D"), "mu3", complex=True),
 }
 
@@ -529,53 +493,65 @@ _DEFAULT_THETA = 4
 class Run:
     """What the verify calls of one run share:
 
+    * ``grid``: the run's x-sampling and Caputo anchor grid;
     * ``sup_errors``: each distinct grid-sup error, measured once;
     * ``deltas``: every modulus step float(n) ** (-e) of the run's sweep
       and exponents, sorted, at which each Caputo table is read once when
       it is built;
     * ``steps``: every Jackson step, ``deltas`` and mu3's 1/n + n^-e,
       sorted;
-    * ``moduli``: per (function, window), one ``ModulusResult`` holding
-      omega_1 and its refinement gap at every step and, as ``sup``, the
-      function's sup norm, from one sample of the function.
+    * ``moduli``: per function, one ``ModulusResult`` holding omega_1 and
+      its refinement gap at every step on the function's sample window,
+      from one sample of the function;
+    * ``sups``: per function, max |f| on the 4096-point grid of its sample
+      window, whatever sup_norm it declares: a modulus entry's own sup, or
+      one sample alone for a function whose omega no bound reads.
     """
 
     deltas: Tuple[float, ...]
     steps: Tuple[float, ...]
+    grid: GridPolicy = GridPolicy()
     sup_errors: dict = field(default_factory=dict)
     moduli: dict = field(default_factory=dict)
+    sups: dict = field(default_factory=dict)
 
     @staticmethod
-    def of(sweep: Sequence[int], exponents: Sequence[float]) -> "Run":
+    def of(sweep: Sequence[int], exponents: Sequence[float],
+           grid: GridPolicy = GridPolicy()) -> "Run":
         deltas = {float(n) ** (-e) for n in sweep for e in exponents}
         steps = deltas | {1.0 / n + float(n) ** (-e) for n in sweep for e in exponents}
-        return Run(tuple(sorted(deltas)), tuple(sorted(steps)))
+        return Run(tuple(sorted(deltas)), tuple(sorted(steps)), grid)
 
-    def modulus(self, f: FunctionSpec, window: Optional[Tuple[float, float]],
-                delta: float) -> Tuple[float, str, float]:
-        """(omega_1(f, delta) on window, its quality, f.grid_sup_norm()), read
-        from f's entry; delta must be one of the steps."""
+    def modulus(self, f: FunctionSpec, delta: float) -> Tuple[float, str, float]:
+        """(omega_1(f, delta) on f's sample window, its quality, f's sup
+        norm), read from f's entry; delta must be one of the steps."""
         if delta not in self.steps:
             raise PreconditionViolated(f"modulus step {delta!r} is not one of the run's")
-        mq = self._entry(f, window)
-        return float(mq.value[self.steps.index(delta)]), mq.quality, mq.sup
+        mq = self._entry(f)
+        return float(mq.value[self.steps.index(delta)]), mq.quality, self.sup(f)
 
     def sup(self, f: FunctionSpec) -> float:
-        """f.grid_sup_norm(): the declared sup_norm, else its entry's."""
-        return f.sup_norm if f.sup_norm is not None else self._entry(f, None).sup
+        """f's sup norm: the declared sup_norm, else its sampled sup."""
+        return f.sup_norm if f.sup_norm is not None else self.sampled_sup(f)
 
-    def _entry(self, f: FunctionSpec, window: Optional[Tuple[float, float]]):
-        """f's entry in ``moduli`` on window (None: its sample window), made
-        on first use by one evaluate_modulus call at every step.  Its sup
-        is the estimate's own grid sup when f declares none and window is
-        the sample window, else f.grid_sup_norm()."""
-        window = f.sample_window() if window is None else tuple(window)
-        if (f, window) not in self.moduli:
-            mq = evaluate_modulus(ModulusQuery(f, self.steps, window))
-            if f.sup_norm is not None or mq.sup is None or window != tuple(f.sample_window()):
-                mq = replace(mq, sup=f.grid_sup_norm())
-            self.moduli[f, window] = mq
-        return self.moduli[f, window]
+    def sampled_sup(self, f: FunctionSpec, modulus: bool = False) -> float:
+        """f's entry in ``sups``.  With modulus, f's modulus entry is made
+        first, so that its sample gives the sup; else f is sampled alone on
+        first use, with no omega pass, when it has no modulus entry."""
+        if modulus:
+            self._entry(f)
+        if f not in self.sups:
+            self.sups[f] = replace(f, sup_norm=None).grid_sup_norm()
+        return self.sups[f]
+
+    def _entry(self, f: FunctionSpec):
+        """f's entry in ``moduli``, made on first use by one evaluate_modulus
+        call at every step; its sample's sup goes to ``sups``."""
+        if f not in self.moduli:
+            mq = self.moduli[f] = evaluate_modulus(ModulusQuery(f, self.steps))
+            if mq.sup is not None:
+                self.sups[f] = mq.sup
+        return self.moduli[f]
 
 
 def _family_config(family: str, n: int, interval=None) -> OperatorConfig:
@@ -600,9 +576,9 @@ def verify(
     every n in the sweep; one report row per n and operator family.
 
     ``run``, shared by the calls of one run (``Run.of(sweep,
-    (rate_exponent,))`` when omitted), stores each distinct grid-sup error
-    so that rows measuring the same operator image reuse it, and names the
-    steps each Caputo table is read at.
+    (rate_exponent,), grid)`` when omitted), stores each distinct grid-sup
+    error so that rows measuring the same operator image reuse it, and
+    names the steps each Caputo table is read at; its grid must be grid.
 
     A row whose error or bound is not finite (a pole, an overflow) at any
     of its points gets the verdict "non-finite" instead of a comparison.
@@ -610,64 +586,61 @@ def verify(
     Extra keyword arguments: the theorem's parameter (N or alpha_frac) and,
     for a bound with modes, mode (default "sup") and, with mode="critical"
     only, x0, the point that mode evaluates at (default 0); any other
-    raises.  The "pointwise" and "taylor_pointwise" modes report the worst
-    of grid.pointwise_points points by error-to-bound ratio.
+    raises.  The bound is called with the theorem's ``params``, these
+    given values in place of their defaults.  The "pointwise" and
+    "taylor_pointwise" modes report the worst of grid.pointwise_points
+    points by error-to-bound ratio.
     """
     th = THEOREMS.get(theorem_id)
     if th is None:
         raise PreconditionViolated(f"unknown theorem id {theorem_id!r}")
     reads = {th.param}
-    if "mode" in _BOUND_ARGS[th.bound]:
+    if "mode" in th.params:
         reads |= {"mode", "x0"} if kw.get("mode") == "critical" else {"mode"}
     if set(kw) - reads:
         raise PreconditionViolated(f"{theorem_id} does not read {sorted(set(kw) - reads)}")
+    params = {k: kw.get(k, v) for k, v in th.params.items()}
     if th.param is not None:
         lo, hi = th.orders
-        value = kw.get(th.param, _PARAM_DEFAULTS[th.param])
-        if not lo < value < hi:
+        if not lo < params[th.param] < hi:
             raise PreconditionViolated(f"{theorem_id} needs {lo:g} < {th.param} < {hi:g}, "
-                                       f"got {value}")
+                                       f"got {params[th.param]}")
     if run is None:
-        run = Run.of(sweep, (rate_exponent,))
+        run = Run.of(sweep, (rate_exponent,), grid)
+    elif run.grid != grid:
+        raise PreconditionViolated(f"the run's grid {run.grid} is not grid {grid}")
     rows: List[BoundReport] = []
     for n in sweep:
-        rows.extend(_verify_one(theorem_id, th, f, int(n), rate_exponent, grid, run, kw))
+        rows.extend(_verify_one(theorem_id, th, f, int(n), rate_exponent, run, params,
+                                kw.get("x0", 0.0)))
     return rows
 
 
-def _verify_one(tid, th: Theorem, f, n, ex, grid, run: Run, kw) -> List[BoundReport]:
-    a, b = f.domain or (None, None)
-    cell = {
-        "a": a, "b": b, "interval": f.domain,
-        "anchors": grid.anchors, "table_points": grid.table_points, "deltas": run.deltas,
-        "run": run,
-        **{k: kw.get(k, v) for k, v in _PARAM_DEFAULTS.items()},
-    }
-    mode = cell["mode"]
+def _verify_one(tid, th: Theorem, f, n, ex, run: Run, params: dict,
+                x0: float) -> List[BoundReport]:
+    mode = params.get("mode", "sup")
     if mode == "critical":
-        points, point_mode = [kw.get("x0", 0.0)], "pointwise x"
+        points, point_mode = [x0], "pointwise x"
     elif mode in ("pointwise", "taylor_pointwise"):
-        points = [float(x) for x in np.linspace(a, b, grid.pointwise_points)]
+        points = [float(x) for x in np.linspace(*f.domain, run.grid.pointwise_points)]
         point_mode = "pointwise x"
     else:
         points, point_mode = [None], "sup over grid"
-    taylor = th.derivative_order(kw) if mode == "taylor_pointwise" else 0
-    window = f.parts[0].sample_window()
+    taylor = th.derivative_order(params) if mode == "taylor_pointwise" else 0
     cfgs = [_family_config(family, n, f.domain) for family in th.families]
 
     # looked up at call time so rebinding a module global reaches every row
     real_bound = globals()[th.bound]
     worst = [None] * len(cfgs)
     for x in points:
-        cell["x"] = x
-        args = [cell[k] for k in _BOUND_ARGS[th.bound]]
+        kw = {**params, "x": x} if "x" in params else params
         if th.complex:
-            value, terms, quality = complex_bound(f, real_bound, n, ex, *args)
+            value, terms, quality = complex_bound(f, real_bound, n, ex, **kw, run=run)
         else:
-            value, terms, quality = real_bound(f, n, ex, *args)
+            value, terms, quality = real_bound(f, n, ex, **kw, run=run)
         for i, cfg in enumerate(cfgs):
             if x is None:
-                emp = _sup_error(f, cfg, window, grid, run.sup_errors)
+                emp = _sup_error(f, cfg, run)
             else:
                 emp = float(_deviation(f, x, cfg, taylor))
             # a non-finite point outranks every finite one, so its row reads

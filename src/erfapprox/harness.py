@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -213,9 +213,10 @@ def _typed(field: str, value, kind):
 # ------------------------------------------------------- function resolution
 
 
-def _resolve(spec: dict, theorem: str, order: int):
+def _resolve(spec: dict, theorem: str, order: int, run: bounds.Run):
     """Corpus variant, or function built from an expression with its
-    derivatives to order, suited to a theorem.
+    derivatives to order, suited to a theorem; a declared sup_norm is
+    checked against f's sample in run.
 
     Returns (object, skip_reason); exactly one is None.
     """
@@ -243,8 +244,9 @@ def _resolve(spec: dict, theorem: str, order: int):
         declared = spec.get("sup_norm")
         if declared is not None:
             # bounds take a declared sup_norm as the function's sup, so one
-            # below the sampled sup would make them too small
-            sampled = replace(f, sup_norm=None).grid_sup_norm()
+            # below the sampled sup would make them too small; a bound that
+            # reads no derivative reads f's modulus, whose sample gives it
+            sampled = run.sampled_sup(f, modulus=order == 0)
             if sampled > declared * (1.0 + 1e-12):
                 return None, (f"expression rejected: declared sup_norm {declared!r} "
                               f"is below the sampled sup {sampled!r}")
@@ -314,7 +316,7 @@ def run_verify(cfg: ExperimentConfig) -> RunResult:
     after every skip decided before a group runs (no variant, too few
     derivatives, a failed hypothesis).
     """
-    run = bounds.Run.of(cfg.sweep, cfg.rate_exponents)     # shared by the groups
+    run = bounds.Run.of(cfg.sweep, cfg.rate_exponents, cfg.grid)   # shared by the groups
     skipped, failed, finished = [], [], []
     for theorem in cfg.theorems:
         th = bounds.THEOREMS[theorem]
@@ -323,7 +325,7 @@ def run_verify(cfg: ExperimentConfig) -> RunResult:
         order = max((th.derivative_order(kw) for kw in variants), default=0)
         for spec in cfg.functions:
             where = {"theorem": theorem, "function": spec["id"]}
-            f, reason = _resolve(spec, theorem, order)
+            f, reason = _resolve(spec, theorem, order, run)
             reason = reason or no_variant
             if reason is not None:
                 skipped.append({**where, "reason": reason})

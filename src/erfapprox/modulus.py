@@ -7,7 +7,7 @@ safe direction for certifying that an error sits below a bound.  A query
 may name a sequence of steps: one sample of the function and one
 doubling pass per grid then serve them all, and the estimate also
 carries the coarse grid's sup of |f| (``bounds.Run`` keeps one such
-result per function and window for a whole run).
+result per function for a whole run).
 
 ``grid_modulus`` is the sliding-window kernel, in numpy alone: the
 largest max - min over every window of m consecutive samples, from a

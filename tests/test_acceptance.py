@@ -218,7 +218,7 @@ def test_criterion_10_fractional_bounds():
             # linear-modulus premise certifies along the sweep
             for name in ("sq", "sin", "const"):
                 f = FRACTIONAL_CORPUS[name]
-                certified, _ = remark34_check(f, beta, ns, 0.0, 1.0)
+                certified, _ = remark34_check(f, beta, ns)
                 if not certified:
                     continue
                 rows = verify("C33", f, ns, beta, GRID)

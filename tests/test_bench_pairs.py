@@ -152,3 +152,19 @@ def test_json_diff_descends_into_lists_by_index():
     # a list against a non-list differs as a whole
     assert bench_pairs.json_diff({"rows": []}, {"rows": {}}) == ["rows"]
     assert bench_pairs.json_diff([1, [2, 3]], [1, [2, 4]]) == ["1.1"]
+
+
+def test_summary_prints_the_line_counts_beside_the_report_checks():
+    doc = {"commits": {"parent": {"source_lines": 3105}, "change": {"source_lines": 3079}},
+           "workloads": {"default:0": {"reports_identical": True},
+                         "expr-dense:13": {"reports_identical": False}},
+           "partition_json_diff": [], "golden_json_diff": ["rows.1.bound"]}
+    assert bench_pairs.summary(doc) == [
+        "default:0 reports_identical: True",
+        "expr-dense:13 reports_identical: False",
+        "partition_json_diff: []",
+        "golden_json_diff: ['rows.1.bound']",
+        "source_lines: parent 3105 -> change 3079",
+    ]
+    doc["traced"] = {"default:0": {"metrics": {"modulus.calls": {"parent": 7, "change": 7}}}}
+    assert bench_pairs.summary(doc)[-1] == "all 1 traced counts are equal on default:0"

@@ -8,6 +8,7 @@ import pytest
 
 from erfapprox.bounds import (
     GridPolicy,
+    Run,
     complex_bound,
     fit_rate,
     fractional_bound,
@@ -64,9 +65,8 @@ class TestFirstOrder:
 
     def test_mu1_is_scaled_mu2(self):
         f = INTERVAL_CORPUS["sin"]
-        a, b = f.domain
-        v1, _, _ = mu1(f, 81, 0.5, a, b)
-        v2, _, _ = mu2(f, 81, 0.5, (a, b))
+        v1, _, _ = mu1(f, 81, 0.5)
+        v2, _, _ = mu2(f, 81, 0.5)
         assert v1 == INV_CHI_AT_ONE * v2
 
     def test_mu3_at_least_mu2(self):
@@ -83,39 +83,36 @@ class TestFirstOrder:
 class TestHighOrder:
     def test_sup_dominates_pointwise(self):
         f = INTERVAL_CORPUS["sin"]
-        a, b = f.domain
         for x in (-2.0, 0.3, 1.0):
-            vp, _, _ = highorder_bound(f, 81, 0.5, a, b, 2, "pointwise", x)
-            vs, _, _ = highorder_bound(f, 81, 0.5, a, b, 2, "sup")
+            vp, _, _ = highorder_bound(f, 81, 0.5, 2, "pointwise", x)
+            vs, _, _ = highorder_bound(f, 81, 0.5, 2, "sup")
             assert vp <= vs * (1.0 + 1e-12)
 
     def test_critical_matches_pointwise_at_flat_point(self):
         # sq has f'(0) = 0, so critical and pointwise agree at x = 0 for N=1
         f = INTERVAL_CORPUS["sq"]
-        a, b = f.domain
-        vc, _, _ = highorder_bound(f, 81, 0.5, a, b, 1, "critical", 0.0)
-        vp, _, _ = highorder_bound(f, 81, 0.5, a, b, 1, "pointwise", 0.0)
+        vc, _, _ = highorder_bound(f, 81, 0.5, 1, "critical", 0.0)
+        vp, _, _ = highorder_bound(f, 81, 0.5, 1, "pointwise", 0.0)
         assert abs(vc - vp) <= 1e-15
 
     def test_critical_rejects_nonflat_point(self):
         f = INTERVAL_CORPUS["sq"]
-        a, b = f.domain
         with pytest.raises(CriticalPointViolated):
-            highorder_bound(f, 81, 0.5, a, b, 1, "critical", 0.5)
+            highorder_bound(f, 81, 0.5, 1, "critical", 0.5)
         with pytest.raises(CriticalPointViolated):
-            highorder_bound(f, 81, 0.5, a, b, 2, "critical", 0.0)
+            highorder_bound(f, 81, 0.5, 2, "critical", 0.0)
 
     def test_unknown_mode(self):
         f = INTERVAL_CORPUS["sq"]
         with pytest.raises(PreconditionViolated):
-            highorder_bound(f, 81, 0.5, -1.0, 1.0, 1, "bogus")
+            highorder_bound(f, 81, 0.5, 1, "bogus")
 
 
 class TestFractionalBound:
     def test_sup_always_estimated(self):
         f = FRACTIONAL_CORPUS["sq"]
-        _, _, quality = fractional_bound(f, 81, 0.5, 0.5, 0.0, 1.0, "sup",
-                                         anchors=9, table_points=129)
+        _, _, quality = fractional_bound(f, 81, 0.5, 0.5, "sup",
+                                         run=Run.of((81,), (0.5,), FAST_GRID))
         assert quality == "estimated"
 
     def test_corollaries_hold_their_order(self):
@@ -137,7 +134,7 @@ class TestFractionalBound:
     def test_pointwise_needs_x(self):
         f = FRACTIONAL_CORPUS["sq"]
         with pytest.raises(PreconditionViolated):
-            fractional_bound(f, 81, 0.5, 0.5, 0.0, 1.0, "pointwise")
+            fractional_bound(f, 81, 0.5, 0.5, "pointwise")
 
     @staticmethod
     def full_table_ingredients(f, alpha, x, points, delta):
@@ -154,9 +151,8 @@ class TestFractionalBound:
         return wr, wl, sr, sl
 
     @pytest.mark.parametrize("mode, x, deltas", [
-        ("sup", None, ()),
+        ("sup", None, (81.0 ** -0.5,)),              # the bound's own step alone
         ("sup", None, (0.3, 81.0 ** -0.5, 0.01)),   # the bound's own step among others
-        ("sup", None, (0.3,)),                       # the bound's own step missing
         ("pointwise", 0.375, (0.3, 81.0 ** -0.5)),   # an anchor of the grid of 9
         ("pointwise", 0.3, (0.3, 81.0 ** -0.5)),     # between two anchors
     ])
@@ -164,8 +160,9 @@ class TestFractionalBound:
     def test_equals_the_bound_from_whole_tables(self, mode, x, deltas, alpha):
         f, n, beta, points = FRACTIONAL_CORPUS["sin"], 81, 0.5, 129
         a, b = f.domain
-        _, terms, _ = fractional_bound(f, n, beta, alpha, a, b, mode, x, anchors=9,
-                                       table_points=points, deltas=deltas)
+        # the run's deltas are the steps its tables are read at
+        run = Run(deltas, deltas, FAST_GRID)
+        _, terms, _ = fractional_bound(f, n, beta, alpha, mode, x, run=run)
         delta, htc, gf = float(n) ** (-beta), tail_bound(n, beta), 1.0 / gamma_fn(alpha + 1.0)
         if x is None:
             ing = [self.full_table_ingredients(f, alpha, float(t), points, delta)
@@ -179,6 +176,12 @@ class TestFractionalBound:
                           + htc * (sr * (x - a) ** alpha + sl * (b - x) ** alpha))
         assert terms["fractional_block"].hex() == (INV_CHI_AT_ONE * block).hex()
 
+    @pytest.mark.parametrize("mode, x", [("sup", None), ("pointwise", 0.375)])
+    def test_a_run_without_the_bounds_own_step_is_a_precondition(self, mode, x):
+        run = Run((0.3,), (0.3,), FAST_GRID)
+        with pytest.raises(PreconditionViolated, match="not one of the run's"):
+            fractional_bound(FRACTIONAL_CORPUS["sin"], 81, 0.5, 0.5, mode, x, run=run)
+
     def test_remark34_equals_its_value_from_whole_tables(self):
         f, beta, sweep = FRACTIONAL_CORPUS["sq"], 0.5, (9, 16, 81, 256)
         qs = []
@@ -186,13 +189,12 @@ class TestFractionalBound:
             ing = [self.full_table_ingredients(f, 0.5, float(t), 129, float(n) ** (-beta))
                    for t in np.linspace(0.0, 1.0, 9)]
             qs.append(float(n) ** beta * (max(i[0] for i in ing) + max(i[1] for i in ing)))
-        certified, K = remark34_check(f, beta, sweep, 0.0, 1.0, anchors=9, table_points=129)
+        certified, K = remark34_check(f, beta, sweep, FAST_GRID)
         assert not certified and K.hex() == max(qs).hex()
 
     def test_remark34_constant_certifies(self):
         certified, K = remark34_check(
-            FRACTIONAL_CORPUS["const"], 0.5, (9, 16, 81), 0.0, 1.0,
-            anchors=9, table_points=129,
+            FRACTIONAL_CORPUS["const"], 0.5, (9, 16, 81), FAST_GRID,
         )
         assert certified
         assert K <= 1e-12
@@ -201,8 +203,7 @@ class TestFractionalBound:
         # D^(1/2) of t^2 is only Hoelder-1/2 at its anchor, so the
         # linear-modulus premise fails and q(n) grows
         certified, K = remark34_check(
-            FRACTIONAL_CORPUS["sq"], 0.5, (9, 16, 81, 256), 0.0, 1.0,
-            anchors=9, table_points=129,
+            FRACTIONAL_CORPUS["sq"], 0.5, (9, 16, 81, 256), FAST_GRID,
         )
         assert not certified
         assert K > 1.0
@@ -214,17 +215,15 @@ class TestComplexBound:
         zero = FunctionSpec("zero", lambda t: np.zeros_like(np.asarray(t, dtype=float)),
                             domain=f.domain, exact_modulus=lambda d: 0.0, sup_norm=0.0)
         pair = ComplexFunctionSpec("sin+0i", f, zero)
-        a, b = f.domain
-        vc, _, _ = complex_bound(pair, mu1, 81, 0.5, a, b)
-        vr, _, _ = mu1(f, 81, 0.5, a, b)
+        vc, _, _ = complex_bound(pair, mu1, 81, 0.5)
+        vr, _, _ = mu1(f, 81, 0.5)
         assert abs(vc - vr) <= 1e-15
 
     def test_ingredient_sum(self):
         f = COMPLEX_INTERVAL_CORPUS["circle"]
-        a, b = f.domain
-        vc, _, _ = complex_bound(f, mu1, 81, 0.5, a, b)
-        v_re, _, _ = mu2(f.re, 81, 0.5, (a, b))
-        v_im, _, _ = mu2(f.im, 81, 0.5, (a, b))
+        vc, _, _ = complex_bound(f, mu1, 81, 0.5)
+        v_re, _, _ = mu2(f.re, 81, 0.5)
+        v_im, _, _ = mu2(f.im, 81, 0.5)
         assert abs(vc - INV_CHI_AT_ONE * (v_re + v_im)) <= 1e-15
 
 
@@ -281,6 +280,13 @@ class TestVerify:
         with pytest.raises(PreconditionViolated) as exc:
             verify(tid, f, (16,), 0.5, FAST_GRID, **kw)
         assert repr(next(iter(kw))) in str(exc.value)
+
+    def test_a_run_made_for_another_grid_is_a_precondition(self):
+        run = Run.of((16,), (0.5,), FAST_GRID)
+        with pytest.raises(PreconditionViolated, match="grid"):
+            verify("T12", INTERVAL_CORPUS["linear"], (16,), 0.5, GridPolicy(), run=run)
+        assert verify("T12", INTERVAL_CORPUS["linear"], (16,), 0.5, FAST_GRID, run=run) == \
+            verify("T12", INTERVAL_CORPUS["linear"], (16,), 0.5, FAST_GRID)
 
     @pytest.mark.parametrize("theorem, grid, kw", [
         # a bare ValueError: max() arg is an empty sequence

@@ -458,14 +458,15 @@ class TestModuliPerRun:
             for e in (0.5, 0.75):
                 for delta in (float(n) ** -e, 1.0 / n + float(n) ** -e):
                     one = evaluate_modulus(ModulusQuery(f, delta))
-                    assert run.modulus(f, None, delta) == (one.value, one.quality,
-                                                           f.grid_sup_norm())
-                    assert run.moduli[f, f.domain].refinement_gap[
+                    assert run.modulus(f, delta) == (one.value, one.quality,
+                                                     f.grid_sup_norm())
+                    assert run.moduli[f].refinement_gap[
                         run.steps.index(delta)] == one.refinement_gap
                 assert run.sup(f.derivative(1)) == f.derivative(1).grid_sup_norm()
-        assert len(run.moduli) == 2
+        # the derivative's sup is sampled alone: no bound reads its omega
+        assert list(run.moduli) == [f] and list(run.sups) == [f, f.derivative(1)]
         with pytest.raises(PreconditionViolated):
-            run.modulus(f, None, 0.3)
+            run.modulus(f, 0.3)
 
 
 class TestCaputoPerRun:

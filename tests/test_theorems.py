@@ -39,15 +39,14 @@ class TestBoundTerms:
 class TestComplexFractional:
     def test_t39_follows_the_anchor_grid(self):
         f = COMPLEX_INTERVAL_CORPUS["circle"]
-        a, b = f.domain
         values = []
         for anchors, points in ((5, 65), (33, 129)):
             grid = GridPolicy(x_points=128, refinement=False, anchors=anchors,
                               table_points=points)
             (row,) = verify("T39", f, (81,), 0.5, grid, alpha_frac=0.5)
             want = sum(
-                fractional_bound(part, 81, 0.5, 0.5, a, b, "sup",
-                                 anchors=anchors, table_points=points)[0]
+                fractional_bound(part, 81, 0.5, 0.5, "sup",
+                                 run=bounds.Run.of((81,), (0.5,), grid))[0]
                 for part in (f.re, f.im)
             )
             assert math.isclose(row.bound_value, want, rel_tol=1e-12)
@@ -118,6 +117,34 @@ class TestExpansion:
         assert result.rows == ()
         assert {s["reason"] for s in result.skipped} == {"needs derivatives to order 1, have 0"}
         assert sorted(s["n"] for s in result.skipped) == [9, 16, 81]
+
+
+class TestCallShape:
+    BOUNDS = ("mu1", "mu2", "mu3", "highorder_bound", "fractional_bound")
+
+    @pytest.mark.parametrize("tid", sorted(THEOREMS))
+    def test_verify_passes_the_rows_parameters_and_the_run(self, tid, monkeypatch):
+        # outermost calls only: mu1 calls mu2 itself
+        calls, depth = [], [0]
+        for name in self.BOUNDS:
+            def spy(*args, _real=getattr(bounds, name), _name=name, **kw):
+                if not depth[0]:
+                    calls.append((_name, args[1:], kw))
+                depth[0] += 1
+                try:
+                    return _real(*args, **kw)
+                finally:
+                    depth[0] -= 1
+            monkeypatch.setattr(bounds, name, spy)
+        th = THEOREMS[tid]
+        f = next(iter(getattr(corpus, th.pool).values()))
+        run = bounds.Run.of((16, 81), (0.5,), FAST_GRID)
+        verify(tid, f, (16, 81), 0.5, FAST_GRID, run=run)
+        assert [name for name, _, _ in calls] == [th.bound] * (4 if th.complex else 2)
+        for (_, args, kw), n in zip(calls, (16, 16, 81, 81) if th.complex else (16, 81)):
+            assert args == (n, 0.5)
+            assert kw.pop("run") is run
+            assert kw == th.params
 
 
 class TestNewRow:

@@ -32,22 +32,24 @@ committed), whether the perfbench trees match, nproc, and
 After each ``--run`` the script compares the two sides' reports of the
 last repetition, ``.bench_out/<workload>-seed<seed>/rep1.csv`` and
 ``rep1.json``, byte for byte.  The file records the answer as that
-workload's ``reports_identical``, and the script prints it.
+workload's ``reports_identical``.
 
 The script also runs ``erfapprox check-partition --out-json`` and
 ``erfapprox verify --config tests/data/golden.yaml --out-json`` once in
 each checkout, into ``.bench_out/partition.json`` and
 ``.bench_out/golden.json``, and records as ``partition_json_diff`` and
 ``golden_json_diff`` the key paths whose values differ between the two
-sides' files, or ``[]`` when they match, and prints both.  The golden
+sides' files, or ``[]`` when they match.  The golden
 JSON holds every row at full precision, where ``golden.csv`` rounds to
 ``.12g``.
 
-After writing the file the script also prints each traced count (a metric
-whose last word is ``calls``, ``points`` or ``keys``, plus
-``bounds.verify_cells`` and ``harness.groups``) that differs between the
-sides, or one line saying that all of them are equal, so a change's work
-counts stand next to its timings.
+After writing the file the script prints each run's
+``reports_identical``, both JSON diffs and both sides' ``source_lines``,
+then each traced count (a metric whose last word is ``calls``,
+``points`` or ``keys``, plus ``bounds.verify_cells`` and
+``harness.groups``) that differs between the sides, or one line saying
+that all of them are equal, so a change's line count and work counts
+stand next to its timings.
 
 The script refuses to run when the two perfbench trees differ.
 """
@@ -284,6 +286,20 @@ def count_differences(traced: Dict[str, dict]) -> List[str]:
     return lines or [f"all {compared} traced counts are equal on {', '.join(traced)}"]
 
 
+def summary(doc: dict) -> List[str]:
+    """The lines printed once the file is written: each run's
+    reports_identical, the JSON report diffs, both sides' source_lines
+    and, with traced runs, count_differences."""
+    lines = [f"{run} reports_identical: {entry['reports_identical']}"
+             for run, entry in doc["workloads"].items()]
+    lines += [f"{name}_json_diff: {doc[f'{name}_json_diff']}" for name in JSON_REPORTS]
+    lines.append(f"source_lines: parent {doc['commits']['parent']['source_lines']} -> "
+                 f"change {doc['commits']['change']['source_lines']}")
+    if "traced" in doc:
+        lines += count_differences(doc["traced"])
+    return lines
+
+
 def spec(text: str, fields: int) -> Tuple[str, ...]:
     parts = tuple(text.split(":"))
     if len(parts) != fields:
@@ -374,12 +390,7 @@ def main(argv=None) -> int:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
     print(f"wrote {path}", file=sys.stderr)
-    for run, entry in doc["workloads"].items():
-        print(f"{run} reports_identical: {entry['reports_identical']}")
-    for name in JSON_REPORTS:
-        print(f"{name}_json_diff: {doc[f'{name}_json_diff']}")
-    if args.trace:
-        print("\n".join(count_differences(doc["traced"])))
+    print("\n".join(summary(doc)))
     return 0
 
 
