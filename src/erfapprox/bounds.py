@@ -504,8 +504,9 @@ class Run:
       its refinement gap at every step on the function's sample window,
       from one sample of the function;
     * ``sups``: per function, max |f| on the 4096-point grid of its sample
-      window, whatever sup_norm it declares: a modulus entry's own sup, or
-      one sample alone for a function whose omega no bound reads.
+      window, whatever sup_norm it declares: the sup of its modulus
+      entry's sample, or of one sample alone when no entry holds one
+      (its omega is exact or never read).
     """
 
     deltas: Tuple[float, ...]
@@ -536,8 +537,8 @@ class Run:
 
     def sampled_sup(self, f: FunctionSpec, modulus: bool = False) -> float:
         """f's entry in ``sups``.  With modulus, f's modulus entry is made
-        first, so that its sample gives the sup; else f is sampled alone on
-        first use, with no omega pass, when it has no modulus entry."""
+        first, so that its sample gives the sup; without one that holds a
+        sample, f is sampled alone on first use, with no omega pass."""
         if modulus:
             self._entry(f)
         if f not in self.sups:

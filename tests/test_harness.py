@@ -450,6 +450,22 @@ class TestModuliPerRun:
         assert len(result.rows) == 3 * 4 * 2 and result.held == len(result.rows)
         assert list(sampled.values()) == [1, 1, 1]
 
+    def test_the_declared_sup_norm_check_reads_the_runs_sample(self, monkeypatch):
+        # the check used to evaluate the wave once more on its own 4096 points
+        sizes = []
+        real = corpus.evaluate
+
+        def spy(program, x):
+            sizes.append(np.size(x))
+            return real(program, x)
+
+        monkeypatch.setattr(corpus, "evaluate", spy)
+        cfg = cfg_with(functions=[
+            {"id": "w", "expr": "0.5*sin(0.8*x)*cos(1.1*x)", "sup_norm": 0.5}],
+            theorems=["T13"], sweep=[16, 81], rate_exponents=[0.5], grid={"x_points": 64})
+        assert run_verify(cfg).held == 2
+        assert sizes.count(8191) == 1 and 4096 not in sizes
+
     def test_a_run_reads_the_moduli_a_scalar_query_gives(self):
         f = corpus.function_from_expression("g", "sin(2.1*x) + 0.3*x^2", domain=(-1.0, 1.0),
                                             orders=1)
