@@ -6,7 +6,7 @@ from .errors import ErfApproxError
 from .fractional import FractionalSpec, caputo, gamma_fn
 from .funcs import ComplexFunctionSpec, FunctionSpec
 from .harness import ExperimentConfig, run_partition_check, run_verify
-from .modulus import ModulusQuery, evaluate_modulus, omega1
+from .modulus import evaluate_modulus, omega1
 from .operators import OperatorConfig, QuadratureWeights, apply_operator, partition_sum
 from .partition import chi_integral, tail_bound, tail_core, tail_sum
 from .special_functions import CHI_AT_ONE, CHI_AT_ZERO, INV_CHI_AT_ONE, chi, erf
@@ -19,7 +19,7 @@ __all__ = [
     "FractionalSpec", "caputo", "gamma_fn",
     "ComplexFunctionSpec", "FunctionSpec",
     "ExperimentConfig", "run_partition_check", "run_verify",
-    "ModulusQuery", "evaluate_modulus", "omega1",
+    "evaluate_modulus", "omega1",
     "OperatorConfig", "QuadratureWeights", "apply_operator", "partition_sum",
     "chi_integral", "tail_bound", "tail_core", "tail_sum",
     "CHI_AT_ONE", "CHI_AT_ZERO", "INV_CHI_AT_ONE", "chi", "erf",

@@ -39,7 +39,7 @@ from .fractional import (
     table_modulus,
 )
 from .funcs import ComplexFunctionSpec, FunctionSpec
-from .modulus import ModulusQuery, evaluate_modulus
+from .modulus import evaluate_modulus
 from .operators import OperatorConfig, QuadratureWeights, apply_operator
 from .partition import tail_bound, tail_core
 from .special_functions import INV_CHI_AT_ONE
@@ -132,6 +132,13 @@ def mu3(f: FunctionSpec, n: int, alpha: float, *, run: Optional[Run] = None):
 # ------------------------------------------------------- high-order bound
 
 
+def _interval(f) -> Tuple[float, float]:
+    """f's interval [a, b], which the bounds of the interval operator A read."""
+    if f.domain is None:
+        raise PreconditionViolated(f"{f.name}: the bound needs an interval [a, b]")
+    return f.domain
+
+
 def _taylor_sum(f: FunctionSpec, order: int, mode: str, x: Optional[float], n: int,
                 exponent: float, width: float, tail: float, run: Run) -> float:
     """T16's and T30's derivative sum_{j<=order} c_j/j! (n^(-exponent j) + width^j tail)
@@ -169,7 +176,7 @@ def highorder_bound(f: FunctionSpec, n: int, alpha: float, N: int, mode: str = "
         raise PreconditionViolated(f"unknown mode {mode!r}")
     run = run or Run.of((n,), (alpha,))
     tc = tail_core(n, alpha)
-    a, b = f.domain
+    a, b = _interval(f)
     width = b - a
     omega, quality, sup = run.modulus(f.derivative(N), float(n) ** (-alpha))
     n_fact = math.factorial(N)
@@ -242,7 +249,7 @@ def _anchor_tables(f: FunctionSpec, alpha: float, grid: GridPolicy,
     ``cache_info()``.
     """
     return tuple(_anchor_data(f, alpha, float(x), grid.table_points, deltas)
-                 for x in np.linspace(*f.domain, grid.anchors))
+                 for x in np.linspace(*_interval(f), grid.anchors))
 
 
 def fractional_bound(f: FunctionSpec, n: int, beta: float, alpha_frac: float,
@@ -266,7 +273,7 @@ def fractional_bound(f: FunctionSpec, n: int, beta: float, alpha_frac: float,
     "estimated" because Caputo moduli come from sampled tables.
     """
     run = run or Run.of((n,), (beta,))
-    a, b = f.domain
+    a, b = _interval(f)
     N = FractionalSpec(alpha_frac, 0.5 * (a + b), "left").N
     pointwise = mode in ("taylor_pointwise", "critical", "pointwise")
     if not pointwise and mode != "sup":
@@ -503,10 +510,10 @@ class Run:
     * ``moduli``: per function, one ``ModulusResult`` holding omega_1 and
       its refinement gap at every step on the function's sample window,
       from one sample of the function;
-    * ``sups``: per function, max |f| on the 4096-point grid of its sample
-      window, whatever sup_norm it declares: the sup of its modulus
-      entry's sample, or of one sample alone when no entry holds one
-      (its omega is exact or never read).
+    * ``sups``: per function, max |f| on the ``funcs.SAMPLE_POINTS`` grid
+      of its sample window, whatever sup_norm it declares: the sup of its
+      modulus entry's sample, or of one sample alone when no entry holds
+      one (its omega is exact or never read).
     """
 
     deltas: Tuple[float, ...]
@@ -549,7 +556,7 @@ class Run:
         """f's entry in ``moduli``, made on first use by one evaluate_modulus
         call at every step; its sample's sup goes to ``sups``."""
         if f not in self.moduli:
-            mq = self.moduli[f] = evaluate_modulus(ModulusQuery(f, self.steps))
+            mq = self.moduli[f] = evaluate_modulus(f, self.steps)
             if mq.sup is not None:
                 self.sups[f] = mq.sup
         return self.moduli[f]
@@ -623,7 +630,7 @@ def _verify_one(tid, th: Theorem, f, n, ex, run: Run, params: dict,
     if mode == "critical":
         points, point_mode = [x0], "pointwise x"
     elif mode in ("pointwise", "taylor_pointwise"):
-        points = [float(x) for x in np.linspace(*f.domain, run.grid.pointwise_points)]
+        points = [float(x) for x in np.linspace(*_interval(f), run.grid.pointwise_points)]
         point_mode = "pointwise x"
     else:
         points, point_mode = [None], "sup over grid"

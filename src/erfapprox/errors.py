@@ -29,10 +29,6 @@ class MissingDerivative(ErfApproxError):
     """A required closed-form derivative was not supplied."""
 
 
-class IntervalViolation(ErfApproxError):
-    """Modulus query interval is not contained in the function's domain."""
-
-
 class CriticalPointViolated(ErfApproxError):
     """Critical-point bound mode requires vanishing derivatives at x0."""
 

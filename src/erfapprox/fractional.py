@@ -8,8 +8,8 @@ for x >= x0 and 0 for x < x0; the right derivative mirrors it for x <= x0
 with the factor (-1)^N, and is 0 for x > x0.  Both vanish at the anchor.
 ``caputo`` computes either one: ``FractionalSpec.side`` selects it.
 ``caputo_table`` samples it on a sub-interval of its side once, and
-``table_modulus`` reads omega_1 estimates from that table with
-``modulus.grid_modulus``, at one delta or at a sequence of deltas in one
+``table_modulus`` reads omega_1 estimates from that table at a sequence
+of steps, an array in their order, with ``modulus.grid_modulus`` in one
 doubling pass: the grid step comes from the table's first and last grid
 points, and a NaN value gives a NaN estimate.
 ``caputo_sup_ceiling`` and ``caputo_modulus_ceiling`` are closed-form
@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 from scipy.special import beta, eval_jacobi
@@ -155,19 +155,17 @@ def caputo_table(
     f: FunctionSpec, spec: FractionalSpec, sub: Tuple[float, float], points: int = 4096
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Dense (grid, values) table of the Caputo derivative on an interval,
-    for table_modulus to read at one delta or many."""
+    for table_modulus to read."""
     _check_side_interval(spec, sub)
     xs = np.linspace(sub[0], sub[1], points)
     return xs, caputo(f, spec, xs)
 
 
-def table_modulus(table: Tuple[np.ndarray, np.ndarray], delta):
-    """omega_1 estimate from a precomputed caputo_table, or from its grid's
-    two end points and its values: a float at one delta, an array at a
-    sequence of deltas (see ``grid_modulus``)."""
-    if not np.all(np.asarray(delta) > 0):
-        raise PreconditionViolated(f"delta must be > 0, got {delta}")
-    return grid_modulus(table[0], table[1], delta)
+def table_modulus(table: Tuple[np.ndarray, np.ndarray], steps: Sequence[float]) -> np.ndarray:
+    """omega_1 estimates at every step of steps, in its order, from a
+    precomputed caputo_table, or from its grid's two end points and its
+    values (see ``grid_modulus``)."""
+    return grid_modulus(table[0], table[1], steps)
 
 
 def caputo_sup_ceiling(

@@ -12,6 +12,10 @@ from .errors import MissingDerivative
 #: Interval domain as (a, b); None means the whole real line.
 Domain = Optional[Tuple[float, float]]
 
+#: points of a function's grid sample on its sample window: the grid of
+#: its sampled sup norm and the coarse grid of its omega_1 estimate
+SAMPLE_POINTS = 4096
+
 
 @dataclass(frozen=True)
 class FunctionSpec:
@@ -57,12 +61,12 @@ class FunctionSpec:
             return self.grid_window
         return (-8.0, 8.0)
 
-    def grid_sup_norm(self, points: int = 4096) -> float:
-        """Grid estimate of the sup norm; used only when sup_norm is absent."""
+    def grid_sup_norm(self) -> float:
+        """sup_norm, else its estimate on SAMPLE_POINTS points of the sample window."""
         if self.sup_norm is not None:
             return self.sup_norm
         lo, hi = self.sample_window()
-        xs = np.linspace(lo, hi, points)
+        xs = np.linspace(lo, hi, SAMPLE_POINTS)
         return float(np.max(np.abs(self.eval(xs))))
 
 

@@ -168,3 +168,27 @@ def test_summary_prints_the_line_counts_beside_the_report_checks():
     ]
     doc["traced"] = {"default:0": {"metrics": {"modulus.calls": {"parent": 7, "change": 7}}}}
     assert bench_pairs.summary(doc)[-1] == "all 1 traced counts are equal on default:0"
+
+
+def test_public_names_are_read_from_each_checkouts_own_source(tmp_path):
+    for side, names in (("parent", '["omega1", "ModulusQuery", "chi"]'),
+                        ("change", '["omega1", "chi", "SAMPLE_POINTS"]')):
+        package = tmp_path / side / "src" / "erfapprox"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text(f"__all__ = {names}\n")
+    broken = tmp_path / "broken" / "src" / "erfapprox"
+    broken.mkdir(parents=True)
+    (broken / "__init__.py").write_text("raise ImportError('no')\n")
+    parent, change = (bench_pairs.public_names(str(tmp_path / s)) for s in ("parent", "change"))
+    assert parent == ["ModulusQuery", "chi", "omega1"]
+    assert bench_pairs.public_names(str(tmp_path / "broken")) is None
+
+    doc = {"commits": {"parent": {"source_lines": 3081, "public_names": parent},
+                       "change": {"source_lines": 3048, "public_names": change}},
+           "workloads": {}, "partition_json_diff": [], "golden_json_diff": []}
+    assert bench_pairs.summary(doc)[-2:] == [
+        "source_lines: parent 3081 -> change 3048",
+        "public_names: removed ['ModulusQuery'], added ['SAMPLE_POINTS']"]
+    doc["commits"]["change"]["public_names"] = None
+    assert bench_pairs.summary(doc)[-1] == (
+        "public_names: unknown, erfapprox does not import on one side")

@@ -139,14 +139,14 @@ class TestFractionalBound:
     @staticmethod
     def full_table_ingredients(f, alpha, x, points, delta):
         """(wr, wl, sr, sl) at the anchor x from whole Caputo tables, each
-        read by one scalar table_modulus call."""
+        read by one table_modulus call at delta alone."""
         (a, b), out = f.domain, []
         for side, sub in (("right", (a, x)), ("left", (x, b))):
             if sub[1] - sub[0] <= 1e-12:
                 out.append((0.0, 0.0))
                 continue
             table = caputo_table(f, FractionalSpec(alpha, x, side), sub, points)
-            out.append((table_modulus(table, delta), float(np.max(np.abs(table[1])))))
+            out.append((table_modulus(table, (delta,))[0], float(np.max(np.abs(table[1])))))
         (wr, sr), (wl, sl) = out
         return wr, wl, sr, sl
 
@@ -300,6 +300,19 @@ class TestVerify:
         with pytest.raises(PreconditionViolated) as exc:
             verify(theorem, FRACTIONAL_CORPUS["sin"], (16,), 0.5, GridPolicy(**grid), **kw)
         assert f"GridPolicy.{next(iter(grid))}" in str(exc.value)
+
+    @pytest.mark.parametrize("call", [
+        # each was a bare TypeError from unpacking the domain None
+        lambda f: verify("T16", f, (16,), 0.5, FAST_GRID, mode="pointwise"),
+        lambda f: verify("T30", f, (16,), 0.5, FAST_GRID, mode="pointwise"),
+        lambda f: highorder_bound(f, 16, 0.5, 1),
+        lambda f: fractional_bound(f, 16, 0.5, 0.5),
+        lambda f: remark34_check(f, 0.5, (16, 81), FAST_GRID),
+    ], ids=["T16-pointwise", "T30-pointwise", "highorder_bound", "fractional_bound",
+            "remark34_check"])
+    def test_an_interval_bound_on_a_whole_line_function_is_a_precondition(self, call):
+        with pytest.raises(PreconditionViolated, match=r"interval \[a, b\]"):
+            call(LINE_CORPUS["sin"])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_error_or_bound_gets_its_own_verdict(self):

@@ -221,7 +221,7 @@ class TestEnvelopes:
             return hi - lo
 
         for delta in (0.01, 0.1, 0.5):
-            got = table_modulus(table, delta)
+            got = table_modulus(table, (delta,))[0]
             assert exact(delta - h) - 1e-12 <= got <= exact(delta) + 1e-12
             assert got <= caputo_modulus_ceiling(f, spec, (0.0, 1.0)) * (1 + 1e-9)
 
@@ -232,8 +232,8 @@ class TestEnvelopes:
         f = FRACTIONAL_CORPUS["sq"]
         spec = FractionalSpec(1.5, 0.0 if side == "left" else 1.0, side)
         xs, ys = caputo_table(f, spec, (0.0, 1.0), points)
-        full = table_modulus((xs, ys), delta)
-        assert table_modulus((xs[[0, -1]], ys), delta).hex() == full.hex()
+        full = table_modulus((xs, ys), (delta,))[0]
+        assert table_modulus((xs[[0, -1]], ys), (delta,))[0].hex() == full.hex()
 
     def test_side_interval_checked(self):
         f = FRACTIONAL_CORPUS["sq"]

@@ -23,7 +23,7 @@ from erfapprox.harness import (
     run_verify,
     write_csv,
 )
-from erfapprox.modulus import ModulusQuery, evaluate_modulus
+from erfapprox.modulus import evaluate_modulus
 
 BASE = {
     "schema_version": 1,
@@ -473,11 +473,11 @@ class TestModuliPerRun:
         for n in (16, 81, 256):
             for e in (0.5, 0.75):
                 for delta in (float(n) ** -e, 1.0 / n + float(n) ** -e):
-                    one = evaluate_modulus(ModulusQuery(f, delta))
-                    assert run.modulus(f, delta) == (one.value, one.quality,
+                    one = evaluate_modulus(f, (delta,))
+                    assert run.modulus(f, delta) == (one.value[0], one.quality,
                                                      f.grid_sup_norm())
                     assert run.moduli[f].refinement_gap[
-                        run.steps.index(delta)] == one.refinement_gap
+                        run.steps.index(delta)] == one.refinement_gap[0]
                 assert run.sup(f.derivative(1)) == f.derivative(1).grid_sup_norm()
         # the derivative's sup is sampled alone: no bound reads its omega
         assert list(run.moduli) == [f] and list(run.sups) == [f, f.derivative(1)]

@@ -26,8 +26,9 @@ of at least ten pairs and its median beats the parent's by more than the
 parent's quartile spread.  The output, CHANGE_DIR/BENCH_<pr>.json, also
 records both commits, git tree ids of ``src/`` and ``perfbench/`` computed
 from the files on disk (equal to ``git rev-parse <commit>:src`` once
-committed), whether the perfbench trees match, nproc, and
-``wc -l src/erfapprox/*.py`` for both sides.
+committed), whether the perfbench trees match, nproc,
+``wc -l src/erfapprox/*.py`` and ``erfapprox.__all__`` (read by a fresh
+interpreter with ``PYTHONPATH=<checkout>/src``) for both sides.
 
 After each ``--run`` the script compares the two sides' reports of the
 last repetition, ``.bench_out/<workload>-seed<seed>/rep1.csv`` and
@@ -44,8 +45,8 @@ JSON holds every row at full precision, where ``golden.csv`` rounds to
 ``.12g``.
 
 After writing the file the script prints each run's
-``reports_identical``, both JSON diffs and both sides' ``source_lines``,
-then each traced count (a metric whose last word is ``calls``,
+``reports_identical``, both JSON diffs, both sides' ``source_lines`` and
+the public names the change removes and adds, then each traced count (a metric whose last word is ``calls``,
 ``points`` or ``keys``, plus ``bounds.verify_cells`` and
 ``harness.groups``) that differs between the sides, or one line saying
 that all of them are equal, so a change's line count and work counts
@@ -124,6 +125,16 @@ def tree_id(checkout: str, path: str) -> Optional[str]:
     return digest(node).hex()
 
 
+def public_names(checkout: str) -> Optional[List[str]]:
+    """checkout's own ``erfapprox.__all__``, sorted, read by a fresh
+    interpreter; None when the package does not import."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import erfapprox, json; print(json.dumps(erfapprox.__all__))"],
+        cwd=checkout, env={**os.environ, "PYTHONPATH": os.path.join(checkout, "src")},
+        capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    return sorted(json.loads(proc.stdout)) if proc.returncode == 0 else None
+
+
 def describe(checkout: str) -> dict:
     head = git(checkout, "rev-parse", "HEAD")
     status = git(checkout, "status", "--porcelain", "--", "src", "perfbench")
@@ -137,6 +148,7 @@ def describe(checkout: str) -> dict:
         "src_tree": tree_id(checkout, "src"),
         "perfbench_tree": tree_id(checkout, "perfbench"),
         "source_lines": lines,
+        "public_names": public_names(checkout),
     }
 
 
@@ -286,15 +298,27 @@ def count_differences(traced: Dict[str, dict]) -> List[str]:
     return lines or [f"all {compared} traced counts are equal on {', '.join(traced)}"]
 
 
+def name_changes(parent: Optional[List[str]], change: Optional[List[str]]) -> str:
+    """The public names the change removes and adds, as one line."""
+    if parent is None or change is None:
+        return "public_names: unknown, erfapprox does not import on one side"
+    return (f"public_names: removed {sorted(set(parent) - set(change))}, "
+            f"added {sorted(set(change) - set(parent))}")
+
+
 def summary(doc: dict) -> List[str]:
     """The lines printed once the file is written: each run's
-    reports_identical, the JSON report diffs, both sides' source_lines
-    and, with traced runs, count_differences."""
+    reports_identical, the JSON report diffs, both sides' source_lines,
+    the public names removed and added (when both sides record them) and,
+    with traced runs, count_differences."""
     lines = [f"{run} reports_identical: {entry['reports_identical']}"
              for run, entry in doc["workloads"].items()]
     lines += [f"{name}_json_diff: {doc[f'{name}_json_diff']}" for name in JSON_REPORTS]
-    lines.append(f"source_lines: parent {doc['commits']['parent']['source_lines']} -> "
-                 f"change {doc['commits']['change']['source_lines']}")
+    parent, change = doc["commits"]["parent"], doc["commits"]["change"]
+    lines.append(f"source_lines: parent {parent['source_lines']} -> "
+                 f"change {change['source_lines']}")
+    if "public_names" in parent and "public_names" in change:
+        lines.append(name_changes(parent["public_names"], change["public_names"]))
     if "traced" in doc:
         lines += count_differences(doc["traced"])
     return lines
