@@ -91,7 +91,16 @@ class TestExactPath:
 
 
 class TestRefinement:
-    def test_one_evaluation_gives_both_passes(self):
+    @pytest.mark.parametrize("grid_points", [2, 17, 64, 513])
+    def test_one_evaluation_gives_both_passes(self, grid_points):
+        # the coarse pass reads the even samples of the refined grid, which
+        # are the grid of half its size bit for bit, at any grid size
+        xs = np.linspace(-math.pi, math.pi, 2 * grid_points - 1)
+        coarse_xs = np.linspace(-math.pi, math.pi, grid_points)
+        assert np.array_equal(xs[::2], coarse_xs)
+        assert np.array_equal(grid_modulus(xs[::2], SIN.eval(xs)[::2], (0.3, 1.0)),
+                              grid_modulus(coarse_xs, SIN.eval(coarse_xs), (0.3, 1.0)))
+
         calls = []
 
         def counted(t):
