@@ -132,10 +132,14 @@ def mu3(f: FunctionSpec, n: int, alpha: float, *, run: Optional[Run] = None):
 # ------------------------------------------------------- high-order bound
 
 
-def _interval(f) -> Tuple[float, float]:
-    """f's interval [a, b], which the bounds of the interval operator A read."""
+def _interval(f, x: Optional[float] = None) -> Tuple[float, float]:
+    """f's interval [a, b], which the bounds of the interval operator A
+    read; a point x the bound is taken at must lie in it."""
     if f.domain is None:
         raise PreconditionViolated(f"{f.name}: the bound needs an interval [a, b]")
+    a, b = f.domain
+    if x is not None and not a <= x <= b:
+        raise PreconditionViolated(f"{f.name}: x = {x} is not in [a, b] = [{a}, {b}]")
     return f.domain
 
 
@@ -176,7 +180,7 @@ def highorder_bound(f: FunctionSpec, n: int, alpha: float, N: int, mode: str = "
         raise PreconditionViolated(f"unknown mode {mode!r}")
     run = run or Run.of((n,), (alpha,))
     tc = tail_core(n, alpha)
-    a, b = _interval(f)
+    a, b = _interval(f, x)
     width = b - a
     omega, quality, sup = run.modulus(f.derivative(N), float(n) ** (-alpha))
     n_fact = math.factorial(N)
@@ -197,59 +201,37 @@ def highorder_bound(f: FunctionSpec, n: int, alpha: float, N: int, mode: str = "
 # ------------------------------------------------------- fractional bounds
 
 
-@dataclass(frozen=True)
-class _AnchorData:
-    """Per-anchor Caputo ingredients: omega_1 of the derivative on each
-    side at every step of ``deltas`` (0 for a missing side) and the
-    n-independent sup norms.  The tables they were read from are gone."""
-
-    x: float
-    deltas: Tuple[float, ...]
-    moduli_right: np.ndarray    # D_{x-} on [a, x]
-    moduli_left: np.ndarray     # D_{*x} on [x, b]
-    sup_right: float
-    sup_left: float
-
-    def ingredients(self, delta: float):
-        """(modulus_right, modulus_left, sup_right, sup_left) at delta, one
-        of the steps the data was built for."""
-        i = self.deltas.index(delta)
-        return (float(self.moduli_right[i]), float(self.moduli_left[i]),
-                self.sup_right, self.sup_left)
-
-
 def _anchor_data(f: FunctionSpec, alpha: float, x: float, points: int,
-                 deltas: Tuple[float, ...]) -> _AnchorData:
-    """Caputo tables on both sides of the anchor x in f's interval, each
-    read at every step of deltas in one table_modulus call and kept as
-    those moduli and its sup."""
+                 deltas: Tuple[float, ...]) -> Tuple[np.ndarray, np.ndarray]:
+    """Caputo ingredients at the anchor x in f's interval: (moduli, sups),
+    row 0 the right derivative on [a, x] and row 1 the left one on [x, b],
+    each side's table read at every step of deltas in one table_modulus
+    call and kept as those moduli and its sup (zeros for an empty side)."""
     a, b = f.domain
-
-    def side(side, sub):
-        if sub[1] - sub[0] <= 1e-12:
-            return np.zeros(len(deltas)), 0.0
-        table = caputo_table(f, FractionalSpec(alpha, x, side), sub, points)
-        return table_modulus(table, deltas), float(np.max(np.abs(table[1])))
-
-    (wr, sr), (wl, sl) = side("right", (a, x)), side("left", (x, b))
-    return _AnchorData(x, deltas, wr, wl, sr, sl)
+    moduli, sups = np.zeros((2, len(deltas))), np.zeros(2)
+    for i, (side, sub) in enumerate((("right", (a, x)), ("left", (x, b)))):
+        if sub[1] - sub[0] > 1e-12:
+            table = caputo_table(f, FractionalSpec(alpha, x, side), sub, points)
+            moduli[i], sups[i] = table_modulus(table, deltas), np.max(np.abs(table[1]))
+    return moduli, sups
 
 
 @lru_cache(maxsize=32)
 def _anchor_tables(f: FunctionSpec, alpha: float, grid: GridPolicy,
-                   deltas: Tuple[float, ...]) -> Tuple[_AnchorData, ...]:
-    """Caputo ingredients at grid.anchors points across f's interval, on
-    tables of grid.table_points points, for every step in deltas (a run's
-    whole set, so one entry serves each n and exponent).
+                   deltas: Tuple[float, ...]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Caputo ingredients at grid.anchors points xs across f's interval,
+    on tables of grid.table_points points, for every step in deltas (a
+    run's whole set, so one entry serves each n and exponent): (xs, moduli,
+    sups) of shapes (anchors,), (anchors, 2, len(deltas)) and (anchors, 2),
+    ``_anchor_data`` stacked anchor by anchor; no table is kept.
 
-    Each side's table is built, read at every delta in one doubling pass
-    and dropped: an entry holds its sups and len(deltas) moduli per side.
     The cache is process-wide (lru_cache, 32 entries) and keeps its entries
     after a run returns; the benchmark's trace reads its hit counts through
     ``cache_info()``.
     """
-    return tuple(_anchor_data(f, alpha, float(x), grid.table_points, deltas)
-                 for x in np.linspace(*_interval(f), grid.anchors))
+    xs = np.linspace(*_interval(f), grid.anchors)
+    data = [_anchor_data(f, alpha, float(x), grid.table_points, deltas) for x in xs]
+    return xs, np.stack([m for m, _ in data]), np.stack([s for _, s in data])
 
 
 def fractional_bound(f: FunctionSpec, n: int, beta: float, alpha_frac: float,
@@ -264,16 +246,18 @@ def fractional_bound(f: FunctionSpec, n: int, beta: float, alpha_frac: float,
     is C31's bound and at alpha = 1/2 C33's.
 
     run (a run of this n and beta alone when None) gives the anchor grid
-    and the steps each Caputo table is read at, ``Run.deltas``, so that
-    one table pass serves every n and exponent; the bound's own step
-    n^-beta must be one of them.  The sup form's derivative sup norms are
-    read from run too.
+    and the steps each Caputo table is read at, ``Run.deltas``; the bound
+    reads the column of its own step n^-beta, which must be one of them.
+    The sup form takes the maximum over the anchors, so a NaN at any anchor
+    makes it NaN; a pointwise form reads the anchor nearest x, or x's own
+    tables at the run's steps when x is off the grid.  The sup form's
+    derivative sup norms are read from run too.
 
     Returns (value, terms, modulus quality); quality is always
     "estimated" because Caputo moduli come from sampled tables.
     """
     run = run or Run.of((n,), (beta,))
-    a, b = _interval(f)
+    a, b = _interval(f, x)
     N = FractionalSpec(alpha_frac, 0.5 * (a + b), "left").N
     pointwise = mode in ("taylor_pointwise", "critical", "pointwise")
     if not pointwise and mode != "sup":
@@ -281,29 +265,26 @@ def fractional_bound(f: FunctionSpec, n: int, beta: float, alpha_frac: float,
     delta = float(n) ** (-beta)
     if delta not in run.deltas:
         raise PreconditionViolated(f"Caputo step {delta!r} is not one of the run's")
+    j = run.deltas.index(delta)
     htc = tail_bound(n, beta)
     gamma_factor = 1.0 / gamma_fn(alpha_frac + 1.0)
-    tables = _anchor_tables(f, alpha_frac, run.grid, run.deltas)
-
+    xs, moduli, sups = _anchor_tables(f, alpha_frac, run.grid, run.deltas)
     if pointwise:
         if x is None:
             raise PreconditionViolated(f"mode {mode} needs an evaluation point x")
-        data = min(tables, key=lambda d: abs(d.x - x))
-        if abs(data.x - x) > 1e-9 * (1.0 + abs(x)):
-            # off-grid anchor: build its tables directly, for this step only
-            data = _anchor_data(f, alpha_frac, x, run.grid.table_points, (delta,))
-        wr, wl, sr, sl = data.ingredients(delta)
-        frac_block = gamma_factor * (
-            (wr + wl) / float(n) ** (alpha_frac * beta)
-            + htc * (sr * (x - a) ** alpha_frac + sl * (b - x) ** alpha_frac)
-        )
+        k = int(np.argmin(np.abs(xs - x)))
+        if abs(xs[k] - x) > 1e-9 * (1.0 + abs(x)):    # off the anchor grid
+            moduli, sups = _anchor_data(f, alpha_frac, x, run.grid.table_points, run.deltas)
+        else:
+            moduli, sups = moduli[k], sups[k]
     else:
-        ing = [d.ingredients(delta) for d in tables]
-        sup_wr, sup_wl, sup_sr, sup_sl = (max(i[k] for i in ing) for k in range(4))
-        frac_block = gamma_factor * (
-            (sup_wr + sup_wl) / float(n) ** (alpha_frac * beta)
-            + htc * (b - a) ** alpha_frac * (sup_sr + sup_sl)
-        )
+        moduli, sups = moduli.max(axis=0), sups.max(axis=0)
+    (wr, wl), (sr, sl) = moduli[:, j].tolist(), sups.tolist()
+    if pointwise:
+        sup_term = htc * (sr * (x - a) ** alpha_frac + sl * (b - x) ** alpha_frac)
+    else:
+        sup_term = htc * (b - a) ** alpha_frac * (sr + sl)
+    frac_block = gamma_factor * ((wr + wl) / float(n) ** (alpha_frac * beta) + sup_term)
     deriv_sum = _taylor_sum(f, N - 1, mode, x, n, beta, b - a, htc, run)
     value = INV_CHI_AT_ONE * (deriv_sum + frac_block)
     terms = {
@@ -321,21 +302,20 @@ def remark34_check(f: FunctionSpec, beta: float, sweep: Sequence[int],
 
     The premise asks sup_x omega_1(Caputo derivative, n^-beta) <= K/n^beta
     for all n.  It is certified empirically iff q(n) = n^beta * sup-modulus
-    is non-increasing along the sweep; K is then max q(n).  Returns
-    (certified, K).
+    is finite and non-increasing along the sweep; K is then max q(n), NaN
+    when any q(n) is.  The sup-moduli are read from the anchor arrays at
+    the steps of ``Run.of(sweep, (beta,), grid)``.  Returns (certified, K).
     """
-    deltas = tuple(sorted({float(n) ** (-beta) for n in sweep}))
-    tables = _anchor_tables(f, 0.5, grid, deltas)
-    qs = []
-    for n in sweep:
-        delta = float(n) ** (-beta)
-        ing = [d.ingredients(delta) for d in tables]
-        sup_mod = max(i[0] for i in ing) + max(i[1] for i in ing)
-        qs.append(float(n) ** beta * sup_mod)
-    certified = all(
+    run = Run.of(sweep, (beta,), grid)
+    _, moduli, _ = _anchor_tables(f, 0.5, grid, run.deltas)
+    right, left = moduli.max(axis=0)
+    sup_mod = (right + left).tolist()
+    qs = [float(n) ** beta * sup_mod[run.deltas.index(float(n) ** (-beta))] for n in sweep]
+    K = float(np.max(qs)) if qs else 0.0
+    certified = math.isfinite(K) and all(
         qs[i + 1] <= qs[i] * (1.0 + 1e-9) + 1e-15 for i in range(len(qs) - 1)
     )
-    return certified, max(qs) if qs else 0.0
+    return certified, K
 
 
 # ------------------------------------------------------- complex bounds
@@ -593,7 +573,7 @@ def verify(
 
     Extra keyword arguments: the theorem's parameter (N or alpha_frac) and,
     for a bound with modes, mode (default "sup") and, with mode="critical"
-    only, x0, the point that mode evaluates at (default 0); any other
+    only, x, the point that mode evaluates at (default 0); any other
     raises.  The bound is called with the theorem's ``params``, these
     given values in place of their defaults.  The "pointwise" and
     "taylor_pointwise" modes report the worst of grid.pointwise_points
@@ -604,7 +584,7 @@ def verify(
         raise PreconditionViolated(f"unknown theorem id {theorem_id!r}")
     reads = {th.param}
     if "mode" in th.params:
-        reads |= {"mode", "x0"} if kw.get("mode") == "critical" else {"mode"}
+        reads |= {"mode", "x"} if kw.get("mode") == "critical" else {"mode"}
     if set(kw) - reads:
         raise PreconditionViolated(f"{theorem_id} does not read {sorted(set(kw) - reads)}")
     params = {k: kw.get(k, v) for k, v in th.params.items()}
@@ -619,16 +599,15 @@ def verify(
         raise PreconditionViolated(f"the run's grid {run.grid} is not grid {grid}")
     rows: List[BoundReport] = []
     for n in sweep:
-        rows.extend(_verify_one(theorem_id, th, f, int(n), rate_exponent, run, params,
-                                kw.get("x0", 0.0)))
+        rows.extend(_verify_one(theorem_id, th, f, int(n), rate_exponent, run, params))
     return rows
 
 
-def _verify_one(tid, th: Theorem, f, n, ex, run: Run, params: dict,
-                x0: float) -> List[BoundReport]:
+def _verify_one(tid, th: Theorem, f, n, ex, run: Run, params: dict) -> List[BoundReport]:
     mode = params.get("mode", "sup")
     if mode == "critical":
-        points, point_mode = [x0], "pointwise x"
+        points = [0.0 if params["x"] is None else params["x"]]
+        point_mode = "pointwise x"
     elif mode in ("pointwise", "taylor_pointwise"):
         points = [float(x) for x in np.linspace(*_interval(f), run.grid.pointwise_points)]
         point_mode = "pointwise x"

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 import yaml
@@ -413,23 +413,25 @@ def write_json(result: RunResult, path: str):
 # ------------------------------------------------------- partition check
 
 
-def run_partition_check(
-    n_list: Sequence[int] = (1, 2, 7, 50, 311),
-    alpha_list: Sequence[float] = (0.3, 0.5, 0.7, 0.9),
-    grid_points: int = 10_000,
-) -> dict:
+#: the n, alpha and x-grid size the partition check covers
+PARTITION_NS = (1, 2, 7, 50, 311)
+PARTITION_ALPHAS = (0.3, 0.5, 0.7, 0.9)
+PARTITION_X_POINTS = 10_000
+
+
+def run_partition_check() -> dict:
     """Partition-of-unity invariant suite; returns max deviations."""
-    xs = np.linspace(-8.0, 8.0, grid_points)
+    xs = np.linspace(-8.0, 8.0, PARTITION_X_POINTS)
     max_dev = 0.0
-    for n in n_list:
+    for n in PARTITION_NS:
         sums = operators.partition_sum(xs, n)
         max_dev = max(max_dev, float(np.max(np.abs(sums - 1.0))))
 
     tail_ok = True
     worst_margin = math.inf
     rng = np.random.default_rng(0)
-    for n in n_list:
-        for alpha in alpha_list:
+    for n in PARTITION_NS:
+        for alpha in PARTITION_ALPHAS:
             if float(n) ** (1.0 - alpha) < partition.TAIL_T_MIN:
                 continue
             for x in rng.uniform(-2.0, 2.0, 20):

@@ -141,7 +141,7 @@ def test_criterion_08_high_order_bound():
         # critical-point mode: t^2 at its flat point, N = 1 (the second
         # derivative does not vanish, so N = 2 is outside this mode)
         crit = verify("T16", INTERVAL_CORPUS["sq"], ns, alpha, GRID,
-                      N=1, mode="critical", x0=0.0)
+                      N=1, mode="critical", x=0.0)
         assert all(r.verdict == "holds" for r in crit)
         slope, _ = fit_rate([(r.n, r.empirical_error) for r in crit])
         assert slope <= -(1 + 1) * alpha + 0.15

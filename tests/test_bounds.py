@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from erfapprox import bounds
 from erfapprox.bounds import (
     GridPolicy,
     Run,
@@ -208,6 +209,48 @@ class TestFractionalBound:
         assert not certified
         assert K > 1.0
 
+    @pytest.fixture
+    def nan_left_of_half(self, monkeypatch):
+        """caputo_table with a NaN in the left table of the anchor 0.5; the
+        anchor cache is emptied around the test so no NaN entry outlives it."""
+        real = bounds.caputo_table
+
+        def table(f, spec, sub, points):
+            xs, values = real(f, spec, sub, points)
+            if spec.anchor == 0.5 and spec.side == "left":
+                values = values.copy()
+                values[len(values) // 2] = math.nan
+            return xs, values
+
+        monkeypatch.setattr(bounds, "caputo_table", table)
+        bounds._anchor_tables.cache_clear()
+        yield
+        bounds._anchor_tables.cache_clear()
+
+    def test_a_nan_at_one_anchor_reaches_the_sup_bound(self, nan_left_of_half):
+        # Python's max used to drop the NaN: the sup bound read 1.0760 and K 6.406
+        f, grid = FRACTIONAL_CORPUS["sin"], GridPolicy(anchors=5, table_points=33)
+        run = Run.of((16, 81), (0.5,), grid)
+        assert math.isnan(fractional_bound(f, 81, 0.5, 0.5, "pointwise", 0.5, run=run)[0])
+        value, terms, _ = fractional_bound(f, 81, 0.5, 0.5, run=run)
+        assert math.isnan(value) and math.isnan(terms["fractional_block"])
+        rows = verify("T30", f, (16, 81), 0.5, grid, alpha_frac=0.5, run=run)
+        assert [r.verdict for r in rows] == ["non-finite", "non-finite"]
+        certified, K = remark34_check(f, 0.5, (9, 16, 81), grid)
+        assert not certified and math.isnan(K)
+
+    @pytest.mark.parametrize("bound, f, args", [
+        # used to return the complex bound 0j: (b - x) ** alpha of a negative base
+        (fractional_bound, FRACTIONAL_CORPUS["const"], (16, 0.5, 0.5, "pointwise", 2.0)),
+        # used to return 1.1876
+        (highorder_bound, INTERVAL_CORPUS["sin"], (16, 0.5, 1, "pointwise", 7.0)),
+        (highorder_bound, INTERVAL_CORPUS["const"], (16, 0.5, 1, "critical", -0.5)),
+        (fractional_bound, FRACTIONAL_CORPUS["sq"], (16, 0.5, 0.5, "pointwise", math.nan)),
+    ])
+    def test_a_point_outside_the_interval_is_a_precondition(self, bound, f, args):
+        with pytest.raises(PreconditionViolated, match=r"x = \S+ is not in \[a, b\] = \["):
+            bound(f, *args)
+
 
 class TestComplexBound:
     def test_zero_imaginary_part_reduces_to_real(self):
@@ -272,8 +315,8 @@ class TestVerify:
         ("T13", {"mode": "pointwise"}),
         ("T16", {"alpha_frac": 0.5}),
         ("T30", {"N": 2}),
-        # x0 is read only by mode="critical"
-        ("T16", {"x0": 0.3, "N": 1}),
+        # x is read only by mode="critical"
+        ("T16", {"x": 0.3, "N": 1}),
     ])
     def test_a_keyword_the_theorem_does_not_read_is_rejected(self, tid, kw):
         f = INTERVAL_CORPUS["sin"] if tid != "T13" else LINE_CORPUS["sin"]

@@ -234,10 +234,6 @@ class TestPartitionCheck:
         assert summary["tail_strictly_below_bound"]
         assert summary["boundary_deficiency_min"] >= 0.2488
 
-    def test_single_n(self):
-        summary = run_partition_check(n_list=(1,), alpha_list=(0.5,), grid_points=2000)
-        assert summary["max_partition_deviation"] <= 1e-12
-
 
 class TestCli:
     def test_verify_exit_zero(self, tmp_path):
@@ -501,10 +497,12 @@ class TestCaputoPerRun:
         assert run_verify(cfg).held > 0
         deltas = bounds.Run.of(cfg.sweep, cfg.rate_exponents).deltas
         assert len(deltas) == 8 and entries
-        for args, data in entries:
+        anchors = cfg.grid.anchors
+        for args, arrays in entries:
             assert args[-1] == deltas
-            arrays = [v for d in data for v in vars(d).values() if isinstance(v, np.ndarray)]
-            assert arrays and all(a.shape == (len(deltas),) for a in arrays)
+            # anchors, their moduli at every step and their sups: no table
+            assert [a.shape for a in arrays] == [
+                (anchors,), (anchors, 2, len(deltas)), (anchors, 2)]
 
     def test_library_verify_per_exponent_matches_run_verify(self):
         # verify alone reads the tables at its own steps, run_verify at the

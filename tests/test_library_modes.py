@@ -42,12 +42,13 @@ def cases():
         for name in names:
             for value in values:
                 for mode in modes:
-                    for x0 in critical if mode == "critical" else (None,):
+                    for x in critical if mode == "critical" else (None,):
                         kw = {th.param: value, "mode": mode}
-                        if x0 is not None:
-                            kw["x0"] = x0
+                        if x is not None:
+                            kw["x"] = x
+                        # the keys name the point x0, as tests/data/library_modes.json does
                         key = f"{tid} {name} {th.param}={value} {mode}" + (
-                            "" if x0 is None else f" x0={x0}")
+                            "" if x is None else f" x0={x}")
                         out.append((key, tid, getattr(corpus, th.pool)[name], kw))
     return out
 
