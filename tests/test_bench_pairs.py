@@ -170,6 +170,24 @@ def test_summary_prints_the_line_counts_beside_the_report_checks():
     assert bench_pairs.summary(doc)[-1] == "all 1 traced counts are equal on default:0"
 
 
+def test_summary_names_each_file_whose_line_count_changed(tmp_path):
+    for side, files in (("parent", {"bounds.py": "a\nb\nc\n", "cli.py": "x\n",
+                                    "gone.py": "y\n"}),
+                        ("change", {"bounds.py": "a\n", "cli.py": "x\n", "new.py": "z\nw\n"})):
+        package = tmp_path / side / "src" / "erfapprox"
+        package.mkdir(parents=True)
+        for name, text in files.items():
+            (package / name).write_text(text)
+    parent, change = (bench_pairs.describe(str(tmp_path / s)) for s in ("parent", "change"))
+    assert parent["file_lines"] == {"bounds.py": 3, "cli.py": 1, "gone.py": 1}
+    assert change["source_lines"] == 4
+    doc = {"commits": {"parent": parent, "change": change}, "workloads": {},
+           "partition_json_diff": [], "golden_json_diff": []}
+    assert bench_pairs.summary(doc)[2:6] == [
+        "source_lines: parent 5 -> change 4", "bounds.py 3 -> 1", "gone.py 1 -> 0",
+        "new.py 0 -> 2"]
+
+
 def test_public_names_are_read_from_each_checkouts_own_source(tmp_path):
     for side, names in (("parent", '["omega1", "ModulusQuery", "chi"]'),
                         ("change", '["omega1", "chi", "SAMPLE_POINTS"]')):

@@ -27,8 +27,9 @@ parent's quartile spread.  The output, CHANGE_DIR/BENCH_<pr>.json, also
 records both commits, git tree ids of ``src/`` and ``perfbench/`` computed
 from the files on disk (equal to ``git rev-parse <commit>:src`` once
 committed), whether the perfbench trees match, nproc,
-``wc -l src/erfapprox/*.py`` and ``erfapprox.__all__`` (read by a fresh
-interpreter with ``PYTHONPATH=<checkout>/src``) for both sides.
+``wc -l src/erfapprox/*.py`` (the total and each file's count) and
+``erfapprox.__all__`` (read by a fresh interpreter with
+``PYTHONPATH=<checkout>/src``) for both sides.
 
 After each ``--run`` the script compares the two sides' reports of the
 last repetition, ``.bench_out/<workload>-seed<seed>/rep1.csv`` and
@@ -45,8 +46,9 @@ JSON holds every row at full precision, where ``golden.csv`` rounds to
 ``.12g``.
 
 After writing the file the script prints each run's
-``reports_identical``, both JSON diffs, both sides' ``source_lines`` and
-the public names the change removes and adds, then each traced count (a metric whose last word is ``calls``,
+``reports_identical``, both JSON diffs, both sides' ``source_lines``, the
+files whose line count changed (``bounds.py 664 -> 640``) and the public
+names the change removes and adds, then each traced count (a metric whose last word is ``calls``,
 ``points`` or ``keys``, plus ``bounds.verify_cells`` and
 ``harness.groups``) that differs between the sides, or one line saying
 that all of them are equal, so a change's line count and work counts
@@ -138,16 +140,17 @@ def public_names(checkout: str) -> Optional[List[str]]:
 def describe(checkout: str) -> dict:
     head = git(checkout, "rev-parse", "HEAD")
     status = git(checkout, "status", "--porcelain", "--", "src", "perfbench")
-    lines = 0
+    file_lines = {}
     for path in sorted(glob.glob(os.path.join(checkout, "src", "erfapprox", "*.py"))):
         with open(path, "rb") as fh:
-            lines += fh.read().count(b"\n")
+            file_lines[os.path.basename(path)] = fh.read().count(b"\n")
     return {
         "head": head.strip() if head else None,
         "src_or_perfbench_uncommitted": bool(status.strip()) if status is not None else None,
         "src_tree": tree_id(checkout, "src"),
         "perfbench_tree": tree_id(checkout, "perfbench"),
-        "source_lines": lines,
+        "source_lines": sum(file_lines.values()),
+        "file_lines": file_lines,
         "public_names": public_names(checkout),
     }
 
@@ -306,17 +309,28 @@ def name_changes(parent: Optional[List[str]], change: Optional[List[str]]) -> st
             f"added {sorted(set(change) - set(parent))}")
 
 
+def file_line_changes(parent: Dict[str, int], change: Dict[str, int]) -> List[str]:
+    """One line per source file whose line count differs between the
+    sides; a file one side lacks counts 0 lines there."""
+    return [f"{name} {parent.get(name, 0)} -> {change.get(name, 0)}"
+            for name in sorted(set(parent) | set(change))
+            if parent.get(name, 0) != change.get(name, 0)]
+
+
 def summary(doc: dict) -> List[str]:
     """The lines printed once the file is written: each run's
     reports_identical, the JSON report diffs, both sides' source_lines,
-    the public names removed and added (when both sides record them) and,
-    with traced runs, count_differences."""
+    the files whose line count changed and the public names removed and
+    added (each when both sides record them) and, with traced runs,
+    count_differences."""
     lines = [f"{run} reports_identical: {entry['reports_identical']}"
              for run, entry in doc["workloads"].items()]
     lines += [f"{name}_json_diff: {doc[f'{name}_json_diff']}" for name in JSON_REPORTS]
     parent, change = doc["commits"]["parent"], doc["commits"]["change"]
     lines.append(f"source_lines: parent {parent['source_lines']} -> "
                  f"change {change['source_lines']}")
+    if "file_lines" in parent and "file_lines" in change:
+        lines += file_line_changes(parent["file_lines"], change["file_lines"])
     if "public_names" in parent and "public_names" in change:
         lines.append(name_changes(parent["public_names"], change["public_names"]))
     if "traced" in doc:
