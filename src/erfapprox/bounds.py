@@ -8,7 +8,7 @@ Theorem ids:
 * T16: high-order bound for the interval operator using derivatives 1..N.
 * T30: fractional bound from Caputo moduli and T16's Taylor sum; C31
   (0 < alpha < 1) and C33 (alpha = 1/2) are its sup form.
-* T36/T37/T38/T41: complex-valued companions (componentwise ingredients
+* T36/T37/T38/T41: complex-valued companions (componentwise terms
   added); T39: complex fractional companion.
 
 Each theorem is declared by one row of ``THEOREMS``: its corpus pool,
@@ -203,7 +203,7 @@ def highorder_bound(f: FunctionSpec, n: int, alpha: float, N: int, mode: str = "
 
 def _anchor_data(f: FunctionSpec, alpha: float, x: float, points: int,
                  deltas: Tuple[float, ...]) -> Tuple[np.ndarray, np.ndarray]:
-    """Caputo ingredients at the anchor x in f's interval: (moduli, sups),
+    """Caputo moduli and sups at the anchor x in f's interval: (moduli, sups),
     row 0 the right derivative on [a, x] and row 1 the left one on [x, b],
     each side's table read at every step of deltas in one table_modulus
     call and kept as those moduli and its sup (zeros for an empty side)."""
@@ -219,7 +219,7 @@ def _anchor_data(f: FunctionSpec, alpha: float, x: float, points: int,
 @lru_cache(maxsize=32)
 def _anchor_tables(f: FunctionSpec, alpha: float, grid: GridPolicy,
                    deltas: Tuple[float, ...]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Caputo ingredients at grid.anchors points xs across f's interval,
+    """Caputo moduli and sups at grid.anchors points xs across f's interval,
     on tables of grid.table_points points, for every step in deltas (a
     run's whole set, so one entry serves each n and exponent): (xs, moduli,
     sups) of shapes (anchors,), (anchors, 2, len(deltas)) and (anchors, 2),
@@ -237,7 +237,7 @@ def _anchor_tables(f: FunctionSpec, alpha: float, grid: GridPolicy,
 def fractional_bound(f: FunctionSpec, n: int, beta: float, alpha_frac: float,
                      mode: str = "sup", x: Optional[float] = None, *,
                      run: Optional[Run] = None):
-    """Fractional bound on f's interval, built from Caputo ingredients.
+    """Fractional bound on f's interval, built from Caputo moduli and sups.
 
     Modes: "taylor_pointwise" (Taylor terms moved to the left-hand side),
     "critical" (same value, valid only when f^(j)(x) = 0 for j < N),
