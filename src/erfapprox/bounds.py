@@ -157,7 +157,7 @@ def _taylor_sum(f: FunctionSpec, order: int, mode: str, x: Optional[float], n: i
         return 0.0
     if mode == "critical":
         for j, dv in enumerate(coeffs, start=1):
-            if dv > 1e-12:
+            if not dv <= 1e-12:         # a nan derivative does not vanish
                 raise CriticalPointViolated(f"{f.name}: |f^({j})({x})| = {dv:.3e} > 1e-12")
         return 0.0
     total = 0.0
@@ -394,8 +394,8 @@ def fit_rate(points: Sequence[Tuple[float, float]]) -> Tuple[float, float]:
         raise DegenerateFit(f"need >= 3 points, got {len(points)}")
     ns = np.array([p[0] for p in points], dtype=float)
     es = np.array([p[1] for p in points], dtype=float)
-    if np.any(es <= 0.0):
-        raise DegenerateFit("all errors must be > 0")
+    if not np.all((es > 0.0) & (es < math.inf)):
+        raise DegenerateFit("all errors must be finite and > 0")
     if np.all(ns == ns[0]):
         raise DegenerateFit("all n equal")
     lx, ly = np.log(ns), np.log(es)

@@ -109,27 +109,23 @@ def _jacobi_rule(exponent: float, singular_at_right: bool, nodes: int):
 
 
 def caputo(f: FunctionSpec, spec: FractionalSpec, x):
-    """Caputo derivative of f at x (scalar or array), zero beyond the anchor side."""
+    """Caputo derivative of f at x (scalar or array), zero beyond the anchor
+    side.  Either side integrates f^(N) at the nodes start + d (u+1)/2, with
+    d = |x - x0| and start = x0 (left) or x (right), against (d/2)^expo times
+    the Jacobi weight (1-u)^expo (left) or (1+u)^expo (right)."""
     N = spec.N
     fN = f.derivative(N)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.zeros_like(xs)
     x0 = spec.anchor
     expo = N - spec.alpha - 1.0     # in (-1, 0)
-    xj, wj = _jacobi_rule(expo, spec.side == "left", spec.quad_nodes)
-
-    if spec.side == "left":
-        live = xs > x0
-        d = xs[live] - x0
-        # t = x0 + d (u+1)/2, kernel (x-t)^expo = (d/2)^expo (1-u)^expo
-        tt = x0 + d[:, None] * (xj[None, :] + 1.0) / 2.0
-        sign = 1.0
-    else:
-        live = xs < x0
-        d = x0 - xs[live]
-        # zeta = x + d (u+1)/2, kernel (zeta-x)^expo = (d/2)^expo (1+u)^expo
-        tt = xs[live][:, None] + d[:, None] * (xj[None, :] + 1.0) / 2.0
-        sign = (-1.0) ** N
+    left = spec.side == "left"
+    xj, wj = _jacobi_rule(expo, left, spec.quad_nodes)
+    live = xs > x0 if left else xs < x0
+    d = np.abs(xs[live] - x0)
+    tt = np.multiply.outer(d, (xj + 1.0) / 2.0)     # halving is exact
+    tt += x0 if left else xs[live][:, None]
+    sign = 1.0 if left else (-1.0) ** N
     if np.any(live):
         vals = np.asarray(fN.eval(tt), dtype=float)
         core = vals @ wj

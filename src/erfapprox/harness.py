@@ -247,9 +247,10 @@ def _resolve(spec: dict, theorem: str, order: int, run: bounds.Run):
             # below the sampled sup would make them too small; a bound that
             # reads no derivative reads f's modulus, whose sample gives it
             sampled = run.sampled_sup(f, modulus=order == 0)
-            if sampled > declared * (1.0 + 1e-12):
-                return None, (f"expression rejected: declared sup_norm {declared!r} "
-                              f"is below the sampled sup {sampled!r}")
+            if not sampled <= declared * (1.0 + 1e-12):     # a nan sample fails too
+                why = (f"is below the sampled sup {sampled!r}" if math.isfinite(sampled)
+                       else "cannot be checked: its sample is not finite")
+                return None, f"expression rejected: declared sup_norm {declared!r} {why}"
         return f, None
 
     name = spec["builtin"]

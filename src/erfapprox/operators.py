@@ -22,8 +22,7 @@ and applies it to every part of f, so a complex f gets the pair
 (Op re, Op im).  The kernel (``_kernel``) is one chi matrix
 chi((u - r) - offsets), with u = nx and r = round(u), and one integer
 matrix that points each (x, offset) at its node index k = r + offset;
-for A the chi matrix is zero outside [ceil(na), floor(nb)], only the edge
-rows whose window leaves it being masked and clipped, and its row sums
+for A one mask zeroes it outside [ceil(na), floor(nb)], and its row sums
 are the denominator.  chi runs on the matrix window-major (offsets
 -R..R down axis 0), where neighbouring offsets share erf values, so its
 two erf calls see 17 of the 30 arguments per point plus the few inexact
@@ -140,29 +139,30 @@ def _node_rule(cfg: OperatorConfig) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _node_indices(r: np.ndarray, offsets: np.ndarray, lo: float, hi: float):
-    """The window indices k = r + offsets of every point, as (kk, idx, edge,
-    keep): the distinct k, clipped to [lo, hi], as floats; one integer
-    matrix with k = kk[idx]; the rows whose window leaves [lo, hi]; and on
-    those rows the mask of the k inside it.
+    """The window indices k = r + offsets of every point, as (kk, idx,
+    outside): the distinct k, clipped to [lo, hi], as floats; one integer
+    matrix with k = kk[idx]; and, when [lo, hi] is finite, the mask of the
+    window entries outside it (a nan index counts as outside), else None.
 
     Windows that overlap into one range take the arange over that range
-    and build idx in integers, clipping only the edge rows.  Scattered
+    and build idx in integers, masked and clipped in place.  Scattered
     windows, and windows that contain nan, take np.unique of the float
     indices instead: the work stays bounded by their size, and nan is
     never cast to an integer.
     """
+    finite = math.isfinite(lo)
     span = r.max() - r.min() if r.size else math.nan
     if span < r.size * offsets.size and np.abs(r).max() < 2.0**52:      # no nan or inf
         k0 = max(r.min() + offsets.min(), lo)
         m = int(min(r.max() + offsets.max(), hi) - k0)
         idx = (r - k0).astype(np.intp)[:, None] + offsets.astype(np.intp)
-        edge = (r + offsets.min() < lo) | (r + offsets.max() > hi)
-        ke = idx[edge]
-        idx[edge] = np.clip(ke, 0, m)
-        return k0 + np.arange(m + 1.0), idx, edge, (ke >= 0) & (ke <= m)
+        outside = (idx < 0) | (idx > m) if finite else None
+        if finite:
+            np.clip(idx, 0, m, out=idx)
+        return k0 + np.arange(m + 1.0), idx, outside
     ks = r[:, None] + offsets
     kk, idx = np.unique(np.clip(ks, lo, hi), return_inverse=True)
-    return kk, idx.reshape(ks.shape), np.ones(r.size, dtype=bool), (ks >= lo) & (ks <= hi)
+    return kk, idx.reshape(ks.shape), ~((ks >= lo) & (ks <= hi)) if finite else None
 
 
 def _kernel(u: np.ndarray, offsets: np.ndarray, lo: float, hi: float):
@@ -177,11 +177,11 @@ def _kernel(u: np.ndarray, offsets: np.ndarray, lo: float, hi: float):
     # freed: dropping the kernel first let glibc trim the heap, and a
     # 4095-point call then faulted 536 pages instead of 208
     kernel = chi((u - r) - ASCENDING[:, None])
-    kk, idx, edge, keep = _node_indices(r, offsets, lo, hi)
+    kk, idx, outside = _node_indices(r, offsets, lo, hi)
     chiv = np.stack([kernel[int(m) + RADIUS] for m in offsets], axis=1)
     del kernel
-    if math.isfinite(lo):
-        chiv[edge] = np.where(keep, chiv[edge], 0.0)
+    if outside is not None:
+        np.copyto(chiv, 0.0, where=outside)
     return chiv, kk, idx
 
 

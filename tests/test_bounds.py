@@ -40,6 +40,12 @@ from erfapprox.special_functions import INV_CHI_AT_ONE, SQRT_PI
 FAST_GRID = GridPolicy(x_points=256, refinement=False, anchors=9, table_points=129)
 
 
+def unit_spec(name, fn, *derivatives):
+    """A FunctionSpec on [0, 1] with the given derivatives."""
+    return FunctionSpec(name, lambda t: fn(np.asarray(t, dtype=float)), domain=(0.0, 1.0),
+                        derivatives=derivatives)
+
+
 class TestTailCore:
     def test_spot_value(self):
         # n=16, exponent=0.5: t=4, core = e^{-4}/(2 sqrt(pi))... times 2
@@ -108,8 +114,26 @@ class TestHighOrder:
         with pytest.raises(PreconditionViolated):
             highorder_bound(f, 81, 0.5, 1, "bogus")
 
+    def test_critical_threshold_is_1e_12(self):
+        # a derivative of 1e-9 is not a critical point; 1e-13 is one
+        def slope(c):
+            return unit_spec("g", lambda t: c * t, unit_spec("g'", lambda t: c + 0.0 * t))
+        with pytest.raises(CriticalPointViolated):
+            highorder_bound(slope(1e-9), 81, 0.5, 1, "critical", 0.5)
+        value, terms, _ = highorder_bound(slope(1e-13), 81, 0.5, 1, "critical", 0.5)
+        assert terms["derivative_sum"] == 0.0 and math.isfinite(value)
+
 
 class TestFractionalBound:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_nan_derivative_is_not_a_critical_point(self):
+        # f' is nan at 0.5 alone and f'' = 0: a nan must not count as
+        # vanishing, or the critical bound reads a finite 0.0
+        d1 = unit_spec("f'", lambda t: np.where(t == 0.5, math.nan, 0.0))
+        f = unit_spec("f", lambda t: 0.0 * t, d1, unit_spec("f''", lambda t: 0.0 * t))
+        with pytest.raises(CriticalPointViolated, match="nan"):
+            fractional_bound(f, 16, 0.5, 1.5, "critical", 0.5)
+
     def test_sup_always_estimated(self):
         f = FRACTIONAL_CORPUS["sq"]
         _, _, quality = fractional_bound(f, 81, 0.5, 0.5, "sup",
@@ -284,6 +308,20 @@ class TestFitRate:
             fit_rate([(4, 1.0), (8, 0.0), (16, 0.1)])
         with pytest.raises(DegenerateFit):
             fit_rate([(4, 1.0), (4, 0.5), (4, 0.2)])
+
+    @pytest.mark.parametrize("error", [math.nan, math.inf])
+    def test_non_finite_errors_are_degenerate(self, error):
+        # np.polyfit would return a (nan, nan) fit
+        with pytest.raises(DegenerateFit, match="finite"):
+            fit_rate([(16, 0.1), (81, error), (256, 0.01)])
+
+
+class TestVerdict:
+    def test_exact_tolerance_is_one_part_in_1e9(self):
+        bound = 0.25
+        assert bounds._verdict(bound * (1.0 + 1e-10), bound, "exact") == "holds"
+        assert bounds._verdict(bound * (1.0 + 1e-8), bound, "exact") == "violated"
+        assert bounds._verdict(bound * (1.0 + 1e-8), bound, "estimated") == "inconclusive-estimated"
 
 
 class TestVerify:

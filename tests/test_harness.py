@@ -186,6 +186,29 @@ class TestRunVerify:
         assert skip["reason"].startswith(
             "expression rejected: declared sup_norm 0.5 is below the sampled sup 0.99")
 
+    def test_declared_sup_norm_check_is_one_part_in_1e12(self):
+        # a declared value 1e-9 below the sampled sup is rejected, the
+        # sampled sup itself is accepted
+        sampled = corpus.function_from_expression("w", "sin(x)").grid_sup_norm()
+        result = run_verify(cfg_with(theorems=["T13"], functions=[
+            {"id": "low", "expr": "sin(x)", "sup_norm": sampled * (1.0 - 1e-9),
+             "exact_modulus": "sine_period"},
+            {"id": "equal", "expr": "sin(x)", "sup_norm": sampled,
+             "exact_modulus": "sine_period"}]))
+        assert {r["function"] for r in result.rows} == {"equal"}
+        assert [s["function"] for s in result.skipped] == ["low"]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_declared_sup_norm_of_a_nan_sample_is_rejected(self):
+        # the sample is nan left of 0.3, and nan > 0.5 is False: a check
+        # written that way trusts 0.5, though the true sup is 0.84
+        result = run_verify(cfg_with(theorems=["T13"], functions=[
+            {"id": "g", "expr": "(x - 0.3)^0.5", "sup_norm": 0.5, "grid_window": [0.0, 1.0]}]))
+        assert result.rows == ()
+        (skip,) = result.skipped
+        assert skip["reason"] == ("expression rejected: declared sup_norm 0.5 cannot be "
+                                  "checked: its sample is not finite")
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_run_time_skips_follow_every_plan_time_skip(self):
         # n = 4 at exponent 0.5 fails the hypothesis when the run is

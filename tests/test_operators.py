@@ -389,7 +389,9 @@ class TestWindowMajorKernel:
     family's summation order, so it adds every window as the points-major
     kernel did, bit for bit."""
 
-    @pytest.mark.parametrize("n", [9, 81, 2048])
+    # at n = 1 A on [-pi, pi] has the 7 indices -3..3, so every window of
+    # radius 7 leaves the index range and the whole chi matrix is masked
+    @pytest.mark.parametrize("n", [1, 9, 81, 2048])
     @pytest.mark.parametrize("family", ["A", "B", "C", "D"])
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_equals_the_points_major_sum(self, family, n, kind):
@@ -411,18 +413,24 @@ class TestWindowMajorKernel:
 def test_working_set_of_one_call_is_bounded():
     # one expr-dense call: family C at n = 2048 on a 10.4-wide window; the
     # points x window x nodes formula peaked at 6.6 MB here
-    f = function_from_expression("w", "0.42*sin(1.91*x)*cos(2.28*x)", sup_norm=0.42,
+    w = function_from_expression("w", "0.42*sin(1.91*x)*cos(2.28*x)", sup_norm=0.42,
                                  grid_window=(-4.95, 5.42))
-    xs = np.linspace(-4.95, 5.42, 4095)
-    cfg = OperatorConfig("C", 2048)
-    apply_operator(f, xs, cfg)
-    tracemalloc.start()
-    try:
+    # A at n = 1 on [0, 1]: every window leaves the index range [0, 1], so
+    # the mask covers every row; one boolean mask, built once, peaks near 1.6 MB
+    linear = INTERVAL_CORPUS["linear"]
+    for f, lo, hi, cfg, ceiling in [
+        (w, -4.95, 5.42, OperatorConfig("C", 2048), 3e6),
+        (linear, 0.0, 1.0, OperatorConfig("A", 1, interval=(0.0, 1.0)), 1.8e6),
+    ]:
+        xs = np.linspace(lo, hi, 4095)
         apply_operator(f, xs, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3e6
+        tracemalloc.start()
+        try:
+            apply_operator(f, xs, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ceiling, cfg
 
 
 class TestConfig:
