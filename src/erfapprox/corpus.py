@@ -66,14 +66,17 @@ def _mod_vee(a, b):
     return lambda d: min(d, max(-a, b))
 
 
-def _mod_clipped_vee(a, b, cap: float = 4.0):
-    # min(|x|, cap) on the whole line
-    return lambda d: min(d, cap)
+_CLIP = 4.0     # where the clipped builtins level off
 
 
-def _mod_clipped_linear(a, b, cap: float = 4.0):
-    # clip(x, -cap, cap) on the whole line
-    return lambda d: min(d, 2.0 * cap)
+def _mod_clipped_vee(a, b):
+    # min(|x|, _CLIP) on the whole line
+    return lambda d: min(d, _CLIP)
+
+
+def _mod_clipped_linear(a, b):
+    # clip(x, -_CLIP, _CLIP) on the whole line
+    return lambda d: min(d, 2.0 * _CLIP)
 
 
 def _mod_parabola(a, b):
@@ -117,8 +120,6 @@ def modulus_from_registry(name: str, domain: Optional[Tuple[float, float]]):
 
 
 # ------------------------------------------------------- hand-built corpus
-
-_CLIP = 4.0
 
 
 def _np(fn):

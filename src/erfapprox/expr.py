@@ -12,9 +12,10 @@ Grammar (EBNF):
     number  = digits [ "." digits ] [ ("e" | "E") [sign] digits ] ;
 
 Exponents are numeric literals only, so every expression has closed-form
-derivatives of all orders except through ``abs``.  One table,
-``_FUNCTIONS``, gives each name its numpy evaluation and its derivative;
-``erf`` delegates to ``special_functions.erf``.
+derivatives of all orders except through ``abs``.  Arithmetic is one
+node, ``Bin(op, left, right)``, and ``Neg`` keeps -0.0 apart from
+``0 - u``.  One table, ``_FUNCTIONS``, gives each name its numpy
+evaluation and its derivative; ``erf`` delegates to ``special_functions.erf``.
 
 ``compile`` turns a tree, or a derivative chain's shared DAG, into a flat
 ``Program`` with one step per structurally distinct node, and
@@ -59,25 +60,8 @@ class Neg:
 
 
 @dataclass(frozen=True)
-class Add:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Div:
+class Bin:
+    op: str             # "+", "-", "*" or "/"
     left: "Node"
     right: "Node"
 
@@ -94,7 +78,7 @@ class Fun:
     arg: "Node"
 
 
-Node = Union[Num, Var, Neg, Add, Sub, Mul, Div, Pow, Fun]
+Node = Union[Num, Var, Neg, Bin, Pow, Fun]
 _NODES = get_args(Node)
 
 
@@ -164,27 +148,17 @@ class _Parser:
             raise ExprSyntaxError(f"trailing input {val!r}", off)
         return node
 
+    def binary(self, ops: str, operand) -> Node:
+        node = operand()
+        while self.peek()[0] == "op" and self.peek()[1] in ops:
+            node = Bin(self.advance()[1], node, operand())
+        return node
+
     def expr(self) -> Node:
-        node = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in ("+", "-"):
-                self.advance()
-                rhs = self.term()
-                node = Add(node, rhs) if val == "+" else Sub(node, rhs)
-            else:
-                return node
+        return self.binary("+-", self.term)
 
     def term(self) -> Node:
-        node = self.factor()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in ("*", "/"):
-                self.advance()
-                rhs = self.factor()
-                node = Mul(node, rhs) if val == "*" else Div(node, rhs)
-            else:
-                return node
+        return self.binary("*/", self.factor)
 
     def factor(self) -> Node:
         kind, val, _ = self.peek()
@@ -249,36 +223,31 @@ class Program:
     """A DAG compiled by ``compile``: steps in evaluation order, the root's
     last.  A step is (kind, operand slots, constant, slots freed after it,
     spare); its value goes to the slot of its own index.  The constant is
-    a Num's value, a Pow's exponent or a Fun's name.  The spare is a slot
-    freed after the step that holds an array numpy made for this call (the
-    value of an arithmetic or Pow step), or None: an arithmetic step may
-    write its value into that array."""
+    a Num's value, a Bin's op, a Pow's exponent or a Fun's name.  The
+    spare is a slot freed after the step that holds an array numpy made
+    for this call (a Neg, Bin or Pow step's value), or None: a Neg or Bin
+    step may write its value into that array."""
 
     steps: Tuple[tuple, ...]
 
 
 def _operands(node: Node) -> tuple:
-    """node's operands in the order a tree walk evaluates them: a Div's
-    denominator first, so its zero check precedes the numerator."""
+    """node's operands in the order a tree walk evaluates them."""
     if isinstance(node, (Num, Var)):
         return ()
     if isinstance(node, (Neg, Fun)):
         return (node.arg,)
     if isinstance(node, Pow):
         return (node.base,)
-    if isinstance(node, Div):
-        return (node.right, node.left)
     return (node.left, node.right)
 
 
-#: the steps that combine their operands by IEEE arithmetic, which rounds
-#: exactly, so writing into a spare array changes no bit of the value;
-#: not the transcendental steps, whose numpy loops may differ in place
-_ARITHMETIC = {Neg: np.negative, Add: np.add, Sub: np.subtract, Mul: np.multiply,
-               Div: np.divide}
+#: each op's IEEE arithmetic, which rounds exactly, so a Bin (or Neg) step may
+#: write into a spare array; a Fun's numpy loop may round differently in place
+_ARITHMETIC = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
 #: the steps whose array is the program's own: a Fun's comes from whatever
 #: ``_FUNCTIONS`` holds when it runs, which may keep it
-_OWNED = (*_ARITHMETIC, Pow)
+_OWNED = (Neg, Bin, Pow)
 
 
 def compile(root: Node) -> Program:
@@ -302,8 +271,8 @@ def compile(root: Node) -> Program:
         kind = type(node)
         if kind not in _NODES:
             raise TypeError(f"unknown node {node!r}")
-        const = (node.value if kind is Num else node.exponent if kind is Pow
-                 else node.name if kind is Fun else None)
+        const = (node.value if kind is Num else node.op if kind is Bin
+                 else node.exponent if kind is Pow else node.name if kind is Fun else None)
         args = tuple(slot[id(op)] for op in operands)
         key = (kind, args, struct.pack("<d", const) if kind in (Num, Pow) else const)
         if key not in index:
@@ -320,16 +289,12 @@ def compile(root: Node) -> Program:
         for (kind, args, _), const, free in zip(keys, consts, frees)))
 
 
-def _combine(kind, operands: list, out):
-    """An arithmetic step's value, written into out when it is an array; a
-    Div's operands come denominator first.  Its locals die on return, so
-    the loop holds no operand past its last use."""
-    if kind is Div:
-        den = np.asarray(operands.pop(0))
-        if np.any(den == 0.0):
-            raise DivisionByZero("division by zero during evaluation")
-        operands.append(den)
-    return _ARITHMETIC[kind](*operands, out=out)
+def _combine(op: str, left, right, out):
+    """A Bin step's value, written into out when it is an array.  Its
+    locals die on return, so the loop holds no operand past its last use."""
+    if op == "/" and np.any(right == 0.0):
+        raise DivisionByZero("division by zero during evaluation")
+    return _ARITHMETIC[op](left, right, out=out)
 
 
 def evaluate(program: Union[Program, Node], x):
@@ -353,12 +318,14 @@ def evaluate(program: Union[Program, Node], x):
             out = const
         elif kind is Var:
             out = xv
+        elif kind is Neg:
+            out = np.negative(values[args[0]], out=spare_of(spare))
         elif kind is Pow:
             out = np.power(values[args[0]], const)
         elif kind is Fun:
             out = _FUNCTIONS[const][0](values[args[0]])
         else:
-            out = _combine(kind, [values[a] for a in args], spare_of(spare))
+            out = _combine(const, values[args[0]], values[args[1]], spare_of(spare))
         values[i] = out
         for a in frees:
             values[a] = None
@@ -389,7 +356,7 @@ def _add(a: Node, b: Node) -> Node:
         return a
     if isinstance(a, Num) and isinstance(b, Num):
         return Num(a.value + b.value)
-    return Add(a, b)
+    return Bin("+", a, b)
 
 
 def _sub(a: Node, b: Node) -> Node:
@@ -397,7 +364,7 @@ def _sub(a: Node, b: Node) -> Node:
         return a
     if isinstance(a, Num) and isinstance(b, Num):
         return Num(a.value - b.value)
-    return Sub(a, b)
+    return Bin("-", a, b)
 
 
 def _mul(a: Node, b: Node) -> Node:
@@ -409,7 +376,7 @@ def _mul(a: Node, b: Node) -> Node:
         return a
     if isinstance(a, Num) and isinstance(b, Num):
         return Num(a.value * b.value)
-    return Mul(a, b)
+    return Bin("*", a, b)
 
 
 def derivatives(node: Node, order: int) -> List[Node]:
@@ -434,16 +401,15 @@ def _d(node: Node, memo: dict) -> Node:
     elif isinstance(node, Neg):
         inner = _d(node.arg, memo)
         out = Num(0.0) if _is_zero(inner) else Neg(inner)
-    elif isinstance(node, Add):
-        out = _add(_d(node.left, memo), _d(node.right, memo))
-    elif isinstance(node, Sub):
-        out = _sub(_d(node.left, memo), _d(node.right, memo))
-    elif isinstance(node, Mul):
-        out = _add(_mul(_d(node.left, memo), node.right), _mul(node.left, _d(node.right, memo)))
-    elif isinstance(node, Div):
-        # (u/v)' = u'/v - u v'/v^2
+    elif isinstance(node, Bin):
         u, v = node.left, node.right
-        out = _sub(Div(_d(u, memo), v), Div(_mul(u, _d(v, memo)), Pow(v, 2.0)))
+        du, dv = _d(u, memo), _d(v, memo)
+        if node.op in "+-":
+            out = (_add if node.op == "+" else _sub)(du, dv)
+        elif node.op == "*":
+            out = _add(_mul(du, v), _mul(u, dv))
+        else:       # (u/v)' = u'/v - u v'/v^2
+            out = _sub(Bin("/", du, v), Bin("/", _mul(u, dv), Pow(v, 2.0)))
     elif isinstance(node, Pow):
         chain = _mul(Num(node.exponent), Pow(node.base, node.exponent - 1.0))
         out = Num(0.0) if node.exponent == 0.0 else _mul(chain, _d(node.base, memo))
@@ -462,32 +428,30 @@ def _d(node: Node, memo: dict) -> Node:
 
 
 def serialize(node: Node) -> str:
-    """Render an AST as a string that re-parses to an equal tree."""
+    """Render an AST as a string that re-parses to a tree of equal value:
+    a negative constant comes back as the negation of its magnitude."""
     return _ser(node, 0)
 
 
 # precedence levels: add 1, mul 2, unary 3, power 4
 def _ser(node: Node, parent: int) -> str:
     if isinstance(node, Num):
-        v = node.value
-        return repr(v) if v >= 0 else f"({v!r})"
+        v = repr(node.value)
+        return f"({v})" if v.startswith("-") else v
     if isinstance(node, Var):
         return "x"
     if isinstance(node, Neg):
         s = f"-{_ser(node.arg, 3)}"
         return f"({s})" if parent > 2 else s
-    if isinstance(node, (Add, Sub)):
-        op = "+" if isinstance(node, Add) else "-"
-        s = f"{_ser(node.left, 1)} {op} {_ser(node.right, 2)}"
-        return f"({s})" if parent > 1 else s
-    if isinstance(node, (Mul, Div)):
-        op = "*" if isinstance(node, Mul) else "/"
-        s = f"{_ser(node.left, 2)} {op} {_ser(node.right, 3)}"
-        return f"({s})" if parent > 2 else s
+    if isinstance(node, Bin):
+        level = 1 if node.op in "+-" else 2
+        s = f"{_ser(node.left, level)} {node.op} {_ser(node.right, level + 1)}"
+        return f"({s})" if parent > level else s
     if isinstance(node, Pow):
         expo = node.exponent
         etext = repr(expo) if expo >= 0 else f"-{-expo!r}"
-        return f"{_ser(node.base, 5)}^{etext}"
+        s = f"{_ser(node.base, 5)}^{etext}"
+        return f"({s})" if parent > 4 else s
     if isinstance(node, Fun):
         return f"{node.name}({_ser(node.arg, 0)})"
     raise TypeError(f"unknown node {node!r}")

@@ -215,8 +215,8 @@ def _typed(field: str, value, kind):
 
 def _resolve(spec: dict, theorem: str, order: int, run: bounds.Run):
     """Corpus variant, or function built from an expression with its
-    derivatives to order, suited to a theorem; a declared sup_norm is
-    checked against f's sample in run.
+    derivatives to order, suited to a theorem; an expression's sample in
+    run must be finite, and a declared sup_norm is checked against it.
 
     Returns (object, skip_reason); exactly one is None.
     """
@@ -239,18 +239,20 @@ def _resolve(spec: dict, theorem: str, order: int, run: bounds.Run):
                 sup_norm=spec.get("sup_norm"),
                 grid_window=tuple(spec["grid_window"]) if "grid_window" in spec else None,
             )
+            # a bound that reads no derivative reads f's modulus, whose
+            # sample gives the sup
+            sampled = run.sampled_sup(f, modulus=order == 0)
         except ErfApproxError as exc:
             return None, f"expression rejected: {exc}"
+        if not math.isfinite(sampled):
+            lo, hi = f.sample_window()
+            return None, f"expression rejected: its sample on [{lo!r}, {hi!r}] is not finite"
+        # bounds take a declared sup_norm as the function's sup, so one
+        # below the sampled sup would make them too small
         declared = spec.get("sup_norm")
-        if declared is not None:
-            # bounds take a declared sup_norm as the function's sup, so one
-            # below the sampled sup would make them too small; a bound that
-            # reads no derivative reads f's modulus, whose sample gives it
-            sampled = run.sampled_sup(f, modulus=order == 0)
-            if not sampled <= declared * (1.0 + 1e-12):     # a nan sample fails too
-                why = (f"is below the sampled sup {sampled!r}" if math.isfinite(sampled)
-                       else "cannot be checked: its sample is not finite")
-                return None, f"expression rejected: declared sup_norm {declared!r} {why}"
+        if declared is not None and sampled > declared * (1.0 + 1e-12):
+            return None, (f"expression rejected: declared sup_norm {declared!r} "
+                          f"is below the sampled sup {sampled!r}")
         return f, None
 
     name = spec["builtin"]

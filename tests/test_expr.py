@@ -17,14 +17,11 @@ from erfapprox.errors import (
 )
 from erfapprox import expr
 from erfapprox.expr import (
-    Add,
-    Div,
+    Bin,
     Fun,
-    Mul,
     Neg,
     Num,
     Pow,
-    Sub,
     Var,
     compile,
     derivatives,
@@ -38,15 +35,15 @@ from erfapprox.special_functions import TWO_OVER_SQRT_PI, erf
 class TestParsing:
     def test_shapes(self):
         assert parse("x") == Var()
-        assert parse("2 + x") == Add(Num(2.0), Var())
+        assert parse("2 + x") == Bin("+", Num(2.0), Var())
         assert parse("sin(x)") == Fun("sin", Var())
         assert parse("x^2") == Pow(Var(), 2.0)
         assert parse("x^-2") == Pow(Var(), -2.0)
-        assert parse("2*x") == Mul(Num(2.0), Var())
+        assert parse("2*x") == Bin("*", Num(2.0), Var())
 
     def test_precedence(self):
         # 2 + 3*x^2 groups as 2 + (3*(x^2))
-        assert parse("2 + 3*x^2") == Add(Num(2.0), Mul(Num(3.0), Pow(Var(), 2.0)))
+        assert parse("2 + 3*x^2") == Bin("+", Num(2.0), Bin("*", Num(3.0), Pow(Var(), 2.0)))
 
     def test_left_associativity(self):
         assert evaluate(parse("8 - 3 - 2"), 0.0) == 3.0
@@ -109,7 +106,7 @@ class TestEvaluation:
         monkeypatch.setitem(expr._FUNCTIONS, "sin", (lambda u: calls.append(1) or real(u), deriv))
         node = Fun("sin", Var())
         for _ in range(12):          # 4096 paths to sin, 14 distinct nodes
-            node = Add(node, node)
+            node = Bin("+", node, node)
         assert evaluate(node, 0.5) == 4096.0 * math.sin(0.5)
         assert len(calls) == 1
 
@@ -133,7 +130,7 @@ class TestEvaluation:
         monkeypatch.setitem(expr._FUNCTIONS, "cos", (cos, d_cos))
         shared = Fun("sin", Var())
         xs = np.linspace(0.0, 1.0, 9)
-        got = evaluate(Add(Mul(shared, shared), Fun("cos", Var())), xs)
+        got = evaluate(Bin("+", Bin("*", shared, shared), Fun("cos", Var())), xs)
         assert np.array_equal(got, np.sin(xs) * np.sin(xs) + np.cos(xs))
 
 
@@ -150,13 +147,10 @@ def tree_walk(node, x):
     if isinstance(node, Fun):
         return {"sin": np.sin, "cos": np.cos, "exp": np.exp, "erf": erf,
                 "abs": np.abs}[node.name](tree_walk(node.arg, x))
-    if isinstance(node, Div):
-        den = np.asarray(tree_walk(node.right, x))
-        if np.any(den == 0.0):
-            raise DivisionByZero("division by zero during evaluation")
-        return tree_walk(node.left, x) / den
-    op = {Add: np.add, Sub: np.subtract, Mul: np.multiply}[type(node)]
-    return op(tree_walk(node.left, x), tree_walk(node.right, x))
+    left, right = tree_walk(node.left, x), tree_walk(node.right, x)
+    if node.op == "/" and np.any(np.asarray(right) == 0.0):
+        raise DivisionByZero("division by zero during evaluation")
+    return {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}[node.op](left, right)
 
 
 def walk_or_error(evaluator, node, x):
@@ -169,12 +163,21 @@ def walk_or_error(evaluator, node, x):
 
 LEAVES = st.one_of(st.just(Var()), st.sampled_from(
     [0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 3.7, math.inf, -math.inf]).map(Num))
-EXPRESSIONS = st.recursive(LEAVES, lambda kids: st.one_of(
-    kids.map(Neg),
-    st.builds(lambda op, a, b: op(a, b), st.sampled_from([Add, Sub, Mul, Div]), kids, kids),
-    st.builds(Pow, kids, st.sampled_from([2.0, 3.0, 0.5, 0.0, -1.0, -2.0])),
-    st.builds(Fun, st.sampled_from(["sin", "cos", "exp", "erf", "abs"]), kids),
-), max_leaves=10)
+
+
+def trees(leaves):
+    return st.recursive(leaves, lambda kids: st.one_of(
+        kids.map(Neg),
+        st.builds(Bin, st.sampled_from("+-*/"), kids, kids),
+        st.builds(Pow, kids, st.sampled_from([2.0, 3.0, 0.5, 0.0, -1.0, -2.0])),
+        st.builds(Fun, st.sampled_from(["sin", "cos", "exp", "erf", "abs"]), kids),
+    ), max_leaves=10)
+
+
+EXPRESSIONS = trees(LEAVES)
+#: trees that serialize can print: every constant finite
+FINITE_EXPRESSIONS = trees(st.one_of(st.just(Var()), st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 0.5, -3.7, 1e300, -1e300, 5e-324, -5e-324]).map(Num)))
 POINTS = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 0.5, -1.3, 2.0, 1e-300, 700.0])
 
 
@@ -196,7 +199,7 @@ class TestCompiledPrograms:
 
     def test_zero_and_negative_zero_constants_stay_two_steps(self):
         # 1/0.0 - 1/(-0.0) = inf - (-inf); one merged step would give inf - inf
-        node = Sub(Pow(Num(0.0), -1.0), Pow(Num(-0.0), -1.0))
+        node = Bin("-", Pow(Num(0.0), -1.0), Pow(Num(-0.0), -1.0))
         assert len(compile(node).steps) == 5
         with np.errstate(divide="ignore"):
             assert evaluate(node, 1.0) == math.inf
@@ -206,7 +209,15 @@ class TestCompiledPrograms:
         funs = [step[2] for step in compile(second).steps if step[0] is Fun]
         assert len(compile(second).steps) == 32
         assert sorted(funs) == ["cos", "exp", "sin"]
-        assert compile(Add(Fun("sin", Var()), Fun("sin", Var()))).steps[-1][1] == (1, 1)
+        assert compile(Bin("+", Fun("sin", Var()), Fun("sin", Var()))).steps[-1][1] == (1, 1)
+
+    def test_binary_ops_stay_apart(self):
+        # the op is a Bin step's constant, so x + 1 and x - 1 are two steps
+        x, one = Var(), Num(1.0)
+        program = compile(Bin("-", Bin("+", x, one), Bin("-", x, one)))
+        assert len(program.steps) == 5
+        assert evaluate(program, 0.5) == 2.0
+        assert compile(Bin("+", x, x)).steps[-1] != compile(Bin("*", x, x)).steps[-1]
 
     def test_arithmetic_writes_into_arrays_the_program_made(self, monkeypatch):
         xs = np.linspace(0.0, 1.0, 100_000)
@@ -284,7 +295,7 @@ class TestDifferentiation:
 class TestSerialization:
     ROUND_TRIP = [
         "x", "sin(x)", "x^2", "x^-2", "-x", "2 + x", "x - 1", "2*x/3",
-        "sin(x) * exp(-x^2) + cos(x)/2", "(x + 1) * (x - 1)", "erf(2*x)",
+        "sin(x) * exp(-x^2) + cos(x)/2", "(x + 1) * (x - 1)", "erf(2*x)", "(x^2)^3",
     ]
 
     @pytest.mark.parametrize("text", ROUND_TRIP)
@@ -302,3 +313,15 @@ class TestSerialization:
     def test_derivative_round_trips(self):
         d = derivatives(parse("x / (x^2 + 1)"), 1)[-1]
         assert parse(serialize(d)) == d
+
+    @given(FINITE_EXPRESSIONS)
+    @settings(max_examples=300, deadline=None)
+    def test_serialized_trees_evaluate_bit_equal(self, node):
+        # a negative constant re-parses as Neg of its magnitude, so the
+        # trees may differ; their values may not
+        got = walk_or_error(evaluate, parse(serialize(node)), POINTS)
+        want = walk_or_error(evaluate, node, POINTS)
+        if want is DivisionByZero or got is DivisionByZero:
+            assert got is want
+        else:
+            assert np.array_equal(got, want, equal_nan=True)

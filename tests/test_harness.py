@@ -206,15 +206,26 @@ class TestRunVerify:
             {"id": "g", "expr": "(x - 0.3)^0.5", "sup_norm": 0.5, "grid_window": [0.0, 1.0]}]))
         assert result.rows == ()
         (skip,) = result.skipped
-        assert skip["reason"] == ("expression rejected: declared sup_norm 0.5 cannot be "
-                                  "checked: its sample is not finite")
+        assert skip["reason"] == "expression rejected: its sample on [0.0, 1.0] is not finite"
+
+    @pytest.mark.parametrize("theorem,spec", [
+        ("T13", {"sup_norm": 5.0, "grid_window": [-1.0, 1.0]}),
+        ("T12", {"domain": [-1.0, 1.0]}),
+    ])
+    def test_zero_denominator_in_the_sample_is_skipped(self, theorem, spec):
+        # x = 0 is a sample point; the T13 run used to raise DivisionByZero
+        result = run_verify(cfg_with(theorems=[theorem], functions=[
+            {"id": "g", "expr": "1/x", **spec}]))
+        assert result.rows == ()
+        assert [(s["theorem"], s["reason"]) for s in result.skipped] == [
+            (theorem, "expression rejected: division by zero during evaluation")]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_run_time_skips_follow_every_plan_time_skip(self):
         # n = 4 at exponent 0.5 fails the hypothesis when the run is
-        # planned; the pole of x^-1 shows only once its group has run
+        # planned; the overflow of exp(709*x) shows only once its group has run
         result = run_verify(cfg_with(sweep=[4, 9, 16], functions=[
-            {"id": "g", "expr": "x^-1", "domain": [0.0, 1.0], "exact_modulus": "linear"},
+            {"id": "g", "expr": "exp(709*x)", "domain": [0.0, 1.0]},
             {"id": "linear", "builtin": "linear"}]))
         reasons = [(s["function"], s["n"], s["reason"].split()[0]) for s in result.skipped]
         assert reasons == [("g", 4, "hypothesis"), ("linear", 4, "hypothesis"),
@@ -405,16 +416,18 @@ class TestNonFinite:
         return code, json.loads(out.read_text())
 
     def test_pole_is_skipped_not_violated(self, tmp_path):
-        # nan error against an infinite bound; reported "violated" (exit 1)
-        # while the exact modulus made the verdict final
+        # nan error against an infinite bound was reported "violated" (exit
+        # 1) while the exact modulus made the verdict final; the sample at
+        # x = 0 is inf, so the function is skipped before any group runs
         code, doc = self.run_cli(tmp_path, {"expr": "x^-1", "exact_modulus": "linear"})
         assert code == 0
         assert doc["rows"] == []
-        assert [(s["family"], s["n"]) for s in doc["skipped"]] == [("A", 9), ("A", 16), ("A", 81)]
-        assert {s["reason"] for s in doc["skipped"]} == {"non-finite empirical error or bound"}
+        assert [(s["theorem"], s["reason"]) for s in doc["skipped"]] == [
+            ("T12", "expression rejected: its sample on [0.0, 1.0] is not finite")]
 
     def test_overflow_is_skipped_not_inconclusive(self, tmp_path):
-        code, doc = self.run_cli(tmp_path, {"expr": "exp(800*x)"})
+        # the sample is finite (exp(709) = 8.2e307); 1/chi(1) times it is not
+        code, doc = self.run_cli(tmp_path, {"expr": "exp(709*x)"})
         assert code == 0
         assert doc["rows"] == []
         assert {s["family"] for s in doc["skipped"]} == {"A"}
