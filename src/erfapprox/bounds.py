@@ -25,7 +25,7 @@ full precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import ClassVar, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -38,7 +38,7 @@ from .fractional import (
     gamma_fn,
     table_modulus,
 )
-from .funcs import ComplexFunctionSpec, FunctionSpec
+from .funcs import SAMPLE_POINTS, ComplexFunctionSpec, FunctionSpec
 from .modulus import evaluate_modulus
 from .operators import OperatorConfig, QuadratureWeights, apply_operator
 from .partition import tail_bound, tail_core
@@ -308,8 +308,7 @@ def remark34_check(f: FunctionSpec, beta: float, sweep: Sequence[int],
     """
     run = Run.of(sweep, (beta,), grid)
     _, moduli, _ = _anchor_tables(f, 0.5, grid, run.deltas)
-    right, left = moduli.max(axis=0)
-    sup_mod = (right + left).tolist()
+    sup_mod = moduli.max(axis=0).sum(axis=0).tolist()     # right + left
     qs = [float(n) ** beta * sup_mod[run.deltas.index(float(n) ** (-beta))] for n in sweep]
     K = float(np.max(qs)) if qs else 0.0
     certified = math.isfinite(K) and all(
@@ -381,8 +380,7 @@ def _sup_error(f, cfg: OperatorConfig, run: Run) -> float:
     the float stored in run.sup_errors.
     """
     if (f, cfg) not in run.sup_errors:
-        grid = run.grid
-        points = 2 * grid.x_points - 1 if grid.refinement else grid.x_points
+        points = 2 * run.grid.x_points - 1 if run.grid.refinement else run.grid.x_points
         xs = np.linspace(*f.parts[0].sample_window(), points)
         run.sup_errors[f, cfg] = float(np.max(_deviation(f, xs, cfg)))
     return run.sup_errors[f, cfg]
@@ -529,7 +527,8 @@ class Run:
         if modulus:
             self._entry(f)
         if f not in self.sups:
-            self.sups[f] = replace(f, sup_norm=None).grid_sup_norm()
+            xs = np.linspace(*f.sample_window(), SAMPLE_POINTS)
+            self.sups[f] = float(np.max(np.abs(f.eval(xs))))
         return self.sups[f]
 
     def _entry(self, f: FunctionSpec):

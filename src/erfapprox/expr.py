@@ -12,15 +12,17 @@ Grammar (EBNF):
     number  = digits [ "." digits ] [ ("e" | "E") [sign] digits ] ;
 
 Exponents are numeric literals only, so every expression has closed-form
-derivatives of all orders except through ``abs``.  Arithmetic is one
+derivatives of all orders except through ``abs``.  An expression nests at
+most ``MAX_DEPTH`` levels, or it is a syntax error.  Arithmetic is one
 node, ``Bin(op, left, right)``, and ``Neg`` keeps -0.0 apart from
 ``0 - u``.  One table, ``_FUNCTIONS``, gives each name its numpy
 evaluation and its derivative; ``erf`` delegates to ``special_functions.erf``.
 
 ``compile`` turns a tree, or a derivative chain's shared DAG, into a flat
-``Program`` with one step per structurally distinct node, and
-``evaluate`` runs a program in one loop; a caller that evaluates one
-expression many times compiles it once.
+``Program`` with one step per structurally distinct node; ``derivatives``
+keeps each such node of a chain as one object, so a high order stays as
+small as its program.  ``evaluate`` runs a program in one loop; a caller
+that evaluates one expression many times compiles it once.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import math
 import re
 import struct
 from dataclasses import dataclass
-from typing import List, Tuple, Union, get_args
+from typing import List, Tuple, Union
 
 import numpy as np
 
@@ -79,7 +81,6 @@ class Fun:
 
 
 Node = Union[Num, Var, Neg, Bin, Pow, Fun]
-_NODES = get_args(Node)
 
 
 #: each function's numpy evaluation and its derivative at the argument u, as
@@ -121,11 +122,22 @@ def _tokenize(text: str):
     return tokens
 
 
+#: the deepest an expression may nest: each group "( )", function call,
+#: unary minus, power and binary operator on the way down to a number or x
+#: is one level, so the parser and ``serialize``, which recurse, stay well
+#: inside Python's recursion limit
+MAX_DEPTH = 64
+
+
 class _Parser:
+    """Recursive descent; each rule returns (node, depth), depth being the
+    number of levels (see ``MAX_DEPTH``) its text nests."""
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.open = 0       # the groups, calls and minus signs around the next token
 
     def peek(self):
         return self.tokens[self.i]
@@ -142,33 +154,52 @@ class _Parser:
         self.advance()
 
     def parse(self) -> Node:
-        node = self.expr()
+        node, _ = self.expr()
         kind, val, off = self.peek()
         if kind != "end":
             raise ExprSyntaxError(f"trailing input {val!r}", off)
         return node
 
-    def binary(self, ops: str, operand) -> Node:
-        node = operand()
-        while self.peek()[0] == "op" and self.peek()[1] in ops:
-            node = Bin(self.advance()[1], node, operand())
-        return node
+    @staticmethod
+    def deeper(depth: int, off: int) -> int:
+        """depth + 1, the depth of one level around a part of that depth; an
+        ExprSyntaxError at offset off beyond MAX_DEPTH."""
+        if depth >= MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", off)
+        return depth + 1
 
-    def expr(self) -> Node:
+    def inside(self, off: int, rule):
+        """rule's (node, depth + 1) one level down, refused before it recurses
+        when the levels already open reach MAX_DEPTH."""
+        self.open = self.deeper(self.open, off)
+        node, depth = rule()
+        self.open -= 1
+        return node, self.deeper(depth, off)
+
+    def binary(self, ops: str, operand):
+        node, depth = operand()
+        while self.peek()[0] == "op" and self.peek()[1] in ops:
+            _, op, off = self.advance()
+            right, right_depth = operand()
+            node, depth = Bin(op, node, right), self.deeper(max(depth, right_depth), off)
+        return node, depth
+
+    def expr(self):
         return self.binary("+-", self.term)
 
-    def term(self) -> Node:
+    def term(self):
         return self.binary("*/", self.factor)
 
-    def factor(self) -> Node:
-        kind, val, _ = self.peek()
+    def factor(self):
+        kind, val, off = self.peek()
         if kind == "op" and val == "-":
             self.advance()
-            return Neg(self.factor())
+            node, depth = self.inside(off, self.factor)
+            return Neg(node), depth
         return self.power()
 
-    def power(self) -> Node:
-        base = self.atom()
+    def power(self):
+        base, depth = self.atom()
         kind, val, off = self.peek()
         if kind == "op" and val == "^":
             self.advance()
@@ -182,31 +213,31 @@ class _Parser:
                 raise ExprSyntaxError("exponent must be a numeric literal", off2)
             self.advance()
             expo = float(val2)
-            return Pow(base, -expo if neg else expo)
-        return base
+            return Pow(base, -expo if neg else expo), self.deeper(depth, off)
+        return base, depth
 
-    def atom(self) -> Node:
+    def atom(self):
         kind, val, off = self.advance()
         if kind == "num":
-            return Num(float(val))
+            return Num(float(val)), 0
         if kind == "name":
             if val == "x":
-                return Var()
+                return Var(), 0
             if val in _CONSTANTS:
-                return Num(_CONSTANTS[val])
+                return Num(_CONSTANTS[val]), 0
             nk, nv, _ = self.peek()
             if nk == "op" and nv == "(":
                 if val not in _FUNCTIONS:
                     raise UnknownFunction(f"unknown function {val!r} at offset {off}")
                 self.advance()
-                arg = self.expr()
+                arg, depth = self.inside(off, self.expr)
                 self.expect_op(")")
-                return Fun(val, arg)
+                return Fun(val, arg), depth
             raise ExprSyntaxError(f"unknown name {val!r}", off)
         if kind == "op" and val == "(":
-            node = self.expr()
+            node, depth = self.inside(off, self.expr)
             self.expect_op(")")
-            return node
+            return node, depth
         raise ExprSyntaxError(f"unexpected token {val!r}" if val else "unexpected end of input", off)
 
 
@@ -239,7 +270,28 @@ def _operands(node: Node) -> tuple:
         return (node.arg,)
     if isinstance(node, Pow):
         return (node.base,)
-    return (node.left, node.right)
+    if isinstance(node, Bin):
+        return (node.left, node.right)
+    raise TypeError(f"unknown node {node!r}")
+
+
+def _post_order(root: Node, done: dict, operands=_operands):
+    """Each node under root whose id is not in done, after its operands
+    (those operands(node) names, first one first).  The caller puts each
+    node it is given into done, which stops the walk there on a later
+    visit; an explicit stack, so no recursion follows the tree's height."""
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if id(node) in done:
+            stack.pop()
+            continue
+        pending = [op for op in operands(node) if id(op) not in done]
+        if pending:
+            stack.extend(reversed(pending))
+            continue
+        stack.pop()
+        yield node
 
 
 #: each op's IEEE arithmetic, which rounds exactly, so a Bin (or Neg) step may
@@ -250,43 +302,54 @@ _ARITHMETIC = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
 _OWNED = (Neg, Bin, Pow)
 
 
-def compile(root: Node) -> Program:
-    """root as a flat post-order Program.  Nodes equal in structure become
-    one step, found by identity first and then by their kind, operand
-    steps and constant; constants are keyed by their bits, so 0.0 and
-    -0.0 stay two steps.  Each slot is freed after its last use."""
-    keys, consts, index, slot = [], [], {}, {}     # slot: id(node) -> step
-    stack = [root]
-    while stack:
-        node = stack[-1]
-        if id(node) in slot:
-            stack.pop()
-            continue
-        operands = _operands(node)
-        pending = [op for op in operands if id(op) not in slot]
-        if pending:
-            stack.extend(reversed(pending))
-            continue
-        stack.pop()
-        kind = type(node)
-        if kind not in _NODES:
-            raise TypeError(f"unknown node {node!r}")
-        const = (node.value if kind is Num else node.op if kind is Bin
-                 else node.exponent if kind is Pow else node.name if kind is Fun else None)
+def _constant(node: Node):
+    """The constant a step of node keeps: a Num's value, a Bin's op, a
+    Pow's exponent or a Fun's name (None for Var and Neg)."""
+    kind = type(node)
+    return (node.value if kind is Num else node.op if kind is Bin
+            else node.exponent if kind is Pow else node.name if kind is Fun else None)
+
+
+def _intern(root: Node, nodes: list, index: dict) -> Node:
+    """root with structurally equal subtrees made one object.  A subtree's
+    key is its kind, its operands' positions in nodes and its constant,
+    by its bits for a float (so 0.0 and -0.0 stay apart); index maps each
+    key to its position, and a new key appends its node, rebuilt over the
+    interned operands when they differ, to nodes in post order.  Trees
+    interned into one (nodes, index) share every subtree they have in
+    common."""
+    slot = {}       # id(node) -> position in nodes
+    for node in _post_order(root, slot):
+        kind, operands, const = type(node), _operands(node), _constant(node)
         args = tuple(slot[id(op)] for op in operands)
         key = (kind, args, struct.pack("<d", const) if kind in (Num, Pow) else const)
         if key not in index:
-            index[key] = len(keys)
-            keys.append(key)
-            consts.append(const)
+            index[key] = len(nodes)
+            ops = [nodes[a] for a in args]
+            if all(op is new for op, new in zip(operands, ops)):
+                nodes.append(node)
+            else:       # Bin(op, l, r) and Fun(name, u) take their constant first
+                nodes.append(Pow(ops[0], const) if kind is Pow else Neg(ops[0])
+                             if kind is Neg else kind(const, *ops))
         slot[id(node)] = index[key]
+    return nodes[slot[id(root)]]
+
+
+def compile(root: Node) -> Program:
+    """root as a flat post-order Program with one step per structurally
+    distinct node (see ``_intern``), so 0.0 and -0.0 stay two steps.  Each
+    slot is freed after its last use."""
+    nodes, index = [], {}
+    _intern(root, nodes, index)
+    keys = list(index)
     last = {a: i for i, (_, args, _) in enumerate(keys) for a in args}
     frees = [[] for _ in keys]
     for a, i in last.items():
         frees[i].append(a)
     return Program(tuple(
-        (kind, args, const, tuple(free), next((a for a in free if keys[a][0] in _OWNED), None))
-        for (kind, args, _), const, free in zip(keys, consts, frees)))
+        (kind, args, _constant(node), tuple(free),
+         next((a for a in free if keys[a][0] in _OWNED), None))
+        for (kind, args, _), node, free in zip(keys, nodes, frees)))
 
 
 def _combine(op: str, left, right, out):
@@ -380,48 +443,58 @@ def _mul(a: Node, b: Node) -> Node:
 
 
 def derivatives(node: Node, order: int) -> List[Node]:
-    """[node, node', ..., node^(order)]; one memo over the chain differentiates
-    each distinct subtree once, so the trees share subtrees by identity."""
+    """[node, node', ..., node^(order)], each level interned (``_intern``)
+    into one table before it is differentiated, so structurally equal
+    subtrees of the whole chain are one object, and one memo over the
+    chain differentiates each of them once."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    chain, memo = [node], {}
+    nodes, index, memo = [], {}, {}
+    chain = [_intern(node, nodes, index)]
     for _ in range(order):
-        chain.append(_d(chain[-1], memo))
+        chain.append(_intern(_d(chain[-1], memo), nodes, index))
     return chain
 
 
-def _d(node: Node, memo: dict) -> Node:
+def _d(root: Node, memo: dict) -> Node:
+    """root's derivative.  A post-order walk builds each node's derivative
+    after those of the operands its rule reads, and finds theirs in memo by
+    identity."""
     # every key is a subtree of a tree in the chain, so its id stays taken
-    if id(node) in memo:
-        return memo[id(node)]
-    if isinstance(node, Num):
-        out = Num(0.0)
-    elif isinstance(node, Var):
-        out = Num(1.0)
-    elif isinstance(node, Neg):
-        inner = _d(node.arg, memo)
-        out = Num(0.0) if _is_zero(inner) else Neg(inner)
-    elif isinstance(node, Bin):
-        u, v = node.left, node.right
-        du, dv = _d(u, memo), _d(v, memo)
-        if node.op in "+-":
-            out = (_add if node.op == "+" else _sub)(du, dv)
-        elif node.op == "*":
-            out = _add(_mul(du, v), _mul(u, dv))
-        else:       # (u/v)' = u'/v - u v'/v^2
-            out = _sub(Bin("/", du, v), Bin("/", _mul(u, dv), Pow(v, 2.0)))
-    elif isinstance(node, Pow):
-        chain = _mul(Num(node.exponent), Pow(node.base, node.exponent - 1.0))
-        out = Num(0.0) if node.exponent == 0.0 else _mul(chain, _d(node.base, memo))
-    elif isinstance(node, Fun):
-        outer = _FUNCTIONS[node.name][1]
-        if outer is None:
-            raise NonDifferentiable(f"{node.name} is not differentiable at 0")
-        out = _mul(outer(node.arg), _d(node.arg, memo))
-    else:
-        raise TypeError(f"unknown node {node!r}")
-    memo[id(node)] = out
-    return out
+    for node in _post_order(root, memo, _read_derivatives):
+        kind = type(node)
+        if kind is Num:
+            out = Num(0.0)
+        elif kind is Var:
+            out = Num(1.0)
+        elif kind is Neg:
+            inner = memo[id(node.arg)]
+            out = Num(0.0) if _is_zero(inner) else Neg(inner)
+        elif kind is Bin:
+            u, v = node.left, node.right
+            du, dv = memo[id(u)], memo[id(v)]
+            if node.op in "+-":
+                out = (_add if node.op == "+" else _sub)(du, dv)
+            elif node.op == "*":
+                out = _add(_mul(du, v), _mul(u, dv))
+            else:       # (u/v)' = u'/v - u v'/v^2
+                out = _sub(Bin("/", du, v), Bin("/", _mul(u, dv), Pow(v, 2.0)))
+        elif kind is Pow:
+            chain = _mul(Num(node.exponent), Pow(node.base, node.exponent - 1.0))
+            out = Num(0.0) if node.exponent == 0.0 else _mul(chain, memo[id(node.base)])
+        else:
+            outer = _FUNCTIONS[node.name][1]
+            if outer is None:
+                raise NonDifferentiable(f"{node.name} is not differentiable at 0")
+            out = _mul(outer(node.arg), memo[id(node.arg)])
+        memo[id(node)] = out
+    return memo[id(root)]
+
+
+def _read_derivatives(node: Node) -> tuple:
+    """The operands whose derivatives node's rule reads: u^0 is constant,
+    so its rule reads none."""
+    return () if isinstance(node, Pow) and node.exponent == 0.0 else _operands(node)
 
 
 # ---------------------------------------------------------------- printing

@@ -13,8 +13,8 @@ of steps, an array in their order, with ``modulus.grid_modulus`` in one
 doubling pass: the grid step comes from the table's first and last grid
 points, and a NaN value gives a NaN estimate.
 ``caputo_sup_ceiling`` and ``caputo_modulus_ceiling`` are closed-form
-upper bounds, and ``caputo_monomial`` is the closed-form oracle for
-monomials.
+upper bounds from f^(N)'s declared sup norm, and ``caputo_monomial`` is
+the closed-form oracle for monomials.
 
 The weakly singular kernel is absorbed exactly by Gauss-Jacobi quadrature:
 substituting t = x0 + (x - x0)(u + 1)/2 turns the kernel into the Jacobi
@@ -133,7 +133,11 @@ def caputo(f: FunctionSpec, spec: FractionalSpec, x):
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
-def _check_side_interval(spec: FractionalSpec, sub: Tuple[float, float]):
+def caputo_table(
+    f: FunctionSpec, spec: FractionalSpec, sub: Tuple[float, float], points: int = 4096
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Dense (grid, values) table of the Caputo derivative on an interval
+    of its side, for table_modulus to read."""
     lo, hi = sub
     if not lo < hi:
         raise PreconditionViolated(f"need lo < hi, got [{lo}, {hi}]")
@@ -145,15 +149,7 @@ def _check_side_interval(spec: FractionalSpec, sub: Tuple[float, float]):
         raise PreconditionViolated(
             f"right derivative lives on [a, x0]; sub interval ends at {hi} > {spec.anchor}"
         )
-
-
-def caputo_table(
-    f: FunctionSpec, spec: FractionalSpec, sub: Tuple[float, float], points: int = 4096
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Dense (grid, values) table of the Caputo derivative on an interval,
-    for table_modulus to read."""
-    _check_side_interval(spec, sub)
-    xs = np.linspace(sub[0], sub[1], points)
+    xs = np.linspace(lo, hi, points)
     return xs, caputo(f, spec, xs)
 
 
@@ -167,10 +163,13 @@ def table_modulus(table: Tuple[np.ndarray, np.ndarray], steps: Sequence[float]) 
 def caputo_sup_ceiling(
     f: FunctionSpec, spec: FractionalSpec, interval: Tuple[float, float]
 ) -> float:
-    """Closed-form ceiling ||f^(N)||_inf (b-a)^(N-alpha) / Gamma(N-alpha+1) on [a, b]."""
+    """Closed-form ceiling ||f^(N)||_inf (b-a)^(N-alpha) / Gamma(N-alpha+1) on
+    [a, b], from f^(N)'s declared sup_norm (a sampled sup is a lower estimate)."""
     a, b = interval
     N = spec.N
-    sup_n = f.derivative(N).grid_sup_norm()
+    sup_n = f.derivative(N).sup_norm
+    if sup_n is None:
+        raise PreconditionViolated(f"{f.name}: the ceiling needs f^({N})'s declared sup_norm")
     return sup_n * (b - a) ** (N - spec.alpha) / gamma_fn(N - spec.alpha + 1.0)
 
 

@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .errors import MissingDerivative
 
 #: Interval domain as (a, b); None means the whole real line.
@@ -17,7 +15,7 @@ Domain = Optional[Tuple[float, float]]
 SAMPLE_POINTS = 4096
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FunctionSpec:
     """A real function of one real variable plus the metadata bounds need.
 
@@ -27,12 +25,16 @@ class FunctionSpec:
     is the closed-form first modulus of continuity on the declared domain;
     ``sup_norm`` the supremum of |f| there.  ``grid_window`` is the
     compact x-range used for grid sampling of whole-line functions.
+
+    A spec is equal only to itself and hashes by identity, so a memo keyed
+    by one costs O(1) at any derivative order; its repr leaves out the
+    derivatives, whose own reprs would repeat every level below them.
     """
 
     name: str
     eval: Callable
     domain: Domain = None
-    derivatives: Sequence["FunctionSpec"] = field(default_factory=tuple)
+    derivatives: Sequence["FunctionSpec"] = field(default_factory=tuple, repr=False)
     exact_modulus: Optional[Callable[[float], float]] = None
     sup_norm: Optional[float] = None
     grid_window: Optional[Tuple[float, float]] = None
@@ -61,18 +63,11 @@ class FunctionSpec:
             return self.grid_window
         return (-8.0, 8.0)
 
-    def grid_sup_norm(self) -> float:
-        """sup_norm, else its estimate on SAMPLE_POINTS points of the sample window."""
-        if self.sup_norm is not None:
-            return self.sup_norm
-        lo, hi = self.sample_window()
-        xs = np.linspace(lo, hi, SAMPLE_POINTS)
-        return float(np.max(np.abs(self.eval(xs))))
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComplexFunctionSpec:
-    """A complex-valued function given by its real and imaginary parts."""
+    """A complex-valued function given by its real and imaginary parts,
+    equal only to itself like its parts."""
 
     name: str
     re: FunctionSpec

@@ -56,8 +56,10 @@ from .funcs import ComplexFunctionSpec, FunctionSpec
 from .partition import RADIUS, index_window
 from .special_functions import chi
 
-#: Gauss-Legendre order of C's cell mean
+#: Gauss-Legendre order of C's cell mean, and that rule's nodes and weights
+#: on [-1, 1], built once
 KANTOROVICH_NODES = 8
+_KANTOROVICH_RULE = leggauss(KANTOROVICH_NODES)
 
 #: node points k/n + t_j per evaluation of the node functional L_k(f):
 #: 2048 indices k of C's 8-node rule, 16384 of A's and B's single node
@@ -129,7 +131,7 @@ def _node_rule(cfg: OperatorConfig) -> Tuple[np.ndarray, np.ndarray]:
     k/n + r/(n*theta) with cfg.weights.
     """
     if cfg.family == "C":
-        glx, glw = leggauss(KANTOROVICH_NODES)
+        glx, glw = _KANTOROVICH_RULE
         return (glx + 1.0) / (2.0 * cfg.n), glw / 2.0
     if cfg.family == "D":
         wts = cfg.weights

@@ -69,6 +69,27 @@ class TestParsing:
         with pytest.raises(UnknownFunction):
             parse("tan(x)")
 
+    @pytest.mark.parametrize("nested", [
+        lambda k: "(" * k + "x" + ")" * k,
+        lambda k: "-" * k + "x",
+        lambda k: "exp(" * k + "x" + ")" * k,
+        lambda k: " + ".join(["x"] * (k + 1)),
+        lambda k: "x^2" + " * x" * (k - 1),
+        lambda k: "(" * (k // 2) + " / ".join(["x"] * (k - k // 2 + 1)) + ")" * (k // 2),
+    ], ids=["groups", "minus", "calls", "chain", "chain-power", "groups-chain"])
+    def test_nesting_is_at_most_max_depth(self, nested):
+        parse(nested(expr.MAX_DEPTH))
+        with pytest.raises(ExprSyntaxError, match=f"nested deeper than {expr.MAX_DEPTH}"):
+            parse(nested(expr.MAX_DEPTH + 1))
+
+    @pytest.mark.parametrize("text", ["(" * 1200 + "x" + ")" * 1200,
+                                      " + ".join(["x"] * 1500)], ids=["groups", "chain"])
+    def test_a_deep_expression_is_a_syntax_error_not_a_recursion_error(self, text):
+        # 1,200 groups overflowed the parser; the 1,500-term sum parsed, then
+        # overflowed the differentiator and the printer
+        with pytest.raises(ExprSyntaxError):
+            parse(text)
+
 
 class TestEvaluation:
     @pytest.mark.parametrize("text,fn", [
@@ -273,24 +294,46 @@ class TestDifferentiation:
     def test_abs_refused(self):
         with pytest.raises(NonDifferentiable):
             derivatives(parse("abs(x)"), 1)
+        # u^0 is constant, so its rule reads no derivative of abs
+        assert derivatives(parse("abs(x)^0"), 2)[1:] == [Num(0.0), Num(0.0)]
+
+    def test_the_deepest_product_differentiates_to_order_24(self):
+        # x^65 as MAX_DEPTH + 1 factors: the recursive differentiator ran out
+        # of stack at order 24
+        chain = derivatives(parse(" * ".join(["x"] * (expr.MAX_DEPTH + 1))), 24)
+        want = math.perm(expr.MAX_DEPTH + 1, 24)
+        assert abs(evaluate(chain[-1], 1.0) - want) <= 1e-12 * want
 
     def test_order_zero_is_identity(self):
         node = parse("x^2")
         assert derivatives(node, 0)[-1] == node
 
     def test_a_derivative_chain_shares_its_subtrees(self):
-        # without sharing the order-8 tree held 40,970 nodes; count by
-        # identity, since == on a shared tree walks every path
+        # without sharing the order-8 tree held 40,970 nodes
         chain = derivatives(parse("exp(-x^2)*sin(3*x)"), 8)
-        seen = {}
-        stack = [chain[-1]]
-        while stack:
-            node = stack.pop()
-            if id(node) not in seen:
-                seen[id(node)] = node
-                stack.extend(v for v in vars(node).values() if not isinstance(v, (str, float)))
-        assert len(seen) <= 1000
+        assert node_objects(chain[-1]) <= 1000
         assert chain[3] == derivatives(parse("exp(-x^2)*sin(3*x)"), 3)[-1]
+
+    def test_every_level_is_one_object_per_program_step(self):
+        # each level is interned before it is differentiated again; without
+        # that the order-6 level held 275 objects for its 85 steps
+        chain = derivatives(parse("exp(-x^2)*sin(3*x)"), 6)
+        assert [node_objects(level) for level in chain] == [
+            len(compile(level).steps) for level in chain]
+
+
+def node_objects(root) -> int:
+    """Distinct node objects under root, counted by identity, since == on a
+    shared tree walks every path."""
+    seen = {}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(v for v in vars(node).values() if not isinstance(v, (str, float)))
+    return len(seen)
+
 
 class TestSerialization:
     ROUND_TRIP = [

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from scipy.special import roots_jacobi
 
 import erfapprox
+from erfapprox import corpus
 from erfapprox.corpus import FRACTIONAL_CORPUS
 from erfapprox.errors import PreconditionViolated
 from erfapprox.fractional import (
@@ -66,7 +67,6 @@ class TestJacobiRule:
                 assert np.array_equal(wj, ws), (expo, singular_at_right)
 
     def test_verify_run_never_loads_scipy_linalg(self):
-        # a fresh interpreter: other tests load scipy.linalg into this one
         script = (
             "import sys\n"
             "from erfapprox.harness import ExperimentConfig, run_verify\n"
@@ -77,13 +77,29 @@ class TestJacobiRule:
             "assert run_verify(cfg).rows\n"
             "print('scipy.linalg' in sys.modules)\n"
         )
-        src = os.path.dirname(os.path.dirname(os.path.abspath(erfapprox.__file__)))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert fresh_interpreter(script).strip() == "False"
+
+    def test_packaged_default_verify_never_loads_scipy_linalg(self):
+        # what users run: the README's memory claim rests on it
+        script = (
+            "import sys\n"
+            "from erfapprox.cli import main\n"
+            "assert main(['verify']) == 0\n"
+            "print('scipy.linalg' in sys.modules)\n"
+        )
+        assert fresh_interpreter(script).splitlines()[-1] == "False"
+
+
+def fresh_interpreter(script: str) -> str:
+    """stdout of script run by a fresh interpreter on this package: other
+    tests load scipy.linalg into this one."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(erfapprox.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def monomial_spec(anchor: float, power: int, side: str) -> FunctionSpec:
@@ -195,7 +211,7 @@ class TestEnvelopes:
         # |D f(x)| <= ||f^(N)|| (x-x0)^(N-alpha) / Gamma(N-alpha+1)
         f = FRACTIONAL_CORPUS["sq"]
         spec = FractionalSpec(0.5, 0.0, "left")
-        sup_n = f.derivative(spec.N).grid_sup_norm()
+        sup_n = f.derivative(spec.N).sup_norm
         for x in np.linspace(0.05, 1.0, 20):
             envelope = sup_n * x ** (spec.N - spec.alpha) / gamma_fn(spec.N - spec.alpha + 1.0)
             assert abs(caputo(f, spec, float(x))) <= envelope * (1 + 1e-9)
@@ -206,6 +222,14 @@ class TestEnvelopes:
         _, ys = caputo_table(f, spec, (0.0, 1.0), 1024)
         sup = float(np.max(np.abs(ys)))
         assert sup <= caputo_sup_ceiling(f, spec, (0.0, 1.0)) * (1 + 1e-9)
+
+    @pytest.mark.parametrize("ceiling", [caputo_sup_ceiling, caputo_modulus_ceiling])
+    def test_ceiling_needs_a_declared_sup_of_f_N(self, ceiling):
+        # a sampled sup is a lower estimate, so a ceiling built on it could
+        # sit below the true sup; f' of an expression declares none
+        f = corpus.function_from_expression("g", "sin(3*x)", domain=(0.0, 1.0), orders=1)
+        with pytest.raises(PreconditionViolated, match="declared sup_norm"):
+            ceiling(f, FractionalSpec(0.5, 0.0, "left"), (0.0, 1.0))
 
     def test_modulus_below_ceiling_and_table_agrees(self):
         # D f(x) = Gamma(3)/Gamma(2.5) x^1.5 for f = t^2 is increasing, so

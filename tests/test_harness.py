@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import time
 from collections import Counter
 from importlib import resources
 from pathlib import Path
@@ -15,6 +16,7 @@ from erfapprox import bounds, corpus
 from erfapprox.cli import main
 from erfapprox.corpus import FRACTIONAL_CORPUS
 from erfapprox.errors import ConfigError, PreconditionViolated
+from erfapprox.funcs import FunctionSpec
 from erfapprox.harness import (
     CSV_COLUMNS,
     SCHEMA,
@@ -189,7 +191,7 @@ class TestRunVerify:
     def test_declared_sup_norm_check_is_one_part_in_1e12(self):
         # a declared value 1e-9 below the sampled sup is rejected, the
         # sampled sup itself is accepted
-        sampled = corpus.function_from_expression("w", "sin(x)").grid_sup_norm()
+        sampled = bounds.Run((), ()).sampled_sup(corpus.function_from_expression("w", "sin(x)"))
         result = run_verify(cfg_with(theorems=["T13"], functions=[
             {"id": "low", "expr": "sin(x)", "sup_norm": sampled * (1.0 - 1e-9),
              "exact_modulus": "sine_period"},
@@ -350,6 +352,12 @@ class TestCli:
         ({"theorems": ["T13"], "functions": [{"id": "w", "expr": "sin(x)", "sup_norm": 1.0,
                                                "grid_window": [float("-inf"), 1.0]}]},
          "functions[0].grid_window"),
+        # RecursionError tracebacks with exit 1: in the parser, and under T16
+        # in the differentiator
+        ({"functions": [{"id": "g", "expr": "(" * 1200 + "x" + ")" * 1200,
+                         "domain": [0.0, 1.0]}]}, "functions[0].expr"),
+        ({"theorems": ["T16"], "functions": [{"id": "g", "expr": " + ".join(["x"] * 1500),
+                                               "domain": [0.0, 1.0]}]}, "functions[0].expr"),
     ])
     def test_value_of_the_wrong_type_exits_two_naming_its_field(self, tmp_path, capsys,
                                                                 overrides, field):
@@ -507,14 +515,36 @@ class TestModuliPerRun:
                 for delta in (float(n) ** -e, 1.0 / n + float(n) ** -e):
                     one = evaluate_modulus(f, (delta,))
                     assert run.modulus(f, delta) == (one.value[0], one.quality,
-                                                     f.grid_sup_norm())
+                                                     bounds.Run((), ()).sampled_sup(f))
                     assert run.moduli[f].refinement_gap[
                         run.steps.index(delta)] == one.refinement_gap[0]
-                assert run.sup(f.derivative(1)) == f.derivative(1).grid_sup_norm()
+                assert run.sup(f.derivative(1)) == bounds.Run((), ()).sampled_sup(
+                    f.derivative(1))
         # the derivative's sup is sampled alone: no bound reads its omega
         assert list(run.moduli) == [f] and list(run.sups) == [f, f.derivative(1)]
         with pytest.raises(PreconditionViolated):
             run.modulus(f, 0.3)
+
+
+class TestHighOrderChains:
+    def test_specs_compare_by_identity(self):
+        # the same fields make two specs: a spec equals only itself
+        a, b = (FunctionSpec("f", np.sin, domain=(0.0, 1.0)) for _ in range(2))
+        assert a == a and a != b and len({a, b, a}) == 2
+
+    def test_repr_leaves_out_the_derivatives(self):
+        # each level printed its whole tail: about 13 MB at order 16
+        f = corpus.function_from_expression("g", "exp(-0.7*x^2)*cos(1.3*x)",
+                                            domain=(-1.0, 1.0), orders=16)
+        assert len(repr(f)) < 1000
+
+    def test_t16_at_order_20_takes_under_two_seconds(self):
+        # each run memo lookup hashed the whole chain: about 9 s, 2^N growth
+        start = time.perf_counter()
+        result = run_verify(cfg_with(theorems=["T16"], highorder_orders=[20], functions=[
+            {"id": "s", "expr": "sin(x)", "domain": [0, 1]}]))
+        assert time.perf_counter() - start < 2.0
+        assert result.rows and not result.skipped
 
 
 class TestCaputoPerRun:

@@ -157,7 +157,7 @@ class TestStepSequence:
             else:
                 assert seq.refinement_gap[i].hex() == one.refinement_gap[0].hex()
         if seq.quality == "estimated":
-            assert seq.sup.hex() == f.grid_sup_norm().hex()
+            assert seq.sup.hex() == bounds.Run((), ()).sampled_sup(f).hex()
 
     def test_every_step_must_be_positive(self):
         with pytest.raises(PreconditionViolated):
