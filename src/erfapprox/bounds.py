@@ -40,7 +40,7 @@ from .fractional import (
 )
 from .funcs import SAMPLE_POINTS, ComplexFunctionSpec, FunctionSpec
 from .modulus import evaluate_modulus
-from .operators import OperatorConfig, QuadratureWeights, apply_operator
+from .operators import OperatorConfig, QuadratureWeights, Workspace, apply_operator
 from .partition import tail_bound, tail_core
 from .special_functions import INV_CHI_AT_ONE
 
@@ -336,11 +336,13 @@ def complex_bound(f: ComplexFunctionSpec, real_bound, *args, **kw):
 # ------------------------------------------------------- empirical errors
 
 
-def _monomial_images(x: float, cfg: OperatorConfig, order: int) -> List[float]:
+def _monomial_images(x: float, cfg: OperatorConfig, order: int,
+                     work: Optional[Workspace]) -> List[float]:
     """Operator images at x of the shifted monomials (t - x)^j, j = 1..order-1."""
     return [
         apply_operator(FunctionSpec("shifted_power",
-                                    lambda t, _j=j: (np.asarray(t, float) - x) ** _j), x, cfg)
+                                    lambda t, _j=j: (np.asarray(t, float) - x) ** _j), x, cfg,
+                       work)
         for j in range(1, order)
     ]
 
@@ -354,35 +356,37 @@ def _taylor_image(f: FunctionSpec, x: float, monomials: Sequence[float]) -> floa
     return corr
 
 
-def _deviation(f, x, cfg: OperatorConfig, taylor_order: int = 0):
-    """|Op f - f| at x (a point or a grid); a complex f is measured through
-    the hypot of its parts, whose images come from one operator call.  A
+def _deviation(f, x, cfg: OperatorConfig, taylor_order: int = 0, *, values=None,
+               work: Optional[Workspace] = None):
+    """|Op f - f| at x (a point or a grid), the operator run in work; a
+    complex f is measured through the hypot of its parts, whose images come
+    from one operator call.  values, when given, are f's parts at x.  A
     taylor_order N > 1 first subtracts the operator image of f's Taylor
     terms of orders 1..N-1 at the point x; the shifted monomials' images
     are shared by both parts."""
-    images = apply_operator(f, x, cfg)
+    images = apply_operator(f, x, cfg, work)
     if len(f.parts) == 1:
         images = (images,)
-    monomials = _monomial_images(x, cfg, taylor_order)
+    monomials = _monomial_images(x, cfg, taylor_order, work)
+    if values is None:
+        values = [p.eval(x) for p in f.parts]
     devs = [
-        image - _taylor_image(p, x, monomials) - p.eval(x)
-        for image, p in zip(images, f.parts)
+        image - _taylor_image(p, x, monomials) - value
+        for image, p, value in zip(images, f.parts, values)
     ]
     return np.hypot(*devs) if len(devs) == 2 else np.abs(devs[0])
 
 
 def _sup_error(f, cfg: OperatorConfig, run: Run) -> float:
-    """Grid sup of |Op f - f| over f's sample window, on the refined grid
-    of 2 * x_points - 1 points when run.grid.refinement is on (its even
-    samples are the x_points grid, so the coarse maximum is never larger).
+    """Grid sup of |Op f - f| over f's sup grid (``Run.sup_sample``).
 
     Each distinct (f, cfg) is measured once per run and later calls read
     the float stored in run.sup_errors.
     """
     if (f, cfg) not in run.sup_errors:
-        points = 2 * run.grid.x_points - 1 if run.grid.refinement else run.grid.x_points
-        xs = np.linspace(*f.parts[0].sample_window(), points)
-        run.sup_errors[f, cfg] = float(np.max(_deviation(f, xs, cfg)))
+        xs, values = run.sup_sample(f)
+        deviation = _deviation(f, xs, cfg, values=values, work=run.work)
+        run.sup_errors[f, cfg] = float(np.max(deviation))
     return run.sup_errors[f, cfg]
 
 
@@ -491,7 +495,12 @@ class Run:
     * ``sups``: per function, max |f| on the ``funcs.SAMPLE_POINTS`` grid
       of its sample window, whatever sup_norm it declares: the sup of its
       modulus entry's sample, or of one sample alone when no entry holds
-      one (its omega is exact or never read).
+      one (its omega is exact or never read);
+    * ``sample``: the last function's sup grid and its parts' values there
+      (``sup_sample``), so that its n and families share one evaluation;
+    * ``work``: the ``operators.Workspace`` every operator call of the run
+      writes its kernel into, grown to the largest call; it goes with the
+      run.
     """
 
     deltas: Tuple[float, ...]
@@ -500,6 +509,8 @@ class Run:
     sup_errors: dict = field(default_factory=dict)
     moduli: dict = field(default_factory=dict)
     sups: dict = field(default_factory=dict)
+    sample: Optional[tuple] = field(default=None, repr=False, compare=False)
+    work: Workspace = field(default_factory=Workspace, repr=False, compare=False)
 
     @staticmethod
     def of(sweep: Sequence[int], exponents: Sequence[float],
@@ -530,6 +541,19 @@ class Run:
             xs = np.linspace(*f.sample_window(), SAMPLE_POINTS)
             self.sups[f] = float(np.max(np.abs(f.eval(xs))))
         return self.sups[f]
+
+    def sup_sample(self, f) -> Tuple[np.ndarray, tuple]:
+        """(xs, values): f's sup grid on its sample window, the refined grid
+        of 2 * x_points - 1 points when grid.refinement is on (its even
+        samples are the x_points grid, so the coarse maximum is never
+        larger), and f's parts evaluated there.  The last f's are kept in
+        ``sample``; elementwise evaluation makes them the values a fresh
+        evaluation would give."""
+        if self.sample is None or self.sample[0] is not f:
+            points = 2 * self.grid.x_points - 1 if self.grid.refinement else self.grid.x_points
+            xs = np.linspace(*f.parts[0].sample_window(), points)
+            self.sample = (f, xs, tuple(p.eval(xs) for p in f.parts))
+        return self.sample[1:]
 
     def _entry(self, f: FunctionSpec):
         """f's entry in ``moduli``, made on first use by one evaluate_modulus
@@ -628,7 +652,7 @@ def _verify_one(tid, th: Theorem, f, n, ex, run: Run, params: dict) -> List[Boun
             if x is None:
                 emp = _sup_error(f, cfg, run)
             else:
-                emp = float(_deviation(f, x, cfg, taylor))
+                emp = float(_deviation(f, x, cfg, taylor, work=run.work))
             # a non-finite point outranks every finite one, so its row reads
             # "non-finite" (a nan ratio would never compare greater)
             finite = math.isfinite(emp) and math.isfinite(value)

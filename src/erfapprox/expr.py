@@ -310,15 +310,19 @@ def _constant(node: Node):
             else node.exponent if kind is Pow else node.name if kind is Fun else None)
 
 
-def _intern(root: Node, nodes: list, index: dict) -> Node:
+def _intern(root: Node, nodes: list, index: dict, slot: dict) -> Node:
     """root with structurally equal subtrees made one object.  A subtree's
     key is its kind, its operands' positions in nodes and its constant,
     by its bits for a float (so 0.0 and -0.0 stay apart); index maps each
     key to its position, and a new key appends its node, rebuilt over the
     interned operands when they differ, to nodes in post order.  Trees
     interned into one (nodes, index) share every subtree they have in
-    common."""
-    slot = {}       # id(node) -> position in nodes
+    common.
+
+    slot maps id(node) to its position for every node walked, and the walk
+    stops at a node already in it, so trees interned with one slot visit
+    each node once; every node it names must stay alive while it is used,
+    or a new node could take its id."""
     for node in _post_order(root, slot):
         kind, operands, const = type(node), _operands(node), _constant(node)
         args = tuple(slot[id(op)] for op in operands)
@@ -340,7 +344,7 @@ def compile(root: Node) -> Program:
     distinct node (see ``_intern``), so 0.0 and -0.0 stay two steps.  Each
     slot is freed after its last use."""
     nodes, index = [], {}
-    _intern(root, nodes, index)
+    _intern(root, nodes, index, {})
     keys = list(index)
     last = {a: i for i, (_, args, _) in enumerate(keys) for a in args}
     frees = [[] for _ in keys]
@@ -446,13 +450,15 @@ def derivatives(node: Node, order: int) -> List[Node]:
     """[node, node', ..., node^(order)], each level interned (``_intern``)
     into one table before it is differentiated, so structurally equal
     subtrees of the whole chain are one object, and one memo over the
-    chain differentiates each of them once."""
+    chain differentiates each of them once.  One slot serves the whole
+    chain, so interning a level walks only the nodes its derivative made
+    new: node keeps its own tree alive, and memo every derivative tree."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    nodes, index, memo = [], {}, {}
-    chain = [_intern(node, nodes, index)]
+    nodes, index, slot, memo = [], {}, {}, {}
+    chain = [_intern(node, nodes, index, slot)]
     for _ in range(order):
-        chain.append(_intern(_d(chain[-1], memo), nodes, index))
+        chain.append(_intern(_d(chain[-1], memo), nodes, index, slot))
     return chain
 
 

@@ -24,13 +24,22 @@ chi((u - r) - offsets), with u = nx and r = round(u), and one integer
 matrix that points each (x, offset) at its node index k = r + offset;
 for A one mask zeroes it outside [ceil(na), floor(nb)], and its row sums
 are the denominator.  chi runs on the matrix window-major (offsets
--R..R down axis 0), where neighbouring offsets share erf values, so its
-two erf calls see 17 of the 30 arguments per point plus the few inexact
-ones; the result is copied once points-major with its columns in the
-family's summation order, so every window sum adds as before.  The node
-functional is evaluated once per distinct k, in blocks of
-``NODE_POINTS`` node points, so a call's working set stays near three
-points x window matrices whatever n and the rule's node count.
+-R..R down axis 0), where neighbouring offsets share erf values and the
+two leading rows are saturated, so its two erf calls see 15 of the 30
+arguments per point plus the few inexact ones; the result is copied once
+points-major with its columns in the family's summation order, so every
+window sum adds as before.  The node functional is evaluated once per
+distinct k, in blocks of ``NODE_POINTS`` node points.
+
+A call writes its matrices into a ``Workspace`` of two float buffers, one
+index buffer and one mask, each points x window: the window-major
+argument, which chi overwrites with x - 1 and the points-major kernel
+then replaces; x + 1, which ends as chi's result and then holds each
+part's gathered node values; the node indices; and A's mask.  A run
+keeps one workspace for all its calls (``bounds.Run.work``), so their
+pages are faulted in once; without one a call takes a fresh workspace,
+so its working set stays near four points x window matrices whatever n
+and the rule's node count.
 
 The partition sum sum_k chi(nx - k), the interval denominator V(x) and
 its boundary deficiency 1 - V(a) are window sums of the same kernel, so
@@ -71,6 +80,8 @@ ASCENDING = np.arange(-RADIUS, RADIUS + 1.0)
 #: summation order of B, C and D, fixed so that every window sum adds its
 #: terms in the same order and stays reproducible bit for bit
 CENTRE_OUT = np.array(sorted(ASCENDING, key=lambda m: (abs(m), m)))
+#: entries per window
+WINDOW = ASCENDING.size
 
 
 @dataclass(frozen=True)
@@ -140,48 +151,75 @@ def _node_rule(cfg: OperatorConfig) -> Tuple[np.ndarray, np.ndarray]:
     return np.zeros(1), np.ones(1)
 
 
-def _node_indices(r: np.ndarray, offsets: np.ndarray, lo: float, hi: float):
+class Workspace:
+    """The buffers an apply_operator call writes its kernel into: two float
+    matrices, one index matrix and one mask, each of points x WINDOW
+    entries.  They grow to the largest call and are sliced for smaller
+    ones, so calls that share a workspace (``bounds.Run`` keeps one per
+    run) fault their pages in once; a call without one takes a fresh one.
+    It serves one call at a time, and a call reads only what it wrote
+    itself."""
+
+    def __init__(self):
+        self._buffers = (np.empty(0), np.empty(0), np.empty(0, np.intp), np.empty(0, bool))
+
+    def take(self, points: int) -> Tuple[np.ndarray, ...]:
+        """(arg, kernel, index, mask): points x WINDOW views of the buffers,
+        the same views for the same points until they grow."""
+        size = points * WINDOW
+        if self._buffers[0].size < size:
+            self._buffers = tuple(np.empty(size, b.dtype) for b in self._buffers)
+        return tuple(b[:size].reshape(points, WINDOW) for b in self._buffers)
+
+
+def _node_indices(r: np.ndarray, offsets: np.ndarray, lo: float, hi: float,
+                  index: np.ndarray, mask: np.ndarray):
     """The window indices k = r + offsets of every point, as (kk, idx,
     outside): the distinct k, clipped to [lo, hi], as floats; one integer
     matrix with k = kk[idx]; and, when [lo, hi] is finite, the mask of the
     window entries outside it (a nan index counts as outside), else None.
 
     Windows that overlap into one range take the arange over that range
-    and build idx in integers, masked and clipped in place.  Scattered
-    windows, and windows that contain nan, take np.unique of the float
-    indices instead: the work stays bounded by their size, and nan is
-    never cast to an integer.
+    and build idx in integers in index, and the mask in mask, both
+    points x window buffers.  Scattered windows, and windows that contain
+    nan, take np.unique of the float indices instead: the work stays
+    bounded by their size, and nan is never cast to an integer.
     """
     finite = math.isfinite(lo)
     span = r.max() - r.min() if r.size else math.nan
     if span < r.size * offsets.size and np.abs(r).max() < 2.0**52:      # no nan or inf
         k0 = max(r.min() + offsets.min(), lo)
         m = int(min(r.max() + offsets.max(), hi) - k0)
-        idx = (r - k0).astype(np.intp)[:, None] + offsets.astype(np.intp)
-        outside = (idx < 0) | (idx > m) if finite else None
+        np.add((r - k0).astype(np.intp)[:, None], offsets.astype(np.intp), out=index)
         if finite:
-            np.clip(idx, 0, m, out=idx)
-        return k0 + np.arange(m + 1.0), idx, outside
+            np.logical_or(np.less(index, 0, out=mask), index > m, out=mask)
+            np.clip(index, 0, m, out=index)
+        return k0 + np.arange(m + 1.0), index, mask if finite else None
     ks = r[:, None] + offsets
     kk, idx = np.unique(np.clip(ks, lo, hi), return_inverse=True)
     return kk, idx.reshape(ks.shape), ~((ks >= lo) & (ks <= hi)) if finite else None
 
 
-def _kernel(u: np.ndarray, offsets: np.ndarray, lo: float, hi: float):
+def _kernel(u: np.ndarray, offsets: np.ndarray, lo: float, hi: float, work: Workspace):
     """The window kernel chi(u - k), k = round(u) + offsets, as (chiv, kk,
     idx): one points x window matrix with its columns in offsets' order and,
     when [lo, hi] is finite (A's index window), zero outside it; the
     distinct k, clipped to [lo, hi]; and the integer matrix with k = kk[idx].
+
+    chi runs window-major on work's arg buffer, which then ends as x - 1,
+    with its result in the kernel buffer; chiv is the points-major copy,
+    written into arg.  chiv and idx are views of work until its next use.
     """
+    arg, kernel, index, mask = work.take(u.size)
     r = np.round(u)
-    # u - r and r + offset are exact, so this is chi(u - k) bit for bit.  idx
-    # is built before the kernel is copied and dropped, in the space chi
-    # freed: dropping the kernel first let glibc trim the heap, and a
-    # 4095-point call then faulted 536 pages instead of 208
-    kernel = chi((u - r) - ASCENDING[:, None])
-    kk, idx, outside = _node_indices(r, offsets, lo, hi)
-    chiv = np.stack([kernel[int(m) + RADIUS] for m in offsets], axis=1)
-    del kernel
+    # u - r and r + offset are exact, so this is chi(u - k) bit for bit
+    x = arg.reshape(WINDOW, u.size)
+    np.subtract(u - r, ASCENDING[:, None], out=x)
+    window_major = chi(x, (kernel.reshape(x.shape), x))
+    kk, idx, outside = _node_indices(r, offsets, lo, hi, index, mask)
+    chiv = arg
+    for j, m in enumerate(offsets):
+        chiv[:, j] = window_major[int(m) + RADIUS]
     if outside is not None:
         np.copyto(chiv, 0.0, where=outside)
     return chiv, kk, idx
@@ -197,7 +235,7 @@ def partition_sum(x, n: int):
     if n < 1:
         raise PreconditionViolated("n must be >= 1")
     u = np.atleast_1d(np.asarray(x, dtype=float)) * n
-    total = _kernel(u, CENTRE_OUT, -math.inf, math.inf)[0][:, ::-1].sum(axis=1)
+    total = _kernel(u, CENTRE_OUT, -math.inf, math.inf, Workspace())[0][:, ::-1].sum(axis=1)
     return float(total[0]) if np.ndim(x) == 0 else total
 
 
@@ -208,7 +246,7 @@ def interval_denominator(x, n: int, a: float, b: float):
     Strictly above chi(1) ~= 0.2488 for x in [a, b], and at most 1.
     """
     u = np.atleast_1d(np.asarray(x, dtype=float)) * n
-    total = _kernel(u, ASCENDING, *index_window(n, a, b))[0].sum(axis=1)
+    total = _kernel(u, ASCENDING, *index_window(n, a, b), Workspace())[0].sum(axis=1)
     return float(total[0]) if np.ndim(x) == 0 else total
 
 
@@ -224,8 +262,12 @@ def boundary_deficiency(n: int, a: float, b: float, at_end: str) -> float:
     return 1.0 - interval_denominator(end, n, a, b)
 
 
-def apply_operator(f: FunctionSpec, x, cfg: OperatorConfig):
-    """Op f at x for cfg's family; the pair (Op re, Op im) for a complex f."""
+def apply_operator(f: FunctionSpec, x, cfg: OperatorConfig, work: Optional[Workspace] = None):
+    """Op f at x for cfg's family; the pair (Op re, Op im) for a complex f.
+
+    The kernel and each part's node values are written into work's buffers
+    (a fresh Workspace when None); the images are new arrays.
+    """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     n = cfg.n
     if cfg.family == "A":
@@ -244,7 +286,10 @@ def apply_operator(f: FunctionSpec, x, cfg: OperatorConfig):
         offsets = CENTRE_OUT
         lo, hi = -math.inf, math.inf
 
-    chiv, kk, idx = _kernel(n * xs, offsets, lo, hi)
+    work = Workspace() if work is None else work
+    chiv, kk, idx = _kernel(n * xs, offsets, lo, hi, work)
+    # the window-major kernel's buffer, free once chiv holds its copy
+    spare = work.take(xs.size)[1]
     den = chiv.sum(axis=1) if cfg.family == "A" else 1.0
     t, w = _node_rule(cfg)
     step = max(1, NODE_POINTS // t.size)
@@ -254,7 +299,7 @@ def apply_operator(f: FunctionSpec, x, cfg: OperatorConfig):
         for s in range(0, kk.size, step):
             block = kk[s:s + step, None] / n + t
             node[s:s + step] = np.tensordot(p.eval(block), w, axes=([1], [0]))
-        vals = node[idx]
+        vals = np.take(node, idx, out=spare, mode="clip")      # idx is in range
         vals *= chiv
         return vals.sum(axis=1) / den
 

@@ -39,26 +39,57 @@ def erf_antiderivative(x):
     return float(out) if np.ndim(x) == 0 else out
 
 
-def chi(x):
+#: |x| from which erf(x) is exactly +-1 in double precision (scipy's erf
+#: is from about 5.92 on), so chi writes sign(x + 1) there instead of erf
+ERF_SATURATION = 6.0
+
+
+def _saturated_rows(a: np.ndarray) -> int:
+    """The number of leading rows of a (along axis 0) whose entries all have
+    |value| >= ERF_SATURATION, checked in blocks of rows that double, so a
+    call reads about twice the rows it counts, plus one."""
+    count, rest = 0, tuple(range(1, a.ndim))
+    while count < len(a):
+        block = a[count:2 * count + 1]
+        full = np.logical_and.accumulate(np.all(np.abs(block) >= ERF_SATURATION, axis=rest))
+        count += int(np.count_nonzero(full))
+        if not full[-1]:
+            break
+    return count
+
+
+def chi(x, buffers=None):
     """Bell density chi(x) = (erf(x+1) - erf(x-1))/4.
 
     Even, strictly positive, maximized at 0 with chi(0) = erf(1)/2.
 
-    An array call makes two erf calls, on buffers x + 1 and x - 1 that it
-    combines in place, and equals the formula bit for bit.  The first
-    covers all of x + 1.  Along axis 0, an entry of x - 1 equal to the
-    entry of x + 1 two places on takes its erf value, so the second covers
-    the last two places and the entries that differ: 17 of 30 arguments
-    per point of a window-major kernel d - m (m = -R..R down axis 0), plus
-    the few inexact ones.  When over a sixteenth differ, erf runs on all
-    of x - 1, so a call holds at most about 2.19 arrays the size of x.
+    An array call writes x + 1 and x - 1 into two C-ordered buffers of
+    x's shape, buffers = (hi, lo), or two fresh ones when None; lo may be
+    x itself, which then ends as x - 1.  It makes two erf calls on them,
+    combines them in place and returns hi, equal to the formula bit for
+    bit.
+
+    The leading rows of x + 1 (along axis 0) whose entries all have
+    |value| >= ERF_SATURATION, where erf is exactly +-1, take np.sign
+    (which keeps nan), and the first erf call covers the remaining rows.
+    Along axis 0, an entry of x - 1 equal to the entry of x + 1 two places
+    on takes its erf value, so the second call covers the last two places
+    and the entries that differ.  On a window-major kernel d - m (m = -R..R
+    down axis 0, |d| <= 1/2) the first two rows are saturated, so the two
+    calls see 15 of the 30 arguments per point, plus the few inexact ones.
+    When over a sixteenth differ, erf runs on all of x - 1, so a call
+    holds at most about 0.19 arrays the size of x besides the buffers.
     """
     if np.ndim(x) == 0:
         return (erf(float(x) + 1.0) - erf(float(x) - 1.0)) / 4.0
     x_arr = np.asarray(x, dtype=float)
-    hi, lo = x_arr + 1.0, np.subtract(x_arr, 1.0, order="C")
+    hi, lo = (np.empty(x_arr.shape), np.empty(x_arr.shape)) if buffers is None else buffers
+    np.add(x_arr, 1.0, out=hi)
+    np.subtract(x_arr, 1.0, out=lo)
+    rows = _saturated_rows(hi)
     fresh = lo[:-2] != hi[2:]
-    erf(hi, out=hi)
+    np.sign(hi[:rows], out=hi[:rows])
+    erf(hi[rows:], out=hi[rows:])
     moved = np.count_nonzero(fresh)
     if moved > fresh.size // 16:
         erf(lo, out=lo)

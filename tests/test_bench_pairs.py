@@ -210,3 +210,35 @@ def test_public_names_are_read_from_each_checkouts_own_source(tmp_path):
     doc["commits"]["change"]["public_names"] = None
     assert bench_pairs.summary(doc)[-1] == (
         "public_names: unknown, erfapprox does not import on one side")
+
+
+def test_minor_faults_are_counted_in_a_fresh_interpreter_of_each_checkout(tmp_path):
+    for side, megabytes in (("parent", 16), ("change", 1)):
+        package = tmp_path / side / "src" / "erfapprox"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text("__all__ = []\n")
+        (package / "default.yaml").write_text("sweep: [16]\n")
+        # a stand-in run_verify that fills fresh memory, one fault a page
+        (package / "harness.py").write_text(
+            "import os\n"
+            "class ExperimentConfig:\n"
+            "    @staticmethod\n"
+            "    def from_file(path):\n"
+            "        assert os.path.basename(path) == 'default.yaml'\n"
+            "        return path\n"
+            f"def run_verify(cfg):\n    return b'1' * ({megabytes} << 20)\n")
+    broken = tmp_path / "broken" / "src" / "erfapprox"
+    broken.mkdir(parents=True)
+    (broken / "__init__.py").write_text("")
+    parent, change = (bench_pairs.minor_faults(str(tmp_path / s)) for s in ("parent", "change"))
+    pages = (16 << 20) // os.sysconf("SC_PAGE_SIZE")
+    assert pages <= parent < 2 * pages
+    assert change < parent // 4
+    assert bench_pairs.minor_faults(str(tmp_path / "broken")) is None
+
+    doc = {"commits": {"parent": {"source_lines": 3081, "default_minor_faults": parent},
+                       "change": {"source_lines": 3048, "default_minor_faults": change}},
+           "workloads": {}, "partition_json_diff": [], "golden_json_diff": []}
+    assert bench_pairs.summary(doc)[-2:] == [
+        "source_lines: parent 3081 -> change 3048",
+        f"default_minor_faults: parent {parent} -> change {change}"]

@@ -22,6 +22,7 @@ from erfapprox.bounds import (
 )
 from erfapprox.corpus import (
     COMPLEX_INTERVAL_CORPUS,
+    COMPLEX_LINE_CORPUS,
     FRACTIONAL_CORPUS,
     INTERVAL_CORPUS,
     LINE_CORPUS,
@@ -439,3 +440,79 @@ class TestRefinedGridOnly:
             passes = [verify(theorem, f, (row.n,), 0.5, GridPolicy(x_points=p, refinement=False))
                       for p in (129, 257)]
             assert row.empirical_error == max(r[0].empirical_error for r in passes)
+
+
+class TestOneSupSamplePerFunction:
+    """A run evaluates each function once on its sup grid, whatever the
+    number of n and families its group measures."""
+
+    GRID = GridPolicy(x_points=64)              # a sup grid of 127 points
+    SWEEP = (16, 81, 256)
+    CASES = [("T12", INTERVAL_CORPUS["sin"]), ("T13", LINE_CORPUS["cos"]),
+             ("T41", COMPLEX_LINE_CORPUS["circle"])]
+
+    #: two more functions of each theorem, measured before and after f
+    OTHERS = {
+        "T12": (INTERVAL_CORPUS["exp"], INTERVAL_CORPUS["abs"]),
+        "T13": (LINE_CORPUS["sin"], LINE_CORPUS["abs"]),
+        "T41": (ComplexFunctionSpec("sin_cos", LINE_CORPUS["sin"], LINE_CORPUS["cos"]),
+                ComplexFunctionSpec("abs_const", LINE_CORPUS["abs"], LINE_CORPUS["const"])),
+    }
+
+    @staticmethod
+    def variant(f, name, eval_of):
+        """f with each part's eval replaced by eval_of(part)."""
+        parts = [dataclasses.replace(p, name=f"{name}.{p.name}", eval=eval_of(p))
+                 for p in f.parts]
+        return parts[0] if len(parts) == 1 else ComplexFunctionSpec(name, *parts)
+
+    @staticmethod
+    def sup_grid(f):
+        return np.linspace(*f.parts[0].sample_window(), 127)
+
+    @pytest.mark.parametrize("theorem, f", CASES)
+    def test_each_group_evaluates_its_function_once_on_the_sup_grid(self, theorem, f):
+        grid_calls = []
+
+        def logged(p):
+            def eval_(t):
+                if np.shape(t) == (127,) and np.array_equal(t, self.sup_grid(f)):
+                    grid_calls.append(p.name)
+                return p.eval(t)
+            return eval_
+
+        counted = self.variant(f, "counted", logged)
+        run = Run.of(self.SWEEP, (0.5, 0.6), self.GRID)
+        rows = verify(theorem, counted, self.SWEEP, 0.5, self.GRID, run=run)
+        rows += verify(theorem, counted, self.SWEEP, 0.6, self.GRID, run=run)
+        assert len(rows) == 2 * len(self.SWEEP) * len(bounds.THEOREMS[theorem].families)
+        assert sorted(grid_calls) == sorted(p.name for p in f.parts)
+        alone = [dataclasses.replace(r, function_id=counted.name)
+                 for e in (0.5, 0.6) for r in verify(theorem, f, self.SWEEP, e, self.GRID)]
+        assert rows == alone
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("theorem, f", CASES)
+    def test_a_nan_at_one_sup_grid_point_reads_non_finite_at_every_n_and_family(
+            self, theorem, f):
+        # the point is off every node k/n + t_j, and the bound reads a declared
+        # sup and an exact modulus, so only the sup-grid sample sees the nan;
+        # a sample kept without it would pass every row after the first
+        x_nan = self.sup_grid(f)[50]
+        poisoned = self.variant(f, "poisoned", lambda p: (
+            lambda t: np.where(np.asarray(t) == x_nan, np.nan, p.eval(t))))
+        clean = self.variant(f, "clean", lambda p: p.eval)
+        others = self.OTHERS[theorem]
+
+        def rows_of(middle):
+            run = Run.of(self.SWEEP, (0.5,), self.GRID)
+            return [verify(theorem, g, self.SWEEP, 0.5, self.GRID, run=run)
+                    for g in (others[0], middle, others[1])]
+
+        before, nan_rows, after = rows_of(poisoned)
+        assert len(nan_rows) == len(self.SWEEP) * len(bounds.THEOREMS[theorem].families)
+        assert {r.verdict for r in nan_rows} == {"non-finite"}
+        assert all(math.isfinite(r.bound_value) for r in nan_rows)
+        clean_before, clean_rows, clean_after = rows_of(clean)
+        assert {r.verdict for r in clean_rows} == {"holds"}
+        assert (before, after) == (clean_before, clean_after)

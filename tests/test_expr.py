@@ -321,6 +321,52 @@ class TestDifferentiation:
         assert [node_objects(level) for level in chain] == [
             len(compile(level).steps) for level in chain]
 
+    @staticmethod
+    def chain_interned_level_by_level(node, order):
+        """derivatives as it was before the chain shared one slot: each level
+        interned with a fresh one, so it walks the whole level."""
+        nodes, index, memo = [], {}, {}
+        chain = [expr._intern(node, nodes, index, {})]
+        for _ in range(order):
+            chain.append(expr._intern(expr._d(chain[-1], memo), nodes, index, {}))
+        return chain
+
+    @pytest.mark.parametrize("text, order", [
+        ("exp(-x^2)*sin(3*x)", 6), ("x / (x^2 + 1) - -0.0*x", 5), ("erf(2*x)*cos(x)^3", 5),
+        ("sin(sin(sin(x)))", 6), (" * ".join(["x"] * 65), 8),
+    ])
+    def test_one_slot_gives_the_programs_of_a_slot_per_level(self, text, order):
+        got = [compile(level) for level in derivatives(parse(text), order)]
+        want = [compile(level) for level in self.chain_interned_level_by_level(parse(text),
+                                                                               order)]
+        assert got == want
+
+    def test_interning_a_level_walks_only_its_new_nodes(self, monkeypatch):
+        # x^65 to order 22: a slot per level walked each whole level, 11,888
+        # nodes at order 22 and 111,823 over the chain; one slot walks each
+        # node once, and a level's walk grows at most linearly with its order
+        visits = []
+        post_order, intern = expr._post_order, expr._intern
+
+        def counting(root, done, operands=expr._operands):
+            for node in post_order(root, done, operands):
+                visits[-1] += operands is expr._operands
+                yield node
+
+        def interning(*args):
+            visits.append(0)
+            return intern(*args)
+
+        monkeypatch.setattr(expr, "_post_order", counting)
+        monkeypatch.setattr(expr, "_intern", interning)
+        chain = derivatives(parse(" * ".join(["x"] * 65)), 22)
+        assert len(visits) == 23 and visits[0] == 129
+        assert all(visits[k] <= k * visits[1] for k in range(1, 23)), visits
+        assert sum(visits) < 15_000
+        monkeypatch.undo()
+        want = math.perm(65, 22)
+        assert abs(evaluate(chain[-1], 1.0) - want) <= 1e-12 * want
+
 
 def node_objects(root) -> int:
     """Distinct node objects under root, counted by identity, since == on a

@@ -447,9 +447,9 @@ class TestSupErrorPerRun:
         calls = Counter()
         real = bounds.apply_operator
 
-        def counting(f, x, cfg):
+        def counting(f, x, cfg, work=None):
             calls[(f.name, cfg.family, cfg.n, np.size(x))] += 1
-            return real(f, x, cfg)
+            return real(f, x, cfg, work)
 
         monkeypatch.setattr(bounds, "apply_operator", counting)
         cfg = cfg_with(functions=[{"id": "sin", "builtin": "sin"}], theorems=["T12", "T16"],

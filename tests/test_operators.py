@@ -23,9 +23,9 @@ from erfapprox.errors import (
     PreconditionViolated,
     UnboundedFunction,
 )
-from erfapprox.funcs import FunctionSpec
+from erfapprox.funcs import ComplexFunctionSpec, FunctionSpec
 from erfapprox.special_functions import chi
-from erfapprox.operators import OperatorConfig, QuadratureWeights, apply_operator
+from erfapprox.operators import OperatorConfig, QuadratureWeights, Workspace, apply_operator
 
 
 def chi_oracle(t: float) -> float:
@@ -221,9 +221,9 @@ class TestComplex:
 
         calls = []
 
-        def counting(t):
+        def counting(t, buffers=None):
             calls.append(np.shape(t))
-            return chi(t)
+            return chi(t, buffers)
 
         monkeypatch.setattr(operators, "chi", counting)
         apply_operator(f.re, xs, cfg)
@@ -410,27 +410,112 @@ class TestWindowMajorKernel:
             assert np.array_equal(image, points_major(part, xs, cfg))
 
 
+def bits(image):
+    """An image's bytes: one array, a complex image's pair, or a float."""
+    return np.asarray(image, dtype=float).tobytes()
+
+
+class TestWorkspace:
+    """Calls that share one Workspace give the bits each gives alone, in any
+    order of families, n and grid sizes."""
+
+    @staticmethod
+    def calls():
+        """(f, x, cfg) for A-D, real and complex, at n = 9 and 256, on 4095,
+        17 and 1 points."""
+        out = []
+        for family in "ABCD":
+            for real in (True, False):
+                if family == "A":
+                    f = INTERVAL_CORPUS["sin"] if real else COMPLEX_INTERVAL_CORPUS["circle"]
+                    lo, hi = f.domain
+                else:
+                    f = LINE_CORPUS["sin"] if real else COMPLEX_LINE_CORPUS["circle"]
+                    lo, hi = -2.5, 2.5
+                for n in (9, 256):
+                    cfg = OperatorConfig(family, n, interval=f.domain,
+                                         weights=QuadratureWeights.uniform(4)
+                                         if family == "D" else None)
+                    out += [(f, np.linspace(lo, hi, points), cfg) for points in (4095, 17)]
+                    out.append((f, np.array([0.5 * (lo + hi) + 0.1]), cfg))
+        return out
+
+    def test_interleaved_calls_give_the_bits_of_lone_calls(self):
+        calls = self.calls()
+        lone = [bits(apply_operator(f, x, cfg)) for f, x, cfg in calls]
+        work = Workspace()
+        # small calls after large ones, then large after small
+        for order in (range(len(calls)), reversed(range(len(calls))),
+                      sorted(range(len(calls)), key=lambda i: calls[i][1].size)):
+            for i in order:
+                f, x, cfg = calls[i]
+                assert bits(apply_operator(f, x, cfg, work=work)) == lone[i], (i, cfg)
+
+    def test_a_call_that_raises_midway_leaves_the_next_intact(self):
+        calls = self.calls()
+        sin = LINE_CORPUS["sin"]
+        seen = []
+
+        def fails_on_second_block(t):
+            seen.append(t.size)
+            if len(seen) == 2:
+                raise RuntimeError("eval failed")
+            return np.sin(t)
+
+        # B at n = 2048 on a 10-wide grid evaluates its nodes in two blocks
+        bad = FunctionSpec("bad", fails_on_second_block, sup_norm=1.0)
+        bad_im = ComplexFunctionSpec("bad_im", sin, FunctionSpec(
+            "raises", lambda t: 1 / 0, sup_norm=1.0))
+        work = Workspace()
+        for f, x, cfg in calls:
+            want = bits(apply_operator(f, x, cfg))
+            for broken, n in ((bad, 2048), (bad_im, 81)):
+                seen.clear()
+                with pytest.raises((RuntimeError, ZeroDivisionError)):
+                    apply_operator(broken, np.linspace(-5.0, 5.0, 4095),
+                                   OperatorConfig("B", n), work=work)
+                assert bits(apply_operator(f, x, cfg, work=work)) == want, cfg
+
+    @pytest.mark.parametrize("family", ["A", "B", "C", "D"])
+    def test_nan_point_gives_nan_through_a_workspace(self, family):
+        calls = [c for c in self.calls() if c[2].family == family]
+        work = Workspace()
+        for f, x, cfg in calls:
+            apply_operator(f, x, cfg, work=work)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = apply_operator(f, np.array([x[0], np.nan]), cfg, work=work)
+            for image, part in zip(got if len(f.parts) == 2 else (got,), f.parts):
+                assert image[0] == apply_operator(part, x[0], cfg) and np.isnan(image[1])
+            assert bits(apply_operator(f, x, cfg, work=work)) == bits(apply_operator(f, x, cfg))
+
+
 def test_working_set_of_one_call_is_bounded():
     # one expr-dense call: family C at n = 2048 on a 10.4-wide window; the
-    # points x window x nodes formula peaked at 6.6 MB here
+    # points x window x nodes formula peaked at 6.6 MB here, and a call with
+    # a fresh workspace peaks near 2.4 MB
     w = function_from_expression("w", "0.42*sin(1.91*x)*cos(2.28*x)", sup_norm=0.42,
                                  grid_window=(-4.95, 5.42))
     # A at n = 1 on [0, 1]: every window leaves the index range [0, 1], so
-    # the mask covers every row; one boolean mask, built once, peaks near 1.6 MB
+    # the mask covers every row; with a fresh workspace it peaks near 1.77 MB
     linear = INTERVAL_CORPUS["linear"]
-    for f, lo, hi, cfg, ceiling in [
-        (w, -4.95, 5.42, OperatorConfig("C", 2048), 3e6),
-        (linear, 0.0, 1.0, OperatorConfig("A", 1, interval=(0.0, 1.0)), 1.8e6),
+    # through a workspace that an earlier call grew, a call allocates only
+    # its node values and small temporaries: 0.87 and 0.23 MB
+    for f, lo, hi, cfg, ceiling, warm in [
+        (w, -4.95, 5.42, OperatorConfig("C", 2048), 3e6, 1e6),
+        (linear, 0.0, 1.0, OperatorConfig("A", 1, interval=(0.0, 1.0)), 1.8e6, 0.3e6),
     ]:
         xs = np.linspace(lo, hi, 4095)
-        apply_operator(f, xs, cfg)
-        tracemalloc.start()
-        try:
-            apply_operator(f, xs, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < ceiling, cfg
+        work = Workspace()
+        apply_operator(f, xs, cfg, work)
+        for shared, most in ((None, ceiling), (work, warm)):
+            tracemalloc.start()
+            try:
+                apply_operator(f, xs, cfg, shared)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < most, (cfg, shared)
 
 
 class TestConfig:

@@ -14,6 +14,7 @@ from erfapprox.partition import RADIUS
 from erfapprox.special_functions import (
     CHI_AT_ONE,
     CHI_AT_ZERO,
+    ERF_SATURATION,
     INV_CHI_AT_ONE,
     SQRT_PI,
     chi,
@@ -52,6 +53,14 @@ class TestErfOracle:
     def test_anchor_values(self):
         assert abs(erf(1.0) - 0.8427007929497149) <= 1e-14
         assert abs(erf(2.0) - 0.9953222650189527) <= 1e-14
+
+    def test_exactly_one_in_magnitude_from_the_saturation_point(self):
+        # chi writes sign(x + 1) for its saturated rows, so this is what makes
+        # that bit-identical; scipy's erf reaches 1.0 from about 5.92 on
+        xs = np.linspace(ERF_SATURATION, 40.0, 100_001)
+        assert ERF_SATURATION == 6.0
+        assert np.all(erf(xs) == 1.0) and np.all(erf(-xs) == -1.0)
+        assert erf(math.inf) == 1.0 and erf(-math.inf) == -1.0
 
     def test_scalar_and_array_agree(self):
         xs = np.array([-2.0, 0.5, 3.7])
@@ -185,20 +194,43 @@ class TestChiSharesErfValues:
             assert np.array_equal(chi(arr), formula(arr), equal_nan=True)
 
     def test_exact_kernel_sends_only_its_last_two_rows_to_the_second_call(self, monkeypatch):
+        # the first call skips the two leading rows, where x + 1 = d + 8 and
+        # d + 7 lie in [6.5, 8.5]
         x = window_major(81, -8.0, 8.0, 4095)
-        assert self.erf_sizes(x, monkeypatch) == [x.size, 2 * 4095]
+        assert self.erf_sizes(x, monkeypatch) == [x.size - 2 * 4095, 2 * 4095]
 
     def test_inexact_entries_go_to_the_second_call(self, monkeypatch):
         # at n = 9 on [0, 1] every |nx| < 9, so d - m rounds on some rows and
         # x - 1 differs in the last bit from the x + 1 two rows on
         x = window_major(9, 0.0, 1.0, 1001)
         sizes = self.erf_sizes(x, monkeypatch)
-        assert len(sizes) == 2 and sizes[0] == x.size
+        assert len(sizes) == 2 and sizes[0] == x.size - 2 * 1001
         assert 2 * 1001 < sizes[1] < x.size // 16 + 2 * 1001
 
     def test_descending_unit_steps_share_all_but_two(self, monkeypatch):
+        # x + 1 = 6 at the first place is saturated, so the first call skips it
         x = np.arange(5.0, -6.0, -1.0)
-        assert self.erf_sizes(x, monkeypatch) == [11, 2]
+        assert self.erf_sizes(x, monkeypatch) == [10, 2]
+
+    def test_saturated_rows_take_their_sign_bit_for_bit(self, monkeypatch):
+        # u beyond 2^52 gives d = 0; nan and +-inf give d = nan, so their
+        # columns keep every row from saturating
+        offsets = np.arange(-RADIUS, RADIUS + 1.0)[:, None]
+        u = np.array([0.3, -2.4, 2.0**53 + 2.0, -2.0**60, 1e300])
+        x = (u - np.round(u)) - offsets
+        with np.errstate(invalid="ignore"):
+            special = np.append(u, [np.nan, np.inf, -np.inf])
+            unsaturated = (special - np.round(special)) - offsets
+        infinite = x.copy()
+        infinite[:2, ::2] = np.inf
+        infinite[:2, 1::2] = -np.inf
+        infinite[5] = np.inf            # not a leading row: erf gives its 1
+        for arr, first in [(x, x.size - 2 * u.size), (infinite, x.size - 2 * u.size),
+                           (unsaturated, unsaturated.size), (x[::-1], x.size)]:
+            assert self.erf_sizes(arr, monkeypatch)[0] == first
+            monkeypatch.undo()
+        for arr in (x, infinite, unsaturated, x[::-1], x[:, 2:], x[:1]):
+            assert np.array_equal(chi(arr), formula(arr), equal_nan=True)
 
     @pytest.mark.parametrize("x", [
         np.linspace(-8.0, 8.0, 4095 * 15).reshape(4095, 15),      # nothing shared

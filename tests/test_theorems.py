@@ -57,9 +57,9 @@ class TestComplexFractional:
         calls = Counter()
         real = bounds.apply_operator
 
-        def counting(f, x, cfg):
+        def counting(f, x, cfg, work=None):
             calls[f.name] += 1
-            return real(f, x, cfg)
+            return real(f, x, cfg, work)
 
         monkeypatch.setattr(bounds, "apply_operator", counting)
         f = COMPLEX_INTERVAL_CORPUS["circle"]

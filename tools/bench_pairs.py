@@ -27,9 +27,10 @@ parent's quartile spread.  The output, CHANGE_DIR/BENCH_<pr>.json, also
 records both commits, git tree ids of ``src/`` and ``perfbench/`` computed
 from the files on disk (equal to ``git rev-parse <commit>:src`` once
 committed), whether the perfbench trees match, nproc,
-``wc -l src/erfapprox/*.py`` (the total and each file's count) and
-``erfapprox.__all__`` (read by a fresh interpreter with
-``PYTHONPATH=<checkout>/src``) for both sides.
+``wc -l src/erfapprox/*.py`` (the total and each file's count),
+``erfapprox.__all__`` and the minor page faults (``ru_minflt``) of one
+``run_verify`` of the packaged default config for both sides, the last
+two read by a fresh interpreter with ``PYTHONPATH=<checkout>/src``.
 
 After each ``--run`` the script compares the two sides' reports of the
 last repetition, ``.bench_out/<workload>-seed<seed>/rep1.csv`` and
@@ -47,8 +48,9 @@ JSON holds every row at full precision, where ``golden.csv`` rounds to
 
 After writing the file the script prints each run's
 ``reports_identical``, both JSON diffs, both sides' ``source_lines``, the
-files whose line count changed (``bounds.py 664 -> 640``) and the public
-names the change removes and adds, then each traced count (a metric whose last word is ``calls``,
+files whose line count changed (``bounds.py 664 -> 640``), both sides'
+``default_minor_faults`` and the public names the change removes and
+adds, then each traced count (a metric whose last word is ``calls``,
 ``points`` or ``keys``, plus ``bounds.verify_cells`` and
 ``harness.groups``) that differs between the sides, or one line saying
 that all of them are equal, so a change's line count and work counts
@@ -127,14 +129,41 @@ def tree_id(checkout: str, path: str) -> Optional[str]:
     return digest(node).hex()
 
 
+#: counts the minor page faults of one run_verify of the packaged default config
+FAULTS_PROGRAM = """\
+import resource
+from importlib import resources
+from erfapprox.harness import ExperimentConfig, run_verify
+cfg = ExperimentConfig.from_file(str(resources.files("erfapprox").joinpath("default.yaml")))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run_verify(cfg)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def fresh_python(checkout: str, program: str) -> Optional[str]:
+    """The output of program in a fresh interpreter on checkout's own
+    source, with BLAS and OpenMP pinned to one thread as in perfbench's
+    repetitions; None when it fails."""
+    env = {**os.environ, "PYTHONPATH": os.path.join(checkout, "src"), "OMP_NUM_THREADS": "1",
+           "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", program], cwd=checkout, env=env,
+                          capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    return proc.stdout if proc.returncode == 0 else None
+
+
 def public_names(checkout: str) -> Optional[List[str]]:
-    """checkout's own ``erfapprox.__all__``, sorted, read by a fresh
-    interpreter; None when the package does not import."""
-    proc = subprocess.run(
-        [sys.executable, "-c", "import erfapprox, json; print(json.dumps(erfapprox.__all__))"],
-        cwd=checkout, env={**os.environ, "PYTHONPATH": os.path.join(checkout, "src")},
-        capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
-    return sorted(json.loads(proc.stdout)) if proc.returncode == 0 else None
+    """checkout's own ``erfapprox.__all__``, sorted; None when the package
+    does not import."""
+    out = fresh_python(checkout, "import erfapprox, json; print(json.dumps(erfapprox.__all__))")
+    return sorted(json.loads(out)) if out is not None else None
+
+
+def minor_faults(checkout: str) -> Optional[int]:
+    """The minor page faults of one run_verify of checkout's packaged
+    default config (FAULTS_PROGRAM); None when it fails."""
+    out = fresh_python(checkout, FAULTS_PROGRAM)
+    return int(out) if out is not None else None
 
 
 def describe(checkout: str) -> dict:
@@ -150,6 +179,7 @@ def describe(checkout: str) -> dict:
         "src_tree": tree_id(checkout, "src"),
         "perfbench_tree": tree_id(checkout, "perfbench"),
         "source_lines": sum(file_lines.values()),
+        "default_minor_faults": minor_faults(checkout),
         "file_lines": file_lines,
         "public_names": public_names(checkout),
     }
@@ -320,9 +350,10 @@ def file_line_changes(parent: Dict[str, int], change: Dict[str, int]) -> List[st
 def summary(doc: dict) -> List[str]:
     """The lines printed once the file is written: each run's
     reports_identical, the JSON report diffs, both sides' source_lines,
-    the files whose line count changed and the public names removed and
-    added (each when both sides record them) and, with traced runs,
-    count_differences."""
+    the files whose line count changed, both sides' default_minor_faults
+    (None when a side could not count them) and the public names removed
+    and added (each but source_lines when both sides record it) and, with
+    traced runs, count_differences."""
     lines = [f"{run} reports_identical: {entry['reports_identical']}"
              for run, entry in doc["workloads"].items()]
     lines += [f"{name}_json_diff: {doc[f'{name}_json_diff']}" for name in JSON_REPORTS]
@@ -331,6 +362,9 @@ def summary(doc: dict) -> List[str]:
                  f"change {change['source_lines']}")
     if "file_lines" in parent and "file_lines" in change:
         lines += file_line_changes(parent["file_lines"], change["file_lines"])
+    if "default_minor_faults" in parent and "default_minor_faults" in change:
+        lines.append(f"default_minor_faults: parent {parent['default_minor_faults']} -> "
+                     f"change {change['default_minor_faults']}")
     if "public_names" in parent and "public_names" in change:
         lines.append(name_changes(parent["public_names"], change["public_names"]))
     if "traced" in doc:
