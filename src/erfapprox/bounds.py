@@ -396,6 +396,8 @@ def fit_rate(points: Sequence[Tuple[float, float]]) -> Tuple[float, float]:
         raise DegenerateFit(f"need >= 3 points, got {len(points)}")
     ns = np.array([p[0] for p in points], dtype=float)
     es = np.array([p[1] for p in points], dtype=float)
+    if not np.all((ns > 0.0) & (ns < math.inf)):
+        raise DegenerateFit("all n must be finite and > 0")
     if not np.all((es > 0.0) & (es < math.inf)):
         raise DegenerateFit("all errors must be finite and > 0")
     if np.all(ns == ns[0]):

@@ -270,12 +270,13 @@ def function_from_expression(
     grid_window: Optional[Tuple[float, float]] = None,
 ) -> FunctionSpec:
     """Build a FunctionSpec (with symbolic derivatives) from an expression;
-    each derivative is compiled once and its eval runs that program."""
-    programs = [compile(a) for a in derivatives(parse(text), orders)]
+    the chain is compiled once, and the eval of derivative k runs level k
+    of that program."""
+    program = compile(*derivatives(parse(text), orders))
 
     mod = None if exact_modulus is None else modulus_from_registry(exact_modulus, domain)
-    rest = [None] * (len(programs) - 1)
+    rest = [None] * orders
     return _chain(
-        name, [lambda t, _p=p: evaluate(_p, t) for p in programs], domain,
+        name, [lambda t, _k=k: evaluate(program, t, _k) for k in range(orders + 1)], domain,
         [mod] + rest, [sup_norm] + rest, grid_window,
     )

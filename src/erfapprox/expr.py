@@ -18,11 +18,12 @@ node, ``Bin(op, left, right)``, and ``Neg`` keeps -0.0 apart from
 ``0 - u``.  One table, ``_FUNCTIONS``, gives each name its numpy
 evaluation and its derivative; ``erf`` delegates to ``special_functions.erf``.
 
-``compile`` turns a tree, or a derivative chain's shared DAG, into a flat
-``Program`` with one step per structurally distinct node; ``derivatives``
-keeps each such node of a chain as one object, so a high order stays as
-small as its program.  ``evaluate`` runs a program in one loop; a caller
-that evaluates one expression many times compiles it once.
+``compile`` turns a tree, or all levels of a derivative chain, into one
+flat ``Program``: a table with one step per structurally distinct node,
+and per root the steps it reaches; ``derivatives`` keeps each such node of
+a chain as one object, so a high order stays as small as its program.
+``evaluate`` runs one level of a program in one loop; a caller that
+evaluates a chain many times compiles it once.
 """
 
 from __future__ import annotations
@@ -124,8 +125,8 @@ def _tokenize(text: str):
 
 #: the deepest an expression may nest: each group "( )", function call,
 #: unary minus, power and binary operator on the way down to a number or x
-#: is one level, so the parser and ``serialize``, which recurse, stay well
-#: inside Python's recursion limit
+#: is one level, so the parser, which recurses, stays well inside Python's
+#: recursion limit
 MAX_DEPTH = 64
 
 
@@ -251,15 +252,18 @@ def parse(text: str) -> Node:
 
 @dataclass(frozen=True)
 class Program:
-    """A DAG compiled by ``compile``: steps in evaluation order, the root's
-    last.  A step is (kind, operand slots, constant, slots freed after it,
-    spare); its value goes to the slot of its own index.  The constant is
-    a Num's value, a Bin's op, a Pow's exponent or a Fun's name.  The
-    spare is a slot freed after the step that holds an array numpy made
-    for this call (a Neg, Bin or Pow step's value), or None: a Neg or Bin
-    step may write its value into that array."""
+    """The DAGs of one or more roots, compiled by ``compile`` into one
+    table.  ``steps`` holds one (kind, operand slots, constant) per
+    structurally distinct node; its value goes to the slot of its own
+    index.  The constant is a Num's value, a Bin's op, a Pow's exponent or
+    a Fun's name.  ``levels[k]`` holds the steps root k reaches, in root
+    k's own post order and its root's last, each as (step, slots freed
+    after it, spare).  The spare is a slot freed after the step that holds
+    an array numpy made for this call (a Neg, Bin or Pow step's value), or
+    None: a Neg or Bin step may write its value into that array."""
 
     steps: Tuple[tuple, ...]
+    levels: Tuple[Tuple[tuple, ...], ...]
 
 
 def _operands(node: Node) -> tuple:
@@ -339,21 +343,30 @@ def _intern(root: Node, nodes: list, index: dict, slot: dict) -> Node:
     return nodes[slot[id(root)]]
 
 
-def compile(root: Node) -> Program:
-    """root as a flat post-order Program with one step per structurally
-    distinct node (see ``_intern``), so 0.0 and -0.0 stay two steps.  Each
-    slot is freed after its last use."""
-    nodes, index = [], {}
-    _intern(root, nodes, index, {})
+def compile(*roots: Node) -> Program:
+    """roots, such as a derivative chain, as one Program: one table with a
+    step per structurally distinct node of them all (see ``_intern``), so
+    0.0 and -0.0 stay two steps, and one level per root.  Level k runs the
+    steps of ``compile(roots[k])`` in its order, renumbered into the shared
+    table, and frees each slot after its last use in that level."""
+    nodes, index, slot = [], {}, {}
+    tops = [_intern(root, nodes, index, slot) for root in roots]
     keys = list(index)
-    last = {a: i for i, (_, args, _) in enumerate(keys) for a in args}
-    frees = [[] for _ in keys]
-    for a, i in last.items():
-        frees[i].append(a)
-    return Program(tuple(
-        (kind, args, _constant(node), tuple(free),
-         next((a for a in free if keys[a][0] in _OWNED), None))
-        for (kind, args, _), node, free in zip(keys, nodes, frees)))
+    at = {id(node): i for i, node in enumerate(nodes)}
+    levels = []
+    for top in tops:
+        order = {}      # the walk's done, in post order; nodes keeps each id taken
+        for node in _post_order(top, order):
+            order[id(node)] = at[id(node)]
+        last = {a: i for i in order.values() for a in keys[i][1]}
+        frees = {i: [] for i in order.values()}
+        for a, i in last.items():
+            frees[i].append(a)
+        levels.append(tuple(
+            (i, tuple(free), next((a for a in free if keys[a][0] in _OWNED), None))
+            for i, free in frees.items()))
+    return Program(tuple((kind, args, _constant(node))
+                         for (kind, args, _), node in zip(keys, nodes)), tuple(levels))
 
 
 def _combine(op: str, left, right, out):
@@ -364,13 +377,13 @@ def _combine(op: str, left, right, out):
     return _ARITHMETIC[op](left, right, out=out)
 
 
-def evaluate(program: Union[Program, Node], x):
-    """Evaluate a Program, or an AST compiled for this call, at scalar or
-    array x, in one pass over its steps.  Each step runs once per call and
-    its value is dropped after its last use; an arithmetic step writes into
-    its spare array when that has x's shape, so a call allocates about one
-    array per transcendental step.  A Fun looks up its function in
-    ``_FUNCTIONS`` when it runs."""
+def evaluate(program: Union[Program, Node], x, level: int = 0):
+    """Evaluate one level of a Program, or an AST compiled for this call,
+    at scalar or array x, in one pass over that level's steps.  Each step
+    runs once per call and its value is dropped after its last use in the
+    level; an arithmetic step writes into its spare array when that has
+    x's shape, so a call allocates about one array per transcendental
+    step.  A Fun looks up its function in ``_FUNCTIONS`` when it runs."""
     if not isinstance(program, Program):
         program = compile(program)
     xv = np.asarray(x, dtype=float)
@@ -379,8 +392,10 @@ def evaluate(program: Union[Program, Node], x):
         value = None if slot is None else values[slot]
         return value if isinstance(value, np.ndarray) and value.shape == xv.shape else None
 
-    values = [None] * len(program.steps)
-    for i, (kind, args, const, frees, spare) in enumerate(program.steps):
+    steps, run = program.steps, program.levels[level]
+    values = [None] * len(steps)
+    for i, frees, spare in run:
+        kind, args, const = steps[i]
         if kind is Num:
             out = const
         elif kind is Var:
@@ -397,9 +412,10 @@ def evaluate(program: Union[Program, Node], x):
         for a in frees:
             values[a] = None
     # adding +0.0 broadcasts a constant to x's shape and turns -0.0 into 0.0
-    out = spare_of(len(values) - 1) if program.steps[-1][0] in _OWNED else None
+    root = run[-1][0]
+    out = spare_of(root) if steps[root][0] in _OWNED else None
     if out is None:
-        out = np.asarray(values[-1], dtype=float) + np.zeros_like(xv)
+        out = np.asarray(values[root], dtype=float) + np.zeros_like(xv)
     else:
         out += 0.0
     return float(out) if np.ndim(x) == 0 else out
@@ -501,36 +517,3 @@ def _read_derivatives(node: Node) -> tuple:
     """The operands whose derivatives node's rule reads: u^0 is constant,
     so its rule reads none."""
     return () if isinstance(node, Pow) and node.exponent == 0.0 else _operands(node)
-
-
-# ---------------------------------------------------------------- printing
-
-
-def serialize(node: Node) -> str:
-    """Render an AST as a string that re-parses to a tree of equal value:
-    a negative constant comes back as the negation of its magnitude."""
-    return _ser(node, 0)
-
-
-# precedence levels: add 1, mul 2, unary 3, power 4
-def _ser(node: Node, parent: int) -> str:
-    if isinstance(node, Num):
-        v = repr(node.value)
-        return f"({v})" if v.startswith("-") else v
-    if isinstance(node, Var):
-        return "x"
-    if isinstance(node, Neg):
-        s = f"-{_ser(node.arg, 3)}"
-        return f"({s})" if parent > 2 else s
-    if isinstance(node, Bin):
-        level = 1 if node.op in "+-" else 2
-        s = f"{_ser(node.left, level)} {node.op} {_ser(node.right, level + 1)}"
-        return f"({s})" if parent > level else s
-    if isinstance(node, Pow):
-        expo = node.exponent
-        etext = repr(expo) if expo >= 0 else f"-{-expo!r}"
-        s = f"{_ser(node.base, 5)}^{etext}"
-        return f"({s})" if parent > 4 else s
-    if isinstance(node, Fun):
-        return f"{node.name}({_ser(node.arg, 0)})"
-    raise TypeError(f"unknown node {node!r}")

@@ -304,7 +304,7 @@ def _fmt(value) -> str:
 
 @dataclass(frozen=True)
 class RunResult:
-    rows: Tuple[dict, ...]          # CSV_COLUMNS-keyed, ready to serialize
+    rows: Tuple[dict, ...]          # CSV_COLUMNS-keyed, ready to write
     skipped: Tuple[dict, ...]
     violated: int
     held: int

@@ -180,12 +180,36 @@ def test_summary_names_each_file_whose_line_count_changed(tmp_path):
             (package / name).write_text(text)
     parent, change = (bench_pairs.describe(str(tmp_path / s)) for s in ("parent", "change"))
     assert parent["file_lines"] == {"bounds.py": 3, "cli.py": 1, "gone.py": 1}
-    assert change["source_lines"] == 4
+    assert change["source_lines"] == 4 and change["code_lines"] == 4
     doc = {"commits": {"parent": parent, "change": change}, "workloads": {},
            "partition_json_diff": [], "golden_json_diff": []}
-    assert bench_pairs.summary(doc)[2:6] == [
-        "source_lines: parent 5 -> change 4", "bounds.py 3 -> 1", "gone.py 1 -> 0",
-        "new.py 0 -> 2"]
+    assert bench_pairs.summary(doc)[2:7] == [
+        "source_lines: parent 5 -> change 4", "code_lines: parent 5 -> change 4",
+        "bounds.py 3 -> 1", "gone.py 1 -> 0", "new.py 0 -> 2"]
+
+
+def test_code_lines_leave_out_blanks_comments_and_docstrings():
+    source = b'''"""A module
+docstring."""
+
+# a comment
+import os  # a comment after code
+
+
+class A:
+    """One line."""
+
+    def f(self, x):
+        """Two
+        lines."""
+        text = """a string
+        that is not a docstring"""
+        return (x +
+                1)
+'''
+    # import, class, def, the two lines of text and the two of the return
+    assert bench_pairs.code_lines(source) == 7
+    assert source.count(b"\n") == 17
 
 
 def test_public_names_are_read_from_each_checkouts_own_source(tmp_path):

@@ -316,6 +316,13 @@ class TestFitRate:
         with pytest.raises(DegenerateFit, match="finite"):
             fit_rate([(16, 0.1), (81, error), (256, 0.01)])
 
+    @pytest.mark.parametrize("n", [0.0, -1.0, math.nan, math.inf])
+    def test_a_non_finite_or_non_positive_n_is_degenerate(self, n, capfd):
+        # np.polyfit raised LinAlgError, and LAPACK printed to stderr
+        with pytest.raises(DegenerateFit, match="finite"):
+            fit_rate([(1, 1.0), (2, 0.5), (n, 0.2)])
+        assert capfd.readouterr().err == ""
+
 
 class TestVerdict:
     def test_exact_tolerance_is_one_part_in_1e9(self):

@@ -1,6 +1,8 @@
-"""Expression language: parsing, evaluation, differentiation, printing."""
+"""Expression language: parsing, evaluation, differentiation, chain
+programs; and a printer whose output re-parses to the same values."""
 
 import math
+import struct
 import tracemalloc
 import weakref
 
@@ -15,11 +17,12 @@ from erfapprox.errors import (
     NonDifferentiable,
     UnknownFunction,
 )
-from erfapprox import expr
+from erfapprox import corpus, expr
 from erfapprox.expr import (
     Bin,
     Fun,
     Neg,
+    Node,
     Num,
     Pow,
     Var,
@@ -27,7 +30,6 @@ from erfapprox.expr import (
     derivatives,
     evaluate,
     parse,
-    serialize,
 )
 from erfapprox.special_functions import TWO_OVER_SQRT_PI, erf
 
@@ -196,21 +198,25 @@ def trees(leaves):
 
 
 EXPRESSIONS = trees(LEAVES)
-#: trees that serialize can print: every constant finite
+#: trees that serialize (below) can print: every constant finite
 FINITE_EXPRESSIONS = trees(st.one_of(st.just(Var()), st.sampled_from(
     [0.0, -0.0, 1.0, -1.0, 0.5, -3.7, 1e300, -1e300, 5e-324, -5e-324]).map(Num)))
 POINTS = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 0.5, -1.3, 2.0, 1e-300, 700.0])
+
+
+def chain_of(node, order):
+    """node's derivative chain to order, or node alone when it has none."""
+    try:
+        return derivatives(node, order)
+    except NonDifferentiable:
+        return [node]
 
 
 class TestCompiledPrograms:
     @given(EXPRESSIONS, st.sampled_from([*POINTS, POINTS]))
     @settings(max_examples=300, deadline=None)
     def test_match_a_tree_walk(self, node, x):
-        try:
-            chain = derivatives(node, 3)
-        except NonDifferentiable:
-            chain = [node]
-        for tree in chain:
+        for tree in chain_of(node, 3):
             want = walk_or_error(tree_walk, tree, x)
             got = walk_or_error(lambda t, v: evaluate(compile(t), v), tree, x)
             if want is DivisionByZero or got is DivisionByZero:
@@ -259,8 +265,81 @@ class TestCompiledPrograms:
 
     def test_a_program_frees_each_value_after_its_last_use(self):
         program = compile(parse("sin(x) * sin(x) + cos(x)"))
-        freed = [slot for step in program.steps for slot in step[3]]
+        freed = [slot for _, frees, _ in program.levels[0] for slot in frees]
         assert sorted(freed) == list(range(len(program.steps) - 1))
+        # each level of a chain frees every slot it reads but its root, once
+        program = compile(*derivatives(parse("sin(x) * sin(x) + cos(x)"), 3))
+        for level in program.levels:
+            freed = [slot for _, frees, _ in level for slot in frees]
+            assert sorted(freed) == sorted(i for i, _, _ in level[:-1])
+
+
+def standalone(program, level):
+    """program's level as a program of its own: its steps in its order,
+    each slot renumbered to its step's position, a float constant by its
+    bits."""
+    at = {i: p for p, (i, _, _) in enumerate(program.levels[level])}
+    out = []
+    for i, frees, spare in program.levels[level]:
+        kind, args, const = program.steps[i]
+        out.append((kind, tuple(at[a] for a in args),
+                    struct.pack("<d", const) if isinstance(const, float) else const,
+                    tuple(at[a] for a in frees), None if spare is None else at[spare]))
+    return out
+
+
+class TestChainPrograms:
+    """One Program per derivative chain: level k of ``compile(*chain)`` is
+    ``compile(chain[k])``, renumbered into the shared table."""
+
+    @given(EXPRESSIONS)
+    @settings(max_examples=200, deadline=None)
+    def test_each_level_is_the_program_of_its_root_alone(self, node):
+        chain = chain_of(node, 6)
+        program = compile(*chain)
+        assert len(program.levels) == len(chain)
+        for k, root in enumerate(chain):
+            alone = compile(root)
+            # one root's level runs its whole table in table order
+            assert [i for i, _, _ in alone.levels[0]] == list(range(len(alone.steps)))
+            assert standalone(program, k) == standalone(alone, 0)
+
+    @given(EXPRESSIONS)
+    @settings(max_examples=200, deadline=None)
+    def test_each_level_evaluates_bit_equal_to_its_own_program(self, node):
+        chain = chain_of(node, 6)
+        program = compile(*chain)
+        for k, root in enumerate(chain):
+            alone = compile(root)
+            for x in (POINTS, *POINTS):
+                got = walk_or_error(lambda _, v: evaluate(program, v, k), root, x)
+                want = walk_or_error(lambda _, v: evaluate(alone, v), root, x)
+                if want is DivisionByZero or got is DivisionByZero:
+                    assert got is want
+                else:
+                    assert np.array_equal(got, want, equal_nan=True)
+
+    def test_the_deepest_product_to_order_22_is_one_small_table(self):
+        # compiled level by level, the 23 programs held 111,759 steps
+        chain = derivatives(parse(" * ".join(["x"] * 65)), 22)
+        program = compile(*chain)
+        assert len(program.steps) <= 14_000
+        assert sum(len(level) for level in program.levels) == 111_759
+        assert max(len(level) for level in program.levels) == 11_888
+        want = math.perm(65, 22)
+        assert abs(evaluate(program, 1.0, 22) - want) <= 1e-12 * want
+
+    def test_an_expression_function_compiles_its_chain_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(corpus, "compile", lambda *roots: calls.append(roots) or
+                            compile(*roots))
+        f = corpus.function_from_expression("g", "sin(3*x)*exp(-x^2)", orders=4)
+        chain = derivatives(parse("sin(3*x)*exp(-x^2)"), 4)
+        assert [len(roots) for roots in calls] == [5]
+        xs = np.linspace(-2.0, 2.0, 101)
+        for k, root in enumerate(chain):
+            level = f.derivative(k) if k else f
+            assert np.array_equal(level.eval(xs), evaluate(compile(root), xs))
 
 
 class TestDifferentiation:
@@ -379,6 +458,38 @@ def node_objects(root) -> int:
             seen[id(node)] = node
             stack.extend(v for v in vars(node).values() if not isinstance(v, (str, float)))
     return len(seen)
+
+
+def serialize(node: Node) -> str:
+    """Render an AST as a string that re-parses to a tree of equal value:
+    a negative constant comes back as the negation of its magnitude.  It
+    walks the tree, not the DAG, so its cost grows with the number of
+    root-to-leaf paths."""
+    return _ser(node, 0)
+
+
+# precedence levels: add 1, mul 2, unary 3, power 4
+def _ser(node: Node, parent: int) -> str:
+    if isinstance(node, Num):
+        v = repr(node.value)
+        return f"({v})" if v.startswith("-") else v
+    if isinstance(node, Var):
+        return "x"
+    if isinstance(node, Neg):
+        s = f"-{_ser(node.arg, 3)}"
+        return f"({s})" if parent > 2 else s
+    if isinstance(node, Bin):
+        level = 1 if node.op in "+-" else 2
+        s = f"{_ser(node.left, level)} {node.op} {_ser(node.right, level + 1)}"
+        return f"({s})" if parent > level else s
+    if isinstance(node, Pow):
+        expo = node.exponent
+        etext = repr(expo) if expo >= 0 else f"-{-expo!r}"
+        s = f"{_ser(node.base, 5)}^{etext}"
+        return f"({s})" if parent > 4 else s
+    if isinstance(node, Fun):
+        return f"{node.name}({_ser(node.arg, 0)})"
+    raise TypeError(f"unknown node {node!r}")
 
 
 class TestSerialization:

@@ -16,6 +16,7 @@ from erfapprox import bounds, corpus
 from erfapprox.cli import main
 from erfapprox.corpus import FRACTIONAL_CORPUS
 from erfapprox.errors import ConfigError, PreconditionViolated
+from erfapprox.expr import compile, derivatives, parse
 from erfapprox.funcs import FunctionSpec
 from erfapprox.harness import (
     CSV_COLUMNS,
@@ -474,11 +475,11 @@ class TestModuliPerRun:
         sampled, programs = Counter(), []
         real = corpus.evaluate
 
-        def spy(program, x):
+        def spy(program, x, level=0):
             if np.size(x) == 8191:
                 programs.append(program)
-                sampled[id(program)] += 1
-            return real(program, x)
+                sampled[(id(program), level)] += 1
+            return real(program, x, level)
 
         monkeypatch.setattr(corpus, "evaluate", spy)
         cfg = cfg_with(functions=[
@@ -495,9 +496,9 @@ class TestModuliPerRun:
         sizes = []
         real = corpus.evaluate
 
-        def spy(program, x):
+        def spy(program, x, level=0):
             sizes.append(np.size(x))
-            return real(program, x)
+            return real(program, x, level)
 
         monkeypatch.setattr(corpus, "evaluate", spy)
         cfg = cfg_with(functions=[
@@ -524,6 +525,69 @@ class TestModuliPerRun:
         assert list(run.moduli) == [f] and list(run.sups) == [f, f.derivative(1)]
         with pytest.raises(PreconditionViolated):
             run.modulus(f, 0.3)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestFaultInjection:
+    """A NaN at one point of one sample of function g: g's rows read
+    non-finite, and the rows of the functions measured before and after it
+    in the same run are bit-identical to those of a run without the NaN."""
+
+    G = "exp(-0.7*x^2)*cos(1.3*x)"
+    OMEGA_SAMPLE = 2 * 4096 - 1         # odd indices are the refinement's own points
+    TABLE_NODES = (65 - 1) * 32         # a table's live points times the Jacobi nodes
+
+    def assert_only_g_reads_non_finite(self, monkeypatch, doc, chain, poisons, at):
+        """Run doc with a NaN at index at of the first value corpus.evaluate
+        gives for the program of chain at each (level, size) in poisons."""
+        clean = run_verify(cfg_with(**doc))
+        target, hit, real = compile(*chain), [], corpus.evaluate
+
+        def spy(program, x, level=0):
+            out = real(program, x, level)
+            key = (level, np.size(x))
+            if program == target and key in poisons and key not in hit:
+                hit.append(key)
+                out = np.array(out)
+                out.flat[at] = np.nan
+            return out
+
+        monkeypatch.setattr(corpus, "evaluate", spy)
+        poisoned = run_verify(cfg_with(**doc))
+        assert sorted(hit) == sorted(poisons)
+        g_rows = [r for r in clean.rows if r["function"] == "g"]
+        assert g_rows and {r["verdict"] for r in clean.rows} == {"holds"}
+        assert list(poisoned.rows) == [r for r in clean.rows if r["function"] != "g"]
+        assert [(s["function"], s["n"], s["exponent"]) for s in poisoned.skipped] == [
+            (r["function"], r["n"], r["exponent"]) for r in g_rows]
+        assert {s["reason"] for s in poisoned.skipped} == {"non-finite empirical error or bound"}
+
+    @pytest.mark.parametrize("theorem, functions", [
+        ("T12", [{"id": "a", "expr": "sin(2*x) + x", "domain": [-1.0, 1.0]},
+                 {"id": "g", "expr": G, "domain": [-1.0, 1.5]},
+                 {"id": "b", "expr": "x^3 - x", "domain": [0.0, 2.0]}]),
+        ("T13", [{"id": "a", "expr": "0.5*sin(x)", "sup_norm": 0.5},
+                 {"id": "g", "expr": G, "sup_norm": 1.0},
+                 {"id": "b", "expr": "exp(-x^2)", "sup_norm": 1.0}]),
+    ])
+    def test_a_nan_at_one_refined_omega_sample_point(self, monkeypatch, theorem, functions):
+        doc = {"functions": functions, "theorems": [theorem], "sweep": [16, 81, 256],
+               "rate_exponents": [0.5, 0.6], "grid": {"x_points": 64}}
+        self.assert_only_g_reads_non_finite(monkeypatch, doc, [parse(self.G)],
+                                            [(0, self.OMEGA_SAMPLE)], 4001)
+
+    def test_a_nan_at_one_jacobi_node_of_one_caputo_table(self, monkeypatch):
+        # T30 at alpha 0.5 integrates g' and at alpha 1.5 g'': the first table
+        # of each gets the NaN, at node 5 of its fourth point
+        doc = {"functions": [{"id": "a", "expr": "sin(2*x) + x", "domain": [0.0, 1.0]},
+                             {"id": "g", "expr": self.G, "domain": [0.0, 1.5]},
+                             {"id": "b", "expr": "x^3 - x", "domain": [0.0, 2.0]}],
+               "theorems": ["T30"], "sweep": [16, 81, 256], "rate_exponents": [0.5, 0.6],
+               "fractional_orders": [0.5, 1.5],
+               "grid": {"x_points": 64, "anchors": 5, "table_points": 65}}
+        self.assert_only_g_reads_non_finite(
+            monkeypatch, doc, derivatives(parse(self.G), 2),
+            [(1, self.TABLE_NODES), (2, self.TABLE_NODES)], 3 * 32 + 5)
 
 
 class TestHighOrderChains:

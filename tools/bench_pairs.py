@@ -27,7 +27,9 @@ parent's quartile spread.  The output, CHANGE_DIR/BENCH_<pr>.json, also
 records both commits, git tree ids of ``src/`` and ``perfbench/`` computed
 from the files on disk (equal to ``git rev-parse <commit>:src`` once
 committed), whether the perfbench trees match, nproc,
-``wc -l src/erfapprox/*.py`` (the total and each file's count),
+``wc -l src/erfapprox/*.py`` (the total and each file's count), the
+lines of those files that are not blank, comment-only or docstring
+(``code_lines``),
 ``erfapprox.__all__`` and the minor page faults (``ru_minflt``) of one
 ``run_verify`` of the packaged default config for both sides, the last
 two read by a fresh interpreter with ``PYTHONPATH=<checkout>/src``.
@@ -47,10 +49,10 @@ JSON holds every row at full precision, where ``golden.csv`` rounds to
 ``.12g``.
 
 After writing the file the script prints each run's
-``reports_identical``, both JSON diffs, both sides' ``source_lines``, the
-files whose line count changed (``bounds.py 664 -> 640``), both sides'
-``default_minor_faults`` and the public names the change removes and
-adds, then each traced count (a metric whose last word is ``calls``,
+``reports_identical``, both JSON diffs, both sides' ``source_lines`` and
+``code_lines``, the files whose line count changed (``bounds.py 664 ->
+640``), both sides' ``default_minor_faults`` and the public names the
+change removes and adds, then each traced count (a metric whose last word is ``calls``,
 ``points`` or ``keys``, plus ``bounds.verify_cells`` and
 ``harness.groups``) that differs between the sides, or one line saying
 that all of them are equal, so a change's line count and work counts
@@ -62,14 +64,17 @@ The script refuses to run when the two perfbench trees differ.
 from __future__ import annotations
 
 import argparse
+import ast
 import glob
 import hashlib
+import io
 import itertools
 import json
 import os
 import statistics
 import subprocess
 import sys
+import tokenize
 from typing import Dict, List, Optional, Tuple
 
 RUN_TIMEOUT_S = 600.0
@@ -166,19 +171,46 @@ def minor_faults(checkout: str) -> Optional[int]:
     return int(out) if out is not None else None
 
 
+#: the tokens that make no line a code line
+NOT_CODE = (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+            tokenize.ENCODING, tokenize.ENDMARKER)
+
+
+def code_lines(source: bytes) -> int:
+    """The lines of a Python source that are not blank, comment-only or
+    docstring: a line counts when a token other than a docstring's string
+    starts on it or spans it."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+    lines = set()
+    for tok in tokenize.tokenize(io.BytesIO(source).readline):
+        if tok.type in NOT_CODE or (tok.type == tokenize.STRING and tok.start[0] in docstrings):
+            continue
+        lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines)
+
+
 def describe(checkout: str) -> dict:
     head = git(checkout, "rev-parse", "HEAD")
     status = git(checkout, "status", "--porcelain", "--", "src", "perfbench")
-    file_lines = {}
+    file_lines, code = {}, 0
     for path in sorted(glob.glob(os.path.join(checkout, "src", "erfapprox", "*.py"))):
         with open(path, "rb") as fh:
-            file_lines[os.path.basename(path)] = fh.read().count(b"\n")
+            source = fh.read()
+        file_lines[os.path.basename(path)] = source.count(b"\n")
+        code += code_lines(source)
     return {
         "head": head.strip() if head else None,
         "src_or_perfbench_uncommitted": bool(status.strip()) if status is not None else None,
         "src_tree": tree_id(checkout, "src"),
         "perfbench_tree": tree_id(checkout, "perfbench"),
         "source_lines": sum(file_lines.values()),
+        "code_lines": code,
         "default_minor_faults": minor_faults(checkout),
         "file_lines": file_lines,
         "public_names": public_names(checkout),
@@ -349,17 +381,20 @@ def file_line_changes(parent: Dict[str, int], change: Dict[str, int]) -> List[st
 
 def summary(doc: dict) -> List[str]:
     """The lines printed once the file is written: each run's
-    reports_identical, the JSON report diffs, both sides' source_lines,
-    the files whose line count changed, both sides' default_minor_faults
-    (None when a side could not count them) and the public names removed
-    and added (each but source_lines when both sides record it) and, with
-    traced runs, count_differences."""
+    reports_identical, the JSON report diffs, both sides' source_lines and
+    code_lines, the files whose line count changed, both sides'
+    default_minor_faults (None when a side could not count them) and the
+    public names removed and added (each but source_lines when both sides
+    record it) and, with traced runs, count_differences."""
     lines = [f"{run} reports_identical: {entry['reports_identical']}"
              for run, entry in doc["workloads"].items()]
     lines += [f"{name}_json_diff: {doc[f'{name}_json_diff']}" for name in JSON_REPORTS]
     parent, change = doc["commits"]["parent"], doc["commits"]["change"]
     lines.append(f"source_lines: parent {parent['source_lines']} -> "
                  f"change {change['source_lines']}")
+    if "code_lines" in parent and "code_lines" in change:
+        lines.append(f"code_lines: parent {parent['code_lines']} -> "
+                     f"change {change['code_lines']}")
     if "file_lines" in parent and "file_lines" in change:
         lines += file_line_changes(parent["file_lines"], change["file_lines"])
     if "default_minor_faults" in parent and "default_minor_faults" in change:
