@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from importlib import resources
 from typing import List, Optional
@@ -36,9 +37,26 @@ def _default_config_path() -> str:
     return str(resources.files("erfapprox").joinpath("default.yaml"))
 
 
+def _check_writable(key: str, path: Optional[str]):
+    """A ConfigError naming key when the report path cannot be written, so
+    it is rejected before any group runs rather than after the sweep."""
+    if not path:
+        return
+    folder = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        raise ConfigError(key, f"{path} is a directory")
+    if not os.path.isdir(folder):
+        raise ConfigError(key, f"cannot write {path}: no directory {folder}")
+    if not os.access(folder, os.W_OK) or (os.path.exists(path) and not os.access(path, os.W_OK)):
+        raise ConfigError(key, f"cannot write {path}: permission denied")
+
+
 def _load_config(args) -> ExperimentConfig:
     path = args.config or _default_config_path()
     cfg = ExperimentConfig.from_file(path)
+    _check_writable("--out-csv" if args.out_csv else "output.csv", args.out_csv or cfg.csv_path)
+    _check_writable("--out-json" if args.out_json else "output.json",
+                    args.out_json or cfg.json_path)
     updates = {}
     if args.out_csv:
         updates["csv_path"] = args.out_csv
@@ -106,6 +124,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "check-partition":
+            _check_writable("--out-json", args.out_json)
             summary = run_partition_check()
             text = json.dumps(summary, indent=2, sort_keys=True)
             print(text)

@@ -19,27 +19,28 @@ functional L_k(f) = sum_j w_j f(k/n + t_j) (``_node_rule``).  An
 ``apply_operator`` accepts a scalar x or a 1-D array of x values, and a
 real FunctionSpec or a ComplexFunctionSpec.  It builds the kernel once
 and applies it to every part of f, so a complex f gets the pair
-(Op re, Op im).  The kernel (``_kernel``) is one chi matrix
-chi((u - r) - offsets), with u = nx and r = round(u), and one integer
-matrix that points each (x, offset) at its node index k = r + offset;
-for A one mask zeroes it outside [ceil(na), floor(nb)], and its row sums
-are the denominator.  chi runs on the matrix window-major (offsets
--R..R down axis 0), where neighbouring offsets share erf values and the
-two leading rows are saturated, so its two erf calls see 15 of the 30
-arguments per point plus the few inexact ones; the result is copied once
-points-major with its columns in the family's summation order, so every
-window sum adds as before.  The node functional is evaluated once per
+(Op re, Op im).  The kernel (``_kernel``) is one window-major chi matrix
+chi((u - r) - m), with u = nx, r = round(u) and the offsets m = -R..R
+down axis 0, and one integer matrix of the same layout that points each
+(m, x) at its node index k = r + m; for A one mask zeroes the chi matrix
+outside [ceil(na), floor(nb)].  Along axis 0 neighbouring offsets share
+erf values, the two leading rows of x + 1 and the two trailing rows of
+x - 1 are saturated, so chi's two erf calls see 13 of the 30 arguments
+per point plus the few inexact ones.  Each image gathers its node values
+window-major, weights them by the kernel and adds the rows in the
+family's summation order (``_window_sum``), as numpy adds a points-major
+row, so every window sum is the same bit for bit; A's denominator is the
+kernel's own window sum.  The node functional is evaluated once per
 distinct k, in blocks of ``NODE_POINTS`` node points.
 
 A call writes its matrices into a ``Workspace`` of two float buffers, one
-index buffer and one mask, each points x window: the window-major
-argument, which chi overwrites with x - 1 and the points-major kernel
-then replaces; x + 1, which ends as chi's result and then holds each
-part's gathered node values; the node indices; and A's mask.  A run
-keeps one workspace for all its calls (``bounds.Run.work``), so their
-pages are faulted in once; without one a call takes a fresh workspace,
-so its working set stays near four points x window matrices whatever n
-and the rule's node count.
+index buffer and one mask, each window x points: the argument, which chi
+overwrites with x - 1 and each part's gathered node values then replace;
+x + 1, which ends as chi's result, the kernel; the node indices; and A's
+mask.  A run keeps one workspace for all its calls (``bounds.Run.work``),
+so their pages are faulted in once; without one a call takes a fresh
+workspace, so its working set stays near four window x points matrices
+whatever n and the rule's node count.
 
 The partition sum sum_k chi(nx - k), the interval denominator V(x) and
 its boundary deficiency 1 - V(a) are window sums of the same kernel, so
@@ -153,76 +154,95 @@ def _node_rule(cfg: OperatorConfig) -> Tuple[np.ndarray, np.ndarray]:
 
 class Workspace:
     """The buffers an apply_operator call writes its kernel into: two float
-    matrices, one index matrix and one mask, each of points x WINDOW
-    entries.  They grow to the largest call and are sliced for smaller
-    ones, so calls that share a workspace (``bounds.Run`` keeps one per
-    run) fault their pages in once; a call without one takes a fresh one.
-    It serves one call at a time, and a call reads only what it wrote
-    itself."""
+    matrices, one index matrix and one mask, each of WINDOW x points
+    entries (window-major: offsets -R..R down axis 0).  They grow to the
+    largest call and are sliced for smaller ones, so calls that share a
+    workspace (``bounds.Run`` keeps one per run) fault their pages in once;
+    a call without one takes a fresh one.  It serves one call at a time,
+    and a call reads only what it wrote itself; the kernel stays in its
+    buffer until the next call."""
 
     def __init__(self):
         self._buffers = (np.empty(0), np.empty(0), np.empty(0, np.intp), np.empty(0, bool))
 
     def take(self, points: int) -> Tuple[np.ndarray, ...]:
-        """(arg, kernel, index, mask): points x WINDOW views of the buffers,
+        """(arg, kernel, index, mask): WINDOW x points views of the buffers,
         the same views for the same points until they grow."""
         size = points * WINDOW
         if self._buffers[0].size < size:
             self._buffers = tuple(np.empty(size, b.dtype) for b in self._buffers)
-        return tuple(b[:size].reshape(points, WINDOW) for b in self._buffers)
+        return tuple(b[:size].reshape(WINDOW, points) for b in self._buffers)
 
 
-def _node_indices(r: np.ndarray, offsets: np.ndarray, lo: float, hi: float,
-                  index: np.ndarray, mask: np.ndarray):
-    """The window indices k = r + offsets of every point, as (kk, idx,
-    outside): the distinct k, clipped to [lo, hi], as floats; one integer
-    matrix with k = kk[idx]; and, when [lo, hi] is finite, the mask of the
-    window entries outside it (a nan index counts as outside), else None.
+def _node_indices(r: np.ndarray, lo: float, hi: float, index: np.ndarray, mask: np.ndarray):
+    """The window indices k = r + m (m = -R..R down axis 0) of every point,
+    as (kk, idx, outside): the distinct k, clipped to [lo, hi], as floats;
+    one window-major integer matrix with k = kk[idx]; and, when [lo, hi] is
+    finite, the mask of the window entries outside it (a nan index counts
+    as outside), else None.
 
     Windows that overlap into one range take the arange over that range
     and build idx in integers in index, and the mask in mask, both
-    points x window buffers.  Scattered windows, and windows that contain
+    WINDOW x points buffers.  Scattered windows, and windows that contain
     nan, take np.unique of the float indices instead: the work stays
     bounded by their size, and nan is never cast to an integer.
     """
     finite = math.isfinite(lo)
     span = r.max() - r.min() if r.size else math.nan
-    if span < r.size * offsets.size and np.abs(r).max() < 2.0**52:      # no nan or inf
-        k0 = max(r.min() + offsets.min(), lo)
-        m = int(min(r.max() + offsets.max(), hi) - k0)
-        np.add((r - k0).astype(np.intp)[:, None], offsets.astype(np.intp), out=index)
+    if span < r.size * WINDOW and np.abs(r).max() < 2.0**52:      # no nan or inf
+        k0 = max(r.min() - RADIUS, lo)
+        m = int(min(r.max() + RADIUS, hi) - k0)
+        np.add(ASCENDING.astype(np.intp)[:, None], (r - k0).astype(np.intp), out=index)
         if finite:
             np.logical_or(np.less(index, 0, out=mask), index > m, out=mask)
             np.clip(index, 0, m, out=index)
         return k0 + np.arange(m + 1.0), index, mask if finite else None
-    ks = r[:, None] + offsets
+    ks = ASCENDING[:, None] + r
     kk, idx = np.unique(np.clip(ks, lo, hi), return_inverse=True)
     return kk, idx.reshape(ks.shape), ~((ks >= lo) & (ks <= hi)) if finite else None
 
 
-def _kernel(u: np.ndarray, offsets: np.ndarray, lo: float, hi: float, work: Workspace):
-    """The window kernel chi(u - k), k = round(u) + offsets, as (chiv, kk,
-    idx): one points x window matrix with its columns in offsets' order and,
-    when [lo, hi] is finite (A's index window), zero outside it; the
-    distinct k, clipped to [lo, hi]; and the integer matrix with k = kk[idx].
+def _kernel(u: np.ndarray, lo: float, hi: float, work: Workspace):
+    """The window kernel chi(u - k), k = round(u) + m with m = -R..R down
+    axis 0, as (chiv, kk, idx): chi's window-major result and, when
+    [lo, hi] is finite (A's index window), zero outside it; the distinct
+    k, clipped to [lo, hi]; and the window-major integer matrix with
+    k = kk[idx].
 
-    chi runs window-major on work's arg buffer, which then ends as x - 1,
-    with its result in the kernel buffer; chiv is the points-major copy,
-    written into arg.  chiv and idx are views of work until its next use.
+    chi runs on work's arg buffer, which then ends as x - 1 and is free,
+    with its result in the kernel buffer; chiv and idx are views of work
+    until its next use.
     """
     arg, kernel, index, mask = work.take(u.size)
     r = np.round(u)
-    # u - r and r + offset are exact, so this is chi(u - k) bit for bit
-    x = arg.reshape(WINDOW, u.size)
-    np.subtract(u - r, ASCENDING[:, None], out=x)
-    window_major = chi(x, (kernel.reshape(x.shape), x))
-    kk, idx, outside = _node_indices(r, offsets, lo, hi, index, mask)
-    chiv = arg
-    for j, m in enumerate(offsets):
-        chiv[:, j] = window_major[int(m) + RADIUS]
+    # u - r and r + m are exact, so this is chi(u - k) bit for bit
+    np.subtract(u - r, ASCENDING[:, None], out=arg)
+    chiv = chi(arg, (kernel, arg))
+    kk, idx, outside = _node_indices(r, lo, hi, index, mask)
     if outside is not None:
         np.copyto(chiv, 0.0, where=outside)
     return chiv, kk, idx
+
+
+def _window_sum(rows: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """The sum down axis 0 of the window-major rows (offsets -R..R), added
+    in order's offsets as numpy's add.reduce adds a contiguous row of
+    8 to 15 entries c0, c1, ...: ((c0 + c1) + (c2 + c3)) + ((c4 + c5) +
+    (c6 + c7)), then c8 on one at a time, and the total onto +0.0 (so a
+    window of -0.0 sums to +0.0).  It equals the points-major
+    ``sum(axis=1)`` of the rows in that order bit for bit."""
+    c = [rows[int(m) + RADIUS] for m in order]
+    total = c[0] + c[1]
+    pair = c[2] + c[3]
+    total += pair
+    quad = c[4] + c[5]
+    np.add(c[6], c[7], out=pair)
+    quad += pair
+    total += quad
+    for row in c[8:]:
+        total += row
+    total += 0.0
+    return total
 
 
 def partition_sum(x, n: int):
@@ -235,7 +255,8 @@ def partition_sum(x, n: int):
     if n < 1:
         raise PreconditionViolated("n must be >= 1")
     u = np.atleast_1d(np.asarray(x, dtype=float)) * n
-    total = _kernel(u, CENTRE_OUT, -math.inf, math.inf, Workspace())[0][:, ::-1].sum(axis=1)
+    chiv = _kernel(u, -math.inf, math.inf, Workspace())[0]
+    total = _window_sum(chiv, CENTRE_OUT[::-1])
     return float(total[0]) if np.ndim(x) == 0 else total
 
 
@@ -246,7 +267,7 @@ def interval_denominator(x, n: int, a: float, b: float):
     Strictly above chi(1) ~= 0.2488 for x in [a, b], and at most 1.
     """
     u = np.atleast_1d(np.asarray(x, dtype=float)) * n
-    total = _kernel(u, ASCENDING, *index_window(n, a, b), Workspace())[0].sum(axis=1)
+    total = _window_sum(_kernel(u, *index_window(n, a, b), Workspace())[0], ASCENDING)
     return float(total[0]) if np.ndim(x) == 0 else total
 
 
@@ -274,7 +295,7 @@ def apply_operator(f: FunctionSpec, x, cfg: OperatorConfig, work: Optional[Works
         a, b = cfg.interval
         if np.any(xs < a) or np.any(xs > b):
             raise DomainViolation(f"x outside [{a}, {b}]")
-        offsets = ASCENDING
+        order = ASCENDING
         lo, hi = index_window(n, a, b)
     else:
         for p in f.parts:
@@ -283,14 +304,14 @@ def apply_operator(f: FunctionSpec, x, cfg: OperatorConfig, work: Optional[Works
                     f"{p.name}: family {cfg.family} needs a finite sup_norm "
                     "for its truncation certificate"
                 )
-        offsets = CENTRE_OUT
+        order = CENTRE_OUT
         lo, hi = -math.inf, math.inf
 
     work = Workspace() if work is None else work
-    chiv, kk, idx = _kernel(n * xs, offsets, lo, hi, work)
-    # the window-major kernel's buffer, free once chiv holds its copy
-    spare = work.take(xs.size)[1]
-    den = chiv.sum(axis=1) if cfg.family == "A" else 1.0
+    chiv, kk, idx = _kernel(n * xs, lo, hi, work)
+    # chi's argument buffer, free once chi returns
+    spare = work.take(xs.size)[0]
+    den = _window_sum(chiv, ASCENDING) if cfg.family == "A" else 1.0
     t, w = _node_rule(cfg)
     step = max(1, NODE_POINTS // t.size)
 
@@ -301,7 +322,7 @@ def apply_operator(f: FunctionSpec, x, cfg: OperatorConfig, work: Optional[Works
             node[s:s + step] = np.tensordot(p.eval(block), w, axes=([1], [0]))
         vals = np.take(node, idx, out=spare, mode="clip")      # idx is in range
         vals *= chiv
-        return vals.sum(axis=1) / den
+        return _window_sum(vals, order) / den
 
     outs = tuple(float(v[0]) if np.ndim(x) == 0 else v for v in map(image, f.parts))
     return outs if isinstance(f, ComplexFunctionSpec) else outs[0]

@@ -58,6 +58,25 @@ def _saturated_rows(a: np.ndarray) -> int:
     return count
 
 
+def _sign_saturated_tail(lo: np.ndarray) -> int:
+    """Write the sign into the last rows of lo (of its last two, along
+    axis 0, counted from the end) whose entries are all >= ERF_SATURATION
+    or all <= -ERF_SATURATION, where erf is exactly that sign, and return
+    how many entries of lo's flat end they hold.  Each row is tested by
+    its min and max, which a nan keeps from saturating."""
+    done = 0
+    for i in reversed(range(max(len(lo) - 2, 0), len(lo))):
+        row = lo[i:i + 1]
+        if row.min(initial=np.inf) >= ERF_SATURATION:
+            row[...] = 1.0
+        elif row.max() <= -ERF_SATURATION:
+            row[...] = -1.0
+        else:
+            break
+        done += row.size
+    return done
+
+
 def chi(x, buffers=None):
     """Bell density chi(x) = (erf(x+1) - erf(x-1))/4.
 
@@ -73,12 +92,15 @@ def chi(x, buffers=None):
     |value| >= ERF_SATURATION, where erf is exactly +-1, take np.sign
     (which keeps nan), and the first erf call covers the remaining rows.
     Along axis 0, an entry of x - 1 equal to the entry of x + 1 two places
-    on takes its erf value, so the second call covers the last two places
-    and the entries that differ.  On a window-major kernel d - m (m = -R..R
-    down axis 0, |d| <= 1/2) the first two rows are saturated, so the two
-    calls see 15 of the 30 arguments per point, plus the few inexact ones.
-    When over a sixteenth differ, erf runs on all of x - 1, so a call
-    holds at most about 0.19 arrays the size of x besides the buffers.
+    on takes its erf value; the last two places, which no entry of x + 1
+    covers, take their sign from the end back while their entries are
+    saturated, and the second call covers the rest of them and the entries
+    that differ.  On a window-major kernel d - m (m = -R..R down axis 0,
+    |d| <= 1/2) the first two rows of x + 1 and the last two of x - 1 are
+    saturated, so the two calls see 13 of the 30 arguments per point,
+    plus the few inexact ones.  When over a sixteenth differ, erf runs on
+    all of x - 1 but its saturated tail, so a call holds at most about
+    0.19 arrays the size of x besides the buffers.
     """
     if np.ndim(x) == 0:
         return (erf(float(x) + 1.0) - erf(float(x) - 1.0)) / 4.0
@@ -87,16 +109,19 @@ def chi(x, buffers=None):
     np.add(x_arr, 1.0, out=hi)
     np.subtract(x_arr, 1.0, out=lo)
     rows = _saturated_rows(hi)
+    end = lo.size - _sign_saturated_tail(lo)
     fresh = lo[:-2] != hi[2:]
     np.sign(hi[:rows], out=hi[:rows])
     erf(hi[rows:], out=hi[rows:])
     moved = np.count_nonzero(fresh)
+    flat = lo.reshape(-1)
     if moved > fresh.size // 16:
-        erf(lo, out=lo)
+        erf(flat[:end], out=flat[:end])
     else:
-        # lo is C-ordered, so the fresh arguments can move next to its last
-        # two places in its own buffer, where one erf call covers them all
-        tail = lo.reshape(-1)[fresh.size - moved:]
+        # lo is C-ordered, so the fresh arguments can move next to the
+        # unsaturated places of its last two in its own buffer, where one
+        # erf call covers them all
+        tail = flat[fresh.size - moved:end]
         tail[:moved] = lo[:-2][fresh]
         erf(tail, out=tail)
         values = tail[:moved].copy()

@@ -12,7 +12,7 @@ import pytest
 import yaml
 
 import erfapprox
-from erfapprox import bounds, corpus
+from erfapprox import bounds, cli, corpus
 from erfapprox.cli import main
 from erfapprox.corpus import FRACTIONAL_CORPUS
 from erfapprox.errors import ConfigError, PreconditionViolated
@@ -376,6 +376,29 @@ class TestCli:
     def test_missing_config_exit_two(self):
         assert main(["verify", "--config", "/no/such/file.yaml"]) == 2
 
+    @pytest.mark.parametrize("command, flag, key", [
+        ("verify", "--out-csv", "--out-csv"), ("verify", "--out-json", "--out-json"),
+        ("verify", None, "output.csv"), ("verify", None, "output.json"),
+        ("check-partition", "--out-json", "--out-json"),
+    ])
+    def test_unwritable_output_exits_two_before_any_group_runs(self, tmp_path, capsys,
+                                                              monkeypatch, command, flag, key):
+        # ended in a FileNotFoundError traceback and exit 1 after the sweep
+        out = str(tmp_path / "missing" / "x.csv")
+        ran = []
+        monkeypatch.setattr(cli, "run_verify", lambda cfg: ran.append(cfg))
+        monkeypatch.setattr(cli, "run_partition_check", lambda: ran.append(None))
+        if command == "check-partition":
+            argv = [command, flag, out]
+        elif flag:
+            argv = [command, "--config", write_config(tmp_path, BASE), flag, out]
+        else:
+            doc = {**BASE, "output": {key.split(".")[1]: out}}
+            argv = [command, "--config", write_config(tmp_path, doc)]
+        assert main(argv) == 2
+        assert not ran
+        assert capsys.readouterr().err.startswith(f"config error: {key}: cannot write {out}")
+
     def test_check_partition_exit_zero(self, tmp_path):
         out = tmp_path / "partition.json"
         assert main(["check-partition", "--out-json", str(out)]) == 0
@@ -588,6 +611,41 @@ class TestFaultInjection:
         self.assert_only_g_reads_non_finite(
             monkeypatch, doc, derivatives(parse(self.G), 2),
             [(1, self.TABLE_NODES), (2, self.TABLE_NODES)], 3 * 32 + 5)
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_a_nan_at_one_pointwise_x(self, monkeypatch, level):
+        # T16 at N = 2 in pointwise mode reads f (level 0) and |f'| and |f''|
+        # (levels 1, 2) at each of grid.pointwise_points points of f's
+        # interval; f^(level) is NaN at the sixth of g's
+        grid = bounds.GridPolicy(x_points=64, pointwise_points=9)
+        sweep = (16, 81, 256)
+        specs = [corpus.function_from_expression(fid, text, domain=dom, orders=2)
+                 for fid, text, dom in [("a", "sin(2*x) + x", (-1.0, 1.0)),
+                                        ("g", self.G, (-1.0, 1.5)),
+                                        ("b", "x^3 - x", (0.0, 2.0))]]
+
+        def rows():
+            run = bounds.Run.of(sweep, (0.5,), grid)
+            return {f.name: bounds.verify("T16", f, sweep, 0.5, grid, run=run, N=2,
+                                          mode="pointwise") for f in specs}
+
+        clean = rows()
+        x0 = float(np.linspace(-1.0, 1.5, 9)[5])
+        target, hit, real = compile(*derivatives(parse(self.G), 2)), [], corpus.evaluate
+
+        def spy(program, x, at=0):
+            out = real(program, x, at)
+            if program == target and at == level and np.ndim(x) == 0 and x == x0:
+                hit.append(x)
+                out = np.nan
+            return out
+
+        monkeypatch.setattr(corpus, "evaluate", spy)
+        poisoned = rows()
+        assert hit and {r.verdict for rs in clean.values() for r in rs} == {"holds"}
+        assert {r.verdict for r in poisoned["g"]} == {"non-finite"}
+        assert len(poisoned["g"]) == len(clean["g"]) == len(sweep)
+        assert poisoned["a"] == clean["a"] and poisoned["b"] == clean["b"]
 
 
 class TestHighOrderChains:

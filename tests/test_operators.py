@@ -384,10 +384,49 @@ def points_major(part, xs, cfg):
     return vals / chiv.sum(axis=1) if cfg.family == "A" else vals
 
 
+class TestWindowSum:
+    """_window_sum adds window-major rows in a summation order as numpy adds
+    the contiguous points-major rows of the same entries, bit for bit."""
+
+    ORDERS = {"ascending": operators.ASCENDING, "centre-out": operators.CENTRE_OUT,
+              "outermost-first": operators.CENTRE_OUT[::-1]}
+
+    @staticmethod
+    def points_major(rows, order):
+        # a strided .T.sum(axis=1) adds one row at a time, not pairwise
+        picked = rows[(order + partition.RADIUS).astype(int)]
+        return np.ascontiguousarray(picked.T).sum(axis=1)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")        # inf - inf, overflow
+    @pytest.mark.parametrize("order", ORDERS.values(), ids=ORDERS.keys())
+    @given(st.integers(0, 8), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_points_major_sum(self, order, points, data):
+        special = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324,
+                                   -2.5e-310, 2.2250738585072014e-308, 1.0, -1e16])
+        values = st.one_of(special, st.floats(width=64))
+        size = operators.WINDOW * points
+        rows = np.array(data.draw(st.lists(values, min_size=size, max_size=size)),
+                        dtype=float).reshape(operators.WINDOW, points)
+        got, want = operators._window_sum(rows, order), self.points_major(rows, order)
+        # a NaN's sign and payload follow the operand order of numpy's
+        # compiled add, which the compiler may swap; every report prints "nan"
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+
+    @pytest.mark.parametrize("order", ORDERS.values(), ids=ORDERS.keys())
+    def test_a_window_of_negative_zeros_sums_to_positive_zero(self, order):
+        rows = np.full((operators.WINDOW, 3), -0.0)
+        got = operators._window_sum(rows, order)
+        assert got.tobytes() == np.zeros(3).tobytes() == self.points_major(rows, order).tobytes()
+
+
 class TestWindowMajorKernel:
-    """apply_operator runs chi window-major and copies it points-major in the
-    family's summation order, so it adds every window as the points-major
-    kernel did, bit for bit."""
+    """apply_operator runs chi window-major, gathers and weights each part's
+    node values on chi's own rows and adds them in the family's summation
+    order, so it adds every window as the points-major kernel did, bit for
+    bit."""
 
     # at n = 1 A on [-pi, pi] has the 7 indices -3..3, so every window of
     # radius 7 leaves the index range and the whole chi matrix is masked

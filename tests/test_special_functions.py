@@ -193,11 +193,12 @@ class TestChiSharesErfValues:
         for arr in (x, x.T, x[:, 0], x[::-1]):
             assert np.array_equal(chi(arr), formula(arr), equal_nan=True)
 
-    def test_exact_kernel_sends_only_its_last_two_rows_to_the_second_call(self, monkeypatch):
+    def test_exact_kernel_leaves_the_second_call_empty(self, monkeypatch):
         # the first call skips the two leading rows, where x + 1 = d + 8 and
-        # d + 7 lie in [6.5, 8.5]
+        # d + 7 lie in [6.5, 8.5], and the last two rows of x - 1, d - 7 and
+        # d - 8, are saturated too
         x = window_major(81, -8.0, 8.0, 4095)
-        assert self.erf_sizes(x, monkeypatch) == [x.size - 2 * 4095, 2 * 4095]
+        assert self.erf_sizes(x, monkeypatch) == [x.size - 2 * 4095, 0]
 
     def test_inexact_entries_go_to_the_second_call(self, monkeypatch):
         # at n = 9 on [0, 1] every |nx| < 9, so d - m rounds on some rows and
@@ -205,12 +206,49 @@ class TestChiSharesErfValues:
         x = window_major(9, 0.0, 1.0, 1001)
         sizes = self.erf_sizes(x, monkeypatch)
         assert len(sizes) == 2 and sizes[0] == x.size - 2 * 1001
-        assert 2 * 1001 < sizes[1] < x.size // 16 + 2 * 1001
+        assert 0 < sizes[1] < x.size // 16
 
     def test_descending_unit_steps_share_all_but_two(self, monkeypatch):
-        # x + 1 = 6 at the first place is saturated, so the first call skips it
+        # x + 1 = 6 at the first place is saturated, so the first call skips
+        # it; x - 1 ends at -5 and -6, and only -6 is saturated
         x = np.arange(5.0, -6.0, -1.0)
-        assert self.erf_sizes(x, monkeypatch) == [10, 2]
+        assert self.erf_sizes(x, monkeypatch) == [10, 1]
+
+    @staticmethod
+    def edited(cells):
+        """An exact window-major kernel of 11 points with cells, a dict of
+        (row, column) -> value, written into it."""
+        x = window_major(81, -8.0, 8.0, 11)
+        for at, value in cells.items():
+            x[at] = value
+        return x
+
+    @pytest.mark.parametrize("x", [
+        edited({(-1, 3): np.nan}),
+        edited({(-1, 3): 8.0}),
+        edited({(-2, 0): np.inf, (-2, 1): -np.inf}),
+        edited({(-1, 0): -np.inf}),
+        np.arange(5.0, -6.0, -1.0),
+        np.append(np.arange(5.0, -4.0, -1.0), [np.nan, -np.inf]),
+        np.array([[-9.0, -np.inf, -7.5, -9.0]]),
+        np.array([[-9.0, -np.inf, 5.5, -9.0]]),
+    ], ids=["nan", "mixed-signs", "inf-both-signs", "minus-inf-saturates", "one-dim",
+            "one-dim-nan", "one-row", "one-unsaturated-row"])
+    def test_trailing_rows_that_must_keep_erf(self, x, monkeypatch):
+        # from the last row of x - 1 back, a row takes its sign only while
+        # all its entries are >= 6 or all <= -6 (a nan row never is); the
+        # second call covers the other trailing rows and the fresh entries,
+        # or, past a sixteenth fresh, all of x - 1 but the signed rows
+        lo = x - 1.0
+        signed = 0
+        for row in lo[::-1][:2]:
+            if not (np.all(row >= ERF_SATURATION) or np.all(row <= -ERF_SATURATION)):
+                break
+            signed += np.size(row)
+        head = lo[:-2].size
+        moved = np.count_nonzero(lo[:-2] != (x + 1.0)[2:])
+        second = lo.size - signed if moved > head // 16 else moved + lo.size - head - signed
+        assert self.erf_sizes(x, monkeypatch)[1] == second
 
     def test_saturated_rows_take_their_sign_bit_for_bit(self, monkeypatch):
         # u beyond 2^52 gives d = 0; nan and +-inf give d = nan, so their
