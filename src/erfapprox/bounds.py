@@ -39,7 +39,7 @@ from .fractional import (
     table_modulus,
 )
 from .funcs import SAMPLE_POINTS, ComplexFunctionSpec, FunctionSpec
-from .modulus import evaluate_modulus
+from .modulus import evaluate_modulus, window_sizes
 from .operators import OperatorConfig, QuadratureWeights, Workspace, apply_operator
 from .partition import tail_bound, tail_core
 from .special_functions import INV_CHI_AT_ONE
@@ -201,37 +201,54 @@ def highorder_bound(f: FunctionSpec, n: int, alpha: float, N: int, mode: str = "
 # ------------------------------------------------------- fractional bounds
 
 
-def _anchor_data(f: FunctionSpec, alpha: float, x: float, points: int,
+def _anchor_data(f: FunctionSpec, orders: Tuple[float, ...], xs: np.ndarray, points: int,
                  deltas: Tuple[float, ...]) -> Tuple[np.ndarray, np.ndarray]:
-    """Caputo moduli and sups at the anchor x in f's interval: (moduli, sups),
-    row 0 the right derivative on [a, x] and row 1 the left one on [x, b],
-    each side's table read at every step of deltas in one table_modulus
-    call and kept as those moduli and its sup (zeros for an empty side)."""
+    """Caputo moduli and sups at the anchors xs in f's interval for every
+    order of orders: (moduli, sups) of shapes (orders, anchors, 2,
+    len(deltas)) and (orders, anchors, 2), side 0 the right derivative on
+    [a, x] and side 1 the left one on [x, b] (zeros for an empty side).
+
+    Each (anchor, side) is one caputo_table call for all the orders.  The
+    sides whose table grids give equal window sizes at deltas (the right
+    side at anchor k and the left one at anchor anchors - 1 - k cover equal
+    lengths) form a group, whose rows are stacked and read at every step in
+    one table_modulus call; a group's tables are dropped once read."""
     a, b = f.domain
-    moduli, sups = np.zeros((2, len(deltas))), np.zeros(2)
-    for i, (side, sub) in enumerate((("right", (a, x)), ("left", (x, b)))):
-        if sub[1] - sub[0] > 1e-12:
-            table = caputo_table(f, FractionalSpec(alpha, x, side), sub, points)
-            moduli[i], sups[i] = table_modulus(table, deltas), np.max(np.abs(table[1]))
+    moduli = np.zeros((len(orders), len(xs), 2, len(deltas)))
+    sups = np.zeros((len(orders), len(xs), 2))
+    groups: Dict[Tuple[int, ...], list] = {}
+    for k, x in enumerate(xs.tolist()):
+        for i, (side, sub) in enumerate((("right", (a, x)), ("left", (x, b)))):
+            if sub[1] - sub[0] > 1e-12:
+                key = window_sizes(sub, points, deltas)
+                groups.setdefault(key, []).append((k, i, [FractionalSpec(alpha, x, side)
+                                                          for alpha in orders], sub))
+    for members in groups.values():
+        tables = [caputo_table(f, specs, sub, points) for _, _, specs, sub in members]
+        values = np.stack([rows for _, rows in tables])         # (members, orders, points)
+        ks, sides = [m[0] for m in members], [m[1] for m in members]
+        sups[:, ks, sides] = np.max(np.abs(values), axis=-1).T
+        moduli[:, ks, sides] = table_modulus((tables[0][0], values), deltas).swapaxes(0, 1)
     return moduli, sups
 
 
 @lru_cache(maxsize=32)
-def _anchor_tables(f: FunctionSpec, alpha: float, grid: GridPolicy,
+def _anchor_tables(f: FunctionSpec, orders: Tuple[float, ...], grid: GridPolicy,
                    deltas: Tuple[float, ...]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Caputo moduli and sups at grid.anchors points xs across f's interval,
-    on tables of grid.table_points points, for every step in deltas (a
-    run's whole set, so one entry serves each n and exponent): (xs, moduli,
-    sups) of shapes (anchors,), (anchors, 2, len(deltas)) and (anchors, 2),
-    ``_anchor_data`` stacked anchor by anchor; no table is kept.
+    on tables of grid.table_points points, for every order of orders (a
+    run's whole set that f's chain can take, so one entry serves each of
+    its fractional groups) and every step in deltas (a run's whole set, so
+    one entry serves each n and exponent): (xs, moduli, sups) of shapes
+    (anchors,), (orders, anchors, 2, len(deltas)) and (orders, anchors, 2)
+    from ``_anchor_data``; no table is kept.
 
     The cache is process-wide (lru_cache, 32 entries) and keeps its entries
     after a run returns; the benchmark's trace reads its hit counts through
     ``cache_info()``.
     """
     xs = np.linspace(*_interval(f), grid.anchors)
-    data = [_anchor_data(f, alpha, float(x), grid.table_points, deltas) for x in xs]
-    return xs, np.stack([m for m, _ in data]), np.stack([s for _, s in data])
+    return (xs,) + _anchor_data(f, orders, xs, grid.table_points, deltas)
 
 
 def fractional_bound(f: FunctionSpec, n: int, beta: float, alpha_frac: float,
@@ -245,9 +262,11 @@ def fractional_bound(f: FunctionSpec, n: int, beta: float, alpha_frac: float,
     (uniform form, anchor-grid suprema).  The sup form at 0 < alpha < 1
     is C31's bound and at alpha = 1/2 C33's.
 
-    run (a run of this n and beta alone when None) gives the anchor grid
-    and the steps each Caputo table is read at, ``Run.deltas``; the bound
-    reads the column of its own step n^-beta, which must be one of them.
+    run (a run of this n and beta alone when None) gives the anchor grid,
+    the steps each Caputo table is read at, ``Run.deltas``, and the other
+    orders whose tables are built with alpha_frac's, ``Run.orders`` (those
+    f's chain can take); the bound reads the entries of its own order and
+    of its own step n^-beta, which must be one of the steps.
     The sup form takes the maximum over the anchors, so a NaN at any anchor
     makes it NaN; a pointwise form reads the anchor nearest x, or x's own
     tables at the run's steps when x is off the grid.  The sup form's
@@ -268,13 +287,19 @@ def fractional_bound(f: FunctionSpec, n: int, beta: float, alpha_frac: float,
     j = run.deltas.index(delta)
     htc = tail_bound(n, beta)
     gamma_factor = 1.0 / gamma_fn(alpha_frac + 1.0)
-    xs, moduli, sups = _anchor_tables(f, alpha_frac, run.grid, run.deltas)
+    orders = tuple(sorted({alpha_frac} | {
+        o for o in run.orders if math.ceil(o) <= len(f.derivatives)}))
+    xs, moduli, sups = _anchor_tables(f, orders, run.grid, run.deltas)
+    i = orders.index(alpha_frac)
+    moduli, sups = moduli[i], sups[i]
     if pointwise:
         if x is None:
             raise PreconditionViolated(f"mode {mode} needs an evaluation point x")
         k = int(np.argmin(np.abs(xs - x)))
         if abs(xs[k] - x) > 1e-9 * (1.0 + abs(x)):    # off the anchor grid
-            moduli, sups = _anchor_data(f, alpha_frac, x, run.grid.table_points, run.deltas)
+            moduli, sups = _anchor_data(f, (alpha_frac,), np.array([x]),
+                                        run.grid.table_points, run.deltas)
+            moduli, sups = moduli[0, 0], sups[0, 0]
         else:
             moduli, sups = moduli[k], sups[k]
     else:
@@ -306,11 +331,13 @@ def remark34_check(f: FunctionSpec, beta: float, sweep: Sequence[int],
     when any q(n) is.  The sup-moduli are read from the anchor arrays at
     the steps of ``Run.of(sweep, (beta,), grid)``.  Returns (certified, K).
     """
+    if not sweep:
+        raise PreconditionViolated("remark34_check needs a non-empty sweep")
     run = Run.of(sweep, (beta,), grid)
-    _, moduli, _ = _anchor_tables(f, 0.5, grid, run.deltas)
-    sup_mod = moduli.max(axis=0).sum(axis=0).tolist()     # right + left
+    _, moduli, _ = _anchor_tables(f, (0.5,), grid, run.deltas)
+    sup_mod = moduli[0].max(axis=0).sum(axis=0).tolist()     # right + left
     qs = [float(n) ** beta * sup_mod[run.deltas.index(float(n) ** (-beta))] for n in sweep]
-    K = float(np.max(qs)) if qs else 0.0
+    K = float(np.max(qs))
     certified = math.isfinite(K) and all(
         qs[i + 1] <= qs[i] * (1.0 + 1e-9) + 1e-15 for i in range(len(qs) - 1)
     )
@@ -489,6 +516,9 @@ class Run:
     * ``deltas``: every modulus step float(n) ** (-e) of the run's sweep
       and exponents, sorted, at which each Caputo table is read once when
       it is built;
+    * ``orders``: every fractional order alpha_frac the run's fractional
+      groups read, sorted; a fractional bound builds f's Caputo tables for
+      these and its own order at once, keeping those f's chain can take;
     * ``steps``: every Jackson step, ``deltas`` and mu3's 1/n + n^-e,
       sorted;
     * ``moduli``: per function, one ``ModulusResult`` holding omega_1 and
@@ -508,6 +538,7 @@ class Run:
     deltas: Tuple[float, ...]
     steps: Tuple[float, ...]
     grid: GridPolicy = GridPolicy()
+    orders: Tuple[float, ...] = ()
     sup_errors: dict = field(default_factory=dict)
     moduli: dict = field(default_factory=dict)
     sups: dict = field(default_factory=dict)
@@ -516,10 +547,10 @@ class Run:
 
     @staticmethod
     def of(sweep: Sequence[int], exponents: Sequence[float],
-           grid: GridPolicy = GridPolicy()) -> "Run":
+           grid: GridPolicy = GridPolicy(), orders: Sequence[float] = ()) -> "Run":
         deltas = {float(n) ** (-e) for n in sweep for e in exponents}
         steps = deltas | {1.0 / n + float(n) ** (-e) for n in sweep for e in exponents}
-        return Run(tuple(sorted(deltas)), tuple(sorted(steps)), grid)
+        return Run(tuple(sorted(deltas)), tuple(sorted(steps)), grid, tuple(sorted(set(orders))))
 
     def modulus(self, f: FunctionSpec, delta: float) -> Tuple[float, str, float]:
         """(omega_1(f, delta) on f's sample window, its quality, f's sup

@@ -6,12 +6,18 @@ For non-integer alpha > 0 with N = ceil(alpha), the left derivative is
 
 for x >= x0 and 0 for x < x0; the right derivative mirrors it for x <= x0
 with the factor (-1)^N, and is 0 for x > x0.  Both vanish at the anchor.
-``caputo`` computes either one: ``FractionalSpec.side`` selects it.
-``caputo_table`` samples it on a sub-interval of its side once, and
-``table_modulus`` reads omega_1 estimates from that table at a sequence
-of steps, an array in their order, with ``modulus.grid_modulus`` in one
-doubling pass: the grid step comes from the table's first and last grid
-points, and a NaN value gives a NaN estimate.
+``FractionalSpec.side`` selects one.  ``caputo_table`` samples the
+derivatives of several orders at one anchor and side on a sub-interval of
+that side, one row per order: orders of equal N - alpha (equal fractional
+parts) share one Gauss-Jacobi node matrix, each f^(N) is evaluated once
+on it, and an f^(N) that declares sup_norm 0.0 is not evaluated at all,
+its rows being 0.  ``caputo`` is the one-order case at any points, NaN at
+a NaN point.  ``table_modulus`` reads omega_1 estimates from a table's
+rows at a sequence of steps, an array in their order, with
+``modulus.grid_modulus`` in one doubling pass: the grid step comes from
+the table's first and last grid points, rows of tables whose grids give
+equal window sizes may be stacked into one call, and a NaN value gives a
+NaN estimate.
 ``caputo_sup_ceiling`` and ``caputo_modulus_ceiling`` are closed-form
 upper bounds from f^(N)'s declared sup norm, and ``caputo_monomial`` is
 the closed-form oracle for monomials.
@@ -39,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence, Tuple
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 from scipy.special import beta, eval_jacobi
@@ -65,8 +71,10 @@ class FractionalSpec:
     quad_nodes: int = 32
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise PreconditionViolated(f"order must be > 0, got {self.alpha}")
+        if not 0 < self.alpha < math.inf:
+            raise PreconditionViolated(f"order must be finite and > 0, got {self.alpha}")
+        if not math.isfinite(self.anchor):
+            raise PreconditionViolated(f"anchor must be finite, got {self.anchor}")
         if float(self.alpha).is_integer():
             raise PreconditionViolated(
                 f"order {self.alpha} is an integer; use the ordinary derivative"
@@ -108,55 +116,90 @@ def _jacobi_rule(exponent: float, singular_at_right: bool, nodes: int):
     return x, w
 
 
+def _caputo_rows(f: FunctionSpec, specs: Sequence[FractionalSpec], xs: np.ndarray) -> np.ndarray:
+    """Caputo derivatives of f at the points xs (1-D) for specs of one
+    anchor and one side, one row per spec.  Either side integrates f^(N)
+    at the nodes start + d (u+1)/2, with d = |x - x0| and start = x0
+    (left) or x (right), against (d/2)^expo times the Jacobi weight
+    (1-u)^expo (left) or (1+u)^expo (right), expo = N - alpha - 1.
+
+    Specs of equal N - alpha share one node matrix and one (d/2)^(N-alpha),
+    and each f^(N) is evaluated once on it; an f^(N) that declares sup_norm
+    0.0 is not evaluated, and its rows stay 0.  A NaN x gives NaN."""
+    x0, side = specs[0].anchor, specs[0].side
+    if any(s.anchor != x0 or s.side != side for s in specs):
+        raise PreconditionViolated("the specs of one table must share one anchor and one side")
+    fNs = [f.derivative(s.N) for s in specs]
+    out = np.zeros((len(specs), xs.size))
+    out[:, np.isnan(xs)] = np.nan
+    left = side == "left"
+    live = xs > x0 if left else xs < x0
+    if not np.any(live):
+        return out
+    d = np.abs(xs[live] - x0)
+    groups = {}
+    for i, s in enumerate(specs):
+        groups.setdefault((s.N - s.alpha, s.quad_nodes), []).append(i)
+    for (power, nodes), rows in groups.items():
+        xj, wj = _jacobi_rule(power - 1.0, left, nodes)      # expo in (-1, 0)
+        scale, gamma, tt, cores = (d / 2.0) ** power, gamma_fn(power), None, {}
+        for i in rows:
+            N, fN = specs[i].N, fNs[i]
+            if fN.sup_norm == 0.0:
+                continue
+            if N not in cores:
+                if tt is None:
+                    tt = np.multiply.outer(d, (xj + 1.0) / 2.0)     # halving is exact
+                    tt += x0 if left else xs[live][:, None]
+                cores[N] = np.asarray(fN.eval(tt), dtype=float) @ wj
+            sign = 1.0 if left else (-1.0) ** N
+            out[i, live] = sign * scale * cores[N] / gamma
+    return out
+
+
 def caputo(f: FunctionSpec, spec: FractionalSpec, x):
     """Caputo derivative of f at x (scalar or array), zero beyond the anchor
-    side.  Either side integrates f^(N) at the nodes start + d (u+1)/2, with
-    d = |x - x0| and start = x0 (left) or x (right), against (d/2)^expo times
-    the Jacobi weight (1-u)^expo (left) or (1+u)^expo (right)."""
-    N = spec.N
-    fN = f.derivative(N)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.zeros_like(xs)
-    x0 = spec.anchor
-    expo = N - spec.alpha - 1.0     # in (-1, 0)
-    left = spec.side == "left"
-    xj, wj = _jacobi_rule(expo, left, spec.quad_nodes)
-    live = xs > x0 if left else xs < x0
-    d = np.abs(xs[live] - x0)
-    tt = np.multiply.outer(d, (xj + 1.0) / 2.0)     # halving is exact
-    tt += x0 if left else xs[live][:, None]
-    sign = 1.0 if left else (-1.0) ** N
-    if np.any(live):
-        vals = np.asarray(fN.eval(tt), dtype=float)
-        core = vals @ wj
-        out[live] = sign * (d / 2.0) ** (N - spec.alpha) * core / gamma_fn(N - spec.alpha)
-    return float(out[0]) if np.ndim(x) == 0 else out
+    side and NaN at a NaN x: the one-spec case of ``caputo_table``'s rows."""
+    xs = np.asarray(x, dtype=float)
+    out = _caputo_rows(f, (spec,), xs.ravel())[0]
+    return float(out[0]) if np.ndim(x) == 0 else out.reshape(xs.shape)
 
 
 def caputo_table(
-    f: FunctionSpec, spec: FractionalSpec, sub: Tuple[float, float], points: int = 4096
+    f: FunctionSpec, specs: Union[FractionalSpec, Sequence[FractionalSpec]],
+    sub: Tuple[float, float], points: int = 4096,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Dense (grid, values) table of the Caputo derivative on an interval
-    of its side, for table_modulus to read."""
+    """Dense (grid, values) table of Caputo derivatives on an interval of
+    their side, for table_modulus to read: one row of values per spec of
+    specs, which share one anchor and one side, or one row alone for a
+    single spec."""
+    one = isinstance(specs, FractionalSpec)
+    specs = (specs,) if one else tuple(specs)
+    if not specs:
+        raise PreconditionViolated("a Caputo table needs at least one spec")
     lo, hi = sub
     if not lo < hi:
         raise PreconditionViolated(f"need lo < hi, got [{lo}, {hi}]")
-    if spec.side == "left" and lo < spec.anchor - 1e-12:
+    x0 = specs[0].anchor
+    if specs[0].side == "left" and lo < x0 - 1e-12:
         raise PreconditionViolated(
-            f"left derivative lives on [x0, b]; sub interval starts at {lo} < {spec.anchor}"
+            f"left derivative lives on [x0, b]; sub interval starts at {lo} < {x0}"
         )
-    if spec.side == "right" and hi > spec.anchor + 1e-12:
+    if specs[0].side == "right" and hi > x0 + 1e-12:
         raise PreconditionViolated(
-            f"right derivative lives on [a, x0]; sub interval ends at {hi} > {spec.anchor}"
+            f"right derivative lives on [a, x0]; sub interval ends at {hi} > {x0}"
         )
     xs = np.linspace(lo, hi, points)
-    return xs, caputo(f, spec, xs)
+    rows = _caputo_rows(f, specs, xs)
+    return xs, rows[0] if one else rows
 
 
 def table_modulus(table: Tuple[np.ndarray, np.ndarray], steps: Sequence[float]) -> np.ndarray:
     """omega_1 estimates at every step of steps, in its order, from a
     precomputed caputo_table, or from its grid's two end points and its
-    values (see ``grid_modulus``)."""
+    values (see ``grid_modulus``): one row per row of values, so tables
+    whose grids give equal ``modulus.window_sizes`` may be stacked and
+    read in one call."""
     return grid_modulus(table[0], table[1], steps)
 
 
@@ -186,13 +229,13 @@ def caputo_monomial(alpha: float, anchor: float, power: int, side: str, x):
     Left: the derivative of (t-x0)^p is Gamma(p+1)/Gamma(p+1-alpha) (x-x0)^(p-alpha)
     for x >= x0; the right-side derivative of (x0-t)^p mirrors it in (x0 - x).
     Requires power >= ceil(alpha) so the N-th derivative is still a monomial
-    vanishing at the anchor.
+    vanishing at the anchor.  A NaN x gives NaN.
     """
     N = math.ceil(alpha)
     if power < N:
         raise PreconditionViolated(f"power {power} below smoothness {N}")
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.zeros_like(xs)
+    out = np.where(np.isnan(xs), np.nan, 0.0)
     coeff = gamma_fn(power + 1.0) / gamma_fn(power + 1.0 - alpha)
     if side == "left":
         live = xs > anchor

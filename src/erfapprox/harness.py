@@ -317,9 +317,14 @@ def run_verify(cfg: ExperimentConfig) -> RunResult:
     Each (theorem, function, exponent, variant) group runs in config
     order.  A group that fails, and each non-finite cell, is a skip listed
     after every skip decided before a group runs (no variant, too few
-    derivatives, a failed hypothesis).
+    derivatives, a failed hypothesis); a non-finite cell's reason names
+    the parts that are not finite.
     """
-    run = bounds.Run.of(cfg.sweep, cfg.rate_exponents, cfg.grid)   # shared by the groups
+    # shared by the groups; its orders are every alpha_frac a fractional group reads
+    orders = {kw.get("alpha_frac", th.params["alpha_frac"])
+              for th in map(bounds.THEOREMS.get, cfg.theorems) if "alpha_frac" in th.params
+              for kw in _variants(cfg, th)[0]}
+    run = bounds.Run.of(cfg.sweep, cfg.rate_exponents, cfg.grid, orders)
     skipped, failed, finished = [], [], []
     for theorem in cfg.theorems:
         th = bounds.THEOREMS[theorem]
@@ -357,7 +362,7 @@ def run_verify(cfg: ExperimentConfig) -> RunResult:
                                        "reason": f"group failed: {exc}"})
                         continue
                     failed.extend({**where, "family": r.family, "n": r.n, "exponent": exponent,
-                                   "reason": "non-finite empirical error or bound"}
+                                   "reason": _non_finite_reason(r)}
                                   for r in reports if r.verdict == "non-finite")
                     finished.append([r for r in reports if r.verdict != "non-finite"])
 
@@ -373,6 +378,17 @@ def run_verify(cfg: ExperimentConfig) -> RunResult:
         held=verdicts.count("holds"),
         inconclusive=verdicts.count("inconclusive-estimated"),
     )
+
+
+def _non_finite_reason(report: bounds.BoundReport) -> str:
+    """The skip reason of a non-finite row, naming its parts that are not
+    finite: empirical_error and the bound's terms, or the bound alone when
+    every term is finite and only their sum is not."""
+    parts = [] if math.isfinite(report.empirical_error) else ["empirical_error"]
+    terms = [k for k, v in report.terms.items() if not math.isfinite(v)]
+    if not terms and not math.isfinite(report.bound_value):
+        terms = ["bound"]
+    return "non-finite empirical error or bound: " + ", ".join(parts + terms)
 
 
 def _rows(reports) -> List[dict]:

@@ -15,19 +15,21 @@ doubling pass (a sparse table) of running maxima over the pair (ys, -ys)
 and two overlapping blocks of width 2^floor(log2 m) per window start.
 The pass runs once, in ascending window size, and reads every size on
 the way, so each entry equals a call at its step alone bit for bit.
-max, min and a + (-b) == a - b are exact, so the estimate equals the
-largest spread of the windows bit for bit.  The grid step comes from the
-two end points of xs, so a caller may pass the whole uniform grid or only
-its ends.  A NaN sample makes every window that holds it NaN, and so the
-estimate: the row that reads it becomes non-finite rather than taking a
-finite spread from the other samples.
+max, min and a - b are exact, so the estimate equals the largest spread
+of the windows bit for bit.  The grid step comes from the two end points
+of xs, so a caller may pass the whole uniform grid or only its ends.
+Samples stacked along leading axes are read in the same pass, each as if
+alone; ``window_sizes`` says which grids may share one: those whose steps
+give equal window sizes.  A NaN sample makes every window that holds it
+NaN, and so the estimate: the row that reads it becomes non-finite rather
+than taking a finite spread from the other samples.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,33 +47,46 @@ class ModulusResult:
     sup: Optional[float] = None         # grid sup of |f|, for an estimate
 
 
-def grid_modulus(xs: np.ndarray, ys: np.ndarray, steps: Sequence[float]) -> np.ndarray:
-    """Sliding-window omega_1 estimates at every step of steps, in its
-    order, from samples ys on the uniform grid from xs[0] to xs[-1] (the
-    whole grid or only its two end points)."""
+def window_sizes(xs: np.ndarray, n: int, steps: Sequence[float]) -> Tuple[int, ...]:
+    """The window of each step of steps, in samples, on the uniform grid of
+    n points from xs[0] to xs[-1]: grids whose steps give equal sizes give
+    equal ``grid_modulus`` estimates of equal samples."""
     if not all(d > 0 for d in steps):
         raise PreconditionViolated(f"every step must be > 0, got {steps}")
-    n = len(ys)
     h = (xs[-1] - xs[0]) / (n - 1)
     # a window of size m spans (m-1)*h, so m = floor(delta/h) + 1 keeps
     # every in-window pair within distance delta (never overshoots); delta
     # below grid resolution falls back to adjacent differences
-    sizes = [max(2, int(math.floor(d / h)) + 1) for d in steps]
+    return tuple(max(2, int(math.floor(d / h)) + 1) for d in steps)
+
+
+def grid_modulus(xs: np.ndarray, ys: np.ndarray, steps: Sequence[float]) -> np.ndarray:
+    """Sliding-window omega_1 estimates at every step of steps, in its
+    order, from samples ys on the uniform grid from xs[0] to xs[-1] (the
+    whole grid or only its two end points).  ys of shape (..., n) holds
+    one sample per leading index, each on that grid, and the estimates
+    have shape (..., len(steps))."""
+    n = ys.shape[-1]
+    sizes = window_sizes(xs, n, steps)
     spreads = {}
-    # levels[:, i] holds the maxima of (ys, -ys) over [i, i + width)
-    levels, width = np.concatenate((ys, -ys)).reshape(2, n), 1
+    # levels[:, ..., i] holds the maxima of (ys, -ys) over [i, i + width)
+    levels, width = np.stack((ys, -ys)), 1
     for size in sorted(set(sizes)):
         if size >= n:
-            spreads[size] = float(ys.max() - ys.min())
+            spreads[size] = ys.max(axis=-1) - ys.min(axis=-1)
             continue
         while 2 * width <= size:
-            levels = np.maximum(levels[:, :-width], levels[:, width:])
+            levels = np.maximum(levels[..., :-width], levels[..., width:])
             width *= 2
         # the window [i, i + size) is the union of [i, i + width) and
         # [i + size - width, i + size)
-        top = np.maximum(levels[:, :n - size + 1], levels[:, size - width:])
-        spreads[size] = float((top[0] + top[1]).max())
-    return np.array([spreads[size] for size in sizes])
+        top = np.maximum(levels[..., :n - size + 1], levels[..., size - width:])
+        # max - min as top[0] - (-top[1]): numpy's commutative add keeps one
+        # operand's NaN or the other's by where an entry falls in its SIMD
+        # loop, a subtraction always keeps the first's, so a row's NaN has
+        # the same bits stacked or alone
+        spreads[size] = (top[0] - -top[1]).max(axis=-1)
+    return np.stack([spreads[size] for size in sizes], axis=-1)
 
 
 def evaluate_modulus(f: FunctionSpec, steps: Sequence[float]) -> ModulusResult:

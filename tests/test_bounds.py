@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from erfapprox import bounds
 from erfapprox.bounds import (
@@ -31,10 +33,18 @@ from erfapprox.corpus import (
 from erfapprox.errors import (
     CriticalPointViolated,
     DegenerateFit,
+    DivisionByZero,
     PreconditionViolated,
 )
-from erfapprox.fractional import FractionalSpec, caputo_table, gamma_fn, table_modulus
+from erfapprox.fractional import (
+    FractionalSpec,
+    _jacobi_rule,
+    caputo_table,
+    gamma_fn,
+    table_modulus,
+)
 from erfapprox.funcs import ComplexFunctionSpec, FunctionSpec
+from erfapprox.modulus import grid_modulus
 from erfapprox.partition import tail_bound, tail_core
 from erfapprox.special_functions import INV_CHI_AT_ONE, SQRT_PI
 
@@ -218,6 +228,11 @@ class TestFractionalBound:
         certified, K = remark34_check(f, beta, sweep, FAST_GRID)
         assert not certified and K.hex() == max(qs).hex()
 
+    def test_remark34_needs_a_non_empty_sweep(self):
+        # an empty sweep read (True, 0.0): the premise certified over no n
+        with pytest.raises(PreconditionViolated, match="non-empty sweep"):
+            remark34_check(FRACTIONAL_CORPUS["sq"], 0.5, (), FAST_GRID)
+
     def test_remark34_constant_certifies(self):
         certified, K = remark34_check(
             FRACTIONAL_CORPUS["const"], 0.5, (9, 16, 81), FAST_GRID,
@@ -236,15 +251,17 @@ class TestFractionalBound:
 
     @pytest.fixture
     def nan_left_of_half(self, monkeypatch):
-        """caputo_table with a NaN in the left table of the anchor 0.5; the
-        anchor cache is emptied around the test so no NaN entry outlives it."""
+        """caputo_table with a NaN in the alpha = 0.5 row of the left table of
+        the anchor 0.5; the anchor cache is emptied around the test so no NaN
+        entry outlives it."""
         real = bounds.caputo_table
 
-        def table(f, spec, sub, points):
-            xs, values = real(f, spec, sub, points)
-            if spec.anchor == 0.5 and spec.side == "left":
+        def table(f, specs, sub, points):
+            xs, values = real(f, specs, sub, points)
+            if specs[0].anchor == 0.5 and specs[0].side == "left":
                 values = values.copy()
-                values[len(values) // 2] = math.nan
+                row = [s.alpha for s in specs].index(0.5)
+                values[row, values.shape[1] // 2] = math.nan
             return xs, values
 
         monkeypatch.setattr(bounds, "caputo_table", table)
@@ -275,6 +292,112 @@ class TestFractionalBound:
     def test_a_point_outside_the_interval_is_a_precondition(self, bound, f, args):
         with pytest.raises(PreconditionViolated, match=r"x = \S+ is not in \[a, b\] = \["):
             bound(f, *args)
+
+
+def reference_caputo(f, spec, xs):
+    """One spec's Caputo derivative at the grid xs as one table at a time
+    was built: its own node matrix, and f^(N) evaluated even when zero."""
+    N, x0 = spec.N, spec.anchor
+    left = spec.side == "left"
+    xj, wj = _jacobi_rule(N - spec.alpha - 1.0, left, spec.quad_nodes)
+    out = np.zeros_like(xs)
+    live = xs > x0 if left else xs < x0
+    d = np.abs(xs[live] - x0)
+    tt = np.multiply.outer(d, (xj + 1.0) / 2.0)
+    tt += x0 if left else xs[live][:, None]
+    if np.any(live):
+        core = np.asarray(f.derivative(N).eval(tt), dtype=float) @ wj
+        sign = 1.0 if left else (-1.0) ** N
+        out[live] = sign * (d / 2.0) ** (N - spec.alpha) * core / gamma_fn(N - spec.alpha)
+    return out
+
+
+def reference_anchor_tables(f, orders, grid, deltas):
+    """_anchor_tables' arrays from one table per (order, anchor, side), each
+    read by its own grid_modulus call."""
+    (a, b), points = f.domain, grid.table_points
+    xs = np.linspace(a, b, grid.anchors)
+    moduli = np.zeros((len(orders), len(xs), 2, len(deltas)))
+    sups = np.zeros((len(orders), len(xs), 2))
+    for o, alpha in enumerate(orders):
+        for k, x in enumerate(xs.tolist()):
+            for i, (side, sub) in enumerate((("right", (a, x)), ("left", (x, b)))):
+                if sub[1] - sub[0] > 1e-12:
+                    grid_x = np.linspace(*sub, points)
+                    ys = reference_caputo(f, FractionalSpec(alpha, x, side), grid_x)
+                    moduli[o, k, i] = grid_modulus(grid_x, ys, deltas)
+                    sups[o, k, i] = np.max(np.abs(ys))
+    return xs, moduli, sups
+
+
+#: every builtin fractional chain and every part of a complex one
+CAPUTO_CHAINS = {**{f"fractional {k}": v for k, v in FRACTIONAL_CORPUS.items()},
+                 **{f"{k} {part}": getattr(v, part) for k, v in COMPLEX_INTERVAL_CORPUS.items()
+                    for part in ("re", "im")}}
+DELTAS = Run.of((9, 16, 81, 256), (0.5, 0.8)).deltas
+SMALL_GRID = GridPolicy(anchors=5, table_points=33)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestAnchorTablesPerSide:
+    """One caputo_table call per (anchor, side) for every order, and one
+    table_modulus call per group of equal window sizes, give the arrays of
+    one table per order bit for bit."""
+
+    @staticmethod
+    def assert_bit_identical(f, orders, grid):
+        got = bounds._anchor_tables.__wrapped__(f, orders, grid, DELTAS)
+        want = reference_anchor_tables(f, orders, grid, DELTAS)
+        assert [a.shape for a in got] == [a.shape for a in want]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    @pytest.mark.parametrize("grid", [GridPolicy(), SMALL_GRID], ids=["default", "small"])
+    @pytest.mark.parametrize("orders", [(0.5, 1.5), (0.3, 1.7), (0.5,)])
+    @pytest.mark.parametrize("name", CAPUTO_CHAINS)
+    def test_builtin_chains(self, name, orders, grid):
+        self.assert_bit_identical(CAPUTO_CHAINS[name], orders, grid)
+
+    @given(st.recursive(
+        st.sampled_from(["x", "0.5", "2", "0", "(x - 0.25)^-1", "(x - 0.5)^0.5", "exp(900*x)"]),
+        lambda kids: st.one_of(
+            st.builds("({}) {} ({})".format, kids, st.sampled_from("+-*/"), kids),
+            st.builds("{}({})".format, st.sampled_from(["sin", "exp", "erf"]), kids),
+            st.builds("({})^{}".format, kids, st.sampled_from(["2", "3", "-1", "0.5"]))),
+        max_leaves=6), st.sampled_from([(0.5, 1.5), (0.3, 1.7), (0.7,)]))
+    @settings(max_examples=60, deadline=None)
+    def test_expression_chains(self, text, orders):
+        # poles, a root of a negative base and an overflow give NaN and +-inf;
+        # a zero denominator raises on both paths
+        f = function_from_expression("g", text, domain=(-1.0, 1.0), orders=2)
+        try:
+            want = reference_anchor_tables(f, orders, SMALL_GRID, DELTAS)
+        except DivisionByZero:
+            with pytest.raises(DivisionByZero):
+                bounds._anchor_tables.__wrapped__(f, orders, SMALL_GRID, DELTAS)
+            return
+        got = bounds._anchor_tables.__wrapped__(f, orders, SMALL_GRID, DELTAS)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    def test_a_zero_f_N_keeps_zero_moduli_and_sups(self):
+        # linear's f'' declares sup_norm 0.0: its rows are not evaluated
+        f = INTERVAL_CORPUS["linear"]
+        _, moduli, sups = bounds._anchor_tables.__wrapped__(f, (0.5, 1.5), SMALL_GRID, DELTAS)
+        assert f.derivative(2).sup_norm == 0.0
+        assert not moduli[1].any() and not sups[1].any() and moduli[0].any()
+
+    def test_right_at_k_and_left_at_the_mirror_anchor_share_one_read(self, monkeypatch):
+        calls = []
+        real = bounds.table_modulus
+
+        def spy(table, steps):
+            calls.append(np.shape(table[1]))
+            return real(table, steps)
+
+        monkeypatch.setattr(bounds, "table_modulus", spy)
+        bounds._anchor_tables.__wrapped__(FRACTIONAL_CORPUS["sin"], (0.5, 1.5), SMALL_GRID,
+                                          DELTAS)
+        # anchors 1..4 on the right, 0..3 on the left: four pairs of two tables
+        assert calls == [(2, 2, 33)] * 4
 
 
 class TestComplexBound:

@@ -206,6 +206,39 @@ class TestAnchorBehavior:
             FractionalSpec(1.0, 0.0)
 
 
+class TestNonFinite:
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_a_nan_point_gives_nan(self, side):
+        # a nan x is on neither side of the anchor, and read 0.0
+        f, spec = FRACTIONAL_CORPUS["sin"], FractionalSpec(0.5, 0.5, side)
+        assert math.isnan(caputo(f, spec, math.nan))
+        x = 0.75 if side == "left" else 0.25
+        got = caputo(f, spec, np.array([x, math.nan, 0.5]))
+        assert got[0] == caputo(f, spec, x) != 0.0
+        assert math.isnan(got[1]) and got[2] == 0.0
+
+    def test_the_monomial_oracle_gives_nan_at_a_nan_point(self):
+        got = caputo_monomial(0.5, 0.0, 2, "left", np.array([0.5, math.nan, -0.5]))
+        assert got[0] > 0.0 and math.isnan(got[1]) and got[2] == 0.0
+        assert math.isnan(caputo_monomial(1.5, 1.0, 2, "right", math.nan))
+
+    @pytest.mark.parametrize("alpha, anchor", [
+        (0.5, math.nan),        # every value read 0.0
+        (0.5, math.inf), (0.5, -math.inf),
+        (math.inf, 0.0),        # N raised OverflowError
+        (math.nan, 0.0),
+    ])
+    def test_a_non_finite_order_or_anchor_is_a_precondition(self, alpha, anchor):
+        with pytest.raises(PreconditionViolated, match="must be finite"):
+            FractionalSpec(alpha, anchor)
+
+    def test_a_table_shares_one_anchor_and_one_side(self):
+        f = FRACTIONAL_CORPUS["sq"]
+        for other in (FractionalSpec(1.5, 0.25, "left"), FractionalSpec(1.5, 0.0, "right")):
+            with pytest.raises(PreconditionViolated, match="one anchor and one side"):
+                caputo_table(f, [FractionalSpec(0.5, 0.0, "left"), other], (0.5, 1.0))
+
+
 class TestEnvelopes:
     def test_growth_envelope(self):
         # |D f(x)| <= ||f^(N)|| (x-x0)^(N-alpha) / Gamma(N-alpha+1)

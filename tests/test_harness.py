@@ -463,7 +463,8 @@ class TestNonFinite:
         assert code == 0
         assert doc["rows"] == []
         assert {s["family"] for s in doc["skipped"]} == {"A"}
-        assert {s["reason"] for s in doc["skipped"]} == {"non-finite empirical error or bound"}
+        assert {s["reason"] for s in doc["skipped"]} == {
+            "non-finite empirical error or bound: modulus_term"}
 
 
 class TestSupErrorPerRun:
@@ -560,9 +561,10 @@ class TestFaultInjection:
     OMEGA_SAMPLE = 2 * 4096 - 1         # odd indices are the refinement's own points
     TABLE_NODES = (65 - 1) * 32         # a table's live points times the Jacobi nodes
 
-    def assert_only_g_reads_non_finite(self, monkeypatch, doc, chain, poisons, at):
+    def assert_only_g_reads_non_finite(self, monkeypatch, doc, chain, poisons, at, part):
         """Run doc with a NaN at index at of the first value corpus.evaluate
-        gives for the program of chain at each (level, size) in poisons."""
+        gives for the program of chain at each (level, size) in poisons;
+        each skip's reason names the bound's term part."""
         clean = run_verify(cfg_with(**doc))
         target, hit, real = compile(*chain), [], corpus.evaluate
 
@@ -583,7 +585,8 @@ class TestFaultInjection:
         assert list(poisoned.rows) == [r for r in clean.rows if r["function"] != "g"]
         assert [(s["function"], s["n"], s["exponent"]) for s in poisoned.skipped] == [
             (r["function"], r["n"], r["exponent"]) for r in g_rows]
-        assert {s["reason"] for s in poisoned.skipped} == {"non-finite empirical error or bound"}
+        assert {s["reason"] for s in poisoned.skipped} == {
+            f"non-finite empirical error or bound: {part}"}
 
     @pytest.mark.parametrize("theorem, functions", [
         ("T12", [{"id": "a", "expr": "sin(2*x) + x", "domain": [-1.0, 1.0]},
@@ -597,7 +600,7 @@ class TestFaultInjection:
         doc = {"functions": functions, "theorems": [theorem], "sweep": [16, 81, 256],
                "rate_exponents": [0.5, 0.6], "grid": {"x_points": 64}}
         self.assert_only_g_reads_non_finite(monkeypatch, doc, [parse(self.G)],
-                                            [(0, self.OMEGA_SAMPLE)], 4001)
+                                            [(0, self.OMEGA_SAMPLE)], 4001, "modulus_term")
 
     def test_a_nan_at_one_jacobi_node_of_one_caputo_table(self, monkeypatch):
         # T30 at alpha 0.5 integrates g' and at alpha 1.5 g'': the first table
@@ -610,7 +613,7 @@ class TestFaultInjection:
                "grid": {"x_points": 64, "anchors": 5, "table_points": 65}}
         self.assert_only_g_reads_non_finite(
             monkeypatch, doc, derivatives(parse(self.G), 2),
-            [(1, self.TABLE_NODES), (2, self.TABLE_NODES)], 3 * 32 + 5)
+            [(1, self.TABLE_NODES), (2, self.TABLE_NODES)], 3 * 32 + 5, "fractional_block")
 
     @pytest.mark.parametrize("level", [0, 1, 2])
     def test_a_nan_at_one_pointwise_x(self, monkeypatch, level):
@@ -687,10 +690,36 @@ class TestCaputoPerRun:
         assert len(deltas) == 8 and entries
         anchors = cfg.grid.anchors
         for args, arrays in entries:
-            assert args[-1] == deltas
-            # anchors, their moduli at every step and their sups: no table
+            assert args[1] == cfg.fractional_orders and args[-1] == deltas
+            # anchors, their moduli at every order and step and their sups: no table
+            orders = len(cfg.fractional_orders)
             assert [a.shape for a in arrays] == [
-                (anchors,), (anchors, 2, len(deltas)), (anchors, 2)]
+                (anchors,), (orders, anchors, 2, len(deltas)), (orders, anchors, 2)]
+
+    def test_the_packaged_default_builds_each_anchor_side_once(self, monkeypatch):
+        # one table per (function, order, anchor, side) made 640 caputo_table
+        # and 640 table_modulus calls, and evaluated linear's f'' = 0 in 64
+        counts = Counter()
+        for name in ("caputo_table", "table_modulus"):
+            def spy(*args, _real=getattr(bounds, name), _name=name):
+                counts[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(bounds, name, spy)
+        zero = corpus.INTERVAL_CORPUS["linear"].derivative(2)
+        assert zero.sup_norm == 0.0
+
+        def at_nodes(t, _real=zero.eval):
+            counts["zero f'' at Caputo nodes"] += np.ndim(t) == 2
+            return _real(t)
+
+        monkeypatch.setitem(vars(zero), "eval", at_nodes)
+        path = resources.files("erfapprox").joinpath("default.yaml")
+        bounds._anchor_tables.cache_clear()
+        try:
+            assert run_verify(ExperimentConfig.from_file(str(path))).held > 0
+        finally:
+            bounds._anchor_tables.cache_clear()
+        assert counts == {"caputo_table": 320, "table_modulus": 158}
 
     def test_library_verify_per_exponent_matches_run_verify(self):
         # verify alone reads the tables at its own steps, run_verify at the
