@@ -383,24 +383,29 @@ def _taylor_image(f: FunctionSpec, x: float, monomials: Sequence[float]) -> floa
     return corr
 
 
-def _deviation(f, x, cfg: OperatorConfig, taylor_order: int = 0, *, values=None,
-               work: Optional[Workspace] = None):
-    """|Op f - f| at x (a point or a grid), the operator run in work; a
-    complex f is measured through the hypot of its parts, whose images come
-    from one operator call.  values, when given, are f's parts at x.  A
-    taylor_order N > 1 first subtracts the operator image of f's Taylor
-    terms of orders 1..N-1 at the point x; the shifted monomials' images
-    are shared by both parts."""
+def _deviations(f, x, cfg: OperatorConfig, taylor_order: int = 0, *, values=None,
+                work: Optional[Workspace] = None) -> list:
+    """Op p - p at x (a point or a grid) for each part p of f, the images
+    of every part from one operator call run in work.  values, when given,
+    are f's parts at x.  A taylor_order N > 1 first subtracts the operator
+    image of p's Taylor terms of orders 1..N-1 at the point x; the shifted
+    monomials' images are shared by both parts."""
     images = apply_operator(f, x, cfg, work)
     if len(f.parts) == 1:
         images = (images,)
     monomials = _monomial_images(x, cfg, taylor_order, work)
     if values is None:
         values = [p.eval(x) for p in f.parts]
-    devs = [
+    return [
         image - _taylor_image(p, x, monomials) - value
         for image, p, value in zip(images, f.parts, values)
     ]
+
+
+def _deviation(f, x, cfg: OperatorConfig, taylor_order: int = 0, *,
+               work: Optional[Workspace] = None):
+    """|Op f - f| at x (see ``_deviations``): the hypot of a complex f's parts."""
+    devs = _deviations(f, x, cfg, taylor_order, work=work)
     return np.hypot(*devs) if len(devs) == 2 else np.abs(devs[0])
 
 
@@ -408,12 +413,37 @@ def _sup_error(f, cfg: OperatorConfig, run: Run) -> float:
     """Grid sup of |Op f - f| over f's sup grid (``Run.sup_sample``).
 
     Each distinct (f, cfg) is measured once per run and later calls read
-    the float stored in run.sup_errors.
+    the float stored in run.sup_errors.  A complex f's error is the max
+    over its sup grid of the hypot of its parts' |Op p - p|, so it is
+    measured part by part: a real f that is a part of a complex function g
+    of the run (``Run.parts``) whose parts share f's sup grid gives g its
+    |Op f - f| there.  The first part of g measured at cfg is held in
+    ``Run.held`` until the second pairs with it into g's entry, so g makes
+    no operator call.  A complex f measured itself makes one call for both
+    parts, drops what a part held, and gives each part whose own sup grid
+    is f's its real entry.  Since hypot(|a|, |b|) is hypot(a, b), every
+    entry is the same bit for bit whichever group measures first.
     """
     if (f, cfg) not in run.sup_errors:
         xs, values = run.sup_sample(f)
-        deviation = _deviation(f, xs, cfg, values=values, work=run.work)
-        run.sup_errors[f, cfg] = float(np.max(deviation))
+        devs = [np.abs(dev) for dev in _deviations(f, xs, cfg, values=values, work=run.work)]
+        window = f.sample_window()
+        for p, dev in zip(f.parts, devs):
+            if p.sample_window() == window:
+                run.sup_errors.setdefault((p, cfg), float(np.max(dev)))
+        if len(devs) == 2:
+            run.held.pop((f, cfg), None)
+            run.sup_errors[f, cfg] = float(np.max(np.hypot(*devs)))
+        # only a real f is one of run.parts
+        for g in run.parts.get(f, ()):
+            if (g, cfg) in run.sup_errors or any(p.sample_window() != window for p in g.parts):
+                continue
+            held = run.held.pop((g, cfg), None)
+            if held is None:
+                run.held[g, cfg] = devs[0]
+            else:
+                re, im = (devs[0], held) if f is g.re else (held, devs[0])
+                run.sup_errors[g, cfg] = float(np.max(np.hypot(re, im)))
     return run.sup_errors[f, cfg]
 
 
@@ -513,6 +543,14 @@ class Run:
 
     * ``grid``: the run's x-sampling and Caputo anchor grid;
     * ``sup_errors``: each distinct grid-sup error, measured once;
+    * ``parts``: each real function that is a part of one of the run's
+      complex functions, mapped to the set of those functions; a run of
+      ``harness.run_verify`` fills it from its config, and it is empty
+      for a library ``verify`` call;
+    * ``held``: per (complex function g, cfg), the |Op p - p| array of
+      the first part p of g measured at cfg on g's sup grid, kept until
+      the other part pairs with it into g's entry or g is measured by a
+      call of its own (``_sup_error``);
     * ``deltas``: every modulus step float(n) ** (-e) of the run's sweep
       and exponents, sorted, at which each Caputo table is read once when
       it is built;
@@ -540,6 +578,8 @@ class Run:
     grid: GridPolicy = GridPolicy()
     orders: Tuple[float, ...] = ()
     sup_errors: dict = field(default_factory=dict)
+    parts: dict = field(default_factory=dict)
+    held: dict = field(default_factory=dict, repr=False, compare=False)
     moduli: dict = field(default_factory=dict)
     sups: dict = field(default_factory=dict)
     sample: Optional[tuple] = field(default=None, repr=False, compare=False)
@@ -576,15 +616,16 @@ class Run:
         return self.sups[f]
 
     def sup_sample(self, f) -> Tuple[np.ndarray, tuple]:
-        """(xs, values): f's sup grid on its sample window, the refined grid
-        of 2 * x_points - 1 points when grid.refinement is on (its even
-        samples are the x_points grid, so the coarse maximum is never
-        larger), and f's parts evaluated there.  The last f's are kept in
-        ``sample``; elementwise evaluation makes them the values a fresh
-        evaluation would give."""
+        """(xs, values): f's sup grid on its sample window (for a complex
+        f the hull of its parts'), the refined grid of 2 * x_points - 1
+        points when grid.refinement is on (its even samples are the
+        x_points grid, so the coarse maximum is never larger), and f's
+        parts evaluated there.  The last f's are kept in ``sample``;
+        elementwise evaluation makes them the values a fresh evaluation
+        would give."""
         if self.sample is None or self.sample[0] is not f:
             points = 2 * self.grid.x_points - 1 if self.grid.refinement else self.grid.x_points
-            xs = np.linspace(*f.parts[0].sample_window(), points)
+            xs = np.linspace(*f.sample_window(), points)
             self.sample = (f, xs, tuple(p.eval(xs) for p in f.parts))
         return self.sample[1:]
 

@@ -13,12 +13,13 @@ by ``_chain``; sin and cos are one cycle (sin, cos, -sin, -cos) rotated.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ConfigError
-from .expr import compile, derivatives, evaluate, parse
+from .expr import Num, Program, compile, derivatives, evaluate, parse
 from .funcs import ComplexFunctionSpec, FunctionSpec
 
 # ------------------------------------------------------- modulus registry
@@ -260,6 +261,30 @@ COMPLEX_LINE_CORPUS: Dict[str, ComplexFunctionSpec] = {
 # ------------------------------------------------------- expression builder
 
 
+@dataclass(frozen=True, eq=False)
+class ChainLevel:
+    """The eval of level ``level`` of an expression chain compiled into
+    ``program``: ``evaluate(program, t, level)``; its repr leaves the
+    program out."""
+
+    program: Program = field(repr=False)
+    level: int
+
+    def __call__(self, t):
+        return evaluate(self.program, t, self.level)
+
+
+def eval_levels(specs: Sequence[FunctionSpec], t) -> Iterator:
+    """f.eval(t) for f in specs, in turn: from one ``evaluate`` call over
+    the union of their steps when every eval is a level of one expression
+    chain (``ChainLevel``), so each step they share runs once, else each
+    eval on demand, so that one value is alive at a time."""
+    evals = [f.eval for f in specs]
+    if evals and all(isinstance(e, ChainLevel) and e.program is evals[0].program for e in evals):
+        return iter(evaluate(evals[0].program, t, tuple(e.level for e in evals)))
+    return (e(t) for e in evals)
+
+
 def function_from_expression(
     name: str,
     text: str,
@@ -270,13 +295,16 @@ def function_from_expression(
     grid_window: Optional[Tuple[float, float]] = None,
 ) -> FunctionSpec:
     """Build a FunctionSpec (with symbolic derivatives) from an expression;
-    the chain is compiled once, and the eval of derivative k runs level k
-    of that program."""
-    program = compile(*derivatives(parse(text), orders))
+    the chain is compiled once, and the eval of derivative k is level k of
+    that program (a ``ChainLevel``).  A derivative whose root simplifies
+    to the constant 0 declares sup_norm 0.0, which its sampled sup would
+    read, so that a Caputo table skips its nodes."""
+    chain = derivatives(parse(text), orders)
+    program = compile(*chain)
 
     mod = None if exact_modulus is None else modulus_from_registry(exact_modulus, domain)
-    rest = [None] * orders
+    zero = [0.0 if isinstance(root, Num) and root.value == 0.0 else None for root in chain[1:]]
     return _chain(
-        name, [lambda t, _k=k: evaluate(program, t, _k) for k in range(orders + 1)], domain,
-        [mod] + rest, [sup_norm] + rest, grid_window,
+        name, [ChainLevel(program, k) for k in range(orders + 1)], domain,
+        [mod] + [None] * orders, [sup_norm] + zero, grid_window,
     )

@@ -22,8 +22,8 @@ evaluation and its derivative; ``erf`` delegates to ``special_functions.erf``.
 flat ``Program``: a table with one step per structurally distinct node,
 and per root the steps it reaches; ``derivatives`` keeps each such node of
 a chain as one object, so a high order stays as small as its program.
-``evaluate`` runs one level of a program in one loop; a caller that
-evaluates a chain many times compiles it once.
+``evaluate`` runs one level of a program, or several levels together, in
+one loop; a caller that evaluates a chain many times compiles it once.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import re
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Tuple, Union
 
 import numpy as np
@@ -260,10 +260,27 @@ class Program:
     k's own post order and its root's last, each as (step, slots freed
     after it, spare).  The spare is a slot freed after the step that holds
     an array numpy made for this call (a Neg, Bin or Pow step's value), or
-    None: a Neg or Bin step may write its value into that array."""
+    None: a Neg or Bin step may write its value into that array.
+
+    ``plan`` gives the pass of several levels at once, made on first use
+    and kept with the program."""
 
     steps: Tuple[tuple, ...]
     levels: Tuple[Tuple[tuple, ...], ...]
+    plans: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def plan(self, levels: Tuple[int, ...]) -> Tuple[tuple, ...]:
+        """The pass of the levels in levels: the steps of each level in
+        turn, in that level's order, those an earlier one ran left out,
+        each as (step, slots freed after it, spare) with no level's root
+        ever freed.  One level's pass is ``levels[k]`` itself."""
+        if len(levels) == 1:
+            return self.levels[levels[0]]
+        if levels not in self.plans:
+            order = {i: None for k in levels for i, _, _ in self.levels[k]}
+            roots = {self.levels[k][-1][0] for k in levels}
+            self.plans[levels] = _schedule(self.steps, order, roots)
+        return self.plans[levels]
 
 
 def _operands(node: Node) -> tuple:
@@ -343,6 +360,20 @@ def _intern(root: Node, nodes: list, index: dict, slot: dict) -> Node:
     return nodes[slot[id(root)]]
 
 
+def _schedule(steps, order, keep=()) -> Tuple[tuple, ...]:
+    """The steps of order (step indices, operands first) as (step, slots
+    freed after it, spare): each slot but those in keep is freed after its
+    last use in order, and the spare is the first slot freed after the
+    step whose kind (``steps[slot][0]``) makes an array of its own."""
+    last = {a: i for i in order for a in steps[i][1]}
+    frees = {i: [] for i in order}
+    for a, i in last.items():
+        if a not in keep:
+            frees[i].append(a)
+    return tuple((i, tuple(free), next((a for a in free if steps[a][0] in _OWNED), None))
+                 for i, free in frees.items())
+
+
 def compile(*roots: Node) -> Program:
     """roots, such as a derivative chain, as one Program: one table with a
     step per structurally distinct node of them all (see ``_intern``), so
@@ -351,22 +382,15 @@ def compile(*roots: Node) -> Program:
     table, and frees each slot after its last use in that level."""
     nodes, index, slot = [], {}, {}
     tops = [_intern(root, nodes, index, slot) for root in roots]
-    keys = list(index)
     at = {id(node): i for i, node in enumerate(nodes)}
+    steps = tuple((kind, args, _constant(node)) for (kind, args, _), node in zip(index, nodes))
     levels = []
     for top in tops:
         order = {}      # the walk's done, in post order; nodes keeps each id taken
         for node in _post_order(top, order):
             order[id(node)] = at[id(node)]
-        last = {a: i for i in order.values() for a in keys[i][1]}
-        frees = {i: [] for i in order.values()}
-        for a, i in last.items():
-            frees[i].append(a)
-        levels.append(tuple(
-            (i, tuple(free), next((a for a in free if keys[a][0] in _OWNED), None))
-            for i, free in frees.items()))
-    return Program(tuple((kind, args, _constant(node))
-                         for (kind, args, _), node in zip(keys, nodes)), tuple(levels))
+        levels.append(_schedule(steps, order.values()))
+    return Program(steps, tuple(levels))
 
 
 def _combine(op: str, left, right, out):
@@ -377,24 +401,28 @@ def _combine(op: str, left, right, out):
     return _ARITHMETIC[op](left, right, out=out)
 
 
-def evaluate(program: Union[Program, Node], x, level: int = 0):
+def evaluate(program: Union[Program, Node], x, level: Union[int, Tuple[int, ...]] = 0):
     """Evaluate one level of a Program, or an AST compiled for this call,
-    at scalar or array x, in one pass over that level's steps.  Each step
-    runs once per call and its value is dropped after its last use in the
-    level; an arithmetic step writes into its spare array when that has
-    x's shape, so a call allocates about one array per transcendental
-    step.  A Fun looks up its function in ``_FUNCTIONS`` when it runs."""
+    at scalar or array x, in one pass over that level's steps; given a
+    tuple of levels, the tuple of their values, from one pass over the
+    union of their steps (``Program.plan``).  Each step runs once per call
+    and its value is dropped after its last use in the pass, but a root's
+    is kept; levels whose roots are one step share its value.  An
+    arithmetic step writes into its spare array when that has x's shape,
+    so a call allocates about one array per transcendental step.  A Fun
+    looks up its function in ``_FUNCTIONS`` when it runs."""
     if not isinstance(program, Program):
         program = compile(program)
     xv = np.asarray(x, dtype=float)
+    levels = level if isinstance(level, tuple) else (level,)
 
     def spare_of(slot):
         value = None if slot is None else values[slot]
         return value if isinstance(value, np.ndarray) and value.shape == xv.shape else None
 
-    steps, run = program.steps, program.levels[level]
+    steps = program.steps
     values = [None] * len(steps)
-    for i, frees, spare in run:
+    for i, frees, spare in program.plan(levels):
         kind, args, const = steps[i]
         if kind is Num:
             out = const
@@ -411,14 +439,21 @@ def evaluate(program: Union[Program, Node], x, level: int = 0):
         values[i] = out
         for a in frees:
             values[a] = None
-    # adding +0.0 broadcasts a constant to x's shape and turns -0.0 into 0.0
-    root = run[-1][0]
-    out = spare_of(root) if steps[root][0] in _OWNED else None
-    if out is None:
-        out = np.asarray(values[root], dtype=float) + np.zeros_like(xv)
-    else:
-        out += 0.0
-    return float(out) if np.ndim(x) == 0 else out
+    roots = {}
+    for k in levels:
+        root = program.levels[k][-1][0]
+        if root in roots:
+            continue
+        # adding +0.0 broadcasts a constant to x's shape and turns -0.0 into
+        # 0.0; a root's array is written only now, once no step reads it
+        out = spare_of(root) if steps[root][0] in _OWNED else None
+        if out is None:
+            out = np.asarray(values[root], dtype=float) + np.zeros_like(xv)
+        else:
+            out += 0.0
+        roots[root] = float(out) if np.ndim(x) == 0 else out
+    outs = tuple(roots[program.levels[k][-1][0]] for k in levels)
+    return outs if isinstance(level, tuple) else outs[0]
 
 
 # ---------------------------------------------------------------- calculus

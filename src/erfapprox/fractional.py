@@ -10,14 +10,16 @@ with the factor (-1)^N, and is 0 for x > x0.  Both vanish at the anchor.
 derivatives of several orders at one anchor and side on a sub-interval of
 that side, one row per order: orders of equal N - alpha (equal fractional
 parts) share one Gauss-Jacobi node matrix, each f^(N) is evaluated once
-on it, and an f^(N) that declares sup_norm 0.0 is not evaluated at all,
-its rows being 0.  ``caputo`` is the one-order case at any points, NaN at
-a NaN point.  ``table_modulus`` reads omega_1 estimates from a table's
-rows at a sequence of steps, an array in their order, with
-``modulus.grid_modulus`` in one doubling pass: the grid step comes from
-the table's first and last grid points, rows of tables whose grids give
-equal window sizes may be stacked into one call, and a NaN value gives a
-NaN estimate.
+on it, the f^(N) of an expression chain all in one pass over their
+shared steps (``corpus.eval_levels``), and an f^(N) that declares
+sup_norm 0.0 is not evaluated at all, its rows being 0 (an expression's
+derivative that simplifies to the constant 0 declares it).  ``caputo``
+is the one-order case at any points, NaN at a NaN point.
+``table_modulus`` reads omega_1 estimates from a table's rows at a
+sequence of steps, an array in their order, with ``modulus.grid_modulus``
+in one doubling pass: the grid step comes from the table's first and last
+grid points, rows of tables whose grids give equal window sizes may be
+stacked into one call, and a NaN value gives a NaN estimate.
 ``caputo_sup_ceiling`` and ``caputo_modulus_ceiling`` are closed-form
 upper bounds from f^(N)'s declared sup norm, and ``caputo_monomial`` is
 the closed-form oracle for monomials.
@@ -50,6 +52,7 @@ from typing import Sequence, Tuple, Union
 import numpy as np
 from scipy.special import beta, eval_jacobi
 
+from .corpus import eval_levels
 from .errors import PreconditionViolated
 from .funcs import FunctionSpec
 from .modulus import grid_modulus
@@ -124,12 +127,13 @@ def _caputo_rows(f: FunctionSpec, specs: Sequence[FractionalSpec], xs: np.ndarra
     (1-u)^expo (left) or (1+u)^expo (right), expo = N - alpha - 1.
 
     Specs of equal N - alpha share one node matrix and one (d/2)^(N-alpha),
-    and each f^(N) is evaluated once on it; an f^(N) that declares sup_norm
-    0.0 is not evaluated, and its rows stay 0.  A NaN x gives NaN."""
+    and each f^(N) is evaluated once on it, the levels of an expression
+    chain all in one pass (``corpus.eval_levels``); an f^(N) that declares
+    sup_norm 0.0 is not evaluated, and its rows stay 0.  A NaN x gives NaN."""
     x0, side = specs[0].anchor, specs[0].side
     if any(s.anchor != x0 or s.side != side for s in specs):
         raise PreconditionViolated("the specs of one table must share one anchor and one side")
-    fNs = [f.derivative(s.N) for s in specs]
+    fNs = {s.N: f.derivative(s.N) for s in specs}
     out = np.zeros((len(specs), xs.size))
     out[:, np.isnan(xs)] = np.nan
     left = side == "left"
@@ -141,19 +145,21 @@ def _caputo_rows(f: FunctionSpec, specs: Sequence[FractionalSpec], xs: np.ndarra
     for i, s in enumerate(specs):
         groups.setdefault((s.N - s.alpha, s.quad_nodes), []).append(i)
     for (power, nodes), rows in groups.items():
+        # each distinct N of this node matrix whose f^(N) may be nonzero
+        Ns = [N for N in dict.fromkeys(specs[i].N for i in rows) if fNs[N].sup_norm != 0.0]
+        if not Ns:
+            continue
         xj, wj = _jacobi_rule(power - 1.0, left, nodes)      # expo in (-1, 0)
-        scale, gamma, tt, cores = (d / 2.0) ** power, gamma_fn(power), None, {}
+        tt = np.multiply.outer(d, (xj + 1.0) / 2.0)             # halving is exact
+        tt += x0 if left else xs[live][:, None]
+        cores = {N: np.asarray(v, dtype=float) @ wj
+                 for N, v in zip(Ns, eval_levels([fNs[N] for N in Ns], tt))}
+        scale, gamma = (d / 2.0) ** power, gamma_fn(power)
         for i in rows:
-            N, fN = specs[i].N, fNs[i]
-            if fN.sup_norm == 0.0:
-                continue
-            if N not in cores:
-                if tt is None:
-                    tt = np.multiply.outer(d, (xj + 1.0) / 2.0)     # halving is exact
-                    tt += x0 if left else xs[live][:, None]
-                cores[N] = np.asarray(fN.eval(tt), dtype=float) @ wj
-            sign = 1.0 if left else (-1.0) ** N
-            out[i, live] = sign * scale * cores[N] / gamma
+            N = specs[i].N
+            if N in cores:
+                sign = 1.0 if left else (-1.0) ** N
+                out[i, live] = sign * scale * cores[N] / gamma
     return out
 
 

@@ -86,3 +86,9 @@ class ComplexFunctionSpec:
     @property
     def parts(self) -> Tuple[FunctionSpec, FunctionSpec]:
         return (self.re, self.im)
+
+    def sample_window(self) -> Tuple[float, float]:
+        """The hull of both parts' sample windows, so that each part is
+        sampled over the whole of its own."""
+        (lo1, hi1), (lo2, hi2) = self.re.sample_window(), self.im.sample_window()
+        return min(lo1, lo2), max(hi1, hi2)

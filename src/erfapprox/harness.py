@@ -325,6 +325,16 @@ def run_verify(cfg: ExperimentConfig) -> RunResult:
               for th in map(bounds.THEOREMS.get, cfg.theorems) if "alpha_frac" in th.params
               for kw in _variants(cfg, th)[0]}
     run = bounds.Run.of(cfg.sweep, cfg.rate_exponents, cfg.grid, orders)
+    # a complex theorem's builtins take their errors from the real groups
+    # of their parts (bounds._sup_error)
+    for th in map(bounds.THEOREMS.get, cfg.theorems):
+        if th.complex and _variants(cfg, th)[0]:
+            pool = getattr(corpus, th.pool)
+            for spec in cfg.functions:
+                if spec.get("builtin") in pool:
+                    g = pool[spec["builtin"]]
+                    for p in g.parts:
+                        run.parts.setdefault(p, set()).add(g)
     skipped, failed, finished = [], [], []
     for theorem in cfg.theorems:
         th = bounds.THEOREMS[theorem]

@@ -400,6 +400,52 @@ class TestAnchorTablesPerSide:
         assert calls == [(2, 2, 33)] * 4
 
 
+class TestCaputoCeiling:
+    """Every Caputo table omega and sup of a builtin fractional chain lies
+    at or below its closed-form ceiling.  With nu = N - alpha, M = f^(N)'s
+    declared sup and L = b - a:
+
+        omega(D^alpha f, delta) <= (M delta^nu + omega(f^(N), delta) L^nu) / Gamma(nu + 1),
+        sup |D^alpha f| <= M L^nu / Gamma(nu + 1),
+
+    where omega(f^(N), delta) is the chain's exact modulus, else
+    min(2M, delta sup|f^(N+1)|), else 2M.  The margin, one part in 1e12,
+    covers only the Gauss-Jacobi rounding of the table values: for sq at
+    alpha = 1.5, whose f'' is constant, the tables reach both ceilings."""
+
+    MARGIN = 1e-12
+    ORDERS = (0.5, 1.5)
+
+    @staticmethod
+    def ceilings(f, alpha, deltas):
+        """(omega ceiling at each delta, sup ceiling) of f's Caputo
+        derivative of order alpha on f's interval."""
+        N = math.ceil(alpha)
+        nu, fN = N - alpha, f.derivative(N)
+        M, L = fN.sup_norm, f.domain[1] - f.domain[0]
+        if fN.exact_modulus is not None:
+            omega = np.array([fN.exact_modulus(d) for d in deltas])
+        elif fN.derivatives:
+            omega = np.minimum(2.0 * M, deltas * fN.derivative(1).sup_norm)
+        else:
+            omega = np.full(deltas.size, 2.0 * M)
+        return ((M * deltas ** nu + omega * L ** nu) / gamma_fn(nu + 1.0),
+                M * L ** nu / gamma_fn(nu + 1.0))
+
+    @pytest.mark.parametrize("name", FRACTIONAL_CORPUS)
+    def test_tables_lie_at_or_below_their_ceilings(self, name):
+        f, deltas = FRACTIONAL_CORPUS[name], np.array(DELTAS)
+        _, moduli, sups = bounds._anchor_tables.__wrapped__(f, self.ORDERS, GridPolicy(), DELTAS)
+        for i, alpha in enumerate(self.ORDERS):
+            omega, sup = self.ceilings(f, alpha, deltas)
+            # moduli[i] is (anchors, sides, deltas), sups[i] (anchors, sides)
+            assert np.all(moduli[i] <= omega * (1.0 + self.MARGIN)), (name, alpha)
+            assert np.all(sups[i] <= sup * (1.0 + self.MARGIN)), (name, alpha)
+            if (name, alpha) == ("sq", 1.5):
+                assert np.max(moduli[i] / omega) >= 1.0 - self.MARGIN
+                assert np.max(sups[i]) >= sup * (1.0 - self.MARGIN)
+
+
 class TestComplexBound:
     def test_zero_imaginary_part_reduces_to_real(self):
         f = INTERVAL_CORPUS["sin"]
@@ -598,7 +644,7 @@ class TestOneSupSamplePerFunction:
 
     @staticmethod
     def sup_grid(f):
-        return np.linspace(*f.parts[0].sample_window(), 127)
+        return np.linspace(*f.sample_window(), 127)
 
     @pytest.mark.parametrize("theorem, f", CASES)
     def test_each_group_evaluates_its_function_once_on_the_sup_grid(self, theorem, f):
@@ -620,6 +666,33 @@ class TestOneSupSamplePerFunction:
         alone = [dataclasses.replace(r, function_id=counted.name)
                  for e in (0.5, 0.6) for r in verify(theorem, f, self.SWEEP, e, self.GRID)]
         assert rows == alone
+
+    @pytest.mark.parametrize("theorem", ["T37", "T41"])
+    def test_a_complex_sup_grid_spans_both_parts_windows(self, theorem):
+        # const lives on (-2, 2) and abs on (-4, 4): the grid of either
+        # order is (-4, 4), so both orders give the same rows
+        const, abs_ = LINE_CORPUS["const"], LINE_CORPUS["abs"]
+        pairs = [ComplexFunctionSpec("pair", const, abs_), ComplexFunctionSpec("pair", abs_, const)]
+        assert [g.sample_window() for g in pairs] == [(-4.0, 4.0)] * 2
+        first, second = (verify(theorem, g, self.SWEEP, 0.5, self.GRID) for g in pairs)
+        assert first == second and {r.verdict for r in first} == {"holds"}
+
+    def test_a_part_off_its_complex_sup_grid_is_not_held(self):
+        # sin on (-2, 2) and cos on its own window: a run that knows both
+        # as parts of the pair pairs neither's deviations, on two grids,
+        # into the pair's error, whose own call gives the rows of a run
+        # that does not know them
+        sin = dataclasses.replace(LINE_CORPUS["sin"], grid_window=(-2.0, 2.0))
+        cos = LINE_CORPUS["cos"]
+        pair = ComplexFunctionSpec("pair", sin, cos)
+        assert sin.sample_window() != cos.sample_window()
+        run = Run.of(self.SWEEP, (0.5,), self.GRID)
+        run.parts.update({sin: {pair}, cos: {pair}})
+        for p in pair.parts:
+            verify("T13", p, self.SWEEP, 0.5, self.GRID, run=run)
+        assert run.held == {} and all(g is not pair for g, _ in run.sup_errors)
+        assert (verify("T37", pair, self.SWEEP, 0.5, self.GRID, run=run)
+                == verify("T37", pair, self.SWEEP, 0.5, self.GRID))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("theorem, f", CASES)

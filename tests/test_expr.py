@@ -319,6 +319,56 @@ class TestChainPrograms:
                 else:
                     assert np.array_equal(got, want, equal_nan=True)
 
+    @given(EXPRESSIONS, st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_levels_evaluated_together_equal_each_level_alone(self, node, data):
+        # one pass over any subset of a chain's levels, in any order, gives
+        # each level's value bit for bit (NaN where it is NaN), and raises
+        # exactly where one of those levels alone raises
+        chain = chain_of(node, 6)
+        program = compile(*chain)
+        order = data.draw(st.permutations(range(len(chain))))
+        levels = tuple(order[:data.draw(st.integers(1, len(chain)))])
+
+        def value_or_error(level, x):
+            try:
+                with np.errstate(all="ignore"):
+                    return evaluate(program, x, level)
+            except DivisionByZero:
+                return DivisionByZero
+
+        for x in (POINTS, *POINTS[:3]):
+            together = value_or_error(levels, x)
+            alone = [value_or_error(k, x) for k in levels]
+            assert (together is DivisionByZero) == any(a is DivisionByZero for a in alone)
+            if together is DivisionByZero:
+                continue
+            assert len(together) == len(levels)
+            for got, want in zip(together, alone):
+                got, want = np.asarray(got), np.asarray(want)
+                nan = np.isnan(want)
+                assert np.array_equal(np.isnan(got), nan)
+                assert got[~nan].tobytes() == want[~nan].tobytes()
+
+    def test_levels_evaluated_together_share_their_steps(self):
+        # exp(-0.8*x^2)*cos(1.9*x)'s first and second derivatives, of 20
+        # and 32 steps, share 17, among them its exp, cos and sin: one pass
+        # runs the 35 of their union, each once, and keeps both roots
+        program = compile(*derivatives(parse("exp(-0.8*x^2)*cos(1.9*x)"), 2))
+        joint = program.plan((1, 2))
+        assert (len(program.levels[1]), len(program.levels[2]), len(joint)) == (20, 32, 35)
+        assert len({i for i, _, _ in joint}) == len(joint)
+        funs = [program.steps[i][2] for i, _, _ in joint if program.steps[i][0] is Fun]
+        assert sorted(funs) == ["cos", "exp", "sin"]
+        freed = [a for _, frees, _ in joint for a in frees]
+        roots = {program.levels[k][-1][0] for k in (1, 2)}
+        assert len(freed) == len(set(freed)) and not roots & set(freed)
+        assert program.plan((1,)) is program.levels[1]
+        xs = np.linspace(-1.0, 1.0, 33)
+        first, second = evaluate(program, xs, (1, 2))
+        assert first.tobytes() == evaluate(program, xs, 1).tobytes()
+        assert second.tobytes() == evaluate(program, xs, 2).tobytes()
+
     def test_the_deepest_product_to_order_22_is_one_small_table(self):
         # compiled level by level, the 23 programs held 111,759 steps
         chain = derivatives(parse(" * ".join(["x"] * 65)), 22)

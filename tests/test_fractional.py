@@ -1,6 +1,7 @@
 """Caputo derivative tests: closed-form monomial oracle, an independent
 high-precision quadrature oracle, anchor behavior, and the gamma function."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -237,6 +238,30 @@ class TestNonFinite:
         for other in (FractionalSpec(1.5, 0.25, "left"), FractionalSpec(1.5, 0.0, "right")):
             with pytest.raises(PreconditionViolated, match="one anchor and one side"):
                 caputo_table(f, [FractionalSpec(0.5, 0.0, "left"), other], (0.5, 1.0))
+
+
+class TestChainLevelsInOnePass:
+    def test_an_expression_chain_is_evaluated_once_per_node_matrix(self, monkeypatch):
+        # alpha = 0.5 and 1.5 share N - alpha = 0.5, so f' and f'' are read
+        # on one node matrix: one evaluate call gives both, with the rows of
+        # one call per level
+        f = corpus.function_from_expression("e", "exp(-0.8*x^2)*cos(1.9*x)",
+                                            domain=(0.0, 1.0), orders=2)
+        specs = [FractionalSpec(0.5, 0.0), FractionalSpec(1.5, 0.0)]
+        levels, real = [], corpus.evaluate
+
+        def spy(program, x, level=0):
+            levels.append(level)
+            return real(program, x, level)
+
+        monkeypatch.setattr(corpus, "evaluate", spy)
+        _, joint = caputo_table(f, specs, (0.0, 1.0), 65)
+        assert levels == [(1, 2)]
+        alone = dataclasses.replace(f, derivatives=tuple(
+            dataclasses.replace(g, eval=lambda t, g=g: g.eval(t)) for g in f.derivatives))
+        _, rows = caputo_table(alone, specs, (0.0, 1.0), 65)
+        assert levels == [(1, 2), 1, 2]
+        assert joint.tobytes() == rows.tobytes()
 
 
 class TestEnvelopes:

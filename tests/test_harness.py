@@ -12,12 +12,12 @@ import pytest
 import yaml
 
 import erfapprox
-from erfapprox import bounds, cli, corpus
+from erfapprox import bounds, cli, corpus, operators
 from erfapprox.cli import main
 from erfapprox.corpus import FRACTIONAL_CORPUS
 from erfapprox.errors import ConfigError, PreconditionViolated
 from erfapprox.expr import compile, derivatives, parse
-from erfapprox.funcs import FunctionSpec
+from erfapprox.funcs import ComplexFunctionSpec, FunctionSpec
 from erfapprox.harness import (
     CSV_COLUMNS,
     SCHEMA,
@@ -492,6 +492,162 @@ class TestSupErrorPerRun:
         assert second.rows == first.rows
 
 
+class TestComplexFromParts:
+    """A complex function's grid-sup errors come from its parts' real
+    images when the run measures those parts too, bit for bit as from its
+    own operator call, so no image is measured twice."""
+
+    COMPLEX = ("circle", "ramp_pair")
+    DOC = {"functions": [{"id": name, "builtin": name} for name in (
+               "cos", "sin", "linear", "sq", *COMPLEX)],
+           "theorems": ["T12", "T13", "T14", "T15", "T30", "T36", "T37", "T38", "T39", "T41"],
+           "sweep": [16, 81, 256], "rate_exponents": [0.5], "fractional_orders": [0.5, 1.5],
+           "grid": {"x_points": 64, "anchors": 5, "table_points": 65}}
+
+    @staticmethod
+    def operator_calls(monkeypatch):
+        """The (f, cfg) of every operator call from here on."""
+        calls, real = [], bounds.apply_operator
+
+        def spy(f, x, cfg, work=None):
+            calls.append((f, cfg))
+            return real(f, x, cfg, work)
+
+        monkeypatch.setattr(bounds, "apply_operator", spy)
+        return calls
+
+    def run_alone(self):
+        """A run of DOC's complex functions alone."""
+        alone = [s for s in self.DOC["functions"] if s["id"] in self.COMPLEX]
+        return run_verify(cfg_with(**{**self.DOC, "functions": alone}))
+
+    def runs(self):
+        """(a run of DOC, a run of its complex functions alone)."""
+        return run_verify(cfg_with(**self.DOC)), self.run_alone()
+
+    def complex_of(self, result):
+        """result's rows and skips of the complex functions."""
+        return ([r for r in result.rows if r["function"] in self.COMPLEX],
+                [s for s in result.skipped if s["function"] in self.COMPLEX])
+
+    def test_complex_rows_from_parts_equal_those_of_a_complex_call(self, monkeypatch):
+        calls = self.operator_calls(monkeypatch)
+        together = run_verify(cfg_with(**self.DOC))
+        # circle and ramp_pair under T36, T38 and T39 read their parts' A
+        # images; the line circle of T37 and T41 reads the line cos and sin
+        # of T13-T15
+        assert calls and not any(isinstance(f, ComplexFunctionSpec) for f, _ in calls)
+        del calls[:]
+        alone = self.run_alone()
+        assert [f.name for f, _ in calls] == ["circle"] * 3 + ["ramp_pair"] * 3 + ["circle"] * 9
+        # repr tells every float apart by its bits, -0.0 from 0.0 too
+        assert self.complex_of(together)[0]
+        assert repr(self.complex_of(together)) == repr(self.complex_of(alone))
+        assert {r["verdict"] for r in together.rows} == {"holds"}
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_nan_at_one_sup_grid_point_of_one_part(self, monkeypatch):
+        # circle's real part is the interval cos, which T12 measures; its
+        # bound reads a declared sup and an exact modulus, so only the
+        # sup-grid sample sees the NaN, which is off every node k/n
+        clean, _ = self.runs()
+        cos = corpus.INTERVAL_CORPUS["cos"]
+        x_nan, real = np.linspace(*cos.domain, 127)[50], cos.eval
+        monkeypatch.setitem(vars(cos), "eval", lambda t: np.where(
+            np.asarray(t) == x_nan, np.nan, real(t)))
+        together, alone = self.runs()
+        assert repr(self.complex_of(together)) == repr(self.complex_of(alone))
+        poisoned = [r for r in clean.rows if r["function"] in ("cos", "circle")
+                    and r["family"] == "A"]
+        assert len(poisoned) == 3 * (1 + 1 + 1 + 2)        # T12 cos, T36, T38, T39 twice
+        assert list(together.rows) == [r for r in clean.rows if r not in poisoned]
+        failed = [s for s in together.skipped if "non-finite" in s["reason"]]
+        assert [(s["theorem"], s["function"], s["n"]) for s in failed] == [
+            (r["theorem"], r["function"], r["n"]) for r in poisoned]
+        assert {s["reason"] for s in failed} == {
+            "non-finite empirical error or bound: empirical_error"}
+
+    def test_the_packaged_default_measures_no_complex_function(self, monkeypatch):
+        # its 20 complex calls rebuilt the kernels and images of real groups
+        calls, runs, real = self.operator_calls(monkeypatch), [], bounds.Run.of
+        monkeypatch.setattr(bounds.Run, "of", lambda *a: runs.append(real(*a)) or runs[-1])
+        path = resources.files("erfapprox").joinpath("default.yaml")
+        run_verify(ExperimentConfig.from_file(str(path)))
+        assert len(calls) == 80 and not any(isinstance(f, ComplexFunctionSpec)
+                                            for f, _ in calls)
+        # every part held for a complex function was paired and dropped
+        assert len(runs) == 1 and runs[0].parts and runs[0].held == {}
+
+    def test_a_complex_function_alone_makes_one_call_per_cfg(self, monkeypatch):
+        calls, kernels, real = self.operator_calls(monkeypatch), [], operators._kernel
+        monkeypatch.setattr(operators, "_kernel", lambda *a: kernels.append(a) or real(*a))
+        result = run_verify(cfg_with(functions=[{"id": "circle", "builtin": "circle"}],
+                                     theorems=["T36"], sweep=[16, 81, 256],
+                                     rate_exponents=[0.5, 0.6]))
+        assert len(result.rows) == 6
+        assert [(f.name, cfg.n) for f, cfg in calls] == [("circle", n) for n in (16, 81, 256)]
+        assert len(kernels) == len(calls)
+
+    def test_a_complex_call_drops_what_a_part_held(self, monkeypatch):
+        # T12 measures cos but not sin: cos's deviations wait for sin, and
+        # circle's own calls drop them
+        calls, runs, real = self.operator_calls(monkeypatch), [], bounds.Run.of
+        monkeypatch.setattr(bounds.Run, "of", lambda *a: runs.append(real(*a)) or runs[-1])
+        run_verify(cfg_with(functions=[{"id": name, "builtin": name} for name in ("cos", "circle")],
+                            theorems=["T12", "T36"], sweep=[16, 81, 256]))
+        assert [f.name for f, _ in calls] == ["cos"] * 3 + ["circle"] * 3
+        assert runs[0].held == {}
+
+    @pytest.mark.parametrize("theorems", [["T36", "T12"], ["T12", "T36"]])
+    def test_either_theorem_order_measures_each_image_once(self, monkeypatch, theorems):
+        calls = self.operator_calls(monkeypatch)
+        doc = {"functions": [{"id": name, "builtin": name} for name in ("cos", "sin", "circle")],
+               "theorems": theorems, "sweep": [16, 81, 256]}
+        result = run_verify(cfg_with(**doc))
+        names = [f.name for f, _ in calls]
+        # T36 first: its calls give T12's cos and sin rows; T12 first: its
+        # images give T36's
+        assert names == (["circle"] * 3 if theorems[0] == "T36" else ["cos"] * 3 + ["sin"] * 3)
+        baseline = run_verify(cfg_with(**{**doc, "theorems": ["T12", "T36"]}))
+        key = lambda r: (r["theorem"], r["function"], r["n"])
+        assert sorted(result.rows, key=key) == sorted(baseline.rows, key=key)
+        assert len(result.rows) == 9 and result.held == 9
+
+
+class TestZeroDerivativeLevels:
+    def test_a_level_that_simplifies_to_0_is_not_evaluated_at_caputo_nodes(self, monkeypatch):
+        # 3*x + 1 has f'' = 0: it declares sup_norm 0.0, so T30 at alpha 1.5
+        # skips its node matrices; undeclared, it was evaluated there to 0.0
+        f = corpus.function_from_expression("l", "3*x + 1", domain=(0.0, 1.0), orders=2)
+        assert (f.derivative(1).sup_norm, f.derivative(2).sup_norm) == (None, 0.0)
+        doc = {"functions": [{"id": "l", "expr": "3*x + 1", "domain": [0.0, 1.0]}],
+               "theorems": ["T30"], "sweep": [16, 81, 256], "rate_exponents": [0.5, 0.6],
+               "fractional_orders": [1.5], "grid": {"x_points": 64, "anchors": 5,
+                                                     "table_points": 65}}
+        at_nodes, real_evaluate = [], corpus.evaluate
+
+        def spy(program, x, level=0):
+            if np.ndim(x) == 2:         # operator node blocks and Caputo node matrices
+                at_nodes.extend(level if isinstance(level, tuple) else (level,))
+            return real_evaluate(program, x, level)
+
+        monkeypatch.setattr(corpus, "evaluate", spy)
+        declared = run_verify(cfg_with(**doc))
+        assert 2 not in at_nodes and len(declared.rows) == 6
+
+        real_build = corpus.function_from_expression
+
+        def undeclared(*args, **kw):
+            f = real_build(*args, **kw)
+            f2 = dataclasses.replace(f.derivative(2), sup_norm=None)
+            return dataclasses.replace(f, derivatives=(
+                dataclasses.replace(f.derivative(1), derivatives=(f2,)), f2))
+
+        monkeypatch.setattr(corpus, "function_from_expression", undeclared)
+        assert repr(run_verify(cfg_with(**doc)).rows) == repr(declared.rows)
+        assert 2 in at_nodes
+
+
 class TestModuliPerRun:
     def test_each_function_is_sampled_once_per_window(self, monkeypatch):
         # one 8191-point sample gives every modulus step and the sup of a
@@ -563,19 +719,22 @@ class TestFaultInjection:
 
     def assert_only_g_reads_non_finite(self, monkeypatch, doc, chain, poisons, at, part):
         """Run doc with a NaN at index at of the first value corpus.evaluate
-        gives for the program of chain at each (level, size) in poisons;
-        each skip's reason names the bound's term part."""
+        gives for the program of chain at each (level, size) in poisons,
+        whether the call evaluates that level alone or with others; each
+        skip's reason names the bound's term part."""
         clean = run_verify(cfg_with(**doc))
         target, hit, real = compile(*chain), [], corpus.evaluate
 
         def spy(program, x, level=0):
-            out = real(program, x, level)
-            key = (level, np.size(x))
-            if program == target and key in poisons and key not in hit:
-                hit.append(key)
-                out = np.array(out)
-                out.flat[at] = np.nan
-            return out
+            joint = isinstance(level, tuple)
+            outs = list(real(program, x, level)) if joint else [real(program, x, level)]
+            for j, k in enumerate(level if joint else (level,)):
+                key = (k, np.size(x))
+                if program == target and key in poisons and key not in hit:
+                    hit.append(key)
+                    outs[j] = np.array(outs[j])
+                    outs[j].flat[at] = np.nan
+            return tuple(outs) if joint else outs[0]
 
         monkeypatch.setattr(corpus, "evaluate", spy)
         poisoned = run_verify(cfg_with(**doc))
