@@ -25,6 +25,7 @@ full precision.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import ClassVar, Dict, List, Optional, Sequence, Tuple, Union
@@ -95,7 +96,10 @@ class GridPolicy:
 
     def __post_init__(self):
         for key, least in self.LEAST.items():
-            if getattr(self, key) < least:
+            value = getattr(self, key)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise PreconditionViolated(f"GridPolicy.{key} must be an integer, got {value!r}")
+            if value < least:
                 raise PreconditionViolated(f"GridPolicy.{key} must be >= {least}")
 
 
@@ -413,16 +417,14 @@ def _sup_error(f, cfg: OperatorConfig, run: Run) -> float:
     """Grid sup of |Op f - f| over f's sup grid (``Run.sup_sample``).
 
     Each distinct (f, cfg) is measured once per run and later calls read
-    the float stored in run.sup_errors.  A complex f's error is the max
-    over its sup grid of the hypot of its parts' |Op p - p|, so it is
-    measured part by part: a real f that is a part of a complex function g
-    of the run (``Run.parts``) whose parts share f's sup grid gives g its
-    |Op f - f| there.  The first part of g measured at cfg is held in
-    ``Run.held`` until the second pairs with it into g's entry, so g makes
-    no operator call.  A complex f measured itself makes one call for both
-    parts, drops what a part held, and gives each part whose own sup grid
-    is f's its real entry.  Since hypot(|a|, |b|) is hypot(a, b), every
-    entry is the same bit for bit whichever group measures first.
+    the float stored in run.sup_errors.  One operator call gives the
+    images of every part of f: a complex f's error is the max over its
+    sup grid of the hypot of its parts' |Op p - p|, and each part whose
+    own sup grid is f's gets its real entry from the same call, so a run
+    that measures a complex function before its parts measures each image
+    once (``harness.run_verify`` runs the complex groups first).  The part
+    is sampled on its own grid there and each part's image is computed
+    alone, so its entry is the same bit for bit as from its own call.
     """
     if (f, cfg) not in run.sup_errors:
         xs, values = run.sup_sample(f)
@@ -432,18 +434,7 @@ def _sup_error(f, cfg: OperatorConfig, run: Run) -> float:
             if p.sample_window() == window:
                 run.sup_errors.setdefault((p, cfg), float(np.max(dev)))
         if len(devs) == 2:
-            run.held.pop((f, cfg), None)
             run.sup_errors[f, cfg] = float(np.max(np.hypot(*devs)))
-        # only a real f is one of run.parts
-        for g in run.parts.get(f, ()):
-            if (g, cfg) in run.sup_errors or any(p.sample_window() != window for p in g.parts):
-                continue
-            held = run.held.pop((g, cfg), None)
-            if held is None:
-                run.held[g, cfg] = devs[0]
-            else:
-                re, im = (devs[0], held) if f is g.re else (held, devs[0])
-                run.sup_errors[g, cfg] = float(np.max(np.hypot(re, im)))
     return run.sup_errors[f, cfg]
 
 
@@ -542,15 +533,9 @@ class Run:
     """What the verify calls of one run share:
 
     * ``grid``: the run's x-sampling and Caputo anchor grid;
-    * ``sup_errors``: each distinct grid-sup error, measured once;
-    * ``parts``: each real function that is a part of one of the run's
-      complex functions, mapped to the set of those functions; a run of
-      ``harness.run_verify`` fills it from its config, and it is empty
-      for a library ``verify`` call;
-    * ``held``: per (complex function g, cfg), the |Op p - p| array of
-      the first part p of g measured at cfg on g's sup grid, kept until
-      the other part pairs with it into g's entry or g is measured by a
-      call of its own (``_sup_error``);
+    * ``sup_errors``: each distinct grid-sup error, measured once; a
+      complex function's call also stores those of its parts that share
+      its sup grid (``_sup_error``);
     * ``deltas``: every modulus step float(n) ** (-e) of the run's sweep
       and exponents, sorted, at which each Caputo table is read once when
       it is built;
@@ -578,8 +563,6 @@ class Run:
     grid: GridPolicy = GridPolicy()
     orders: Tuple[float, ...] = ()
     sup_errors: dict = field(default_factory=dict)
-    parts: dict = field(default_factory=dict)
-    held: dict = field(default_factory=dict, repr=False, compare=False)
     moduli: dict = field(default_factory=dict)
     sups: dict = field(default_factory=dict)
     sample: Optional[tuple] = field(default=None, repr=False, compare=False)

@@ -98,6 +98,19 @@ def _emit(result: RunResult, cfg: ExperimentConfig) -> int:
     return 1 if result.violated else 0
 
 
+def _print_rates(result: RunResult):
+    """One line per group and family with rows, in config order, naming the
+    group's variant (N=2, alpha_frac=1.5) when it has one."""
+    for group, rows in result.groups:
+        rates = {row["family"]: (row["slope"], row["r2"]) for row in rows}
+        variant = "".join(f" {k}={v}" for k, v in group.kw.items())
+        for family, (slope, r2) in rates.items():
+            s = "n/a" if slope is None else f"{slope:+.3f}"
+            r = "n/a" if r2 is None else f"{r2:.4f}"
+            print(f"{group.theorem} {group.function} {family} exponent={group.exponent}"
+                  f"{variant}: slope={s} r2={r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="erfapprox",
@@ -143,16 +156,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         result = run_verify(cfg)
 
         if args.command == "rates":
-            groups = {}
-            for row in result.rows:
-                key = (row["theorem"], row["function"], row["family"], row["exponent"])
-                groups[key] = (row["slope"], row["r2"])
-            for (tid, fid, fam, ex), (slope, r2) in sorted(groups.items()):
-                s = "n/a" if slope is None else f"{slope:+.3f}"
-                r = "n/a" if r2 is None else f"{r2:.4f}"
-                print(f"{tid} {fid} {fam} exponent={ex}: slope={s} r2={r}")
-            return _emit(result, cfg)
-
+            _print_rates(result)
         return _emit(result, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

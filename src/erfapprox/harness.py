@@ -1,11 +1,11 @@
 """Experiment orchestration: config ingestion, verification runs, and
 report serialization.
 
-A run goes through its (theorem, function, rate exponent) groups one
-after another, sweeps n inside each group, appends fitted log-log rates
-per group, and writes a deterministic CSV (fixed column order, fixed
-float formatting) plus an optional JSON summary.  Hypothesis-violating
-combinations are skipped with a recorded reason, never crashed on.
+A run lists its (theorem, function, exponent, variant) groups, runs the
+complex theorems' first, sweeps n inside each group, fits a log-log rate
+per group, and writes a deterministic CSV (fixed column order and float
+format) plus an optional JSON summary.  Hypothesis-violating combinations
+are skipped with a recorded reason, never crashed on.
 """
 
 from __future__ import annotations
@@ -302,6 +302,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
+@dataclass(frozen=True, eq=False)
+class Group:
+    """One verify call of a run, equal only to itself: a theorem on one
+    function at one exponent and variant kw, over the n that pass the precheck."""
+    theorem: str
+    function: str
+    f: object
+    exponent: float
+    kw: dict
+    ns: Tuple[int, ...]
+
+
 @dataclass(frozen=True)
 class RunResult:
     rows: Tuple[dict, ...]          # CSV_COLUMNS-keyed, ready to write
@@ -309,33 +321,62 @@ class RunResult:
     violated: int
     held: int
     inconclusive: int
+    # each group in config order with its rows; the reports leave it out
+    groups: Tuple[Tuple[Group, Tuple[dict, ...]], ...] = ()
 
 
 def run_verify(cfg: ExperimentConfig) -> RunResult:
     """Execute the configured verification sweep; deterministic output.
 
-    Each (theorem, function, exponent, variant) group runs in config
-    order.  A group that fails, and each non-finite cell, is a skip listed
-    after every skip decided before a group runs (no variant, too few
-    derivatives, a failed hypothesis); a non-finite cell's reason names
-    the parts that are not finite.
+    The groups are listed in config order with every skip decided before
+    a group runs (``_plan``).  The complex theorems' groups run first, so
+    that a complex function's operator calls give its parts their real
+    errors too (``bounds._sup_error``).  Rows, then the skips of a failed
+    group or a non-finite cell (whose reason names the parts that are not
+    finite) after the plan's, are listed in config order.
     """
     # shared by the groups; its orders are every alpha_frac a fractional group reads
     orders = {kw.get("alpha_frac", th.params["alpha_frac"])
               for th in map(bounds.THEOREMS.get, cfg.theorems) if "alpha_frac" in th.params
               for kw in _variants(cfg, th)[0]}
     run = bounds.Run.of(cfg.sweep, cfg.rate_exponents, cfg.grid, orders)
-    # a complex theorem's builtins take their errors from the real groups
-    # of their parts (bounds._sup_error)
-    for th in map(bounds.THEOREMS.get, cfg.theorems):
-        if th.complex and _variants(cfg, th)[0]:
-            pool = getattr(corpus, th.pool)
-            for spec in cfg.functions:
-                if spec.get("builtin") in pool:
-                    g = pool[spec["builtin"]]
-                    for p in g.parts:
-                        run.parts.setdefault(p, set()).add(g)
-    skipped, failed, finished = [], [], []
+    groups, skipped = _plan(cfg, run)
+    outcomes = {}
+    for g in sorted(groups, key=lambda g: not bounds.THEOREMS[g.theorem].complex):
+        try:
+            outcomes[g] = verify(g.theorem, g.f, g.ns, g.exponent, cfg.grid, run=run, **g.kw)
+        except ErfApproxError as exc:
+            outcomes[g] = exc
+
+    # rates are fitted once every group has run: the first least-squares fit
+    # touches about 1 MB of LAPACK workspace, which would otherwise stay
+    # resident under the groups' peak
+    failed, fitted = [], []
+    for g in groups:
+        where, reports = {"theorem": g.theorem, "function": g.function}, outcomes[g]
+        if isinstance(reports, ErfApproxError):
+            failed.append({**where, "exponent": g.exponent, "reason": f"group failed: {reports}"})
+            reports = []
+        failed.extend({**where, "family": r.family, "n": r.n, "exponent": g.exponent,
+                       "reason": _non_finite_reason(r)}
+                      for r in reports if r.verdict == "non-finite")
+        fitted.append((g, tuple(_rows([r for r in reports if r.verdict != "non-finite"]))))
+    rows = [row for _, group_rows in fitted for row in group_rows]
+    verdicts = [r["verdict"] for r in rows]
+    return RunResult(
+        rows=tuple(rows),
+        skipped=tuple(skipped + failed),
+        violated=verdicts.count("violated"),
+        held=verdicts.count("holds"),
+        inconclusive=verdicts.count("inconclusive-estimated"),
+        groups=tuple(fitted),
+    )
+
+
+def _plan(cfg: ExperimentConfig, run: bounds.Run) -> Tuple[List[Group], List[dict]]:
+    """The run's groups in config order (theorem, function, exponent,
+    variant) and every skip decided before a group runs, in that order."""
+    groups, skipped = [], []
     for theorem in cfg.theorems:
         th = bounds.THEOREMS[theorem]
         variants, no_variant = _variants(cfg, th)
@@ -363,31 +404,9 @@ def run_verify(cfg: ExperimentConfig) -> RunResult:
                                             "reason": reason})
                         else:
                             ns.append(n)
-                    if not ns:
-                        continue
-                    try:
-                        reports = verify(theorem, f, tuple(ns), exponent, cfg.grid, run=run, **kw)
-                    except ErfApproxError as exc:
-                        failed.append({**where, "exponent": exponent,
-                                       "reason": f"group failed: {exc}"})
-                        continue
-                    failed.extend({**where, "family": r.family, "n": r.n, "exponent": exponent,
-                                   "reason": _non_finite_reason(r)}
-                                  for r in reports if r.verdict == "non-finite")
-                    finished.append([r for r in reports if r.verdict != "non-finite"])
-
-    # rates are fitted once every group has run: the first least-squares fit
-    # touches about 1 MB of LAPACK workspace, which would otherwise stay
-    # resident under the groups' peak
-    rows = [row for reports in finished for row in _rows(reports)]
-    verdicts = [r["verdict"] for r in rows]
-    return RunResult(
-        rows=tuple(rows),
-        skipped=tuple(skipped + failed),
-        violated=verdicts.count("violated"),
-        held=verdicts.count("holds"),
-        inconclusive=verdicts.count("inconclusive-estimated"),
-    )
+                    if ns:
+                        groups.append(Group(theorem, spec["id"], f, exponent, kw, tuple(ns)))
+    return groups, skipped
 
 
 def _non_finite_reason(report: bounds.BoundReport) -> str:

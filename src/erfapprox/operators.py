@@ -50,6 +50,7 @@ its boundary deficiency 1 - V(a) are window sums of the same kernel, so
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -97,9 +98,10 @@ class QuadratureWeights:
             raise InvalidWeights("theta must be a positive integer")
         if len(self.w) != self.theta + 1:
             raise InvalidWeights(f"need theta+1 = {self.theta + 1} weights, got {len(self.w)}")
-        if any(wr < 0.0 for wr in self.w):
+        # written to fail closed: a NaN weight passes no comparison
+        if not all(wr >= 0.0 for wr in self.w):
             raise InvalidWeights("weights must be nonnegative")
-        if abs(math.fsum(self.w) - 1.0) > 1e-15:
+        if not abs(math.fsum(self.w) - 1.0) <= 1e-15:
             raise InvalidWeights(f"weights sum to {math.fsum(self.w)!r}, not 1")
 
     @staticmethod
@@ -117,6 +119,8 @@ class OperatorConfig:
     def __post_init__(self):
         if self.family not in ("A", "B", "C", "D"):
             raise PreconditionViolated(f"unknown operator family {self.family!r}")
+        if not isinstance(self.n, numbers.Integral) or isinstance(self.n, bool):
+            raise PreconditionViolated(f"n must be an integer, got {self.n!r}")
         if self.n < 1:
             raise PreconditionViolated("n must be >= 1")
         if self.family == "A":

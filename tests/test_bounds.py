@@ -559,6 +559,16 @@ class TestVerify:
             verify(theorem, FRACTIONAL_CORPUS["sin"], (16,), 0.5, GridPolicy(**grid), **kw)
         assert f"GridPolicy.{next(iter(grid))}" in str(exc.value)
 
+    @pytest.mark.parametrize("grid", [{"x_points": 64.5}, {"anchors": 5.0},
+                                      {"table_points": "65"}, {"pointwise_points": True}])
+    def test_a_grid_count_that_is_not_an_integer_is_a_precondition(self, grid):
+        # 64.5 and 5.0 were accepted, and verify then died in numpy with a
+        # TypeError that run_verify does not catch
+        key = next(iter(grid))
+        with pytest.raises(PreconditionViolated, match=f"GridPolicy.{key} must be an integer"):
+            GridPolicy(**grid)
+        assert getattr(GridPolicy(**{key: np.int64(65)}), key) == 65
+
     @pytest.mark.parametrize("call", [
         # each was a bare TypeError from unpacking the domain None
         lambda f: verify("T16", f, (16,), 0.5, FAST_GRID, mode="pointwise"),
@@ -677,22 +687,24 @@ class TestOneSupSamplePerFunction:
         first, second = (verify(theorem, g, self.SWEEP, 0.5, self.GRID) for g in pairs)
         assert first == second and {r.verdict for r in first} == {"holds"}
 
-    def test_a_part_off_its_complex_sup_grid_is_not_held(self):
-        # sin on (-2, 2) and cos on its own window: a run that knows both
-        # as parts of the pair pairs neither's deviations, on two grids,
-        # into the pair's error, whose own call gives the rows of a run
-        # that does not know them
+    def test_a_part_off_its_complex_sup_grid_measures_itself(self, monkeypatch):
+        # sin on (-2, 2) and cos on its own window (-pi, pi): the pair's call
+        # on (-pi, pi) gives cos its real entry, and sin, whose own grid is
+        # another, measures itself
         sin = dataclasses.replace(LINE_CORPUS["sin"], grid_window=(-2.0, 2.0))
         cos = LINE_CORPUS["cos"]
         pair = ComplexFunctionSpec("pair", sin, cos)
-        assert sin.sample_window() != cos.sample_window()
+        assert sin.sample_window() != pair.sample_window() == cos.sample_window()
+        calls, real = [], bounds.apply_operator
+        monkeypatch.setattr(bounds, "apply_operator",
+                            lambda f, x, cfg, work=None: calls.append(f) or real(f, x, cfg, work))
+        groups = (("T37", pair), ("T13", sin), ("T13", cos))
         run = Run.of(self.SWEEP, (0.5,), self.GRID)
-        run.parts.update({sin: {pair}, cos: {pair}})
-        for p in pair.parts:
-            verify("T13", p, self.SWEEP, 0.5, self.GRID, run=run)
-        assert run.held == {} and all(g is not pair for g, _ in run.sup_errors)
-        assert (verify("T37", pair, self.SWEEP, 0.5, self.GRID, run=run)
-                == verify("T37", pair, self.SWEEP, 0.5, self.GRID))
+        shared = [verify(theorem, g, self.SWEEP, 0.5, self.GRID, run=run) for theorem, g in groups]
+        assert calls == [pair] * 3 + [sin] * 3
+        # repr tells every float apart by its bits, -0.0 from 0.0 too
+        assert repr(shared) == repr([verify(theorem, g, self.SWEEP, 0.5, self.GRID)
+                                     for theorem, g in groups])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("theorem, f", CASES)

@@ -437,6 +437,24 @@ class TestCli:
         assert main(["rates", "--config", path]) == 0
         assert "slope=" in capsys.readouterr().out
 
+    def test_rates_prints_every_group_and_family_in_config_order(self, tmp_path, capsys):
+        # keyed by (theorem, function, family, exponent), the N = 1 and 2
+        # groups of T16 and T38 and the alpha_frac groups of T30, C31 and T39
+        # overwrote each other: 76 lines for 98 rates
+        path = resources.files("erfapprox").joinpath("default.yaml")
+        assert main(["rates", "--config", str(path), "--out-csv", str(tmp_path / "out.csv"),
+                     "--out-json", str(tmp_path / "out.json")]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines() if "slope=" in line]
+        assert len(lines) == 98 == len(set(lines))
+        assert lines[0].startswith("T12 linear A exponent=0.5: ")
+        assert "T16 sin A exponent=0.5 N=2: slope=-0.987 r2=0.9959" in lines
+        assert any(line.startswith("T39 circle A exponent=0.8 alpha_frac=1.5: ")
+                   for line in lines)
+        theorems = [line.split()[0] for line in lines]
+        assert theorems == sorted(theorems, key=list(dict.fromkeys(theorems)).index)
+        assert list(dict.fromkeys(theorems)) == [
+            t for t in ExperimentConfig.from_file(str(path)).theorems if t in theorems]
+
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestNonFinite:
@@ -493,9 +511,10 @@ class TestSupErrorPerRun:
 
 
 class TestComplexFromParts:
-    """A complex function's grid-sup errors come from its parts' real
-    images when the run measures those parts too, bit for bit as from its
-    own operator call, so no image is measured twice."""
+    """A complex function's one operator call per (n, family) gives its own
+    grid-sup error and its parts' real ones: the run measures complex
+    groups first, so no image is measured twice, bit for bit as when each
+    part measures itself."""
 
     COMPLEX = ("circle", "ramp_pair")
     DOC = {"functions": [{"id": name, "builtin": name} for name in (
@@ -530,19 +549,22 @@ class TestComplexFromParts:
         return ([r for r in result.rows if r["function"] in self.COMPLEX],
                 [s for s in result.skipped if s["function"] in self.COMPLEX])
 
-    def test_complex_rows_from_parts_equal_those_of_a_complex_call(self, monkeypatch):
+    def test_part_rows_equal_those_of_a_run_without_the_complex_functions(self, monkeypatch):
         calls = self.operator_calls(monkeypatch)
         together = run_verify(cfg_with(**self.DOC))
-        # circle and ramp_pair under T36, T38 and T39 read their parts' A
-        # images; the line circle of T37 and T41 reads the line cos and sin
+        # circle and ramp_pair under T36, T38 and T39 give their parts' A
+        # images; the line circle of T37 and T41 gives the line cos and sin
         # of T13-T15
-        assert calls and not any(isinstance(f, ComplexFunctionSpec) for f, _ in calls)
-        del calls[:]
-        alone = self.run_alone()
-        assert [f.name for f, _ in calls] == ["circle"] * 3 + ["ramp_pair"] * 3 + ["circle"] * 9
+        assert len(calls) == len(set(calls))
+        assert {f.name for f, _ in calls if isinstance(f, ComplexFunctionSpec)} == set(
+            self.COMPLEX)
+        reals = [s for s in self.DOC["functions"] if s["id"] not in self.COMPLEX]
+        without = run_verify(cfg_with(**{**self.DOC, "functions": reals}))
         # repr tells every float apart by its bits, -0.0 from 0.0 too
-        assert self.complex_of(together)[0]
-        assert repr(self.complex_of(together)) == repr(self.complex_of(alone))
+        assert without.rows
+        assert repr([r for r in together.rows if r["function"] not in self.COMPLEX]) == repr(
+            list(without.rows))
+        assert repr(self.complex_of(together)) == repr(self.complex_of(self.run_alone()))
         assert {r["verdict"] for r in together.rows} == {"holds"}
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -567,16 +589,14 @@ class TestComplexFromParts:
         assert {s["reason"] for s in failed} == {
             "non-finite empirical error or bound: empirical_error"}
 
-    def test_the_packaged_default_measures_no_complex_function(self, monkeypatch):
-        # its 20 complex calls rebuilt the kernels and images of real groups
-        calls, runs, real = self.operator_calls(monkeypatch), [], bounds.Run.of
-        monkeypatch.setattr(bounds.Run, "of", lambda *a: runs.append(real(*a)) or runs[-1])
+    def test_the_packaged_default_measures_each_image_once(self, monkeypatch):
+        # 80 calls when the complex functions took their errors from their
+        # parts' real groups, 100 when every group measured its own
+        calls = self.operator_calls(monkeypatch)
         path = resources.files("erfapprox").joinpath("default.yaml")
         run_verify(ExperimentConfig.from_file(str(path)))
-        assert len(calls) == 80 and not any(isinstance(f, ComplexFunctionSpec)
-                                            for f, _ in calls)
-        # every part held for a complex function was paired and dropped
-        assert len(runs) == 1 and runs[0].parts and runs[0].held == {}
+        assert len(calls) == len(set(calls)) == 60
+        assert sum(isinstance(f, ComplexFunctionSpec) for f, _ in calls) == 20
 
     def test_a_complex_function_alone_makes_one_call_per_cfg(self, monkeypatch):
         calls, kernels, real = self.operator_calls(monkeypatch), [], operators._kernel
@@ -588,15 +608,17 @@ class TestComplexFromParts:
         assert [(f.name, cfg.n) for f, cfg in calls] == [("circle", n) for n in (16, 81, 256)]
         assert len(kernels) == len(calls)
 
-    def test_a_complex_call_drops_what_a_part_held(self, monkeypatch):
-        # T12 measures cos but not sin: cos's deviations wait for sin, and
-        # circle's own calls drop them
-        calls, runs, real = self.operator_calls(monkeypatch), [], bounds.Run.of
-        monkeypatch.setattr(bounds.Run, "of", lambda *a: runs.append(real(*a)) or runs[-1])
-        run_verify(cfg_with(functions=[{"id": name, "builtin": name} for name in ("cos", "circle")],
-                            theorems=["T12", "T36"], sweep=[16, 81, 256]))
-        assert [f.name for f, _ in calls] == ["cos"] * 3 + ["circle"] * 3
-        assert runs[0].held == {}
+    def test_a_complex_call_gives_a_part_its_real_rows(self, monkeypatch):
+        # T12 measures cos but not sin: circle's calls give cos its errors
+        calls = self.operator_calls(monkeypatch)
+        doc = {"functions": [{"id": name, "builtin": name} for name in ("cos", "circle")],
+               "theorems": ["T12", "T36"], "sweep": [16, 81, 256]}
+        result = run_verify(cfg_with(**doc))
+        assert [f.name for f, _ in calls] == ["circle"] * 3
+        cos_alone = run_verify(cfg_with(**{**doc, "functions": doc["functions"][:1],
+                                           "theorems": ["T12"]}))
+        assert repr([r for r in result.rows if r["function"] == "cos"]) == repr(
+            list(cos_alone.rows))
 
     @pytest.mark.parametrize("theorems", [["T36", "T12"], ["T12", "T36"]])
     def test_either_theorem_order_measures_each_image_once(self, monkeypatch, theorems):
@@ -604,14 +626,53 @@ class TestComplexFromParts:
         doc = {"functions": [{"id": name, "builtin": name} for name in ("cos", "sin", "circle")],
                "theorems": theorems, "sweep": [16, 81, 256]}
         result = run_verify(cfg_with(**doc))
-        names = [f.name for f, _ in calls]
-        # T36 first: its calls give T12's cos and sin rows; T12 first: its
-        # images give T36's
-        assert names == (["circle"] * 3 if theorems[0] == "T36" else ["cos"] * 3 + ["sin"] * 3)
+        # T36 runs first either way, and its calls give T12's cos and sin rows
+        assert [f.name for f, _ in calls] == ["circle"] * 3
         baseline = run_verify(cfg_with(**{**doc, "theorems": ["T12", "T36"]}))
         key = lambda r: (r["theorem"], r["function"], r["n"])
         assert sorted(result.rows, key=key) == sorted(baseline.rows, key=key)
         assert len(result.rows) == 9 and result.held == 9
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_skips_and_rows_keep_their_config_order_places(self, monkeypatch):
+        # T36 and T37 run before T12 and T13, but a failed group, a
+        # non-finite cell and a row each keep the place of their group
+        doc = {"functions": [{"id": name, "builtin": name} for name in (
+                   "cos", "linear", "circle", "ramp_pair")],
+               "theorems": ["T12", "T36", "T13", "T37"], "sweep": [16, 81, 256],
+               "grid": {"x_points": 64}}
+        clean = run_verify(cfg_with(**doc))
+        # the interval cos, circle's real part, is NaN at one sup-grid point
+        # off every node k/n, so T12 cos and T36 circle read non-finite
+        cos = corpus.INTERVAL_CORPUS["cos"]
+        x_nan, real_eval = np.linspace(*cos.domain, 127)[50], cos.eval
+        monkeypatch.setitem(vars(cos), "eval", lambda t: np.where(
+            np.asarray(t) == x_nan, np.nan, real_eval(t)))
+        # and the line cos's bound fails, so T13 cos and T37 circle fail
+        real_mu2 = bounds.mu2
+
+        def mu2(f, *args, **kw):
+            if f is corpus.LINE_CORPUS["cos"]:
+                raise PreconditionViolated("no bound for cos")
+            return real_mu2(f, *args, **kw)
+
+        monkeypatch.setattr(bounds, "mu2", mu2)
+        result = run_verify(cfg_with(**doc))
+        plan_skips = list(clean.skipped)
+        assert list(result.skipped[:len(plan_skips)]) == plan_skips
+        assert [(s["theorem"], s["function"], s.get("n"), s["reason"].split(":")[0])
+                for s in result.skipped[len(plan_skips):]] == [
+            *[("T12", "cos", n, "non-finite empirical error or bound") for n in (16, 81, 256)],
+            *[("T36", "circle", n, "non-finite empirical error or bound")
+              for n in (16, 81, 256)],
+            ("T13", "cos", None, "group failed"), ("T37", "circle", None, "group failed")]
+        assert [(r["theorem"], r["function"]) for r in result.rows] == [
+            (t, f) for t, f in (("T12", "linear"), ("T36", "ramp_pair"), ("T13", "linear"))
+            for _ in range(3)]
+        assert list(result.rows) == [r for r in clean.rows if (r["theorem"], r["function"])
+                                     in {("T12", "linear"), ("T36", "ramp_pair"),
+                                         ("T13", "linear")}]
+
 
 
 class TestZeroDerivativeLevels:

@@ -196,6 +196,20 @@ class TestOpD:
         with pytest.raises(PreconditionViolated):
             OperatorConfig("D", 8)                      # weights required
 
+    @pytest.mark.parametrize("w", [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)])
+    def test_a_nan_weight_is_invalid(self, w):
+        # nan < 0 and a nan sum's distance from 1 both compared False, so the
+        # weights passed and every family-D image was NaN
+        with pytest.raises(InvalidWeights):
+            QuadratureWeights(1, w)
+
+    @pytest.mark.parametrize("n", [2.5, 16.0, "16", True])
+    def test_an_n_that_is_not_an_integer_is_a_precondition(self, n):
+        # 2.5 built an operator the paper does not define
+        with pytest.raises(PreconditionViolated, match="n must be an integer"):
+            OperatorConfig("B", n)
+        assert OperatorConfig("B", np.int64(16)).n == 16
+
 
 class TestComplex:
     def test_componentwise_bit_exact(self):
