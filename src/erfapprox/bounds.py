@@ -268,9 +268,9 @@ def fractional_bound(f: FunctionSpec, n: int, beta: float, alpha_frac: float,
 
     run (a run of this n and beta alone when None) gives the anchor grid,
     the steps each Caputo table is read at, ``Run.deltas``, and the other
-    orders whose tables are built with alpha_frac's, ``Run.orders`` (those
-    f's chain can take); the bound reads the entries of its own order and
-    of its own step n^-beta, which must be one of the steps.
+    orders whose tables are built with alpha_frac's, f's entry in
+    ``Run.orders``; the bound reads the entries of its own order and of
+    its own step n^-beta, which must be one of the steps.
     The sup form takes the maximum over the anchors, so a NaN at any anchor
     makes it NaN; a pointwise form reads the anchor nearest x, or x's own
     tables at the run's steps when x is off the grid.  The sup form's
@@ -291,8 +291,7 @@ def fractional_bound(f: FunctionSpec, n: int, beta: float, alpha_frac: float,
     j = run.deltas.index(delta)
     htc = tail_bound(n, beta)
     gamma_factor = 1.0 / gamma_fn(alpha_frac + 1.0)
-    orders = tuple(sorted({alpha_frac} | {
-        o for o in run.orders if math.ceil(o) <= len(f.derivatives)}))
+    orders = tuple(sorted({alpha_frac, *run.orders.get(f, ())}))
     xs, moduli, sups = _anchor_tables(f, orders, run.grid, run.deltas)
     i = orders.index(alpha_frac)
     moduli, sups = moduli[i], sups[i]
@@ -539,9 +538,9 @@ class Run:
     * ``deltas``: every modulus step float(n) ** (-e) of the run's sweep
       and exponents, sorted, at which each Caputo table is read once when
       it is built;
-    * ``orders``: every fractional order alpha_frac the run's fractional
-      groups read, sorted; a fractional bound builds f's Caputo tables for
-      these and its own order at once, keeping those f's chain can take;
+    * ``orders``: per function (each part of a complex one), the orders
+      alpha_frac its fractional groups read, as ``harness._plan`` records
+      them; a fractional bound builds f's tables for these and its own;
     * ``steps``: every Jackson step, ``deltas`` and mu3's 1/n + n^-e,
       sorted;
     * ``moduli``: per function, one ``ModulusResult`` holding omega_1 and
@@ -561,7 +560,7 @@ class Run:
     deltas: Tuple[float, ...]
     steps: Tuple[float, ...]
     grid: GridPolicy = GridPolicy()
-    orders: Tuple[float, ...] = ()
+    orders: dict = field(default_factory=dict)
     sup_errors: dict = field(default_factory=dict)
     moduli: dict = field(default_factory=dict)
     sups: dict = field(default_factory=dict)
@@ -570,10 +569,11 @@ class Run:
 
     @staticmethod
     def of(sweep: Sequence[int], exponents: Sequence[float],
-           grid: GridPolicy = GridPolicy(), orders: Sequence[float] = ()) -> "Run":
+           grid: GridPolicy = GridPolicy()) -> "Run":
+        _check_sweep(sweep)
         deltas = {float(n) ** (-e) for n in sweep for e in exponents}
         steps = deltas | {1.0 / n + float(n) ** (-e) for n in sweep for e in exponents}
-        return Run(tuple(sorted(deltas)), tuple(sorted(steps)), grid, tuple(sorted(set(orders))))
+        return Run(tuple(sorted(deltas)), tuple(sorted(steps)), grid)
 
     def modulus(self, f: FunctionSpec, delta: float) -> Tuple[float, str, float]:
         """(omega_1(f, delta) on f's sample window, its quality, f's sup
@@ -620,6 +620,14 @@ class Run:
             if mq.sup is not None:
                 self.sups[f] = mq.sup
         return self.moduli[f]
+
+
+def _check_sweep(sweep: Sequence[int]):
+    """Name the first entry that is a bool, not an integer value or below 1."""
+    for n in sweep:
+        if (isinstance(n, bool) or not isinstance(n, numbers.Real)
+                or not float(n).is_integer() or n < 1):
+            raise PreconditionViolated(f"sweep entry {n!r} must be an integer >= 1")
 
 
 def _family_config(family: str, n: int, interval=None) -> OperatorConfig:
@@ -673,6 +681,7 @@ def verify(
         if not lo < params[th.param] < hi:
             raise PreconditionViolated(f"{theorem_id} needs {lo:g} < {th.param} < {hi:g}, "
                                        f"got {params[th.param]}")
+    _check_sweep(sweep)
     if run is None:
         run = Run.of(sweep, (rate_exponent,), grid)
     elif run.grid != grid:

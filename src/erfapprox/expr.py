@@ -40,6 +40,7 @@ from .errors import (
     DivisionByZero,
     ExprSyntaxError,
     NonDifferentiable,
+    PreconditionViolated,
     UnknownFunction,
 )
 from .special_functions import TWO_OVER_SQRT_PI, erf
@@ -505,7 +506,7 @@ def derivatives(node: Node, order: int) -> List[Node]:
     chain, so interning a level walks only the nodes its derivative made
     new: node keeps its own tree alive, and memo every derivative tree."""
     if order < 0:
-        raise ValueError("order must be >= 0")
+        raise PreconditionViolated(f"order must be >= 0, got {order}")
     nodes, index, slot, memo = [], {}, {}, {}
     chain = [_intern(node, nodes, index, slot)]
     for _ in range(order):

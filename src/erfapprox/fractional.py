@@ -20,9 +20,7 @@ sequence of steps, an array in their order, with ``modulus.grid_modulus``
 in one doubling pass: the grid step comes from the table's first and last
 grid points, rows of tables whose grids give equal window sizes may be
 stacked into one call, and a NaN value gives a NaN estimate.
-``caputo_sup_ceiling`` and ``caputo_modulus_ceiling`` are closed-form
-upper bounds from f^(N)'s declared sup norm, and ``caputo_monomial`` is
-the closed-form oracle for monomials.
+``caputo_monomial`` is the closed-form oracle for monomials.
 
 The weakly singular kernel is absorbed exactly by Gauss-Jacobi quadrature:
 substituting t = x0 + (x - x0)(u + 1)/2 turns the kernel into the Jacobi
@@ -47,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence, Tuple, Union
+from typing import Sequence, Tuple
 
 import numpy as np
 from scipy.special import beta, eval_jacobi
@@ -172,15 +170,12 @@ def caputo(f: FunctionSpec, spec: FractionalSpec, x):
 
 
 def caputo_table(
-    f: FunctionSpec, specs: Union[FractionalSpec, Sequence[FractionalSpec]],
-    sub: Tuple[float, float], points: int = 4096,
+    f: FunctionSpec, specs: Sequence[FractionalSpec], sub: Tuple[float, float],
+    points: int = 4096,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Dense (grid, values) table of Caputo derivatives on an interval of
     their side, for table_modulus to read: one row of values per spec of
-    specs, which share one anchor and one side, or one row alone for a
-    single spec."""
-    one = isinstance(specs, FractionalSpec)
-    specs = (specs,) if one else tuple(specs)
+    specs, which share one anchor and one side."""
     if not specs:
         raise PreconditionViolated("a Caputo table needs at least one spec")
     lo, hi = sub
@@ -196,8 +191,7 @@ def caputo_table(
             f"right derivative lives on [a, x0]; sub interval ends at {hi} > {x0}"
         )
     xs = np.linspace(lo, hi, points)
-    rows = _caputo_rows(f, specs, xs)
-    return xs, rows[0] if one else rows
+    return xs, _caputo_rows(f, specs, xs)
 
 
 def table_modulus(table: Tuple[np.ndarray, np.ndarray], steps: Sequence[float]) -> np.ndarray:
@@ -207,26 +201,6 @@ def table_modulus(table: Tuple[np.ndarray, np.ndarray], steps: Sequence[float]) 
     whose grids give equal ``modulus.window_sizes`` may be stacked and
     read in one call."""
     return grid_modulus(table[0], table[1], steps)
-
-
-def caputo_sup_ceiling(
-    f: FunctionSpec, spec: FractionalSpec, interval: Tuple[float, float]
-) -> float:
-    """Closed-form ceiling ||f^(N)||_inf (b-a)^(N-alpha) / Gamma(N-alpha+1) on
-    [a, b], from f^(N)'s declared sup_norm (a sampled sup is a lower estimate)."""
-    a, b = interval
-    N = spec.N
-    sup_n = f.derivative(N).sup_norm
-    if sup_n is None:
-        raise PreconditionViolated(f"{f.name}: the ceiling needs f^({N})'s declared sup_norm")
-    return sup_n * (b - a) ** (N - spec.alpha) / gamma_fn(N - spec.alpha + 1.0)
-
-
-def caputo_modulus_ceiling(
-    f: FunctionSpec, spec: FractionalSpec, interval: Tuple[float, float]
-) -> float:
-    """omega_1 ceiling 2 ||f^(N)||_inf (b-a)^(N-alpha) / Gamma(N-alpha+1), any delta."""
-    return 2.0 * caputo_sup_ceiling(f, spec, interval)
 
 
 def caputo_monomial(alpha: float, anchor: float, power: int, side: str, x):

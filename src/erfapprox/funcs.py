@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Tuple
 
-from .errors import MissingDerivative
+from .errors import MissingDerivative, PreconditionViolated
 
 #: Interval domain as (a, b); None means the whole real line.
 Domain = Optional[Tuple[float, float]]
@@ -75,7 +75,7 @@ class ComplexFunctionSpec:
 
     def __post_init__(self):
         if self.re.domain != self.im.domain:
-            raise ValueError(
+            raise PreconditionViolated(
                 f"{self.name}: real and imaginary parts must share a domain"
             )
 

@@ -213,53 +213,59 @@ def _typed(field: str, value, kind):
 # ------------------------------------------------------- function resolution
 
 
-def _resolve(spec: dict, theorem: str, order: int, run: bounds.Run):
+def _resolve(spec: dict, theorem: str, order: int, run: bounds.Run, built: dict):
     """Corpus variant, or function built from an expression with its
     derivatives to order, suited to a theorem; an expression's sample in
     run must be finite, and a declared sup_norm is checked against it.
+    built keeps what each expression's (id, order) gave for later theorems.
 
     Returns (object, skip_reason); exactly one is None.
     """
     th = bounds.THEOREMS[theorem]
-    if "expr" in spec:
-        domain = tuple(spec["domain"]) if "domain" in spec else None
-        if th.complex:
-            return None, "expression functions are real-valued"
-        if "A" in th.families:
-            if domain is None:
-                return None, "interval theorem needs a domain"
-        elif domain is not None:
-            return None, "whole-line theorem, function has a compact domain"
-        elif spec.get("sup_norm") is None:
-            return None, "whole-line theorem needs a declared sup_norm"
-        try:
-            f = corpus.function_from_expression(
-                spec["id"], spec["expr"], domain=domain, orders=order,
-                exact_modulus=spec.get("exact_modulus"),
-                sup_norm=spec.get("sup_norm"),
-                grid_window=tuple(spec["grid_window"]) if "grid_window" in spec else None,
-            )
-            # a bound that reads no derivative reads f's modulus, whose
-            # sample gives the sup
-            sampled = run.sampled_sup(f, modulus=order == 0)
-        except ErfApproxError as exc:
-            return None, f"expression rejected: {exc}"
-        if not math.isfinite(sampled):
-            lo, hi = f.sample_window()
-            return None, f"expression rejected: its sample on [{lo!r}, {hi!r}] is not finite"
-        # bounds take a declared sup_norm as the function's sup, so one
-        # below the sampled sup would make them too small
-        declared = spec.get("sup_norm")
-        if declared is not None and sampled > declared * (1.0 + 1e-12):
-            return None, (f"expression rejected: declared sup_norm {declared!r} "
-                          f"is below the sampled sup {sampled!r}")
-        return f, None
+    if "expr" not in spec:
+        pool = getattr(corpus, th.pool)
+        if spec["builtin"] not in pool:
+            return None, f"no {theorem}-compatible variant of builtin {spec['builtin']!r}"
+        return pool[spec["builtin"]], None
+    domain = tuple(spec["domain"]) if "domain" in spec else None
+    if th.complex:
+        return None, "expression functions are real-valued"
+    if "A" in th.families:
+        if domain is None:
+            return None, "interval theorem needs a domain"
+    elif domain is not None:
+        return None, "whole-line theorem, function has a compact domain"
+    elif spec.get("sup_norm") is None:
+        return None, "whole-line theorem needs a declared sup_norm"
+    if (spec["id"], order) not in built:
+        built[spec["id"], order] = _build(spec, domain, order, run)
+    return built[spec["id"], order]
 
-    name = spec["builtin"]
-    pool = getattr(corpus, th.pool)
-    if name not in pool:
-        return None, f"no {theorem}-compatible variant of builtin {name!r}"
-    return pool[name], None
+
+def _build(spec: dict, domain, order: int, run: bounds.Run):
+    """``_resolve``'s (object, skip_reason) for an expression entry."""
+    try:
+        f = corpus.function_from_expression(
+            spec["id"], spec["expr"], domain=domain, orders=order,
+            exact_modulus=spec.get("exact_modulus"),
+            sup_norm=spec.get("sup_norm"),
+            grid_window=tuple(spec["grid_window"]) if "grid_window" in spec else None,
+        )
+        # a bound that reads no derivative reads f's modulus, whose
+        # sample gives the sup
+        sampled = run.sampled_sup(f, modulus=order == 0)
+    except ErfApproxError as exc:
+        return None, f"expression rejected: {exc}"
+    if not math.isfinite(sampled):
+        lo, hi = f.sample_window()
+        return None, f"expression rejected: its sample on [{lo!r}, {hi!r}] is not finite"
+    # bounds take a declared sup_norm as the function's sup, so one
+    # below the sampled sup would make them too small
+    declared = spec.get("sup_norm")
+    if declared is not None and sampled > declared * (1.0 + 1e-12):
+        return None, (f"expression rejected: declared sup_norm {declared!r} "
+                      f"is below the sampled sup {sampled!r}")
+    return f, None
 
 
 def _derivatives(f) -> int:
@@ -335,11 +341,7 @@ def run_verify(cfg: ExperimentConfig) -> RunResult:
     group or a non-finite cell (whose reason names the parts that are not
     finite) after the plan's, are listed in config order.
     """
-    # shared by the groups; its orders are every alpha_frac a fractional group reads
-    orders = {kw.get("alpha_frac", th.params["alpha_frac"])
-              for th in map(bounds.THEOREMS.get, cfg.theorems) if "alpha_frac" in th.params
-              for kw in _variants(cfg, th)[0]}
-    run = bounds.Run.of(cfg.sweep, cfg.rate_exponents, cfg.grid, orders)
+    run = bounds.Run.of(cfg.sweep, cfg.rate_exponents, cfg.grid)
     groups, skipped = _plan(cfg, run)
     outcomes = {}
     for g in sorted(groups, key=lambda g: not bounds.THEOREMS[g.theorem].complex):
@@ -375,8 +377,10 @@ def run_verify(cfg: ExperimentConfig) -> RunResult:
 
 def _plan(cfg: ExperimentConfig, run: bounds.Run) -> Tuple[List[Group], List[dict]]:
     """The run's groups in config order (theorem, function, exponent,
-    variant) and every skip decided before a group runs, in that order."""
-    groups, skipped = [], []
+    variant) and every skip decided before a group runs, in that order;
+    it records in run.orders the alpha_frac each fractional group reads,
+    under each part of the group's function."""
+    groups, skipped, built = [], [], {}
     for theorem in cfg.theorems:
         th = bounds.THEOREMS[theorem]
         variants, no_variant = _variants(cfg, th)
@@ -384,7 +388,7 @@ def _plan(cfg: ExperimentConfig, run: bounds.Run) -> Tuple[List[Group], List[dic
         order = max((th.derivative_order(kw) for kw in variants), default=0)
         for spec in cfg.functions:
             where = {"theorem": theorem, "function": spec["id"]}
-            f, reason = _resolve(spec, theorem, order, run)
+            f, reason = _resolve(spec, theorem, order, run, built)
             reason = reason or no_variant
             if reason is not None:
                 skipped.append({**where, "reason": reason})
@@ -406,6 +410,10 @@ def _plan(cfg: ExperimentConfig, run: bounds.Run) -> Tuple[List[Group], List[dic
                             ns.append(n)
                     if ns:
                         groups.append(Group(theorem, spec["id"], f, exponent, kw, tuple(ns)))
+                        if "alpha_frac" in th.params:
+                            alpha = kw.get("alpha_frac", th.params["alpha_frac"])
+                            for p in f.parts:
+                                run.orders.setdefault(p, set()).add(alpha)
     return groups, skipped
 
 
@@ -421,15 +429,18 @@ def _non_finite_reason(report: bounds.BoundReport) -> str:
 
 
 def _rows(reports) -> List[dict]:
-    """One group's reports as CSV rows, each with the group's fitted rate."""
-    slope = r2 = None
-    try:
-        slope, r2 = fit_rate([(r.n, r.empirical_error) for r in reports])
-    except DegenerateFit:
-        pass
+    """One group's reports as CSV rows, each with its family's fitted rate."""
+    rates = {}
+    for family in {r.family for r in reports}:
+        try:
+            rates[family] = fit_rate([(r.n, r.empirical_error)
+                                      for r in reports if r.family == family])
+        except DegenerateFit:
+            rates[family] = None, None
     return [dict(zip(CSV_COLUMNS, (
         r.theorem_id, r.function_id, r.family, r.n, r.rate_exponent, r.point_mode,
-        r.empirical_error, r.bound_value, r.slack, r.modulus_quality, r.verdict, slope, r2)))
+        r.empirical_error, r.bound_value, r.slack, r.modulus_quality, r.verdict,
+        *rates[r.family])))
         for r in reports]
 
 

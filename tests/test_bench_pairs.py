@@ -266,3 +266,27 @@ def test_minor_faults_are_counted_in_a_fresh_interpreter_of_each_checkout(tmp_pa
     assert bench_pairs.summary(doc)[-2:] == [
         "source_lines: parent 3081 -> change 3048",
         f"default_minor_faults: parent {parent} -> change {change}"]
+
+
+@pytest.mark.parametrize("line, result", [
+    ("795 passed in 33.98s", {"passed": 795, "failed": 0, "seconds": 33.98}),
+    ("2 failed, 793 passed in 30.29s", {"passed": 793, "failed": 2, "seconds": 30.29}),
+    ("795 passed, 1 warning in 34.1s", {"passed": 795, "failed": 0, "seconds": 34.1}),
+    ("1 failed, 790 passed, 3 errors in 75.02s (0:01:15)",
+     {"passed": 790, "failed": 4, "seconds": 75.02}),
+    ("no tests ran in 0.01s", None),
+    ("FAILED tests/test_golden.py::test_packaged_default_csv_matches", None),
+    ("", None),
+])
+def test_tier1_reads_pytests_last_line(line, result):
+    assert bench_pairs.parse_tier1(line) == result
+
+
+def test_summary_prints_both_sides_tier1():
+    doc = {"commits": {"parent": {"source_lines": 3459,
+                                  "tier1": {"passed": 795, "failed": 0, "seconds": 33.98}},
+                       "change": {"source_lines": 3433, "tier1": None}},
+           "workloads": {}, "partition_json_diff": [], "golden_json_diff": []}
+    assert bench_pairs.summary(doc)[-2:] == [
+        "source_lines: parent 3459 -> change 3433",
+        "tier1: parent 795 passed, 0 failed in 33.98s -> change unknown"]

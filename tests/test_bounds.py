@@ -181,8 +181,8 @@ class TestFractionalBound:
             if sub[1] - sub[0] <= 1e-12:
                 out.append((0.0, 0.0))
                 continue
-            table = caputo_table(f, FractionalSpec(alpha, x, side), sub, points)
-            out.append((table_modulus(table, (delta,))[0], float(np.max(np.abs(table[1])))))
+            xs, (ys,) = caputo_table(f, [FractionalSpec(alpha, x, side)], sub, points)
+            out.append((table_modulus((xs, ys), (delta,))[0], float(np.max(np.abs(ys)))))
         (wr, sr), (wl, sl) = out
         return wr, wl, sr, sl
 
@@ -731,3 +731,28 @@ class TestOneSupSamplePerFunction:
         clean_before, clean_rows, clean_after = rows_of(clean)
         assert {r.verdict for r in clean_rows} == {"holds"}
         assert (before, after) == (clean_before, clean_after)
+
+
+class TestInputChecks:
+    def test_an_unknown_fractional_mode_is_a_precondition(self):
+        with pytest.raises(PreconditionViolated, match="unknown mode 'median'"):
+            fractional_bound(FRACTIONAL_CORPUS["sq"], 81, 0.5, 0.5, "median")
+
+    @pytest.mark.parametrize("entry", [16.7, 0, -4, math.nan, True],
+                             ids=["fraction", "zero", "negative", "nan", "bool"])
+    @pytest.mark.parametrize("entry_point", ["verify", "Run.of", "verify with a run"])
+    def test_a_bad_sweep_entry_is_named(self, entry_point, entry):
+        # 16.7 failed on a modulus step, 0 with a ZeroDivisionError, -4 with
+        # a TypeError from comparing complex numbers and nan with a ValueError
+        sweep, grid = (16, entry), GridPolicy(x_points=64)
+        with pytest.raises(PreconditionViolated, match=f"sweep entry {entry!r} must be"):
+            if entry_point == "Run.of":
+                Run.of(sweep, (0.5,), grid)
+            else:
+                run = Run.of((16,), (0.5,), grid) if entry_point != "verify" else None
+                verify("T13", LINE_CORPUS["sin"], sweep, 0.5, grid, run=run)
+
+    def test_an_integral_float_sweep_entry_runs(self):
+        grid = GridPolicy(x_points=64)
+        rows = verify("T13", LINE_CORPUS["sin"], (16.0,), 0.5, grid)
+        assert rows == verify("T13", LINE_CORPUS["sin"], (16,), 0.5, grid)

@@ -15,6 +15,7 @@ from erfapprox.errors import (
     DivisionByZero,
     ExprSyntaxError,
     NonDifferentiable,
+    PreconditionViolated,
     UnknownFunction,
 )
 from erfapprox import corpus, expr
@@ -575,3 +576,19 @@ class TestSerialization:
             assert got is want
         else:
             assert np.array_equal(got, want, equal_nan=True)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("text, match", [
+        ("2*y", "unknown name 'y'"),
+        ("x +", "unexpected end of input"),
+        ("x + )", "unexpected token"),
+    ])
+    def test_a_malformed_expression_is_a_syntax_error(self, text, match):
+        with pytest.raises(ExprSyntaxError, match=match):
+            parse(text)
+
+    def test_a_negative_derivative_order_is_a_precondition(self):
+        # was a bare ValueError, which escapes `except ErfApproxError`
+        with pytest.raises(PreconditionViolated, match="order must be >= 0, got -1"):
+            derivatives(parse("x"), -1)

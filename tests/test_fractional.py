@@ -22,9 +22,7 @@ from erfapprox.fractional import (
     FractionalSpec,
     _jacobi_rule,
     caputo,
-    caputo_modulus_ceiling,
     caputo_monomial,
-    caputo_sup_ceiling,
     caputo_table,
     gamma_fn,
     table_modulus,
@@ -233,6 +231,22 @@ class TestNonFinite:
         with pytest.raises(PreconditionViolated, match="must be finite"):
             FractionalSpec(alpha, anchor)
 
+    @pytest.mark.parametrize("kw, match", [
+        ({"side": "up"}, "side must be 'left' or 'right', got 'up'"),
+        ({"quad_nodes": 3}, "quad_nodes must be >= 4"),
+    ])
+    def test_a_bad_side_or_node_count_is_a_precondition(self, kw, match):
+        with pytest.raises(PreconditionViolated, match=match):
+            FractionalSpec(0.5, 0.0, **kw)
+
+    @pytest.mark.parametrize("specs, sub, match", [
+        ([], (0.0, 1.0), "at least one spec"),
+        ([FractionalSpec(0.5, 0.0)], (0.5, 0.5), r"need lo < hi, got \[0.5, 0.5\]"),
+    ])
+    def test_a_table_needs_a_spec_and_an_interval(self, specs, sub, match):
+        with pytest.raises(PreconditionViolated, match=match):
+            caputo_table(FRACTIONAL_CORPUS["sq"], specs, sub)
+
     def test_a_table_shares_one_anchor_and_one_side(self):
         f = FRACTIONAL_CORPUS["sq"]
         for other in (FractionalSpec(1.5, 0.25, "left"), FractionalSpec(1.5, 0.0, "right")):
@@ -274,29 +288,14 @@ class TestEnvelopes:
             envelope = sup_n * x ** (spec.N - spec.alpha) / gamma_fn(spec.N - spec.alpha + 1.0)
             assert abs(caputo(f, spec, float(x))) <= envelope * (1 + 1e-9)
 
-    def test_sup_norm_below_ceiling(self):
-        f = FRACTIONAL_CORPUS["sq"]
-        spec = FractionalSpec(0.5, 0.0, "left")
-        _, ys = caputo_table(f, spec, (0.0, 1.0), 1024)
-        sup = float(np.max(np.abs(ys)))
-        assert sup <= caputo_sup_ceiling(f, spec, (0.0, 1.0)) * (1 + 1e-9)
-
-    @pytest.mark.parametrize("ceiling", [caputo_sup_ceiling, caputo_modulus_ceiling])
-    def test_ceiling_needs_a_declared_sup_of_f_N(self, ceiling):
-        # a sampled sup is a lower estimate, so a ceiling built on it could
-        # sit below the true sup; f' of an expression declares none
-        f = corpus.function_from_expression("g", "sin(3*x)", domain=(0.0, 1.0), orders=1)
-        with pytest.raises(PreconditionViolated, match="declared sup_norm"):
-            ceiling(f, FractionalSpec(0.5, 0.0, "left"), (0.0, 1.0))
-
     def test_modulus_below_ceiling_and_table_agrees(self):
         # D f(x) = Gamma(3)/Gamma(2.5) x^1.5 for f = t^2 is increasing, so
         # omega_1(D f, delta) on [0, 1] is D f(1) - D f(1 - delta); the table's
         # window spans at most delta and at least delta minus one grid step
         f = FRACTIONAL_CORPUS["sq"]
         spec = FractionalSpec(0.5, 0.0, "left")
-        table = caputo_table(f, spec, (0.0, 1.0))
-        h = 1.0 / (len(table[0]) - 1)
+        xs, (ys,) = caputo_table(f, [spec], (0.0, 1.0))
+        table, h = (xs, ys), 1.0 / (len(xs) - 1)
 
         def exact(d):
             lo, hi = caputo_monomial(0.5, 0.0, 2, "left", np.array([1.0 - d, 1.0]))
@@ -305,7 +304,6 @@ class TestEnvelopes:
         for delta in (0.01, 0.1, 0.5):
             got = table_modulus(table, (delta,))[0]
             assert exact(delta - h) - 1e-12 <= got <= exact(delta) + 1e-12
-            assert got <= caputo_modulus_ceiling(f, spec, (0.0, 1.0)) * (1 + 1e-9)
 
     @given(st.integers(2, 600), st.floats(1e-4, 2.0), st.sampled_from(["left", "right"]))
     @settings(max_examples=40, deadline=None)
@@ -313,13 +311,13 @@ class TestEnvelopes:
         # the grid step comes from the grid's two end points alone
         f = FRACTIONAL_CORPUS["sq"]
         spec = FractionalSpec(1.5, 0.0 if side == "left" else 1.0, side)
-        xs, ys = caputo_table(f, spec, (0.0, 1.0), points)
+        xs, (ys,) = caputo_table(f, [spec], (0.0, 1.0), points)
         full = table_modulus((xs, ys), (delta,))[0]
         assert table_modulus((xs[[0, -1]], ys), (delta,))[0].hex() == full.hex()
 
     def test_side_interval_checked(self):
         f = FRACTIONAL_CORPUS["sq"]
         with pytest.raises(PreconditionViolated):
-            caputo_table(f, FractionalSpec(0.5, 0.5, "left"), (0.0, 1.0))
+            caputo_table(f, [FractionalSpec(0.5, 0.5, "left")], (0.0, 1.0))
         with pytest.raises(PreconditionViolated):
-            caputo_table(f, FractionalSpec(0.5, 0.5, "right"), (0.4, 1.0))
+            caputo_table(f, [FractionalSpec(0.5, 0.5, "right")], (0.4, 1.0))

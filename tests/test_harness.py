@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import time
 from collections import Counter
 from importlib import resources
@@ -12,10 +13,11 @@ import pytest
 import yaml
 
 import erfapprox
-from erfapprox import bounds, cli, corpus, operators
+from erfapprox import bounds, cli, corpus, harness, operators
+from erfapprox.bounds import fit_rate
 from erfapprox.cli import main
-from erfapprox.corpus import FRACTIONAL_CORPUS
-from erfapprox.errors import ConfigError, PreconditionViolated
+from erfapprox.corpus import FRACTIONAL_CORPUS, INTERVAL_CORPUS
+from erfapprox.errors import ConfigError, MissingDerivative, PreconditionViolated
 from erfapprox.expr import compile, derivatives, parse
 from erfapprox.funcs import ComplexFunctionSpec, FunctionSpec
 from erfapprox.harness import (
@@ -171,6 +173,24 @@ class TestRunVerify:
         assert len(slopes) == 1
         assert all(r["r2"] is not None for r in result.rows)
 
+    def test_each_family_of_a_group_gets_its_own_rate(self):
+        # T41's C and D rows shared one slope fitted over both operators' errors
+        rows = run_verify(cfg_with(functions=[{"id": "circle", "builtin": "circle"}],
+                                   theorems=["T41"], sweep=[9, 16, 81, 256])).rows
+        rates = {}
+        for family in ("C", "D"):
+            own = [r for r in rows if r["family"] == family]
+            assert len(own) == 4
+            (rates[family],) = {(r["slope"], r["r2"]) for r in own}
+            assert rates[family] == fit_rate([(r["n"], r["empirical_error"]) for r in own])
+        assert rates["C"][0] != rates["D"][0]
+
+    def test_a_family_with_too_few_rows_gets_no_rate(self):
+        # two n give each family two points, though the group has four rows
+        rows = run_verify(cfg_with(functions=[{"id": "circle", "builtin": "circle"}],
+                                   theorems=["T41"], sweep=[81, 256])).rows
+        assert len(rows) == 4 and {(r["slope"], r["r2"]) for r in rows} == {(None, None)}
+
     def test_expression_function(self):
         result = run_verify(cfg_with(functions=[{
             "id": "wave", "expr": "sin(2*x)", "domain": [0.0, 1.0],
@@ -247,6 +267,66 @@ class TestRunVerify:
         assert (cfg.jobs, cfg.csv_path, cfg.json_path) == (
             1, str(tmp_path / "r.csv"), str(tmp_path / "r.json"))
         assert run_verify(cfg).rows == run_verify(cfg_with()).rows
+
+
+class TestInputChecks:
+    def test_a_malformed_yaml_file_is_a_config_error(self, tmp_path):
+        path = tmp_path / "bad.yaml"
+        path.write_text("sweep: [1, 2\n")
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_file(str(path))
+        assert exc.value.field == "yaml"
+
+    def test_a_document_that_is_not_a_mapping_is_a_config_error(self):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_dict([BASE])
+        assert (exc.value.field, exc.value.message) == ("document", "top level must be a mapping")
+
+    @pytest.mark.parametrize("shape, domain, message", [
+        ("exp_interval", None, "exp_interval needs a finite interval"),
+        ("vee", [1.0, 2.0], "vee needs an interval containing 0"),
+        ("parabola_right", [-1.0, 1.0], "parabola_right needs [a, b] with a >= 0"),
+    ])
+    def test_an_exact_modulus_outside_its_shape_is_a_config_error(self, shape, domain, message):
+        spec = {"id": "g", "expr": "x", "exact_modulus": shape}
+        if domain is not None:
+            spec["domain"] = domain
+        with pytest.raises(ConfigError) as exc:
+            cfg_with(functions=[spec])
+        assert (exc.value.field, exc.value.message) == ("functions[0].exact_modulus", message)
+
+    def test_a_whole_line_expression_without_a_sup_norm_is_skipped(self):
+        result = run_verify(cfg_with(theorems=["T13"], functions=[{"id": "w", "expr": "sin(x)"}]))
+        assert result.rows == ()
+        assert [s["reason"] for s in result.skipped] == [
+            "whole-line theorem needs a declared sup_norm"]
+
+    def test_a_non_finite_sum_of_finite_terms_names_the_bound(self):
+        report = bounds.BoundReport("T12", "g", "A", 16, 0.5, "sup over grid", 0.1, math.inf,
+                                    {"modulus_term": 1e308, "tail_term": 1e308}, "exact",
+                                    "non-finite")
+        assert harness._non_finite_reason(report) == (
+            "non-finite empirical error or bound: bound")
+
+    def test_a_report_path_that_is_a_directory_exits_two(self, tmp_path, capsys):
+        argv = ["verify", "--config", write_config(tmp_path, BASE), "--out-csv", str(tmp_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: --out-csv: {tmp_path} is a directory")
+
+    @pytest.mark.parametrize("order", [0, 3])
+    def test_a_derivative_the_chain_lacks_is_missing(self, order):
+        f = INTERVAL_CORPUS["linear"]
+        assert len(f.derivatives) == 2
+        with pytest.raises(MissingDerivative, match=f"order {order} not supplied"):
+            f.derivative(order)
+
+    def test_complex_parts_on_different_domains_are_a_precondition(self):
+        # was a bare ValueError, which escapes `except ErfApproxError`
+        re, im = (FunctionSpec(name, np.sin, domain=d)
+                  for name, d in (("re", (0.0, 1.0)), ("im", (0.0, 2.0))))
+        with pytest.raises(PreconditionViolated, match="must share a domain"):
+            ComplexFunctionSpec("z", re, im)
 
 
 class TestDeterminism:
@@ -712,7 +792,7 @@ class TestZeroDerivativeLevels:
 class TestModuliPerRun:
     def test_each_function_is_sampled_once_per_window(self, monkeypatch):
         # one 8191-point sample gives every modulus step and the sup of a
-        # (function, window); each theorem resolves its own function
+        # (function, window); T13 and T14 share the wave's function
         sampled, programs = Counter(), []
         real = corpus.evaluate
 
@@ -730,7 +810,20 @@ class TestModuliPerRun:
             rate_exponents=[0.5, 0.6], grid={"x_points": 64})
         result = run_verify(cfg)
         assert len(result.rows) == 3 * 4 * 2 and result.held == len(result.rows)
-        assert list(sampled.values()) == [1, 1, 1]
+        assert list(sampled.values()) == [1, 1]
+
+    def test_an_expression_is_built_once_per_derivative_order(self):
+        # T13-T15 read the wave's order 0, T16 at N = 1 and C31 the line's
+        # order 1, and T12 its order 0
+        cfg = cfg_with(functions=[
+            {"id": "w", "expr": "0.5*sin(x)", "sup_norm": 0.5},
+            {"id": "l", "expr": "x^2", "domain": [0.0, 1.0]},
+        ], theorems=["T12", "T13", "T14", "T15", "T16", "C31"])
+        groups, _ = harness._plan(cfg, bounds.Run.of(cfg.sweep, cfg.rate_exponents, cfg.grid))
+        f = {(g.theorem, g.function): g.f for g in groups}
+        assert len(f) == 6
+        assert f["T13", "w"] is f["T14", "w"] is f["T15", "w"]
+        assert f["T16", "l"] is f["C31", "l"] is not f["T12", "l"]
 
     def test_the_declared_sup_norm_check_reads_the_runs_sample(self, monkeypatch):
         # the check used to evaluate the wave once more on its own 4096 points
@@ -915,6 +1008,23 @@ class TestCaputoPerRun:
             orders = len(cfg.fractional_orders)
             assert [a.shape for a in arrays] == [
                 (anchors,), (orders, anchors, 2, len(deltas)), (orders, anchors, 2)]
+
+    def test_the_plan_records_each_functions_fractional_orders(self):
+        # const lacks f''', T39 reads no 2.5 and C31 only 0.5; ramp_pair's
+        # imaginary part is the fractional sq
+        cfg = cfg_with(functions=[
+            {"id": "sq", "builtin": "sq"}, {"id": "const", "builtin": "const"},
+            {"id": "ramp_pair", "builtin": "ramp_pair"},
+            {"id": "g", "expr": "x^3", "domain": [0.0, 1.0]},
+        ], theorems=["T30", "C31", "T39"], fractional_orders=[0.5, 1.5, 2.5])
+        run = bounds.Run.of(cfg.sweep, cfg.rate_exponents, cfg.grid)
+        groups, _ = harness._plan(cfg, run)
+        g = {group.theorem: group.f for group in groups if group.function == "g"}
+        ramp = corpus.COMPLEX_INTERVAL_CORPUS["ramp_pair"]
+        assert ramp.im is FRACTIONAL_CORPUS["sq"]
+        assert run.orders == {
+            FRACTIONAL_CORPUS["sq"]: {0.5, 1.5, 2.5}, FRACTIONAL_CORPUS["const"]: {0.5, 1.5},
+            ramp.re: {0.5, 1.5}, g["T30"]: {0.5, 1.5, 2.5}, g["C31"]: {0.5}}
 
     def test_the_packaged_default_builds_each_anchor_side_once(self, monkeypatch):
         # one table per (function, order, anchor, side) made 640 caputo_table

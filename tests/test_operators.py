@@ -611,3 +611,18 @@ class TestConfig:
             assert isinstance(got, float)
             assert got == apply_operator(f, np.array([x]), cfg)[0]
             assert abs(got - want) <= tol
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("call, error, match", [
+        (lambda: QuadratureWeights(0, ()), InvalidWeights, "theta must be a positive integer"),
+        (lambda: OperatorConfig("B", 0), PreconditionViolated, "n must be >= 1"),
+        (lambda: OperatorConfig("A", 4, interval=(1.0, 1.0)), PreconditionViolated,
+         r"need a < b, got \[1.0, 1.0\]"),
+        (lambda: operators.partition_sum(0.3, 0), PreconditionViolated, "n must be >= 1"),
+        (lambda: operators.boundary_deficiency(4, 0.0, 1.0, "c"), PreconditionViolated,
+         "at_end must be 'a' or 'b', got 'c'"),
+    ], ids=["theta", "n", "interval", "partition_sum", "at_end"])
+    def test_a_bad_argument_is_rejected(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()

@@ -158,3 +158,8 @@ class TestTruncationPolicy:
     def test_radius_floor_is_three(self):
         assert certified_radius(0.5) == 3
         assert certified_radius(0.02) == 4
+
+
+def test_chi_integral_needs_lo_below_hi():
+    with pytest.raises(PreconditionViolated, match=r"need lo < hi, got \[1.0, 1.0\]"):
+        chi_integral(1.0, 1.0)

@@ -32,7 +32,11 @@ lines of those files that are not blank, comment-only or docstring
 (``code_lines``),
 ``erfapprox.__all__`` and the minor page faults (``ru_minflt``) of one
 ``run_verify`` of the packaged default config for both sides, the last
-two read by a fresh interpreter with ``PYTHONPATH=<checkout>/src``.
+two read by a fresh interpreter with ``PYTHONPATH=<checkout>/src``, and
+each side's Tier-1 result (``tier1``: passed, failed and seconds from
+the last line of ROADMAP.md's Tier-1 command, run in that checkout with
+``PYTHONPATH=<checkout>/src``, BLAS pinned to one thread and
+``-p no:cacheprovider``; None when the line does not parse).
 
 After each ``--run`` the script compares the two sides' reports of the
 last repetition, ``.bench_out/<workload>-seed<seed>/rep1.csv`` and
@@ -51,7 +55,7 @@ JSON holds every row at full precision, where ``golden.csv`` rounds to
 After writing the file the script prints each run's
 ``reports_identical``, both JSON diffs, both sides' ``source_lines`` and
 ``code_lines``, the files whose line count changed (``bounds.py 664 ->
-640``), both sides' ``default_minor_faults`` and the public names the
+640``), both sides' ``tier1`` and ``default_minor_faults`` and the public names the
 change removes and adds, then each traced count (a metric whose last word is ``calls``,
 ``points`` or ``keys``, plus ``bounds.verify_cells`` and
 ``harness.groups``) that differs between the sides, or one line saying
@@ -71,6 +75,7 @@ import io
 import itertools
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -146,14 +151,19 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
+def fresh_env(checkout: str) -> Dict[str, str]:
+    """The environment of a fresh interpreter on checkout's own source,
+    with BLAS and OpenMP pinned to one thread as in perfbench's repetitions."""
+    return {**os.environ, "PYTHONPATH": os.path.join(checkout, "src"), "OMP_NUM_THREADS": "1",
+            "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
 def fresh_python(checkout: str, program: str) -> Optional[str]:
     """The output of program in a fresh interpreter on checkout's own
-    source, with BLAS and OpenMP pinned to one thread as in perfbench's
-    repetitions; None when it fails."""
-    env = {**os.environ, "PYTHONPATH": os.path.join(checkout, "src"), "OMP_NUM_THREADS": "1",
-           "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-    proc = subprocess.run([sys.executable, "-c", program], cwd=checkout, env=env,
-                          capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    source (``fresh_env``); None when it fails."""
+    proc = subprocess.run([sys.executable, "-c", program], cwd=checkout,
+                          env=fresh_env(checkout), capture_output=True, text=True,
+                          timeout=RUN_TIMEOUT_S)
     return proc.stdout if proc.returncode == 0 else None
 
 
@@ -169,6 +179,35 @@ def minor_faults(checkout: str) -> Optional[int]:
     default config (FAULTS_PROGRAM); None when it fails."""
     out = fresh_python(checkout, FAULTS_PROGRAM)
     return int(out) if out is not None else None
+
+
+#: ROADMAP.md's Tier-1 command after ``python``, without pytest's cache
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider")
+#: pytest's last line: its counts ("2 failed, 793 passed, 1 warning") and
+#: wall time, which a run over a minute follows with "(0:01:13)"
+TIER1_LINE = re.compile(r"(\d+ \w+(?:, \d+ \w+)*) in (\d+(?:\.\d+)?)s(?: \(.*\))?")
+
+
+def parse_tier1(line: str) -> Optional[dict]:
+    """{passed, failed, seconds} from pytest's last line, errors counted
+    as failed; None when the line does not parse."""
+    match = TIER1_LINE.fullmatch(line.strip())
+    if match is None:
+        return None
+    counts = {word: int(number) for number, word in
+              (item.split() for item in match.group(1).split(", "))}
+    return {"passed": counts.get("passed", 0),
+            "failed": counts.get("failed", 0) + counts.get("error", 0) + counts.get("errors", 0),
+            "seconds": float(match.group(2))}
+
+
+def tier1(checkout: str) -> Optional[dict]:
+    """``parse_tier1`` of the last output line of the Tier-1 suite run in
+    checkout on its own source (``fresh_env``)."""
+    proc = subprocess.run([sys.executable, *TIER1], cwd=checkout, env=fresh_env(checkout),
+                          capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    lines = proc.stdout.strip().splitlines()
+    return parse_tier1(lines[-1]) if lines else None
 
 
 #: the tokens that make no line a code line
@@ -212,6 +251,7 @@ def describe(checkout: str) -> dict:
         "source_lines": sum(file_lines.values()),
         "code_lines": code,
         "default_minor_faults": minor_faults(checkout),
+        "tier1": tier1(checkout),
         "file_lines": file_lines,
         "public_names": public_names(checkout),
     }
@@ -379,13 +419,19 @@ def file_line_changes(parent: Dict[str, int], change: Dict[str, int]) -> List[st
             if parent.get(name, 0) != change.get(name, 0)]
 
 
+def tier1_text(result: Optional[dict]) -> str:
+    if result is None:
+        return "unknown"
+    return f"{result['passed']} passed, {result['failed']} failed in {result['seconds']:g}s"
+
+
 def summary(doc: dict) -> List[str]:
     """The lines printed once the file is written: each run's
     reports_identical, the JSON report diffs, both sides' source_lines and
-    code_lines, the files whose line count changed, both sides'
-    default_minor_faults (None when a side could not count them) and the
-    public names removed and added (each but source_lines when both sides
-    record it) and, with traced runs, count_differences."""
+    code_lines, the files whose line count changed, both sides' tier1
+    and default_minor_faults (None when a side could not count them) and
+    the public names removed and added (each but source_lines when both
+    sides record it) and, with traced runs, count_differences."""
     lines = [f"{run} reports_identical: {entry['reports_identical']}"
              for run, entry in doc["workloads"].items()]
     lines += [f"{name}_json_diff: {doc[f'{name}_json_diff']}" for name in JSON_REPORTS]
@@ -397,6 +443,9 @@ def summary(doc: dict) -> List[str]:
                      f"change {change['code_lines']}")
     if "file_lines" in parent and "file_lines" in change:
         lines += file_line_changes(parent["file_lines"], change["file_lines"])
+    if "tier1" in parent and "tier1" in change:
+        lines.append(f"tier1: parent {tier1_text(parent['tier1'])} -> "
+                     f"change {tier1_text(change['tier1'])}")
     if "default_minor_faults" in parent and "default_minor_faults" in change:
         lines.append(f"default_minor_faults: parent {parent['default_minor_faults']} -> "
                      f"change {change['default_minor_faults']}")
