@@ -742,8 +742,8 @@ class TestInputChecks:
                              ids=["fraction", "zero", "negative", "nan", "bool"])
     @pytest.mark.parametrize("entry_point", ["verify", "Run.of", "verify with a run"])
     def test_a_bad_sweep_entry_is_named(self, entry_point, entry):
-        # 16.7 failed on a modulus step, 0 with a ZeroDivisionError, -4 with
-        # a TypeError from comparing complex numbers and nan with a ValueError
+        # unchecked, each fails later with an error that does not name it,
+        # and 0, -4 and nan with one outside ErfApproxError
         sweep, grid = (16, entry), GridPolicy(x_points=64)
         with pytest.raises(PreconditionViolated, match=f"sweep entry {entry!r} must be"):
             if entry_point == "Run.of":

@@ -589,6 +589,6 @@ class TestInputChecks:
             parse(text)
 
     def test_a_negative_derivative_order_is_a_precondition(self):
-        # was a bare ValueError, which escapes `except ErfApproxError`
+        # a bare ValueError would escape `except ErfApproxError`
         with pytest.raises(PreconditionViolated, match="order must be >= 0, got -1"):
             derivatives(parse("x"), -1)

@@ -174,7 +174,7 @@ class TestRunVerify:
         assert all(r["r2"] is not None for r in result.rows)
 
     def test_each_family_of_a_group_gets_its_own_rate(self):
-        # T41's C and D rows shared one slope fitted over both operators' errors
+        # one slope fitted over both operators' errors would be neither one's rate
         rows = run_verify(cfg_with(functions=[{"id": "circle", "builtin": "circle"}],
                                    theorems=["T41"], sweep=[9, 16, 81, 256])).rows
         rates = {}
@@ -322,7 +322,7 @@ class TestInputChecks:
             f.derivative(order)
 
     def test_complex_parts_on_different_domains_are_a_precondition(self):
-        # was a bare ValueError, which escapes `except ErfApproxError`
+        # a bare ValueError would escape `except ErfApproxError`
         re, im = (FunctionSpec(name, np.sin, domain=d)
                   for name, d in (("re", (0.0, 1.0)), ("im", (0.0, 2.0))))
         with pytest.raises(PreconditionViolated, match="must share a domain"):
