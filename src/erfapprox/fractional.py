@@ -24,8 +24,8 @@ stacked into one call, and a NaN value gives a NaN estimate.
 
 The weakly singular kernel is absorbed exactly by Gauss-Jacobi quadrature:
 substituting t = x0 + (x - x0)(u + 1)/2 turns the kernel into the Jacobi
-weight (1 - u)^(N-alpha-1) on [-1, 1], so fixed-order nodes integrate the
-smooth remainder f^(N) to near machine accuracy.
+weight (1 - u)^(N-alpha-1) on [-1, 1], so a rule of QUAD_NODES nodes
+integrates the smooth remainder f^(N) to near machine accuracy.
 
 The Gauss-Jacobi rule is built here by the Golub-Welsch method (Golub &
 Welsch, Math. Comp. 23, 1969), step for step as
@@ -55,6 +55,10 @@ from .errors import PreconditionViolated
 from .funcs import FunctionSpec
 from .modulus import grid_modulus
 
+#: Gauss-Jacobi order of every Caputo integral
+QUAD_NODES = 32
+
+
 def gamma_fn(nu: float) -> float:
     """Gamma function for positive real arguments (``math.gamma``)."""
     if not nu > 0:
@@ -69,7 +73,6 @@ class FractionalSpec:
     alpha: float
     anchor: float
     side: str = "left"
-    quad_nodes: int = 32
 
     def __post_init__(self):
         if not 0 < self.alpha < math.inf:
@@ -82,8 +85,6 @@ class FractionalSpec:
             )
         if self.side not in ("left", "right"):
             raise PreconditionViolated(f"side must be 'left' or 'right', got {self.side!r}")
-        if self.quad_nodes < 4:
-            raise PreconditionViolated("quad_nodes must be >= 4")
 
     @property
     def N(self) -> int:
@@ -92,7 +93,7 @@ class FractionalSpec:
 
 
 @lru_cache(maxsize=64)
-def _jacobi_rule(exponent: float, singular_at_right: bool, nodes: int):
+def _jacobi_rule(exponent: float, singular_at_right: bool, nodes: int = QUAD_NODES):
     """Nodes and weights of the Gauss-Jacobi rule for (1-u)^a (1+u)^b,
     equal to ``roots_jacobi(nodes, a, b)`` for a + b in (-1, 0)."""
     # left derivative: singularity at t = x, i.e. u = 1, weight (1-u)^exponent;
@@ -141,13 +142,13 @@ def _caputo_rows(f: FunctionSpec, specs: Sequence[FractionalSpec], xs: np.ndarra
     d = np.abs(xs[live] - x0)
     groups = {}
     for i, s in enumerate(specs):
-        groups.setdefault((s.N - s.alpha, s.quad_nodes), []).append(i)
-    for (power, nodes), rows in groups.items():
+        groups.setdefault(s.N - s.alpha, []).append(i)
+    for power, rows in groups.items():
         # each distinct N of this node matrix whose f^(N) may be nonzero
         Ns = [N for N in dict.fromkeys(specs[i].N for i in rows) if fNs[N].sup_norm != 0.0]
         if not Ns:
             continue
-        xj, wj = _jacobi_rule(power - 1.0, left, nodes)      # expo in (-1, 0)
+        xj, wj = _jacobi_rule(power - 1.0, left)                # expo in (-1, 0)
         tt = np.multiply.outer(d, (xj + 1.0) / 2.0)             # halving is exact
         tt += x0 if left else xs[live][:, None]
         cores = {N: np.asarray(v, dtype=float) @ wj

@@ -94,8 +94,9 @@ class QuadratureWeights:
     w: Tuple[float, ...]
 
     def __post_init__(self):
-        if self.theta < 1:
-            raise InvalidWeights("theta must be a positive integer")
+        if (not isinstance(self.theta, numbers.Integral) or isinstance(self.theta, bool)
+                or self.theta < 1):
+            raise InvalidWeights(f"theta must be a positive integer, got {self.theta!r}")
         if len(self.w) != self.theta + 1:
             raise InvalidWeights(f"need theta+1 = {self.theta + 1} weights, got {len(self.w)}")
         # written to fail closed: a NaN weight passes no comparison
@@ -249,6 +250,18 @@ def _window_sum(rows: np.ndarray, order: np.ndarray) -> np.ndarray:
     return total
 
 
+def _kernel_sum(x, n: int, interval: Optional[Tuple[float, float]], order: np.ndarray):
+    """The window sum, added in order's offsets, of the kernel chi(nx - k)
+    at x (scalar or array): over the whole line when interval is None,
+    else over the indices k of interval's index window."""
+    if n < 1:
+        raise PreconditionViolated("n must be >= 1")
+    u = np.atleast_1d(np.asarray(x, dtype=float)) * n
+    lo, hi = (-math.inf, math.inf) if interval is None else index_window(n, *interval)
+    total = _window_sum(_kernel(u, lo, hi, Workspace())[0], order)
+    return float(total[0]) if np.ndim(x) == 0 else total
+
+
 def partition_sum(x, n: int):
     """Truncated sum_k chi(nx - k) over the window centered at round(nx),
     added outermost-first.
@@ -256,12 +269,7 @@ def partition_sum(x, n: int):
     Equals 1 to within partition.TRUNCATION_EPSILON for every n >= 1 and
     real x.  Accepts scalar or array x.
     """
-    if n < 1:
-        raise PreconditionViolated("n must be >= 1")
-    u = np.atleast_1d(np.asarray(x, dtype=float)) * n
-    chiv = _kernel(u, -math.inf, math.inf, Workspace())[0]
-    total = _window_sum(chiv, CENTRE_OUT[::-1])
-    return float(total[0]) if np.ndim(x) == 0 else total
+    return _kernel_sum(x, n, None, CENTRE_OUT[::-1])
 
 
 def interval_denominator(x, n: int, a: float, b: float):
@@ -270,9 +278,7 @@ def interval_denominator(x, n: int, a: float, b: float):
 
     Strictly above chi(1) ~= 0.2488 for x in [a, b], and at most 1.
     """
-    u = np.atleast_1d(np.asarray(x, dtype=float)) * n
-    total = _window_sum(_kernel(u, *index_window(n, a, b), Workspace())[0], ASCENDING)
-    return float(total[0]) if np.ndim(x) == 0 else total
+    return _kernel_sum(x, n, (a, b), ASCENDING)
 
 
 def boundary_deficiency(n: int, a: float, b: float, at_end: str) -> float:

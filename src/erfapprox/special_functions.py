@@ -44,35 +44,17 @@ def erf_antiderivative(x):
 ERF_SATURATION = 6.0
 
 
-def _saturated_rows(a: np.ndarray) -> int:
-    """The number of leading rows of a (along axis 0) whose entries all have
-    |value| >= ERF_SATURATION, checked in blocks of rows that double, so a
-    call reads about twice the rows it counts, plus one."""
-    count, rest = 0, tuple(range(1, a.ndim))
-    while count < len(a):
-        block = a[count:2 * count + 1]
-        full = np.logical_and.accumulate(np.all(np.abs(block) >= ERF_SATURATION, axis=rest))
-        count += int(np.count_nonzero(full))
-        if not full[-1]:
-            break
-    return count
-
-
-def _sign_saturated_tail(lo: np.ndarray) -> int:
-    """Write the sign into the last rows of lo (of its last two, along
-    axis 0, counted from the end) whose entries are all >= ERF_SATURATION
-    or all <= -ERF_SATURATION, where erf is exactly that sign, and return
-    how many entries of lo's flat end they hold.  Each row is tested by
-    its min and max, which a nan keeps from saturating."""
+def _sign_saturated(rows: np.ndarray) -> int:
+    """Write np.sign into the leading rows of rows (along axis 0) whose
+    entries all have |value| >= ERF_SATURATION, where erf is exactly that
+    sign, and return how many entries they hold.  A nan keeps its row
+    from saturating."""
     done = 0
-    for i in reversed(range(max(len(lo) - 2, 0), len(lo))):
-        row = lo[i:i + 1]
-        if row.min(initial=np.inf) >= ERF_SATURATION:
-            row[...] = 1.0
-        elif row.max() <= -ERF_SATURATION:
-            row[...] = -1.0
-        else:
+    for i in range(len(rows)):
+        row = rows[i:i + 1]
+        if not np.all(np.abs(row) >= ERF_SATURATION):
             break
+        np.sign(row, out=row)
         done += row.size
     return done
 
@@ -88,19 +70,21 @@ def chi(x, buffers=None):
     combines them in place and returns hi, equal to the formula bit for
     bit.
 
-    The leading rows of x + 1 (along axis 0) whose entries all have
-    |value| >= ERF_SATURATION, where erf is exactly +-1, take np.sign
-    (which keeps nan), and the first erf call covers the remaining rows.
-    Along axis 0, an entry of x - 1 equal to the entry of x + 1 two places
-    on takes its erf value; the last two places, which no entry of x + 1
-    covers, take their sign from the end back while their entries are
-    saturated, and the second call covers the rest of them and the entries
-    that differ.  On a window-major kernel d - m (m = -R..R down axis 0,
-    |d| <= 1/2) the first two rows of x + 1 and the last two of x - 1 are
-    saturated, so the two calls see 13 of the 30 arguments per point,
-    plus the few inexact ones.  When over a sixteenth differ, erf runs on
-    all of x - 1 but its saturated tail, so a call holds at most about
-    0.19 arrays the size of x besides the buffers.
+    One rule marks a saturated row (along axis 0): all its entries have
+    |value| >= ERF_SATURATION, where erf is exactly their sign, so it
+    takes np.sign (``_sign_saturated``).  It is applied to the first two
+    rows of x + 1 from the first on, and to the last two rows of x - 1
+    from the last back, each while the rows are saturated.  The first erf
+    call covers the rest of x + 1.  Along axis 0, an entry of x - 1 equal
+    to the entry of x + 1 two places on takes its erf value, and the
+    second call covers the unsigned ones of x - 1's last two rows, which
+    no entry of x + 1 covers, and the entries that differ.  On a
+    window-major kernel d - m (m = -R..R down axis 0, |d| <= 1/2) the
+    first two rows of x + 1 and the last two of x - 1 are saturated, so
+    the two calls see 13 of the 30 arguments per point, plus the few
+    inexact ones.  When over a sixteenth differ, erf runs on all of x - 1
+    but its saturated tail, so a call holds at most about 0.19 arrays the
+    size of x besides the buffers.
     """
     if np.ndim(x) == 0:
         return (erf(float(x) + 1.0) - erf(float(x) - 1.0)) / 4.0
@@ -108,11 +92,11 @@ def chi(x, buffers=None):
     hi, lo = (np.empty(x_arr.shape), np.empty(x_arr.shape)) if buffers is None else buffers
     np.add(x_arr, 1.0, out=hi)
     np.subtract(x_arr, 1.0, out=lo)
-    rows = _saturated_rows(hi)
-    end = lo.size - _sign_saturated_tail(lo)
+    start = _sign_saturated(hi[:2])
+    end = lo.size - _sign_saturated(lo[:-3:-1])
     fresh = lo[:-2] != hi[2:]
-    np.sign(hi[:rows], out=hi[:rows])
-    erf(hi[rows:], out=hi[rows:])
+    head = hi.reshape(-1)[start:]
+    erf(head, out=head)
     moved = np.count_nonzero(fresh)
     flat = lo.reshape(-1)
     if moved > fresh.size // 16:

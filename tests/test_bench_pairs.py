@@ -170,7 +170,9 @@ def test_summary_prints_the_line_counts_beside_the_report_checks():
     assert bench_pairs.summary(doc)[-1] == "all 1 traced counts are equal on default:0"
 
 
-def test_summary_names_each_file_whose_line_count_changed(tmp_path):
+def test_summary_names_each_file_whose_line_count_changed(tmp_path, monkeypatch):
+    # describe would run a whole Tier-1 session in each fake checkout
+    monkeypatch.setattr(bench_pairs, "tier1", lambda checkout: None)
     for side, files in (("parent", {"bounds.py": "a\nb\nc\n", "cli.py": "x\n",
                                     "gone.py": "y\n"}),
                         ("change", {"bounds.py": "a\n", "cli.py": "x\n", "new.py": "z\nw\n"})):
@@ -180,12 +182,25 @@ def test_summary_names_each_file_whose_line_count_changed(tmp_path):
             (package / name).write_text(text)
     parent, change = (bench_pairs.describe(str(tmp_path / s)) for s in ("parent", "change"))
     assert parent["file_lines"] == {"bounds.py": 3, "cli.py": 1, "gone.py": 1}
+    assert change["file_code_lines"] == {"bounds.py": 1, "cli.py": 1, "new.py": 2}
     assert change["source_lines"] == 4 and change["code_lines"] == 4
     doc = {"commits": {"parent": parent, "change": change}, "workloads": {},
            "partition_json_diff": [], "golden_json_diff": []}
     assert bench_pairs.summary(doc)[2:7] == [
         "source_lines: parent 5 -> change 4", "code_lines: parent 5 -> change 4",
-        "bounds.py 3 -> 1", "gone.py 1 -> 0", "new.py 0 -> 2"]
+        "bounds.py 3 -> 1 (code 3 -> 1)", "gone.py 1 -> 0 (code 1 -> 0)",
+        "new.py 0 -> 2 (code 0 -> 2)"]
+    # a side recorded before file_code_lines existed gives the line counts alone
+    del parent["file_code_lines"]
+    assert bench_pairs.summary(doc)[4:7] == ["bounds.py 3 -> 1", "gone.py 1 -> 0", "new.py 0 -> 2"]
+
+
+def test_tier1_counts_a_checkouts_passed_and_failed_tests(tmp_path):
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_one.py").write_text(
+        "def test_passes():\n    assert True\n\n\ndef test_fails():\n    assert False\n")
+    result = bench_pairs.tier1(str(tmp_path))
+    assert {key: result[key] for key in ("passed", "failed")} == {"passed": 1, "failed": 1}
 
 
 def test_code_lines_leave_out_blanks_comments_and_docstrings():

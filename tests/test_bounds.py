@@ -299,7 +299,7 @@ def reference_caputo(f, spec, xs):
     was built: its own node matrix, and f^(N) evaluated even when zero."""
     N, x0 = spec.N, spec.anchor
     left = spec.side == "left"
-    xj, wj = _jacobi_rule(N - spec.alpha - 1.0, left, spec.quad_nodes)
+    xj, wj = _jacobi_rule(N - spec.alpha - 1.0, left)
     out = np.zeros_like(xs)
     live = xs > x0 if left else xs < x0
     d = np.abs(xs[live] - x0)

@@ -17,7 +17,12 @@ from erfapprox import bounds, cli, corpus, harness, operators
 from erfapprox.bounds import fit_rate
 from erfapprox.cli import main
 from erfapprox.corpus import FRACTIONAL_CORPUS, INTERVAL_CORPUS
-from erfapprox.errors import ConfigError, MissingDerivative, PreconditionViolated
+from erfapprox.errors import (
+    ConfigError,
+    CriticalPointViolated,
+    MissingDerivative,
+    PreconditionViolated,
+)
 from erfapprox.expr import compile, derivatives, parse
 from erfapprox.funcs import ComplexFunctionSpec, FunctionSpec
 from erfapprox.harness import (
@@ -928,25 +933,45 @@ class TestFaultInjection:
             monkeypatch, doc, derivatives(parse(self.G), 2),
             [(1, self.TABLE_NODES), (2, self.TABLE_NODES)], 3 * 32 + 5, "fractional_block")
 
-    @pytest.mark.parametrize("level", [0, 1, 2])
-    def test_a_nan_at_one_pointwise_x(self, monkeypatch, level):
-        # T16 at N = 2 in pointwise mode reads f (level 0) and |f'| and |f''|
-        # (levels 1, 2) at each of grid.pointwise_points points of f's
-        # interval; f^(level) is NaN at the sixth of g's
-        grid = bounds.GridPolicy(x_points=64, pointwise_points=9)
+    #: functions a, g, b as (id, parts' expressions, domain), with G the
+    #: chain that gets the NaN; in CRITICAL each f'(0) is 0
+    POINTWISE = [("a", ("sin(2*x) + x",), (-1.0, 1.0)), ("g", (G,), (-1.0, 1.5)),
+                 ("b", ("x^3 - x",), (0.0, 2.0))]
+    CRITICAL = [("a", ("cos(2*x)",), (-1.0, 1.0)), ("g", (G,), (-1.0, 1.5)),
+                ("b", ("x^4 - x^2",), (-0.5, 2.0))]
+    COMPLEX = [("a", ("sin(2*x) + x", "cos(x)"), (-1.0, 1.0)),
+               ("g", ("x^2 - x", G), (-1.0, 1.5)),
+               ("b", ("x^3 - x", "exp(-x^2)"), (0.0, 2.0))]
+
+    def assert_a_nan_at_x_fails_closed(self, monkeypatch, theorem, kw, functions, level):
+        """Verify theorem with kw on each function of the list named
+        functions, once clean and once with level `level` of G NaN at one x
+        (the sixth of grid.pointwise_points points of g's interval, or the
+        critical x0 = 0): g's rows read non-finite, or its call raises
+        where critical mode requires that derivative to vanish, and a's
+        and b's rows are bit-identical."""
+        grid = bounds.GridPolicy(x_points=64, pointwise_points=9, anchors=5, table_points=33)
         sweep = (16, 81, 256)
-        specs = [corpus.function_from_expression(fid, text, domain=dom, orders=2)
-                 for fid, text, dom in [("a", "sin(2*x) + x", (-1.0, 1.0)),
-                                        ("g", self.G, (-1.0, 1.5)),
-                                        ("b", "x^3 - x", (0.0, 2.0))]]
+        specs = []
+        for fid, texts, dom in getattr(self, functions):
+            names = [fid] if len(texts) == 1 else [f"{fid}.re", f"{fid}.im"]
+            parts = [corpus.function_from_expression(name, text, domain=dom, orders=2)
+                     for name, text in zip(names, texts)]
+            specs.append(ComplexFunctionSpec(fid, *parts) if len(parts) == 2 else parts[0])
 
         def rows():
             run = bounds.Run.of(sweep, (0.5,), grid)
-            return {f.name: bounds.verify("T16", f, sweep, 0.5, grid, run=run, N=2,
-                                          mode="pointwise") for f in specs}
+            out = {}
+            for f in specs:
+                try:
+                    out[f.name] = bounds.verify(theorem, f, sweep, 0.5, grid, run=run, **kw)
+                except CriticalPointViolated as e:
+                    out[f.name] = e
+            return out
 
         clean = rows()
-        x0 = float(np.linspace(-1.0, 1.5, 9)[5])
+        critical = kw["mode"] == "critical"
+        x0 = 0.0 if critical else float(np.linspace(-1.0, 1.5, 9)[5])
         target, hit, real = compile(*derivatives(parse(self.G), 2)), [], corpus.evaluate
 
         def spy(program, x, at=0):
@@ -959,9 +984,41 @@ class TestFaultInjection:
         monkeypatch.setattr(corpus, "evaluate", spy)
         poisoned = rows()
         assert hit and {r.verdict for rs in clean.values() for r in rs} == {"holds"}
-        assert {r.verdict for r in poisoned["g"]} == {"non-finite"}
-        assert len(poisoned["g"]) == len(clean["g"]) == len(sweep)
+        if critical and level > 0:
+            assert isinstance(poisoned["g"], CriticalPointViolated)
+            assert "nan > 1e-12" in str(poisoned["g"])
+        else:
+            assert {r.verdict for r in poisoned["g"]} == {"non-finite"}
+            assert len(poisoned["g"]) == len(clean["g"]) == len(sweep)
         assert poisoned["a"] == clean["a"] and poisoned["b"] == clean["b"]
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_a_nan_at_one_pointwise_x(self, monkeypatch, level):
+        # T16 at N = 2 in pointwise mode reads f (level 0) and |f'| and |f''|
+        # (levels 1, 2) at each of grid.pointwise_points points of f's
+        # interval; f^(level) is NaN at the sixth of g's
+        self.assert_a_nan_at_x_fails_closed(monkeypatch, "T16", {"N": 2, "mode": "pointwise"},
+                                            "POINTWISE", level)
+
+    @pytest.mark.parametrize("theorem, kw, functions, level", [
+        # T30 reads f at x, and in pointwise mode |f^(j)(x)| for j < N, in
+        # taylor_pointwise mode f^(j)(x) for the Taylor image, j < N
+        *[("T30", {"alpha_frac": alpha, "mode": mode}, "POINTWISE", level)
+          for mode in ("pointwise", "taylor_pointwise")
+          for alpha, levels in ((0.5, (0,)), (1.5, (0, 1))) for level in levels],
+        # critical mode reads f at x0 = 0 and requires f^(j)(0) = 0 for
+        # j <= N (T16) or j < N (T30): g'(0) = 0, so only the NaN raises
+        *[("T16", {"N": 1, "mode": "critical"}, "CRITICAL", level) for level in (0, 1)],
+        *[("T30", {"alpha_frac": 1.5, "mode": "critical"}, "CRITICAL", level)
+          for level in (0, 1)],
+        # the complex companions, with the NaN in g's imaginary part
+        *[("T38", {"N": 2, "mode": "pointwise"}, "COMPLEX", level) for level in (0, 1, 2)],
+        *[("T39", {"alpha_frac": 1.5, "mode": "pointwise"}, "COMPLEX", level)
+          for level in (0, 1)],
+    ], ids=lambda v: "-".join(map(str, v.values())) if isinstance(v, dict) else str(v))
+    def test_a_nan_at_one_x_of_each_pointwise_mode(self, monkeypatch, theorem, kw, functions,
+                                                   level):
+        self.assert_a_nan_at_x_fails_closed(monkeypatch, theorem, kw, functions, level)
 
 
 class TestHighOrderChains:

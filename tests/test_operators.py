@@ -616,13 +616,24 @@ class TestConfig:
 class TestInputChecks:
     @pytest.mark.parametrize("call, error, match", [
         (lambda: QuadratureWeights(0, ()), InvalidWeights, "theta must be a positive integer"),
+        (lambda: QuadratureWeights(True, (0.5, 0.5)), InvalidWeights,
+         "theta must be a positive integer, got True"),
+        (lambda: QuadratureWeights(2.0, (1 / 3,) * 3), InvalidWeights,
+         "theta must be a positive integer, got 2.0"),
+        (lambda: QuadratureWeights(2.5, (0.25,) * 4), InvalidWeights,
+         "theta must be a positive integer, got 2.5"),
         (lambda: OperatorConfig("B", 0), PreconditionViolated, "n must be >= 1"),
         (lambda: OperatorConfig("A", 4, interval=(1.0, 1.0)), PreconditionViolated,
          r"need a < b, got \[1.0, 1.0\]"),
         (lambda: operators.partition_sum(0.3, 0), PreconditionViolated, "n must be >= 1"),
+        (lambda: operators.interval_denominator(0.3, 0, 0.0, 1.0), PreconditionViolated,
+         "n must be >= 1"),
+        (lambda: operators.interval_denominator(0.3, -2, 0.0, 1.0), PreconditionViolated,
+         "n must be >= 1"),
         (lambda: operators.boundary_deficiency(4, 0.0, 1.0, "c"), PreconditionViolated,
          "at_end must be 'a' or 'b', got 'c'"),
-    ], ids=["theta", "n", "interval", "partition_sum", "at_end"])
+    ], ids=["theta", "theta-bool", "theta-float", "theta-fraction", "n", "interval",
+            "partition_sum", "interval_denominator", "interval_denominator-negative", "at_end"])
     def test_a_bad_argument_is_rejected(self, call, error, match):
         with pytest.raises(error, match=match):
             call()

@@ -236,13 +236,13 @@ class TestChiSharesErfValues:
             "one-dim-nan", "one-row", "one-unsaturated-row"])
     def test_trailing_rows_that_must_keep_erf(self, x, monkeypatch):
         # from the last row of x - 1 back, a row takes its sign only while
-        # all its entries are >= 6 or all <= -6 (a nan row never is); the
-        # second call covers the other trailing rows and the fresh entries,
-        # or, past a sixteenth fresh, all of x - 1 but the signed rows
+        # all its entries have |value| >= 6, of either sign (a nan row never
+        # has); the second call covers the other trailing rows and the fresh
+        # entries, or, past a sixteenth fresh, all of x - 1 but the signed rows
         lo = x - 1.0
         signed = 0
         for row in lo[::-1][:2]:
-            if not (np.all(row >= ERF_SATURATION) or np.all(row <= -ERF_SATURATION)):
+            if not np.all(np.abs(row) >= ERF_SATURATION):
                 break
             signed += np.size(row)
         head = lo[:-2].size

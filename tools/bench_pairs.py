@@ -29,7 +29,7 @@ from the files on disk (equal to ``git rev-parse <commit>:src`` once
 committed), whether the perfbench trees match, nproc,
 ``wc -l src/erfapprox/*.py`` (the total and each file's count), the
 lines of those files that are not blank, comment-only or docstring
-(``code_lines``),
+(``code_lines``, and each file's as ``file_code_lines``),
 ``erfapprox.__all__`` and the minor page faults (``ru_minflt``) of one
 ``run_verify`` of the packaged default config for both sides, the last
 two read by a fresh interpreter with ``PYTHONPATH=<checkout>/src``, and
@@ -55,7 +55,7 @@ JSON holds every row at full precision, where ``golden.csv`` rounds to
 After writing the file the script prints each run's
 ``reports_identical``, both JSON diffs, both sides' ``source_lines`` and
 ``code_lines``, the files whose line count changed (``bounds.py 664 ->
-640``), both sides' ``tier1`` and ``default_minor_faults`` and the public names the
+640 (code 401 -> 388)``), both sides' ``tier1`` and ``default_minor_faults`` and the public names the
 change removes and adds, then each traced count (a metric whose last word is ``calls``,
 ``points`` or ``keys``, plus ``bounds.verify_cells`` and
 ``harness.groups``) that differs between the sides, or one line saying
@@ -237,22 +237,23 @@ def code_lines(source: bytes) -> int:
 def describe(checkout: str) -> dict:
     head = git(checkout, "rev-parse", "HEAD")
     status = git(checkout, "status", "--porcelain", "--", "src", "perfbench")
-    file_lines, code = {}, 0
+    file_lines, file_code_lines = {}, {}
     for path in sorted(glob.glob(os.path.join(checkout, "src", "erfapprox", "*.py"))):
         with open(path, "rb") as fh:
             source = fh.read()
         file_lines[os.path.basename(path)] = source.count(b"\n")
-        code += code_lines(source)
+        file_code_lines[os.path.basename(path)] = code_lines(source)
     return {
         "head": head.strip() if head else None,
         "src_or_perfbench_uncommitted": bool(status.strip()) if status is not None else None,
         "src_tree": tree_id(checkout, "src"),
         "perfbench_tree": tree_id(checkout, "perfbench"),
         "source_lines": sum(file_lines.values()),
-        "code_lines": code,
+        "code_lines": sum(file_code_lines.values()),
         "default_minor_faults": minor_faults(checkout),
         "tier1": tier1(checkout),
         "file_lines": file_lines,
+        "file_code_lines": file_code_lines,
         "public_names": public_names(checkout),
     }
 
@@ -411,12 +412,21 @@ def name_changes(parent: Optional[List[str]], change: Optional[List[str]]) -> st
             f"added {sorted(set(change) - set(parent))}")
 
 
-def file_line_changes(parent: Dict[str, int], change: Dict[str, int]) -> List[str]:
+def file_line_changes(parent: dict, change: dict) -> List[str]:
     """One line per source file whose line count differs between the
-    sides; a file one side lacks counts 0 lines there."""
-    return [f"{name} {parent.get(name, 0)} -> {change.get(name, 0)}"
-            for name in sorted(set(parent) | set(change))
-            if parent.get(name, 0) != change.get(name, 0)]
+    sides' descriptions, with its code lines when both sides record them;
+    a file one side lacks counts 0 lines there."""
+    sides = (parent, change)
+    lines = []
+    for name in sorted(set(parent["file_lines"]) | set(change["file_lines"])):
+        old, new = (side["file_lines"].get(name, 0) for side in sides)
+        if old != new:
+            text = f"{name} {old} -> {new}"
+            if all("file_code_lines" in side for side in sides):
+                text += " (code {} -> {})".format(
+                    *(side["file_code_lines"].get(name, 0) for side in sides))
+            lines.append(text)
+    return lines
 
 
 def tier1_text(result: Optional[dict]) -> str:
@@ -442,7 +452,7 @@ def summary(doc: dict) -> List[str]:
         lines.append(f"code_lines: parent {parent['code_lines']} -> "
                      f"change {change['code_lines']}")
     if "file_lines" in parent and "file_lines" in change:
-        lines += file_line_changes(parent["file_lines"], change["file_lines"])
+        lines += file_line_changes(parent, change)
     if "tier1" in parent and "tier1" in change:
         lines.append(f"tier1: parent {tier1_text(parent['tier1'])} -> "
                      f"change {tier1_text(change['tier1'])}")
